@@ -6,14 +6,18 @@ into threshold curves (plus a crossing report for two inputs), and
 ``layout`` validates or packs patch layouts.
 
 Configuration is a single JSON document per run; command-line flags
-override individual entries. The only environment variable honored is
-PATCHMUX_OUT (output directory override). Reports embed their effective
-configuration and its hash, carry no timestamps, and render numbers at six
-significant digits, so reruns are byte-identical.
+override individual entries. One table per command gives each key's JSON
+type, and one reader checks them all: an unknown key or a wrong-typed value
+(a numeric string, a bool for a number, 1.7 for an integer) is a
+configuration error naming the dotted key, and ``null`` means absent.
+``--format`` exists on ``analytic`` only. The only environment variable
+honored is PATCHMUX_OUT (output directory override). Reports embed their
+effective configuration and its hash, carry no timestamps, and render
+numbers at six significant digits, so reruns are byte-identical.
 
 Exit codes: 0 success, 2 configuration error (bad config/paths/values),
-3 input format error (unparseable CSV/JSONL/layout text), 4 empty-result
-warning (nothing kept, packed, or swept).
+3 input format error (unparseable or non-UTF-8 CSV/JSONL/layout text),
+4 empty-result warning (nothing kept, packed, or swept).
 """
 
 from __future__ import annotations
@@ -25,15 +29,16 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import __version__
-from .analytics import AttemptRow, ModelError, reproduce_table
-from .analytics import CommonMode, ExplicitJoint, FailureModel
+from .analytics import AttemptRow, CommonMode, ExplicitJoint, FailureModel, reproduce_table
 from .gap_analysis import (
     RecordFormatError,
     RecordSet,
     SweepCurve,
+    default_thresholds,
     extrapolate_tail,
     find_crossing,
     sweep,
@@ -68,6 +73,13 @@ class ConfigError(Exception):
     pass
 
 
+class InputFormatError(Exception):
+    """An input file the library readers do not cover is malformed."""
+
+
+_FORMAT_ERRORS = (LayoutParseError, RecordFormatError, InputFormatError)
+
+
 # ---------------------------------------------------------------------------
 # rendering
 
@@ -84,11 +96,7 @@ def fmt6(value: float) -> str:
 def _jsonify(obj):
     """Round floats to six significant digits; map inf/nan to strings."""
     if isinstance(obj, float):
-        if math.isnan(obj):
-            return "nan"
-        if math.isinf(obj):
-            return "inf" if obj > 0 else "-inf"
-        return float(format(obj, ".6g"))
+        return float(fmt6(obj)) if math.isfinite(obj) else fmt6(obj)
     if isinstance(obj, dict):
         return {k: _jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -124,10 +132,116 @@ def _write_json(path: Path, doc: dict) -> None:
 
 
 # ---------------------------------------------------------------------------
+# config schema
+#
+# A table maps each allowed key to its JSON type: bool, int, float or str;
+# [T] for a list of T (read as a tuple); a nested table for an object; a
+# tuple of alternatives, where None admits null.
+
+_GAP_CONFIG = {"kind": str, "rate": float, "value": float}
+
+_ANALYTIC_CONFIG = {"preset": str, "input_csv": str, "out": str}
+
+_SIMULATE_CONFIG = {
+    "preset": str,
+    "k": int,
+    "n_shots": int,
+    "seed": int,
+    "failure": {
+        "kind": str,
+        "per_site_fail": [float],
+        "calibrate_discard": float,
+        "c": float,
+        "table": [float],
+    },
+    "escape": {
+        "kind": str,
+        "q": float,
+        "keep_prob": float,
+        "gap_correct": _GAP_CONFIG,
+        "gap_error": _GAP_CONFIG,
+        "pool_path": str,
+    },
+    "stage_split": {"injection_fail": [float], "cultivation_fail": [float]},
+    "selection_priority": [int],
+    "labels": {"d1": int, "p": float, "d2": int, "r1": int, "r2": int},
+    "records": bool,
+    "out": str,
+}
+
+_GAP_SWEEP_CONFIG = {
+    "records": [str],
+    "n_attempts": (int, [(int, None)]),
+    "thresholds": ([float], {"start": float, "stop": float, "count": int}),
+    "tail_window": [float],
+    "out": str,
+}
+
+_LAYOUT_CONFIG = {"preset": str, "file": str, "stage": str, "mode": str, "k_max": int, "out": str}
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+_JSON_TYPES = {  # spec -> (name in messages, test of a JSON value)
+    None: ("null", lambda v: v is None),
+    bool: ("a boolean", lambda v: isinstance(v, bool)),
+    int: ("an integer", lambda v: _is_number(v) and (isinstance(v, int) or v.is_integer())),
+    float: (
+        "a float",
+        lambda v: isinstance(v, float) or _is_number(v) and abs(v) <= sys.float_info.max,
+    ),
+    str: ("a string", lambda v: isinstance(v, str)),
+    list: ("a list", lambda v: isinstance(v, list)),
+    dict: ("an object", lambda v: isinstance(v, dict)),
+}
+
+
+def _read_value(value, spec, key: str):
+    alternatives = spec if isinstance(spec, tuple) else (spec,)
+    types = [_JSON_TYPES[type(a) if isinstance(a, (list, dict)) else a] for a in alternatives]
+    for alt, (_, fits) in zip(alternatives, types):
+        if fits(value):
+            break
+    else:
+        raise ConfigError(f"{key} must be {' or '.join(name for name, _ in types)}")
+    if isinstance(alt, dict):
+        return _read_config(value, alt, key, key + ".")
+    if isinstance(alt, list):
+        return tuple(_read_value(v, alt[0], f"{key}[{i}]") for i, v in enumerate(value))
+    return alt(value) if alt in (int, float) else value
+
+
+def _read_config(raw: dict, table: dict, context: str, prefix: str = "") -> dict:
+    """Check ``raw`` against ``table``; return its non-null values converted."""
+    unknown = set(raw) - set(table)
+    if unknown:
+        raise ConfigError(f"unknown {context} keys: {sorted(unknown)}")
+    return {
+        key: _read_value(value, table[key], prefix + key)
+        for key, value in raw.items()
+        if value is not None
+    }
+
+
+@contextmanager
+def _config_errors():
+    """Report the library's rejection of a config value as a config error."""
+    try:
+        yield
+    except _FORMAT_ERRORS:
+        raise
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise ConfigError(str(exc)) from None
+
+
+# ---------------------------------------------------------------------------
 # config plumbing
 
 
 def _load_config_file(path: str | None) -> dict:
+    """The config document as written, without its top-level null entries."""
     if path is None:
         return {}
     p = Path(path)
@@ -135,17 +249,11 @@ def _load_config_file(path: str | None) -> dict:
         raise ConfigError(f"config file not found: {path}")
     try:
         cfg = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
-    return cfg
-
-
-def _reject_unknown(cfg: dict, allowed: set[str], context: str) -> None:
-    unknown = set(cfg) - allowed
-    if unknown:
-        raise ConfigError(f"unknown {context} keys: {sorted(unknown)}")
+    return {key: value for key, value in cfg.items() if value is not None}
 
 
 def _out_dir(args, cfg: dict) -> Path:
@@ -167,16 +275,24 @@ def _require_file(path_text: str, what: str) -> Path:
     return p
 
 
+def _read_file(read, path: Path, *args):
+    """Run a file reader; bytes that are not UTF-8 are an input format error."""
+    try:
+        return read(path, *args)
+    except UnicodeDecodeError:
+        raise InputFormatError(f"{path}: not UTF-8 text") from None
+
+
+def _load_record_set(path: Path, n_attempts: int | None = None) -> RecordSet:
+    read = RecordSet.from_csv if path.suffix.lower() == ".csv" else RecordSet.from_jsonl
+    return _read_file(read, path, n_attempts)
+
+
 # ---------------------------------------------------------------------------
 # analytic
 
 
-_ANALYTIC_KEYS = {"preset", "input_csv", "out"}
 _ROW_COLUMNS = ("d1", "p", "D1", "D4", "A1", "A4", "rho")
-
-
-class TableFormatError(Exception):
-    pass
 
 
 def _read_analytic_csv(path: Path) -> list[AttemptRow]:
@@ -190,12 +306,12 @@ def _read_analytic_csv(path: Path) -> list[AttemptRow]:
         known = {c.lower(): c for c in _ROW_COLUMNS}
         for name in names:
             if name.lower() not in known:
-                raise TableFormatError(f"line 1: unknown column {name!r}")
+                raise InputFormatError(f"line 1: unknown column {name!r}")
         for line_no, cells in enumerate(reader, start=2):
             if not cells or all(not c.strip() for c in cells):
                 continue
             if len(cells) != len(names):
-                raise TableFormatError(
+                raise InputFormatError(
                     f"line {line_no}: expected {len(names)} cells, got {len(cells)}"
                 )
             values: dict[str, float | None] = {}
@@ -207,7 +323,7 @@ def _read_analytic_csv(path: Path) -> list[AttemptRow]:
                 try:
                     values[known[name.lower()]] = float(cell)
                 except ValueError:
-                    raise TableFormatError(
+                    raise InputFormatError(
                         f"line {line_no}: non-numeric cell {cell!r} in column {name}"
                     ) from None
             d1 = values.get("d1")
@@ -259,8 +375,7 @@ def _analytic_csv_text(results) -> str:
 
 
 def cmd_analytic(args) -> int:
-    cfg = _load_config_file(args.config)
-    _reject_unknown(cfg, _ANALYTIC_KEYS, "analytic config")
+    cfg = _read_config(_load_config_file(args.config), _ANALYTIC_CONFIG, "analytic config")
     preset = args.preset or cfg.get("preset")
     input_csv = cfg.get("input_csv")
     if preset is not None and preset not in ANALYTIC_PRESETS:
@@ -270,7 +385,7 @@ def cmd_analytic(args) -> int:
     if preset is None and input_csv is None:
         raise ConfigError("analytic needs a preset or an input_csv")
     if input_csv is not None:
-        rows = _read_analytic_csv(_require_file(input_csv, "input CSV"))
+        rows = _read_file(_read_analytic_csv, _require_file(input_csv, "input CSV"))
         source = input_csv
     else:
         rows = list(ANALYTIC_PRESETS[preset])
@@ -324,95 +439,48 @@ def cmd_analytic(args) -> int:
 # simulate
 
 
-_SIMULATE_KEYS = {
-    "preset",
-    "k",
-    "n_shots",
-    "seed",
-    "failure",
-    "escape",
-    "stage_split",
-    "selection_priority",
-    "labels",
-    "records",
-    "out",
-}
-_FAILURE_KEYS = {"kind", "per_site_fail", "calibrate_discard", "c", "table"}
-_ESCAPE_KEYS = {"kind", "q", "keep_prob", "gap_correct", "gap_error", "pool_path"}
-_GAP_KEYS = {"kind", "rate", "value"}
-_LABEL_KEYS = {"d1", "p", "d2", "r1", "r2"}
-
-
-def _parse_gap(d: dict, context: str) -> GapDistribution:
-    _reject_unknown(d, _GAP_KEYS, context)
-    try:
-        return GapDistribution(
-            kind=d.get("kind", "discrete_exponential"),
-            rate=float(d.get("rate", 1.0)),
-            value=float(d.get("value", 0.0)),
-        )
-    except (ModelError, ValueError, TypeError) as exc:
-        raise ConfigError(f"{context}: {exc}") from None
-
-
-def _parse_escape(d: dict) -> EscapeModel:
-    _reject_unknown(d, _ESCAPE_KEYS, "escape")
-    kind = d.get("kind", "always_keep")
-    kwargs: dict = {"kind": kind}
-    if "q" in d:
-        kwargs["q"] = float(d["q"])
-    if "keep_prob" in d:
-        kwargs["keep_prob"] = float(d["keep_prob"])
-    if "gap_correct" in d:
-        kwargs["gap_correct"] = _parse_gap(d["gap_correct"], "escape.gap_correct")
-    if "gap_error" in d:
-        kwargs["gap_error"] = _parse_gap(d["gap_error"], "escape.gap_error")
-    if kind == "empirical":
-        if "pool_path" not in d:
-            raise ConfigError("empirical escape model needs pool_path")
-        pool_file = _require_file(d["pool_path"], "escape pool")
-        pool = _load_record_set(pool_file)
-        kwargs["pool_gaps"] = tuple(float(g) for g in pool.gaps)
-        kwargs["pool_correct"] = tuple(bool(c) for c in pool.correct)
-    try:
-        return EscapeModel(**kwargs)
-    except (ModelError, ValueError, TypeError) as exc:
-        raise ConfigError(f"escape: {exc}") from None
-
-
-def _parse_failure(d: dict, k: int | None) -> FailureModel:
-    _reject_unknown(d, _FAILURE_KEYS, "failure")
-    kind = d.get("kind", "independent")
-    if "per_site_fail" in d:
-        rates = tuple(float(x) for x in d["per_site_fail"])
+def _failure_model(failure: dict, k: int | None) -> FailureModel:
+    if "per_site_fail" in failure:
+        rates = failure["per_site_fail"]
         if k is not None and len(rates) != k:
             raise ConfigError(f"per_site_fail has {len(rates)} sites but k={k}")
-    elif "calibrate_discard" in d:
+    elif "calibrate_discard" in failure:
         if k is None:
             raise ConfigError("calibrate_discard needs an explicit k")
-        rates = (float(d["calibrate_discard"]),) * k
+        rates = (failure["calibrate_discard"],) * k
     else:
         raise ConfigError("failure needs per_site_fail or calibrate_discard")
-    try:
-        if kind == "independent":
-            return FailureModel(per_site_fail=rates)
-        if kind == "common_mode":
-            if "c" not in d:
-                raise ConfigError("common_mode failure needs c")
-            return FailureModel(per_site_fail=rates, correlation=CommonMode(float(d["c"])))
-        if kind == "explicit_joint":
-            if "table" not in d:
-                raise ConfigError("explicit_joint failure needs table")
-            table = tuple(float(x) for x in d["table"])
-            return FailureModel(per_site_fail=rates, correlation=ExplicitJoint(table))
-    except ModelError as exc:
-        raise ConfigError(f"failure: {exc}") from None
+    kind = failure.get("kind", "independent")
+    if kind == "independent":
+        return FailureModel(per_site_fail=rates)
+    if kind == "common_mode":
+        if "c" not in failure:
+            raise ConfigError("common_mode failure needs c")
+        return FailureModel(per_site_fail=rates, correlation=CommonMode(failure["c"]))
+    if kind == "explicit_joint":
+        if "table" not in failure:
+            raise ConfigError("explicit_joint failure needs table")
+        return FailureModel(per_site_fail=rates, correlation=ExplicitJoint(failure["table"]))
     raise ConfigError(f"unknown failure kind {kind!r}")
 
 
+def _escape_model(escape: dict) -> EscapeModel:
+    fields = {key: value for key, value in escape.items() if key != "pool_path"}
+    for key in ("gap_correct", "gap_error"):
+        if key in escape:
+            fields[key] = GapDistribution(**{"kind": "discrete_exponential", **escape[key]})
+    if fields.get("kind") == "empirical":
+        if "pool_path" not in escape:
+            raise ConfigError("empirical escape model needs pool_path")
+        pool = _load_record_set(_require_file(escape["pool_path"], "escape pool"))
+        fields["pool_gaps"] = tuple(pool.gaps.tolist())
+        fields["pool_correct"] = tuple(pool.correct.tolist())
+    return EscapeModel(**fields)
+
+
 def cmd_simulate(args) -> int:
-    cfg = _load_config_file(args.config)
-    _reject_unknown(cfg, _SIMULATE_KEYS, "simulate config")
+    raw = _load_config_file(args.config)
+    cfg = _read_config(raw, _SIMULATE_CONFIG, "simulate config")
 
     preset_name = args.preset or cfg.get("preset")
     if preset_name is not None:
@@ -421,66 +489,36 @@ def cmd_simulate(args) -> int:
             raise ConfigError(
                 f"unknown simulate preset {preset_name!r}; have {sorted(presets)}"
             )
-        base = presets[preset_name]
-        merged = dict(base)
-        for key, value in cfg.items():
-            if key == "preset":
-                continue
-            merged[key] = value
-        cfg = merged
+        raw = {**presets[preset_name], **raw}
+        cfg = _read_config(raw, _SIMULATE_CONFIG, "simulate config")
 
-    k = cfg.get("k")
     if "failure" not in cfg:
         raise ConfigError("simulate needs a failure model (or a preset)")
-    failure = _parse_failure(cfg["failure"], int(k) if k is not None else None)
-    if k is not None and failure.k != int(k):
-        raise ConfigError(f"k={k} does not match failure model with {failure.k} sites")
-
-    escape = _parse_escape(cfg.get("escape", {}))
-
+    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
+    n_shots = cfg.get("n_shots", 100_000)
+    want_records = cfg.get("records", False)
     labels = cfg.get("labels", {})
-    _reject_unknown(labels, _LABEL_KEYS, "labels")
-
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-    n_shots = int(cfg.get("n_shots", 100_000))
-
-    rule = SelectionRule.lowest_index()
-    if "selection_priority" in cfg:
-        try:
+    raw_labels = raw.get("labels", {})
+    with _config_errors():
+        failure = _failure_model(cfg["failure"], cfg.get("k"))
+        rule = SelectionRule.lowest_index()
+        if "selection_priority" in cfg:
             rule = SelectionRule.fixed_priority(cfg["selection_priority"])
-        except ValueError as exc:
-            raise ConfigError(f"selection_priority: {exc}") from None
-
-    split = None
-    if "stage_split" in cfg:
-        sdict = cfg["stage_split"]
-        _reject_unknown(sdict, {"injection_fail", "cultivation_fail"}, "stage_split")
-        try:
-            split = StageSplit(
-                injection_fail=tuple(float(x) for x in sdict["injection_fail"]),
-                cultivation_fail=tuple(float(x) for x in sdict["cultivation_fail"]),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"stage_split missing {exc}") from None
-
-    want_records = bool(cfg.get("records", False))
-    try:
         sim_config = SimConfig(
             failure_model=failure,
             n_shots=n_shots,
             seed=seed,
-            escape_model=escape,
+            escape_model=_escape_model(cfg.get("escape", {})),
             selection_rule=rule,
-            stage_split=split,
+            stage_split=StageSplit(**cfg["stage_split"]) if "stage_split" in cfg else None,
             collect_records=want_records,
-            d1_label=labels.get("d1"),
-            p_label=labels.get("p"),
-            d2_label=int(labels.get("d2", 15)),
-            r1_label=labels.get("r1"),
-            r2_label=int(labels.get("r2", 5)),
+            # d1, p and r1 ride along as written; d2 and r2 as integers
+            d1_label=raw_labels.get("d1"),
+            p_label=raw_labels.get("p"),
+            d2_label=labels.get("d2", 15),
+            r1_label=raw_labels.get("r1"),
+            r2_label=labels.get("r2", 5),
         )
-    except (ModelError, ValueError) as exc:
-        raise ConfigError(str(exc)) from None
 
     out = _out_dir(args, cfg)  # fail on an unwritable target before simulating
     summary = run_simulation(sim_config, workers=args.workers)
@@ -489,11 +527,11 @@ def cmd_simulate(args) -> int:
         "k": failure.k,
         "n_shots": n_shots,
         "seed": seed,
-        "failure": cfg.get("failure"),
-        "escape": cfg.get("escape", {}),
-        "stage_split": cfg.get("stage_split"),
-        "selection_priority": cfg.get("selection_priority"),
-        "labels": labels,
+        "failure": raw.get("failure"),
+        "escape": raw.get("escape", {}),
+        "stage_split": raw.get("stage_split"),
+        "selection_priority": raw.get("selection_priority"),
+        "labels": raw_labels,
         "records": want_records,
     }
     results = {
@@ -528,73 +566,46 @@ def cmd_simulate(args) -> int:
 # gap-sweep
 
 
-_SWEEP_KEYS = {"records", "n_attempts", "thresholds", "tail_window", "out"}
-
-
-def _load_record_set(path: Path, n_attempts: int | None = None) -> RecordSet:
-    if path.suffix.lower() == ".csv":
-        return RecordSet.from_csv(path, n_attempts)
-    return RecordSet.from_jsonl(path, n_attempts)
-
-
-def _threshold_grid(cfg, record_sets) -> tuple[float, ...]:
-    spec = cfg.get("thresholds")
+def _threshold_grid(spec, record_sets) -> tuple[float, ...]:
     if spec is None:
-        values: set[float] = {0.0}
-        for rs in record_sets:
-            values.update(float(g) for g in rs.gaps)
-        return tuple(sorted(values))
-    if isinstance(spec, list):
-        grid = tuple(float(g) for g in spec)
-        if any(b <= a for a, b in zip(grid, grid[1:])):
-            raise ConfigError("thresholds list must be strictly increasing")
-        return grid
-    if isinstance(spec, dict):
-        _reject_unknown(spec, {"start", "stop", "count"}, "thresholds")
-        try:
-            start, stop, count = (
-                float(spec["start"]),
-                float(spec["stop"]),
-                int(spec["count"]),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"thresholds missing {exc}") from None
-        if count < 2 or stop <= start:
-            raise ConfigError("thresholds need stop > start and count >= 2")
-        step = (stop - start) / (count - 1)
-        return tuple(start + i * step for i in range(count))
-    raise ConfigError("thresholds must be a list or {start, stop, count}")
+        return default_thresholds(*record_sets)
+    if isinstance(spec, tuple):
+        if not spec or any(b <= a for a, b in zip(spec, spec[1:])):
+            raise ConfigError("thresholds list must be non-empty and strictly increasing")
+        return spec
+    try:
+        start, stop, count = spec["start"], spec["stop"], spec["count"]
+    except KeyError as exc:
+        raise ConfigError(f"thresholds missing {exc}") from None
+    if count < 2 or stop <= start:
+        raise ConfigError("thresholds need stop > start and count >= 2")
+    step = (stop - start) / (count - 1)
+    return tuple(start + i * step for i in range(count))
 
 
 def cmd_gap_sweep(args) -> int:
-    cfg = _load_config_file(args.config)
-    _reject_unknown(cfg, _SWEEP_KEYS, "gap-sweep config")
+    raw = _load_config_file(args.config)
+    cfg = _read_config(raw, _GAP_SWEEP_CONFIG, "gap-sweep config")
     paths = list(args.records or []) or list(cfg.get("records", []))
     if not paths:
         raise ConfigError("gap-sweep needs at least one record file (--records)")
     files = [_require_file(p, "record file") for p in paths]
 
-    n_attempts_cfg = cfg.get("n_attempts")
-    if n_attempts_cfg is None:
-        per_input = [None] * len(files)
-    elif isinstance(n_attempts_cfg, int):
-        per_input = [n_attempts_cfg] * len(files)
-    elif isinstance(n_attempts_cfg, list) and len(n_attempts_cfg) == len(files):
-        per_input = [int(x) if x is not None else None for x in n_attempts_cfg]
-    else:
+    per_input = cfg.get("n_attempts")
+    if not isinstance(per_input, tuple):
+        per_input = (per_input,) * len(files)
+    elif len(per_input) != len(files):
         raise ConfigError("n_attempts must be an int or one entry per record file")
-
-    record_sets = [
-        _load_record_set(path, n_att) for path, n_att in zip(files, per_input)
-    ]
-    grid = _threshold_grid(cfg, record_sets)
-    out = _out_dir(args, cfg)
-
     tail_window = cfg.get("tail_window")
-    if tail_window is not None:
-        if not (isinstance(tail_window, list) and len(tail_window) == 2):
-            raise ConfigError("tail_window must be [low, high]")
-        tail_window = (float(tail_window[0]), float(tail_window[1]))
+    if tail_window is not None and len(tail_window) != 2:
+        raise ConfigError("tail_window must be [low, high]")
+
+    with _config_errors():
+        record_sets = [
+            _load_record_set(path, n_att) for path, n_att in zip(files, per_input)
+        ]
+    grid = _threshold_grid(cfg.get("thresholds"), record_sets)
+    out = _out_dir(args, cfg)
 
     curve_names = [f"{p.stem}_curve.csv" for p in files]
     if len(set(curve_names)) != len(curve_names):
@@ -651,9 +662,9 @@ def cmd_gap_sweep(args) -> int:
 
     effective = {
         "records": [str(p) for p in files],
-        "n_attempts": n_attempts_cfg,
-        "thresholds": cfg.get("thresholds"),
-        "tail_window": list(tail_window) if tail_window else None,
+        "n_attempts": raw.get("n_attempts"),
+        "thresholds": raw.get("thresholds"),
+        "tail_window": tail_window,
     }
     _write_json(out / "gap_report.json", _report("gap-sweep", effective, results))
     print(f"wrote {out / 'gap_report.json'}")
@@ -664,59 +675,43 @@ def cmd_gap_sweep(args) -> int:
 # layout
 
 
-_LAYOUT_KEYS = {"preset", "file", "stage", "mode", "k_max", "out"}
-
-
 def cmd_layout(args) -> int:
-    cfg = _load_config_file(args.config)
-    _reject_unknown(cfg, _LAYOUT_KEYS, "layout config")
+    raw = _load_config_file(args.config)
+    cfg = _read_config(raw, _LAYOUT_CONFIG, "layout config")
     preset = args.preset or cfg.get("preset")
     file_path = cfg.get("file")
     if preset is None and file_path is None:
         preset = "canonical"
     if preset is not None and preset != "canonical":
         raise ConfigError(f"unknown layout preset {preset!r}; have ['canonical']")
-    try:
-        stage = Stage.parse(cfg.get("stage", "cultivation"))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
     mode = cfg.get("mode", "validate")
     if mode not in ("validate", "pack"):
         raise ConfigError(f"mode must be 'validate' or 'pack', got {mode!r}")
 
-    if file_path is not None:
-        doc = load_layout_file(_require_file(file_path, "layout file"))
-        source = file_path
-    else:
-        doc = canonical_document()
-        source = "preset:canonical"
+    with _config_errors():
+        stage = Stage.parse(cfg.get("stage", "cultivation"))
+        if file_path is not None:
+            doc = _read_file(load_layout_file, _require_file(file_path, "layout file"))
+            source = file_path
+        else:
+            doc = canonical_document()
+            source = "preset:canonical"
+        if mode == "pack":
+            if doc.patch is None:
+                raise ConfigError("pack mode needs a patch stanza")
+            layout = pack_sites(doc.patch, doc.footprint_spec(stage), cfg.get("k_max", 4))
+        else:
+            layout = doc.to_layout(stage)
+            if not layout.sites:
+                raise ConfigError("layout defines no sites to validate")
 
     out = _out_dir(args, cfg)
-    empty = False
+    empty = mode == "pack" and not layout.sites
+    if empty:
+        print("warning: no feasible placement for this footprint")
     if mode == "pack":
-        if doc.patch is None:
-            raise ConfigError("pack mode needs a patch stanza")
-        k_max = int(cfg.get("k_max", 4))
-        try:
-            footprint = doc.footprint_spec(stage)
-            layout = pack_sites(doc.patch, footprint, k_max)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-        if not layout.sites:
-            empty = True
-            print("warning: no feasible placement for this footprint")
-            report_body = layout_report(layout, None)
-            report_body["placements"] = 0
-        else:
-            report_body = layout_report(layout)
-            report_body["placements"] = len(layout.sites)
+        report_body = {**layout_report(layout), "placements": len(layout.sites)}
     else:
-        try:
-            layout = doc.to_layout(stage)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-        if not layout.sites:
-            raise ConfigError("layout defines no sites to validate")
         report_body = layout_report(layout, validate_layout(layout))
 
     effective = {
@@ -724,7 +719,7 @@ def cmd_layout(args) -> int:
         "file": file_path,
         "stage": stage.value,
         "mode": mode,
-        "k_max": cfg.get("k_max"),
+        "k_max": raw.get("k_max"),
     }
     report = _report("layout", effective, {"source": source, "layout": report_body})
     map_text = ascii_map(layout) + "\n"
@@ -760,16 +755,16 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", metavar="PATH", help="JSON configuration document")
         p.add_argument("--out", metavar="DIR", help="output directory (default '.')")
-        p.add_argument(
-            "--format",
-            choices=("json", "csv"),
-            default="json",
-            help="primary stdout format where applicable",
-        )
 
     p_an = sub.add_parser("analytic", help="recompute discard/attempt tables")
     common(p_an)
     p_an.add_argument("--preset", metavar="NAME", help="built-in table: table2 or table3")
+    p_an.add_argument(
+        "--format",
+        choices=("json", "csv"),
+        default="json",
+        help="'csv' also prints the table on stdout",
+    )
     p_an.set_defaults(func=cmd_analytic)
 
     p_sim = sub.add_parser("simulate", help="run the seeded shot sampler")
@@ -808,7 +803,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (LayoutParseError, RecordFormatError, TableFormatError) as exc:
+    except _FORMAT_ERRORS as exc:
         print(f"input format error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
     except OSError as exc:

@@ -15,7 +15,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -81,10 +81,6 @@ class RecordSet:
 
     def __len__(self) -> int:
         return int(self.gaps.size)
-
-    def records(self) -> Iterable[ShotRecord]:
-        for g, c in zip(self.gaps, self.correct):
-            yield ShotRecord(gap=float(g), correct=bool(c), source=self.source)
 
     @classmethod
     def from_records(
@@ -232,12 +228,6 @@ class SweepCurve:
     def thresholds(self) -> tuple[float, ...]:
         return tuple(p.threshold for p in self.points)
 
-    def point_at(self, threshold: float) -> CurvePoint:
-        for p in self.points:
-            if p.threshold == threshold:
-                return p
-        raise KeyError(f"no point at threshold {threshold!r}")
-
     def with_tail(self, tail: "TailExtrapolation") -> "SweepCurve":
         """Replace the points beyond the fit anchor by the fitted extension."""
         observed = tuple(p for p in self.points if p.threshold <= tail.anchor_threshold)
@@ -259,12 +249,10 @@ class SweepCurve:
         )
 
 
-def default_thresholds(record_set: RecordSet) -> tuple[float, ...]:
-    """Zero plus every distinct observed gap: the exact step positions."""
-    values = np.unique(record_set.gaps)
-    if values.size == 0 or values[0] > 0.0:
-        values = np.concatenate(([0.0], values))
-    return tuple(float(v) for v in values)
+def default_thresholds(*record_sets: RecordSet) -> tuple[float, ...]:
+    """Zero plus every distinct gap of the record sets: the exact step positions."""
+    values = np.unique(np.concatenate([[0.0], *(rs.gaps for rs in record_sets)]))
+    return tuple((values + 0.0).tolist())  # + 0.0 turns a -0.0 gap into 0.0
 
 
 def sweep(record_set: RecordSet, thresholds: Sequence[float] | None = None) -> SweepCurve:

@@ -17,7 +17,6 @@ the two stages intact under every orientation.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -290,7 +289,3 @@ def layout_report(layout: PatchLayout, report: ValidationReport | None = None) -
         doc["idle_count"] = len(layout.patch)
         doc["violations"] = []
     return doc
-
-
-def layout_report_json(layout: PatchLayout, report: ValidationReport | None = None) -> str:
-    return json.dumps(layout_report(layout, report), indent=2, sort_keys=True)

@@ -221,10 +221,6 @@ class RecordArray:
     def __len__(self) -> int:
         return int(self.gaps.size)
 
-    def records(self):
-        for g, c in zip(self.gaps, self.correct):
-            yield ShotRecord(gap=float(g), correct=bool(c), source=SOURCE_SYNTHETIC)
-
 
 @dataclass(eq=False)
 class SimSummary:

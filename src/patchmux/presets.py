@@ -1,26 +1,15 @@
 """Built-in demonstration values for one-command reproduction.
 
-Three preset tables ship with the package: the demonstration parameter
-grid ("table1"), the early-stage discard/attempt table for the single-site
-baseline versus the four-site layout ("table2"), and the full-cycle
-expected-attempt table at threshold zero ("table3"). Values are stored
-verbatim at their source precision (4 decimal digits; percentages as
-printed).
+Two preset tables ship with the package: the early-stage discard/attempt
+table for the single-site baseline versus the four-site layout ("table2"),
+and the full-cycle expected-attempt table at threshold zero ("table3").
+Values are stored verbatim at their source precision (4 decimal digits;
+percentages as printed).
 """
 
 from __future__ import annotations
 
 from .analytics import AttemptRow
-
-# Parameter grid common to the demonstrations. d2/r1/r2 ride along as
-# metadata only; they never enter the statistics.
-DEMO_PARAMS = {
-    "d1": (3, 5),
-    "d2": 15,
-    "r1": "d1",  # growing rounds track the local distance
-    "r2": 5,
-    "p": (5e-4, 1e-3, 2e-3),
-}
 
 # Early-stage (injection + cultivation) discard rates and expected attempts:
 # single-site baseline vs four-site layout, plus the printed reduction.

@@ -1,0 +1,288 @@
+"""The CLI's config contract: wrong-typed values are config errors, undecodable
+inputs are one-line errors, and a report's config block reproduces the report."""
+
+import json
+
+import pytest
+
+from patchmux.cli import EXIT_CONFIG, EXIT_FORMAT, EXIT_OK, main
+
+# Every config key of every command, with its JSON type. Written out here on
+# purpose rather than read from the CLI, so a key the CLI stops checking
+# fails this test.
+KEYS = {
+    "analytic": {"preset": "str", "input_csv": "str", "out": "str"},
+    "simulate": {
+        "preset": "str",
+        "k": "int",
+        "n_shots": "int",
+        "seed": "int",
+        "failure": "object",
+        "failure.kind": "str",
+        "failure.per_site_fail": "list[float]",
+        "failure.calibrate_discard": "float",
+        "failure.c": "float",
+        "failure.table": "list[float]",
+        "escape": "object",
+        "escape.kind": "str",
+        "escape.q": "float",
+        "escape.keep_prob": "float",
+        "escape.gap_correct": "object",
+        "escape.gap_correct.kind": "str",
+        "escape.gap_correct.rate": "float",
+        "escape.gap_correct.value": "float",
+        "escape.gap_error": "object",
+        "escape.gap_error.kind": "str",
+        "escape.gap_error.rate": "float",
+        "escape.gap_error.value": "float",
+        "escape.pool_path": "str",
+        "stage_split": "object",
+        "stage_split.injection_fail": "list[float]",
+        "stage_split.cultivation_fail": "list[float]",
+        "selection_priority": "list[int]",
+        "labels": "object",
+        "labels.d1": "int",
+        "labels.p": "float",
+        "labels.d2": "int",
+        "labels.r1": "int",
+        "labels.r2": "int",
+        "records": "bool",
+        "out": "str",
+    },
+    "gap-sweep": {
+        "records": "list[str]",
+        "n_attempts": "int or list[int or null]",
+        "thresholds": "list[float] or object",
+        "thresholds.start": "float",
+        "thresholds.stop": "float",
+        "thresholds.count": "int",
+        "tail_window": "list[float]",
+        "out": "str",
+    },
+    "layout": {
+        "preset": "str",
+        "file": "str",
+        "stage": "str",
+        "mode": "str",
+        "k_max": "int",
+        "out": "str",
+    },
+}
+
+OBJ = {"x": 1}
+WRONG = {
+    "bool": [1, 0.5, "true", "false", [True], OBJ],
+    "int": [True, 1.5, "1", "abc", [1], OBJ],
+    "float": [True, "0.5", "x", [0.5], OBJ],
+    "str": [True, 1, 0.5, ["a"], OBJ],
+    "object": [True, 1, 0.5, "a", [1]],
+    "list[float]": [True, 1, 0.5, "a", OBJ, ["a"], [True], [[0.5]]],
+    "list[int]": [True, 1, "a", OBJ, ["a"], [1.5], [True]],
+    "list[str]": [True, 1, "a.jsonl", OBJ, [1], [True], [None]],
+    "int or list[int or null]": [True, 0.5, "1", OBJ, ["a"], [1.5], [True]],
+    "list[float] or object": [True, 1, 0.5, "a", ["a"], [True]],
+}
+
+BASE = {
+    "analytic": {"preset": "table2"},
+    "simulate": {
+        "k": 2,
+        "n_shots": 10,
+        "failure": {"kind": "independent", "calibrate_discard": 0.5},
+    },
+    "gap-sweep": {},
+    "layout": {},
+}
+
+
+def _set(cfg: dict, dotted: str, value) -> dict:
+    cfg = json.loads(json.dumps(cfg))
+    *parents, leaf = dotted.split(".")
+    node = cfg
+    for key in parents:
+        if not isinstance(node.get(key), dict):
+            node[key] = {}
+        node = node[key]
+    node[leaf] = value
+    return cfg
+
+
+FUZZ_CASES = [
+    (command, key, value)
+    for command, keys in KEYS.items()
+    for key, kind in keys.items()
+    for value in WRONG[kind]
+]
+
+
+@pytest.mark.parametrize(
+    "command,key,value",
+    FUZZ_CASES,
+    ids=[f"{c}-{k}-{json.dumps(v)}" for c, k, v in FUZZ_CASES],
+)
+def test_wrong_typed_value_is_one_config_error(tmp_path, capsys, command, key, value):
+    records = tmp_path / "r.jsonl"
+    records.write_text('{"gap": 1.0, "correct": true}\n')
+    base = dict(BASE[command])
+    if command == "gap-sweep" and key != "records":
+        base["records"] = [str(records)]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(_set(base, key, value)))
+    code = main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG, err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error: "), err
+    assert "Traceback" not in err
+
+
+UNDECODABLE = [
+    ("config", "cfg.json", EXIT_CONFIG),
+    ("jsonl records", "r.jsonl", EXIT_FORMAT),
+    ("csv records", "r.csv", EXIT_FORMAT),
+    ("layout", "layout.txt", EXIT_FORMAT),
+    ("analytic csv", "rows.csv", EXIT_FORMAT),
+]
+
+
+@pytest.mark.parametrize("what,name,expected", UNDECODABLE, ids=[u[0] for u in UNDECODABLE])
+def test_non_utf8_input_is_one_line_error(tmp_path, capsys, what, name, expected):
+    bad = tmp_path / name
+    bad.write_bytes(b"\xff" + b"gap,correct\n")
+    out = ["--out", str(tmp_path / "out")]
+    if what == "config":
+        argv = ["simulate", "--config", str(bad)]
+    elif what.endswith("records"):
+        argv = ["gap-sweep", "--records", str(bad)]
+    else:
+        key = "file" if what == "layout" else "input_csv"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: str(bad)}))
+        argv = [what.split()[0], "--config", str(cfg)]
+    assert main(argv + out) == expected
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    if expected == EXIT_FORMAT:
+        assert lines[0].startswith("input format error: ") and str(bad) in lines[0]
+
+
+def _round_trip(tmp_path, argv, report_name):
+    """Run ``argv``, feed its report's config block back, return both reports."""
+    first = tmp_path / "first"
+    assert main(argv + ["--out", str(first)]) == EXIT_OK
+    report = json.loads((first / report_name).read_text())
+    cfg = tmp_path / "embedded.json"
+    cfg.write_text(json.dumps(report["config"]))
+    second = tmp_path / "second"
+    assert main([argv[0], "--config", str(cfg), "--out", str(second)]) == EXIT_OK
+    return (first / report_name).read_bytes(), (second / report_name).read_bytes()
+
+
+def test_simulate_config_block_reproduces_report(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n_shots": 3000, "escape": {"kind": "bernoulli", "q": 0.1}}))
+    argv = ["simulate", "--preset", "d3-p0.002", "--seed", "7", "--config", str(cfg)]
+    first, second = _round_trip(tmp_path, argv, "sim_summary.json")
+    assert first == second
+
+
+def test_gap_sweep_config_block_reproduces_report(tmp_path):
+    records = tmp_path / "r.jsonl"
+    records.write_text(
+        "".join(json.dumps({"gap": float(g), "correct": g % 3 > 0}) + "\n" for g in range(12))
+    )
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n_attempts": 30, "tail_window": [0, 6]}))
+    argv = ["gap-sweep", "--records", str(records), "--config", str(cfg)]
+    first, second = _round_trip(tmp_path, argv, "gap_report.json")
+    assert first == second
+
+
+def test_layout_config_block_reproduces_report(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"mode": "pack", "k_max": 3}))
+    first, second = _round_trip(tmp_path, ["layout", "--config", str(cfg)], "layout_report.json")
+    assert first == second
+
+
+def test_analytic_config_block_reproduces_report(tmp_path):
+    first, second = _round_trip(
+        tmp_path, ["analytic", "--preset", "table3"], "analytic_report.json"
+    )
+    assert first == second
+
+
+def test_config_block_and_hash_are_pinned(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "fixture.jsonl").write_text(
+        '{"gap": 10.0, "correct": true, "attempts_consumed": 2}\n'
+        '{"gap": 5.0, "correct": false, "attempts_consumed": 3}\n'
+        '{"gap": 20.0, "correct": true, "attempts_consumed": 1}\n'
+    )
+    sim = {
+        "k": 4,
+        "n_shots": 2000,
+        "seed": 5,
+        "failure": {"kind": "independent", "calibrate_discard": 0.4903},
+        "escape": {
+            "kind": "bernoulli",
+            "q": 0.05,
+            "gap_correct": {"kind": "exponential", "rate": 0.05},
+        },
+        "labels": {"d1": 3, "p": 0.002},
+        "records": True,
+    }
+    gap = {
+        "records": ["fixture.jsonl"],
+        "n_attempts": 8,
+        "thresholds": [0, 5, 10],
+        "tail_window": [0, 20],
+    }
+    (tmp_path / "sim.json").write_text(json.dumps(sim))
+    (tmp_path / "gap.json").write_text(json.dumps(gap))
+    assert main(["simulate", "--config", "sim.json", "--out", "s"]) == EXIT_OK
+    assert main(["gap-sweep", "--config", "gap.json", "--out", "g"]) == EXIT_OK
+    sim_report = json.loads((tmp_path / "s" / "sim_summary.json").read_text())
+    gap_report = json.loads((tmp_path / "g" / "gap_report.json").read_text())
+    assert sim_report["config"] == {
+        **sim,
+        "preset": None,
+        "stage_split": None,
+        "selection_priority": None,
+    }
+    assert sim_report["provenance"]["config_hash"] == (
+        "6ec5b6336ca419fa015697bd8f938041524ae8c944a9dfd21b78ccca27d9c29b"
+    )
+    assert gap_report["config"] == {**gap, "tail_window": [0.0, 20.0]}
+    assert json.dumps(gap_report["config"]["tail_window"]) == "[0.0, 20.0]"
+    assert gap_report["provenance"]["config_hash"] == (
+        "f214672dc972a3e86753b3cd926856e4605a57a255ec77ce2df31714efd94680"
+    )
+
+
+def test_nulls_are_absent_and_integral_floats_are_integers(tmp_path):
+    plain = {"k": 2, "n_shots": 2000, "failure": {"calibrate_discard": 0.5}}
+    loose = {**plain, "n_shots": 2e3, "seed": None, "selection_priority": None}
+    reports = []
+    for name, cfg in (("plain", plain), ("loose", loose)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / name)]) == EXIT_OK
+        reports.append(json.loads((tmp_path / name / "sim_summary.json").read_text()))
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        {"k": 1, "failure": {"calibrate_discard": 10**400}},
+        {"k": 10**30, "failure": {"calibrate_discard": 0.5}},
+    ],
+    ids=["float-key-beyond-double", "k-beyond-index"],
+)
+def test_out_of_range_number_is_one_config_error(tmp_path, capsys, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == EXIT_CONFIG
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error: ")

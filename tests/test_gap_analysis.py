@@ -80,6 +80,8 @@ def test_ties_at_threshold_are_kept():
 
 def test_default_thresholds_are_zero_plus_observed():
     assert default_thresholds(THREE_RECORDS) == (0.0, 5.0, 10.0, 20.0)
+    other = RecordSet.from_records([ShotRecord(0.0, True), ShotRecord(7.5, False)], 2)
+    assert default_thresholds(THREE_RECORDS, other) == (0.0, 5.0, 7.5, 10.0, 20.0)
 
 
 def test_empty_record_set_sweeps_to_undefined():
