@@ -20,7 +20,7 @@ from .analytics import (
     iid_multiplex_discard,
     multiplex_pass_probability,
 )
-from .gap_analysis import RecordSet, ShotRecord, SweepCurve, cumulative_fractions, find_crossing, sweep
+from .gap_analysis import RecordSet, SweepCurve, find_crossing, sweep
 from .geometry import CellSet, FootprintSpec, PatchLayout, Rotation, Stage, pack_sites, rotate_footprint, validate_layout
 from .montecarlo import EscapeModel, SimConfig, SimSummary, calibrate_from_table, run_simulation, sample_shot
 from .pipeline import CandidateSet, SelectionRule, ShotOutcome, SiteIndicators, complete_shot, form_candidate_set, select_candidate
@@ -58,9 +58,7 @@ __all__ = [
     "run_simulation",
     "sample_shot",
     "RecordSet",
-    "ShotRecord",
     "SweepCurve",
-    "cumulative_fractions",
     "find_crossing",
     "sweep",
 ]

@@ -8,8 +8,9 @@ into threshold curves (plus a crossing report for two inputs), and
 Configuration is a single JSON document per run; command-line flags
 override individual entries. One table per command gives each key's JSON
 type, and one reader checks them all: an unknown key or a wrong-typed value
-(a numeric string, a bool for a number, 1.7 for an integer) is a
-configuration error naming the dotted key, and ``null`` means absent.
+(a numeric string, a bool for a number, 1.7 for an integer, NaN or
+Infinity anywhere) is a configuration error naming the dotted key, and
+``null`` means absent.
 ``--format`` exists on ``analytic`` only. The only environment variable
 honored is PATCHMUX_OUT (output directory override). Reports embed their
 effective configuration and its hash, carry no timestamps, and render
@@ -188,10 +189,7 @@ _JSON_TYPES = {  # spec -> (name in messages, test of a JSON value)
     None: ("null", lambda v: v is None),
     bool: ("a boolean", lambda v: isinstance(v, bool)),
     int: ("an integer", lambda v: _is_number(v) and (isinstance(v, int) or v.is_integer())),
-    float: (
-        "a float",
-        lambda v: isinstance(v, float) or _is_number(v) and abs(v) <= sys.float_info.max,
-    ),
+    float: ("a finite float", lambda v: _is_number(v) and abs(v) <= sys.float_info.max),
     str: ("a string", lambda v: isinstance(v, str)),
     list: ("a list", lambda v: isinstance(v, list)),
     dict: ("an object", lambda v: isinstance(v, dict)),
@@ -295,6 +293,16 @@ def _load_record_set(path: Path, n_attempts: int | None = None) -> RecordSet:
 _ROW_COLUMNS = ("d1", "p", "D1", "D4", "A1", "A4", "rho")
 
 
+def _analytic_column(name: str) -> str:
+    """An exact column name, else the column that matches it ignoring case."""
+    if name in _ROW_COLUMNS:
+        return name
+    for column in _ROW_COLUMNS:
+        if column.lower() == name.lower():
+            return column
+    raise InputFormatError(f"line 1: unknown column {name!r}")
+
+
 def _read_analytic_csv(path: Path) -> list[AttemptRow]:
     rows: list[AttemptRow] = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -303,10 +311,10 @@ def _read_analytic_csv(path: Path) -> list[AttemptRow]:
         if header is None:
             return rows
         names = [h.strip() for h in header]
-        known = {c.lower(): c for c in _ROW_COLUMNS}
-        for name in names:
-            if name.lower() not in known:
-                raise InputFormatError(f"line 1: unknown column {name!r}")
+        columns = [_analytic_column(name) for name in names]
+        for i, column in enumerate(columns):
+            if column in columns[:i]:
+                raise InputFormatError(f"line 1: column {column!r} is named twice")
         for line_no, cells in enumerate(reader, start=2):
             if not cells or all(not c.strip() for c in cells):
                 continue
@@ -315,18 +323,20 @@ def _read_analytic_csv(path: Path) -> list[AttemptRow]:
                     f"line {line_no}: expected {len(names)} cells, got {len(cells)}"
                 )
             values: dict[str, float | None] = {}
-            for name, cell in zip(names, cells):
+            for name, column, cell in zip(names, columns, cells):
                 cell = cell.strip()
                 if not cell:
-                    values[known[name.lower()]] = None
+                    values[column] = None
                     continue
                 try:
-                    values[known[name.lower()]] = float(cell)
+                    values[column] = float(cell)
                 except ValueError:
                     raise InputFormatError(
                         f"line {line_no}: non-numeric cell {cell!r} in column {name}"
                     ) from None
             d1 = values.get("d1")
+            if d1 is not None and not d1.is_integer():
+                raise InputFormatError(f"line {line_no}: d1 must be an integer, got {d1!r}")
             rows.append(
                 AttemptRow(
                     d1=int(d1) if d1 is not None else None,
@@ -566,7 +576,8 @@ def cmd_simulate(args) -> int:
 # gap-sweep
 
 
-def _threshold_grid(spec, record_sets) -> tuple[float, ...]:
+def _threshold_grid(spec, record_sets):
+    """The sweep grid: zero plus every observed gap, a list, or a linear grid."""
     if spec is None:
         return default_thresholds(*record_sets)
     if isinstance(spec, tuple):
@@ -580,7 +591,10 @@ def _threshold_grid(spec, record_sets) -> tuple[float, ...]:
     if count < 2 or stop <= start:
         raise ConfigError("thresholds need stop > start and count >= 2")
     step = (stop - start) / (count - 1)
-    return tuple(start + i * step for i in range(count))
+    grid = tuple(start + i * step for i in range(count))
+    if not all(map(math.isfinite, grid)) or any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ConfigError("thresholds start, stop and count give no finite increasing grid")
+    return grid
 
 
 def cmd_gap_sweep(args) -> int:
@@ -618,7 +632,7 @@ def cmd_gap_sweep(args) -> int:
         curve = sweep(rs, grid)
         tail = extrapolate_tail(curve, tail_window) if tail_window else None
         curve_path = out / curve_name
-        write_curve_csv(curve, curve_path, tail)
+        write_curve_csv(curve if tail is None else curve.with_tail(tail), curve_path)
         curves.append(curve)
         zero = curve.points[0]
         entry = {

@@ -2,10 +2,13 @@
 
 Each kept shot carries a confidence gap (a non-negative scalar from the
 downstream decoder, consumed here as data) and a correct/error flag. A
-sweep at threshold G keeps the records with gap >= G and reports the
-expected attempts per kept shot A(G) = n_attempts / kept and the error
-fraction among kept shots p_L(G). Both are NaN-sentinelled when nothing
-survives a threshold; an empty kept set never reports a zero error rate.
+``RecordSet`` holds them as numpy columns. A sweep at threshold G keeps the
+records with gap >= G; each row of the resulting ``SweepCurve`` holds the
+kept correct and error counts, the expected attempts per kept shot
+A(G) = n_attempts / kept and the error fraction among kept shots p_L(G).
+Both are NaN-sentinelled when nothing survives a threshold; an empty kept
+set never reports a zero error rate. A tail fit adds rows of the same type,
+flagged ``extrapolated``, whose error count is the fitted estimate.
 """
 
 from __future__ import annotations
@@ -21,9 +24,6 @@ import numpy as np
 
 UNDEFINED = math.nan
 
-SOURCE_INGESTED = "ingested"
-SOURCE_SYNTHETIC = "synthetic"
-
 RECORD_FIELDS = {"gap", "correct", "attempts_consumed"}
 
 
@@ -31,28 +31,12 @@ class RecordFormatError(ValueError):
     """Malformed record stream; message carries the record number."""
 
 
-def is_defined(value: float) -> bool:
-    return not math.isnan(value)
-
-
-@dataclass(frozen=True)
-class ShotRecord:
-    """One kept shot: its confidence gap and whether the output was correct."""
-
-    gap: float
-    correct: bool
-    source: str = SOURCE_SYNTHETIC
-
-    def __post_init__(self) -> None:
-        if not (self.gap >= 0.0) or math.isinf(self.gap):
-            raise ValueError(f"gap must be finite and >= 0, got {self.gap!r}")
-
-
 class RecordSet:
-    """Kept-shot records plus the total attempt count they came from.
+    """Kept-shot records as columns, plus the total attempt count they came from.
 
     ``n_attempts`` counts every shot, including the ones discarded before
-    producing a record, so A(0) = n_attempts / len(records).
+    producing a record, so A(0) = n_attempts / len(records). ``shot_index``,
+    when known, is the attempt number of each kept shot.
     """
 
     def __init__(
@@ -60,7 +44,7 @@ class RecordSet:
         gaps: np.ndarray,
         correct: np.ndarray,
         n_attempts: int,
-        source: str = SOURCE_SYNTHETIC,
+        shot_index: np.ndarray | None = None,
     ):
         gaps = np.asarray(gaps, dtype=np.float64)
         correct = np.asarray(correct, dtype=bool)
@@ -74,28 +58,25 @@ class RecordSet:
             raise ValueError(
                 f"{gaps.size} records cannot come from {n_attempts} attempts"
             )
+        if shot_index is not None:
+            shot_index = np.asarray(shot_index, dtype=np.int64)
+            if shot_index.shape != gaps.shape:
+                raise ValueError("shot_index must have one entry per record")
+            if shot_index.size and (
+                shot_index[0] < 0
+                or shot_index[-1] >= n_attempts
+                or np.any(np.diff(shot_index) <= 0)
+            ):
+                raise ValueError(
+                    f"shot_index must be strictly increasing within 0..{n_attempts - 1}"
+                )
         self.gaps = gaps
         self.correct = correct
         self.n_attempts = int(n_attempts)
-        self.source = source
+        self.shot_index = shot_index
 
     def __len__(self) -> int:
         return int(self.gaps.size)
-
-    @classmethod
-    def from_records(
-        cls,
-        records: Sequence[ShotRecord],
-        n_attempts: int | None = None,
-        source: str | None = None,
-    ) -> "RecordSet":
-        gaps = np.array([r.gap for r in records], dtype=np.float64)
-        correct = np.array([r.correct for r in records], dtype=bool)
-        if n_attempts is None:
-            n_attempts = max(1, len(records))
-        if source is None:
-            source = records[0].source if records else SOURCE_SYNTHETIC
-        return cls(gaps, correct, n_attempts, source)
 
     @classmethod
     def from_jsonl(cls, path: str | Path, n_attempts: int | None = None) -> "RecordSet":
@@ -154,7 +135,6 @@ class RecordSet:
             np.array(gaps, dtype=np.float64),
             np.array(correct, dtype=bool),
             n_attempts,
-            SOURCE_INGESTED,
         )
 
     @classmethod
@@ -199,114 +179,78 @@ class RecordSet:
             np.array(gaps, dtype=np.float64),
             np.array(correct, dtype=bool),
             n_attempts,
-            SOURCE_INGESTED,
         )
 
 
-@dataclass(frozen=True)
-class CurvePoint:
-    threshold: float
-    kept_correct: float  # integer count, or a fitted estimate on extrapolated points
-    kept_error: float
-    attempts: float  # NaN when nothing is kept
-    logical_error: float  # NaN when nothing is kept
-    extrapolated: bool = False
+CURVE_DTYPE = np.dtype(
+    [
+        ("threshold", np.float64),
+        ("kept_correct", np.float64),  # a count, or the fit on extrapolated rows
+        ("kept_error", np.float64),
+        ("attempts", np.float64),  # NaN when nothing is kept
+        ("logical_error", np.float64),  # NaN when nothing is kept
+        ("extrapolated", bool),
+    ]
+)
 
 
-@dataclass(frozen=True)
+def curve_rows(threshold, kept_correct, kept_error, n_attempts: int, extrapolated=False):
+    """Curve rows with A(G) and p_L(G) derived from the (possibly fitted) counts."""
+    rows = np.recarray(np.shape(threshold), dtype=CURVE_DTYPE)
+    rows.threshold = threshold
+    rows.kept_correct = kept_correct
+    rows.kept_error = kept_error
+    kept = rows.kept_correct + rows.kept_error
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rows.attempts = np.where(kept > 0, n_attempts / kept, UNDEFINED)
+        rows.logical_error = np.where(kept > 0, rows.kept_error / kept, UNDEFINED)
+    rows.extrapolated = extrapolated
+    return rows
+
+
+@dataclass(frozen=True, eq=False)
 class SweepCurve:
-    points: tuple[CurvePoint, ...]
+    """One row per threshold, as a record array with the ``CURVE_DTYPE`` fields."""
+
+    points: np.recarray
     n_attempts: int
     extrapolated_from: float | None = None
 
     def __post_init__(self) -> None:
-        ts = self.thresholds
-        if any(b <= a for a, b in zip(ts, ts[1:])):
+        points = np.asarray(self.points, dtype=CURVE_DTYPE).view(np.recarray)
+        if points.ndim != 1 or np.any(np.diff(points.threshold) <= 0):
             raise ValueError("thresholds must be strictly increasing")
-
-    @property
-    def thresholds(self) -> tuple[float, ...]:
-        return tuple(p.threshold for p in self.points)
+        object.__setattr__(self, "points", points)
 
     def with_tail(self, tail: "TailExtrapolation") -> "SweepCurve":
-        """Replace the points beyond the fit anchor by the fitted extension."""
-        observed = tuple(p for p in self.points if p.threshold <= tail.anchor_threshold)
-        fitted = tuple(
-            CurvePoint(
-                threshold=tp.threshold,
-                kept_correct=tp.kept_correct,
-                kept_error=tp.error_fit,
-                attempts=tp.attempts,
-                logical_error=tp.logical_error,
-                extrapolated=True,
-            )
-            for tp in tail.points
-        )
+        """Replace the rows beyond the fit anchor by the fitted extension."""
+        observed = self.points[self.points.threshold <= tail.anchor_threshold]
         return SweepCurve(
-            points=observed + fitted,
+            points=np.concatenate([observed, tail.points]),
             n_attempts=self.n_attempts,
             extrapolated_from=tail.anchor_threshold,
         )
 
 
-def default_thresholds(*record_sets: RecordSet) -> tuple[float, ...]:
+def default_thresholds(*record_sets: RecordSet) -> np.ndarray:
     """Zero plus every distinct gap of the record sets: the exact step positions."""
     values = np.unique(np.concatenate([[0.0], *(rs.gaps for rs in record_sets)]))
-    return tuple((values + 0.0).tolist())  # + 0.0 turns a -0.0 gap into 0.0
+    return values + 0.0  # + 0.0 turns a -0.0 gap into 0.0
 
 
 def sweep(record_set: RecordSet, thresholds: Sequence[float] | None = None) -> SweepCurve:
     """Exact counts of surviving correct/error records at each threshold."""
     if thresholds is None:
-        ts = default_thresholds(record_set)
-    else:
-        ts = tuple(float(t) for t in thresholds)
-        if any(b <= a for a, b in zip(ts, ts[1:])):
-            raise ValueError("thresholds must be sorted strictly ascending")
+        thresholds = default_thresholds(record_set)
+    ts = np.asarray(thresholds, dtype=np.float64)
     correct_gaps = np.sort(record_set.gaps[record_set.correct])
     error_gaps = np.sort(record_set.gaps[~record_set.correct])
-    points = []
-    for g in ts:
-        # gap >= G keeps the record; ties at the threshold are kept
-        kc = correct_gaps.size - np.searchsorted(correct_gaps, g, side="left")
-        ke = error_gaps.size - np.searchsorted(error_gaps, g, side="left")
-        kept = int(kc + ke)
-        if kept:
-            attempts = record_set.n_attempts / kept
-            logical_error = float(ke / kept)
-        else:
-            attempts = UNDEFINED
-            logical_error = UNDEFINED
-        points.append(
-            CurvePoint(
-                threshold=g,
-                kept_correct=int(kc),
-                kept_error=int(ke),
-                attempts=attempts,
-                logical_error=logical_error,
-            )
-        )
-    return SweepCurve(points=tuple(points), n_attempts=record_set.n_attempts)
-
-
-@dataclass(frozen=True)
-class FractionCurves:
-    """Surviving correct/error fractions of all attempts, per threshold."""
-
-    thresholds: tuple[float, ...]
-    correct: tuple[float, ...]
-    error: tuple[float, ...]
-
-
-def cumulative_fractions(
-    record_set: RecordSet, thresholds: Sequence[float] | None = None
-) -> FractionCurves:
-    curve = sweep(record_set, thresholds)
-    n = record_set.n_attempts
-    return FractionCurves(
-        thresholds=curve.thresholds,
-        correct=tuple(p.kept_correct / n for p in curve.points),
-        error=tuple(p.kept_error / n for p in curve.points),
+    # gap >= G keeps the record; ties at the threshold are kept
+    kept_correct = correct_gaps.size - np.searchsorted(correct_gaps, ts, side="left")
+    kept_error = error_gaps.size - np.searchsorted(error_gaps, ts, side="left")
+    return SweepCurve(
+        points=curve_rows(ts, kept_correct, kept_error, record_set.n_attempts),
+        n_attempts=record_set.n_attempts,
     )
 
 
@@ -324,13 +268,11 @@ def find_crossing(curve_a: SweepCurve, curve_b: SweepCurve) -> Crossing | None:
     flanked by opposite signs is reported at the tie's own threshold.
     Undefined (NaN) points break brackets; no flip means no result.
     """
-    if curve_a.thresholds != curve_b.thresholds:
+    a, b = curve_a.points, curve_b.points
+    if not np.array_equal(a.threshold, b.threshold):
         raise ValueError("curves must share one threshold grid")
-    ts = curve_a.thresholds
-    diffs = [
-        pa.logical_error - pb.logical_error
-        for pa, pb in zip(curve_a.points, curve_b.points)
-    ]
+    ts = a.threshold.tolist()
+    diffs = (a.logical_error - b.logical_error).tolist()
 
     def sign(x: float) -> int:
         return 0 if x == 0 else (1 if x > 0 else -1)
@@ -366,23 +308,14 @@ def find_crossing(curve_a: SweepCurve, curve_b: SweepCurve) -> Crossing | None:
     return None
 
 
-@dataclass(frozen=True)
-class TailPoint:
-    threshold: float
-    kept_correct: float
-    error_fit: float
-    error_low: float
-    error_high: float
-    attempts: float
-    logical_error: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TailExtrapolation:
     """Log-linear extension of the error-survival counts.
 
     The decay rate and its band come from this fit alone; they are an
     estimate produced by the sweep tooling, not an observed count.
+    ``points`` are curve rows beyond the anchor whose ``kept_error`` is the
+    fit; ``error_low`` and ``error_high`` hold its band, row by row.
     """
 
     slope: float
@@ -390,7 +323,9 @@ class TailExtrapolation:
     intercept: float
     anchor_threshold: float
     fit_thresholds: tuple[float, ...]
-    points: tuple[TailPoint, ...]
+    points: np.recarray
+    error_low: np.ndarray
+    error_high: np.ndarray
 
     @property
     def rate(self) -> float:
@@ -409,18 +344,15 @@ def extrapolate_tail(
     error anchored at the last fitted threshold.
     """
     lo, hi = fit_window
-    fit_pts = [
-        p
-        for p in curve.points
-        if lo <= p.threshold <= hi and not p.extrapolated and p.kept_error >= 1
-    ]
-    if len(fit_pts) < 3:
+    p = curve.points
+    in_fit = (lo <= p.threshold) & (p.threshold <= hi) & ~p.extrapolated & (p.kept_error >= 1)
+    if np.count_nonzero(in_fit) < 3:
         return None
-    xs = np.array([p.threshold for p in fit_pts])
-    ys = np.log(np.array([p.kept_error for p in fit_pts], dtype=np.float64))
+    xs = p.threshold[in_fit]
+    ys = np.log(p.kept_error[in_fit])
     slope, intercept = np.polyfit(xs, ys, 1)
     resid = ys - (intercept + slope * xs)
-    dof = len(fit_pts) - 2
+    dof = xs.size - 2
     denom = float(np.sum((xs - xs.mean()) ** 2))
     if dof > 0 and denom > 0:
         stderr = math.sqrt(float(np.sum(resid**2)) / dof / denom)
@@ -429,35 +361,28 @@ def extrapolate_tail(
 
     anchor = float(xs[-1])
     anchor_log = intercept + slope * anchor
-    points = []
-    for p in curve.points:
-        if p.threshold <= anchor:
-            continue
-        dg = p.threshold - anchor
-        fit = math.exp(anchor_log + slope * dg)
-        low = math.exp(anchor_log + (slope - stderr) * dg)
-        high = math.exp(anchor_log + (slope + stderr) * dg)
-        kept = p.kept_correct + fit
-        points.append(
-            TailPoint(
-                threshold=p.threshold,
-                kept_correct=p.kept_correct,
-                error_fit=fit,
-                error_low=min(low, high),
-                error_high=max(low, high),
-                attempts=curve.n_attempts / kept if kept > 0 else UNDEFINED,
-                logical_error=fit / kept if kept > 0 else UNDEFINED,
-            )
-        )
+    beyond = p[p.threshold > anchor]
+    dg = beyond.threshold - anchor
+    # math.exp, not np.exp: numpy's SIMD exp can differ from libm in the last
+    # bit, and the fit is written out at ten significant digits
+    fit = np.fromiter(map(math.exp, (anchor_log + slope * dg).tolist()), np.float64, dg.size)
+    low = np.exp(anchor_log + (slope - stderr) * dg)
+    high = np.exp(anchor_log + (slope + stderr) * dg)
     return TailExtrapolation(
         slope=float(slope),
         slope_stderr=float(stderr),
         intercept=float(intercept),
         anchor_threshold=anchor,
-        fit_thresholds=tuple(float(x) for x in xs),
-        points=tuple(points),
+        fit_thresholds=tuple(xs.tolist()),
+        points=curve_rows(
+            beyond.threshold, beyond.kept_correct, fit, curve.n_attempts, extrapolated=True
+        ),
+        error_low=np.minimum(low, high),
+        error_high=np.maximum(low, high),
     )
 
+
+_CSV_BLOCK = 1 << 16
 
 CURVE_CSV_HEADER = ["G", "kept_correct", "kept_error", "attempts", "logical_error", "extrapolated"]
 
@@ -470,35 +395,16 @@ def _csv_num(value: float) -> str:
     return format(value, ".10g")
 
 
-def write_curve_csv(curve: SweepCurve, path: str | Path, tail: TailExtrapolation | None = None) -> None:
-    """Emit the plot-data CSV; extrapolated rows replace observed error counts
-    with the fitted estimate and are flagged in the last column."""
+def write_curve_csv(curve: SweepCurve, path: str | Path) -> None:
+    """Emit the plot-data CSV; extrapolated rows carry the fitted error count
+    and are flagged in the last column."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CURVE_CSV_HEADER)
-        cutoff = tail.anchor_threshold if tail is not None else None
-        for p in curve.points:
-            if cutoff is not None and p.threshold > cutoff:
-                continue
-            writer.writerow(
-                [
-                    _csv_num(p.threshold),
-                    _csv_num(p.kept_correct),
-                    _csv_num(p.kept_error),
-                    _csv_num(p.attempts),
-                    _csv_num(p.logical_error),
-                    "true" if p.extrapolated else "false",
-                ]
+        for start in range(0, len(curve.points), _CSV_BLOCK):  # bounds the Python copies
+            p = curve.points[start : start + _CSV_BLOCK]
+            numbers = [p[name].tolist() for name in CURVE_DTYPE.names[:-1]]
+            writer.writerows(
+                [*map(_csv_num, row), "true" if flag else "false"]
+                for *row, flag in zip(*numbers, p.extrapolated.tolist())
             )
-        if tail is not None:
-            for tp in tail.points:
-                writer.writerow(
-                    [
-                        _csv_num(tp.threshold),
-                        _csv_num(tp.kept_correct),
-                        _csv_num(tp.error_fit),
-                        _csv_num(tp.attempts),
-                        _csv_num(tp.logical_error),
-                        "true",
-                    ]
-                )

@@ -16,6 +16,10 @@ Per-shot draw layout (k sites, stride padded to a multiple of 4):
     2k+4        gap draw (also the empirical-pool index)
 
 Slots not used by a given model are simply ignored; the layout never moves.
+
+Kept shots come back as one ``gap_analysis.RecordSet`` whose attempt total
+is the shot count and whose ``shot_index`` column gives each kept shot's
+index, so the sweep tools read a run's records without conversion.
 """
 
 from __future__ import annotations
@@ -25,12 +29,11 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
 from .analytics import CommonMode, ExplicitJoint, FailureModel, Independent, ModelError
-from .gap_analysis import SOURCE_SYNTHETIC, RecordSet, ShotRecord
+from .gap_analysis import RecordSet
 from .pipeline import SelectionRule, SiteIndicators, complete_shot
 
 MAX_SEED = 2**64 - 1
@@ -126,12 +129,12 @@ class EscapeModel:
         )
 
     @classmethod
-    def empirical(cls, records: Sequence[ShotRecord], keep_prob: float = 1.0) -> "EscapeModel":
+    def empirical(cls, records: RecordSet, keep_prob: float = 1.0) -> "EscapeModel":
         return cls(
             kind="empirical",
             keep_prob=keep_prob,
-            pool_gaps=tuple(r.gap for r in records),
-            pool_correct=tuple(r.correct for r in records),
+            pool_gaps=tuple(records.gaps.tolist()),
+            pool_correct=tuple(records.correct.tolist()),
         )
 
 
@@ -210,21 +213,12 @@ class SimConfig:
 
 
 @dataclass(eq=False)
-class RecordArray:
-    """Column-wise view of the kept-shot records of one run."""
-
-    shot_index: np.ndarray
-    gaps: np.ndarray
-    correct: np.ndarray
-    attempts_consumed: np.ndarray
-
-    def __len__(self) -> int:
-        return int(self.gaps.size)
-
-
-@dataclass(eq=False)
 class SimSummary:
-    """Fold of one run: counts, ratios, histogram, and the record stream."""
+    """Fold of one run: counts, ratios, histogram, and the kept-shot records.
+
+    ``records`` covers all ``shots`` attempts and carries each kept shot's
+    index; it is None when the run did not collect records.
+    """
 
     shots: int
     early_discards: int
@@ -232,21 +226,11 @@ class SimSummary:
     empirical_discard: float
     empirical_attempts: float
     site_survival_histogram: tuple[int, ...]
-    records: RecordArray | None
+    records: RecordSet | None
     warnings: tuple[str, ...]
     labels: dict
     seed: int
     k: int
-
-    def to_record_set(self) -> RecordSet:
-        if self.records is None:
-            raise ValueError("run was configured without record collection")
-        return RecordSet(
-            gaps=self.records.gaps,
-            correct=self.records.correct,
-            n_attempts=self.shots,
-            source=SOURCE_SYNTHETIC,
-        )
 
 
 def _stride(k: int) -> int:
@@ -393,11 +377,11 @@ def run_simulation(
 
     records = None
     if config.collect_records:
-        records = RecordArray(
-            shot_index=kept_idx,
+        records = RecordSet(
             gaps=np.concatenate([f.kept_gaps for f in folds]),
             correct=np.concatenate([f.kept_correct for f in folds]),
-            attempts_consumed=np.diff(kept_idx, prepend=-1),
+            n_attempts=n,
+            shot_index=kept_idx,
         )
 
     return SimSummary(
@@ -418,7 +402,7 @@ def run_simulation(
 def sample_shot(shot_index: int, config: SimConfig):
     """Resolve a single shot; a pure function of (seed, shot_index, config).
 
-    Returns (ShotOutcome, ShotRecord | None); the record is present exactly
+    Returns (ShotOutcome, (gap, correct) | None); the pair is present exactly
     when the shot was kept.
     """
     if not (0 <= shot_index < config.n_shots):
@@ -432,10 +416,7 @@ def sample_shot(shot_index: int, config: SimConfig):
         keep, correct, gaps = _escape_draws(u, config)
         outcome = complete_shot(indicators, config.selection_rule, bool(keep[0]))
         if outcome.escape_kept:
-            record = ShotRecord(
-                gap=float(gaps[0]), correct=bool(correct[0]), source=SOURCE_SYNTHETIC
-            )
-            return outcome, record
+            return outcome, (float(gaps[0]), bool(correct[0]))
         return outcome, None
     return complete_shot(indicators, config.selection_rule, None), None
 
@@ -446,16 +427,17 @@ def calibrate_from_table(discard_single: float, k: int = 4) -> FailureModel:
 
 
 def write_records_jsonl(summary: SimSummary, path: str | Path) -> int:
-    """One JSON object per kept shot; returns the number of records written."""
+    """One JSON object per kept shot; returns the number of records written.
+
+    ``attempts_consumed`` counts the shots since the previous kept shot,
+    this one included.
+    """
     if summary.records is None:
         raise ValueError("run was configured without record collection")
     rec = summary.records
+    consumed = np.diff(rec.shot_index, prepend=-1)
     with open(path, "w", encoding="utf-8") as fh:
-        for g, c, a in zip(rec.gaps, rec.correct, rec.attempts_consumed):
-            fh.write(
-                json.dumps(
-                    {"gap": float(g), "correct": bool(c), "attempts_consumed": int(a)}
-                )
-            )
+        for g, c, a in zip(rec.gaps.tolist(), rec.correct.tolist(), consumed.tolist()):
+            fh.write(json.dumps({"gap": g, "correct": c, "attempts_consumed": a}))
             fh.write("\n")
     return len(rec)

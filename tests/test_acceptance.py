@@ -26,14 +26,7 @@ from patchmux.analytics import (
     reduction_interval,
 )
 from patchmux.cli import main as cli_main
-from patchmux.gap_analysis import (
-    CurvePoint,
-    RecordSet,
-    ShotRecord,
-    SweepCurve,
-    find_crossing,
-    sweep,
-)
+from patchmux.gap_analysis import RecordSet, SweepCurve, find_crossing, sweep
 from patchmux.geometry import PatchLayout, Rotation, Stage, rotate_footprint, validate_layout
 from patchmux.layout_io import canonical_layout
 from patchmux.montecarlo import SimConfig, calibrate_from_table, run_simulation
@@ -149,15 +142,16 @@ def test_criterion_7_sweep_recount_oracle():
     for _ in range(1000):
         n_rec = int(rng.integers(0, 21))
         records = [
-            ShotRecord(float(rng.integers(0, 30)), bool(rng.integers(0, 2)))
-            for _ in range(n_rec)
+            (float(rng.integers(0, 30)), bool(rng.integers(0, 2))) for _ in range(n_rec)
         ]
-        rs = RecordSet.from_records(records, n_attempts=n_rec + int(rng.integers(1, 20)))
+        gaps = np.array([g for g, _ in records], dtype=np.float64)
+        correct = np.array([c for _, c in records], dtype=bool)
+        rs = RecordSet(gaps, correct, n_attempts=n_rec + int(rng.integers(1, 20)))
         curve = sweep(rs)
         previous_attempts = 0.0
         for point in curve.points:
-            kc = sum(1 for r in records if r.correct and r.gap >= point.threshold)
-            ke = sum(1 for r in records if not r.correct and r.gap >= point.threshold)
+            kc = sum(1 for g, c in records if c and g >= point.threshold)
+            ke = sum(1 for g, c in records if not c and g >= point.threshold)
             assert (point.kept_correct, point.kept_error) == (kc, ke)
             if kc + ke:
                 assert point.attempts == rs.n_attempts / (kc + ke)
@@ -243,9 +237,7 @@ def test_criterion_10_crossing_oracle():
     # fixture whose intersection is known analytically (50 exactly).
     def curve(grid, values):
         return SweepCurve(
-            points=tuple(
-                CurvePoint(g, 100, 10, 1.0, v) for g, v in zip(grid, values)
-            ),
+            points=[(g, 100, 10, 1.0, v, False) for g, v in zip(grid, values)],
             n_attempts=1000,
         )
 

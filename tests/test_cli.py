@@ -94,6 +94,44 @@ def test_analytic_unknown_column_is_format_error(tmp_path):
     assert run_cli("analytic", "--config", str(cfg), "--out", str(tmp_path)) == EXIT_FORMAT
 
 
+def _analytic_rows(tmp_path, text):
+    src = tmp_path / "rows.csv"
+    src.write_text(text)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"input_csv": str(src)}))
+    code = run_cli("analytic", "--config", str(cfg), "--out", str(tmp_path))
+    return code, read_json(tmp_path / "analytic_report.json")["results"]["rows"] if code == EXIT_OK else None
+
+
+def test_analytic_csv_reads_d1_and_D1_as_two_columns(tmp_path):
+    code, rows = _analytic_rows(tmp_path, "d1,p,D1,D4\n3,0.002,0.5,0.0625\n")
+    assert code == EXIT_OK
+    assert (rows[0]["d1"], rows[0]["attempts_single"], rows[0]["error"]) == (3, 2.0, None)
+    code, rows = _analytic_rows(tmp_path, "D1,d1,D4\n0.5,3,0.1\n")
+    assert code == EXIT_OK
+    assert (rows[0]["d1"], rows[0]["attempts_single"], rows[0]["error"]) == (3, 2.0, None)
+    # names that are not exact still match ignoring case
+    code, rows = _analytic_rows(tmp_path, "P,d4,D1\n0.002,0.0625,0.5\n")
+    assert code == EXIT_OK
+    assert (rows[0]["p"], rows[0]["attempts_multi"]) == (0.002, 1.06667)
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("p,P\n0.1,0.2\n", "line 1: column 'p' is named twice"),
+        ("D1,d4,D4\n0.5,0.1,0.1\n", "line 1: column 'D4' is named twice"),
+        ("d1,D1\n3.5,0.5\n", "line 2: d1 must be an integer"),
+        ("d1,D1\nnan,0.5\n", "line 2: d1 must be an integer"),
+    ],
+)
+def test_analytic_csv_column_errors_are_one_line(tmp_path, capsys, text, message):
+    code, _ = _analytic_rows(tmp_path, text)
+    assert code == EXIT_FORMAT
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and message in lines[0]
+
+
 def test_unknown_preset_is_config_error(tmp_path, capsys):
     assert run_cli("analytic", "--preset", "nope", "--out", str(tmp_path)) == EXIT_CONFIG
     assert "unknown analytic preset" in capsys.readouterr().err

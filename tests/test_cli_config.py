@@ -2,6 +2,7 @@
 inputs are one-line errors, and a report's config block reproduces the report."""
 
 import json
+import math
 
 import pytest
 
@@ -72,15 +73,15 @@ KEYS = {
 OBJ = {"x": 1}
 WRONG = {
     "bool": [1, 0.5, "true", "false", [True], OBJ],
-    "int": [True, 1.5, "1", "abc", [1], OBJ],
-    "float": [True, "0.5", "x", [0.5], OBJ],
+    "int": [True, 1.5, "1", "abc", [1], OBJ, math.nan, math.inf],
+    "float": [True, "0.5", "x", [0.5], OBJ, math.nan, math.inf, -math.inf],
     "str": [True, 1, 0.5, ["a"], OBJ],
     "object": [True, 1, 0.5, "a", [1]],
-    "list[float]": [True, 1, 0.5, "a", OBJ, ["a"], [True], [[0.5]]],
+    "list[float]": [True, 1, 0.5, "a", OBJ, ["a"], [True], [[0.5]], [0.5, math.nan]],
     "list[int]": [True, 1, "a", OBJ, ["a"], [1.5], [True]],
     "list[str]": [True, 1, "a.jsonl", OBJ, [1], [True], [None]],
     "int or list[int or null]": [True, 0.5, "1", OBJ, ["a"], [1.5], [True]],
-    "list[float] or object": [True, 1, 0.5, "a", ["a"], [True]],
+    "list[float] or object": [True, 1, 0.5, "a", ["a"], [True], [0, math.nan, 3]],
 }
 
 BASE = {
@@ -286,3 +287,23 @@ def test_out_of_range_number_is_one_config_error(tmp_path, capsys, cfg):
     assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == EXIT_CONFIG
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("config error: ")
+
+
+# a linear grid of finite numbers can still overflow or fail to increase
+BAD_GRIDS = [
+    {"start": -1e308, "stop": 1e308, "count": 3},
+    {"start": -1e308, "stop": 1.7e308, "count": 3},
+    {"start": 1, "stop": 1.000000000000001, "count": 100},
+]
+
+
+@pytest.mark.parametrize("grid", BAD_GRIDS, ids=[json.dumps(g) for g in BAD_GRIDS])
+def test_linear_grid_must_be_finite_and_increasing(tmp_path, capsys, grid):
+    records = tmp_path / "r.jsonl"
+    records.write_text('{"gap": 1.0, "correct": true}\n')
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"records": [str(records)], "thresholds": grid}))
+    code = main(["gap-sweep", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    lines = capsys.readouterr().err.splitlines()
+    assert code == EXIT_CONFIG
+    assert lines == ["config error: thresholds start, stop and count give no finite increasing grid"]

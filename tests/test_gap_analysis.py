@@ -6,12 +6,10 @@ import numpy as np
 import pytest
 
 from patchmux.gap_analysis import (
-    CurvePoint,
     RecordFormatError,
     RecordSet,
-    ShotRecord,
     SweepCurve,
-    cumulative_fractions,
+    curve_rows,
     default_thresholds,
     extrapolate_tail,
     find_crossing,
@@ -19,23 +17,20 @@ from patchmux.gap_analysis import (
     write_curve_csv,
 )
 
-THREE_RECORDS = RecordSet.from_records(
-    [ShotRecord(10.0, True), ShotRecord(5.0, False), ShotRecord(20.0, True)],
-    n_attempts=6,
-)
+THREE_RECORDS = RecordSet([10.0, 5.0, 20.0], [True, False, True], n_attempts=6)
+
+
+def record_set(records, n_attempts):
+    """A RecordSet from (gap, correct) pairs."""
+    gaps = np.array([g for g, _ in records], dtype=np.float64)
+    correct = np.array([c for _, c in records], dtype=bool)
+    return RecordSet(gaps, correct, n_attempts)
 
 
 def brute_force_counts(records, threshold):
-    kc = sum(1 for r in records if r.correct and r.gap >= threshold)
-    ke = sum(1 for r in records if not r.correct and r.gap >= threshold)
+    kc = sum(1 for g, c in records if c and g >= threshold)
+    ke = sum(1 for g, c in records if not c and g >= threshold)
     return kc, ke
-
-
-def test_shot_record_validation():
-    with pytest.raises(ValueError):
-        ShotRecord(-1.0, True)
-    with pytest.raises(ValueError):
-        ShotRecord(math.inf, True)
 
 
 def test_record_set_validation():
@@ -43,8 +38,22 @@ def test_record_set_validation():
         RecordSet(np.array([1.0, 2.0]), np.array([True, False]), n_attempts=1)
     with pytest.raises(ValueError):
         RecordSet(np.array([]), np.array([], dtype=bool), n_attempts=0)
+    for bad_gap in (-3.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            RecordSet(np.array([bad_gap]), np.array([True]), n_attempts=5)
     with pytest.raises(ValueError):
-        RecordSet(np.array([-3.0]), np.array([True]), n_attempts=5)
+        RecordSet(np.array([1.0, 2.0]), np.array([True]), n_attempts=5)
+
+
+def test_record_set_shot_index_validation():
+    gaps, correct = [1.0, 2.0, 3.0], [True, False, True]
+    rs = RecordSet(gaps, correct, n_attempts=5, shot_index=[0, 2, 4])
+    assert rs.shot_index.tolist() == [0, 2, 4]
+    assert RecordSet(gaps, correct, n_attempts=5).shot_index is None
+    assert len(RecordSet([], [], n_attempts=1, shot_index=[])) == 0
+    for bad in ([0, 2], [0, 2, 2], [2, 1, 3], [-1, 2, 4], [0, 2, 5]):
+        with pytest.raises(ValueError):
+            RecordSet(gaps, correct, n_attempts=5, shot_index=bad)
 
 
 def test_three_record_example():
@@ -79,13 +88,13 @@ def test_ties_at_threshold_are_kept():
 
 
 def test_default_thresholds_are_zero_plus_observed():
-    assert default_thresholds(THREE_RECORDS) == (0.0, 5.0, 10.0, 20.0)
-    other = RecordSet.from_records([ShotRecord(0.0, True), ShotRecord(7.5, False)], 2)
-    assert default_thresholds(THREE_RECORDS, other) == (0.0, 5.0, 7.5, 10.0, 20.0)
+    assert default_thresholds(THREE_RECORDS).tolist() == [0.0, 5.0, 10.0, 20.0]
+    other = RecordSet([0.0, 7.5], [True, False], 2)
+    assert default_thresholds(THREE_RECORDS, other).tolist() == [0.0, 5.0, 7.5, 10.0, 20.0]
 
 
 def test_empty_record_set_sweeps_to_undefined():
-    empty = RecordSet.from_records([], n_attempts=1)
+    empty = RecordSet([], [], n_attempts=1)
     curve = sweep(empty)
     assert len(curve.points) == 1
     assert math.isnan(curve.points[0].logical_error)
@@ -103,10 +112,9 @@ def test_sweep_matches_brute_force_recount():
     for _ in range(300):
         n = int(rng.integers(1, 21))
         records = [
-            ShotRecord(float(rng.integers(0, 40)), bool(rng.integers(0, 2)))
-            for _ in range(n)
+            (float(rng.integers(0, 40)), bool(rng.integers(0, 2))) for _ in range(n)
         ]
-        rs = RecordSet.from_records(records, n_attempts=n + int(rng.integers(0, 30)))
+        rs = record_set(records, n_attempts=n + int(rng.integers(0, 30)))
         curve = sweep(rs)
         prev_attempts = 0.0
         prev_kept = math.inf
@@ -124,43 +132,8 @@ def test_sweep_matches_brute_force_recount():
             prev_kept = kept
 
 
-def test_cumulative_fractions_three_record_example():
-    curves = cumulative_fractions(THREE_RECORDS, [0.0, 7.0])
-    assert curves.correct == (2 / 6, 2 / 6)
-    assert curves.error == (1 / 6, 0.0)
-
-
-def test_cumulative_fractions_all_correct():
-    rs = RecordSet.from_records([ShotRecord(3.0, True), ShotRecord(9.0, True)], 10)
-    curves = cumulative_fractions(rs)
-    assert all(e == 0.0 for e in curves.error)
-    assert curves.correct[0] == 2 / 10
-
-
-def test_fraction_normalization_identity():
-    rng = np.random.default_rng(71)
-    records = [
-        ShotRecord(float(rng.random() * 30), bool(rng.integers(0, 2))) for _ in range(50)
-    ]
-    rs = RecordSet.from_records(records, n_attempts=80)
-    curve = sweep(rs)
-    curves = cumulative_fractions(rs)
-    for point, c_frac, e_frac in zip(curve.points, curves.correct, curves.error):
-        kept = point.kept_correct + point.kept_error
-        assert c_frac + e_frac == pytest.approx(kept / rs.n_attempts, abs=1e-12)
-
-
 def synthetic_curve(thresholds, p_l_values):
-    points = tuple(
-        CurvePoint(
-            threshold=g,
-            kept_correct=100,
-            kept_error=10,
-            attempts=1.0,
-            logical_error=p,
-        )
-        for g, p in zip(thresholds, p_l_values)
-    )
+    points = [(g, 100, 10, 1.0, p, False) for g, p in zip(thresholds, p_l_values)]
     return SweepCurve(points=points, n_attempts=1000)
 
 
@@ -222,39 +195,31 @@ def test_tail_fit_recovers_exponential_rate():
     fit = extrapolate_tail(curve, (0.0, 12.0))
     assert fit is not None
     assert fit.rate == pytest.approx(rate, rel=0.02)
-    assert fit.points  # extends beyond the window
-    for tp in fit.points:
-        assert tp.error_low <= tp.error_fit <= tp.error_high
+    assert len(fit.points)  # extends beyond the window
+    assert fit.points.extrapolated.all()
+    assert np.all(fit.points.threshold > fit.anchor_threshold)
+    assert np.all(fit.error_low <= fit.points.kept_error)
+    assert np.all(fit.points.kept_error <= fit.error_high)
 
 
 def test_tail_fit_needs_three_error_points():
     # a single error record gives only two error-bearing grid points
-    rs = RecordSet.from_records(
-        [ShotRecord(2.0, False), ShotRecord(5.0, True)], n_attempts=4
-    )
+    rs = RecordSet([2.0, 5.0], [False, True], n_attempts=4)
     assert extrapolate_tail(sweep(rs), (0.0, 5.0)) is None
     # no error records at all
-    all_correct = RecordSet.from_records(
-        [ShotRecord(float(g), True) for g in range(6)], n_attempts=10
-    )
+    all_correct = RecordSet([float(g) for g in range(6)], [True] * 6, n_attempts=10)
     assert extrapolate_tail(sweep(all_correct), (0.0, 5.0)) is None
 
 
 def test_tail_fit_flat_when_counts_constant():
-    points = tuple(
-        CurvePoint(threshold=float(g), kept_correct=50, kept_error=8, attempts=2.0,
-                   logical_error=8 / 58)
-        for g in range(5)
-    )
-    extended = points + (
-        CurvePoint(threshold=10.0, kept_correct=40, kept_error=0, attempts=25.0,
-                   logical_error=0.0),
-    )
-    curve = SweepCurve(points=extended, n_attempts=1000)
+    points = [(float(g), 50, 8, 2.0, 8 / 58, False) for g in range(5)]
+    points.append((10.0, 40, 0, 25.0, 0.0, False))
+    curve = SweepCurve(points=points, n_attempts=1000)
     fit = extrapolate_tail(curve, (0.0, 4.0))
     assert fit is not None
     assert fit.slope == pytest.approx(0.0, abs=1e-12)
-    assert fit.points[0].error_fit == pytest.approx(8.0, rel=1e-9)
+    assert fit.points[0].kept_error == pytest.approx(8.0, rel=1e-9)
+    assert fit.points[0].attempts == pytest.approx(1000 / 48, rel=1e-9)
 
 
 def test_with_tail_merges_fit_into_curve():
@@ -266,9 +231,34 @@ def test_with_tail_merges_fit_into_curve():
     fit = extrapolate_tail(curve, (0.0, 20.0))
     merged = curve.with_tail(fit)
     assert merged.extrapolated_from == 20.0
-    assert merged.thresholds == curve.thresholds
-    for point in merged.points:
-        assert point.extrapolated == (point.threshold > 20.0)
+    assert np.array_equal(merged.points.threshold, curve.points.threshold)
+    assert np.array_equal(merged.points.extrapolated, merged.points.threshold > 20.0)
+    beyond = merged.points[merged.points.extrapolated]
+    assert np.array_equal(beyond.kept_error, fit.points.kept_error)
+    assert np.array_equal(beyond.kept_correct, curve.points.kept_correct[-len(beyond):])
+
+
+def test_fitted_rows_with_no_observed_count_stay_defined():
+    # a fitted error count far below one must still give finite rows
+    rows = curve_rows(np.array([50.0]), np.array([0.0]), np.array([2e-104]), 46_000, True)
+    assert rows.attempts[0] == pytest.approx(2.3e108, rel=1e-12)
+    assert rows.logical_error[0] == 1.0
+    # only an exact zero leaves the row undefined
+    rows = curve_rows(np.array([50.0]), np.array([0.0]), np.array([0.0]), 46_000, True)
+    assert math.isnan(rows.attempts[0]) and math.isnan(rows.logical_error[0])
+
+
+def test_curve_csv_writes_the_merged_tail(tmp_path):
+    rs = RecordSet([0.0, 0.0, 0.0, 1.0, 1.0, 2.0, 9.0], [False] * 6 + [True], n_attempts=10)
+    curve = sweep(rs, [0.0, 1.0, 2.0, 4.0, 12.0])
+    fit = extrapolate_tail(curve, (0.0, 2.0))
+    path = tmp_path / "curve.csv"
+    write_curve_csv(curve.with_tail(fit), path)
+    with open(path) as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["extrapolated"] for r in rows] == ["false"] * 3 + ["true"] * 2
+    assert rows[3]["kept_correct"] == "1" and rows[4]["kept_correct"] == "0"
+    assert rows[4]["logical_error"] == "1"
 
 
 def test_parallel_threshold_ranges_merge_to_sequential_sweep():
@@ -278,7 +268,7 @@ def test_parallel_threshold_ranges_merge_to_sequential_sweep():
     split = 2
     left = sweep(THREE_RECORDS, grid[:split])
     right = sweep(THREE_RECORDS, grid[split:])
-    assert left.points + right.points == full.points
+    assert np.array_equal(np.concatenate([left.points, right.points]), full.points)
 
 
 def test_curve_csv_format(tmp_path):

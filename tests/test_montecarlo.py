@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -12,7 +13,7 @@ from patchmux.analytics import (
     joint_all_fail_probability,
     product_joint_table,
 )
-from patchmux.gap_analysis import RecordSet, ShotRecord, sweep
+from patchmux.gap_analysis import RecordSet, sweep
 from patchmux.montecarlo import (
     EscapeModel,
     GapDistribution,
@@ -43,7 +44,7 @@ def summaries_equal(a, b) -> bool:
             np.array_equal(a.records.shot_index, b.records.shot_index)
             and np.array_equal(a.records.gaps, b.records.gaps)
             and np.array_equal(a.records.correct, b.records.correct)
-            and np.array_equal(a.records.attempts_consumed, b.records.attempts_consumed)
+            and a.records.n_attempts == b.records.n_attempts
         )
     return True
 
@@ -103,9 +104,7 @@ def test_sample_shot_agrees_with_vectorized_run():
         if record is None:
             assert int(idx) not in kept_by_shot
         else:
-            gap, correct = kept_by_shot[int(idx)]
-            assert record.gap == gap
-            assert record.correct == correct
+            assert record == kept_by_shot[int(idx)]
             assert outcome.escape_kept is True
 
 
@@ -122,7 +121,7 @@ def test_sample_shot_agrees_with_vectorized_run():
         ),
         (
             FailureModel(per_site_fail=(0.5, 0.5)),
-            EscapeModel.empirical([ShotRecord(1.0, True), ShotRecord(4.0, False)]),
+            EscapeModel.empirical(RecordSet([1.0, 4.0], [True, False], n_attempts=2)),
         ),
     ],
 )
@@ -143,7 +142,7 @@ def test_scalar_and_vector_paths_agree_across_models(failure, escape):
         if record is None:
             assert idx not in kept_by_shot
         else:
-            assert (record.gap, record.correct) == kept_by_shot[idx]
+            assert record == kept_by_shot[idx]
     assert discards == summary.early_discards
 
 
@@ -285,7 +284,7 @@ def test_keep_probability_rejects_shots_after_selection():
 
 
 def test_empirical_escape_resamples_pool_values():
-    pool = [ShotRecord(2.0, True), ShotRecord(5.0, False), ShotRecord(11.0, True)]
+    pool = RecordSet([2.0, 5.0, 11.0], [True, False, True], n_attempts=3)
     cfg = SimConfig(
         failure_model=calibrate_from_table(0.1, 4),
         n_shots=5000,
@@ -315,9 +314,10 @@ def test_records_jsonl_round_trip(tmp_path):
     assert np.array_equal(loaded.gaps, summary.records.gaps)
     assert np.array_equal(loaded.correct, summary.records.correct)
     # attempt bookkeeping: consumed counts cover everything up to the last keep
-    consumed = summary.records.attempts_consumed
-    assert consumed.sum() == summary.records.shot_index[-1] + 1
-    assert loaded.n_attempts == consumed.sum() <= summary.shots
+    assert summary.records.n_attempts == summary.shots
+    assert loaded.n_attempts == summary.records.shot_index[-1] + 1 <= summary.shots
+    consumed = [json.loads(line)["attempts_consumed"] for line in path.read_text().splitlines()]
+    assert consumed == np.diff(summary.records.shot_index, prepend=-1).tolist()
 
 
 def test_record_set_reproduces_empirical_attempts_exactly():
@@ -328,7 +328,7 @@ def test_record_set_reproduces_empirical_attempts_exactly():
         escape_model=EscapeModel.bernoulli_error(0.2),
     )
     summary = run_simulation(cfg)
-    curve = sweep(summary.to_record_set(), [0.0])
+    curve = sweep(summary.records, [0.0])
     assert curve.points[0].attempts == summary.empirical_attempts
 
 

@@ -1,0 +1,107 @@
+"""Byte pins of the simulate -> gap-sweep chain.
+
+The sha256 of every file these runs write is fixed, so a refactor of the
+record or curve types cannot change an output byte unnoticed. Paths are
+relative to a temporary working directory, because reports echo the record
+paths they read.
+"""
+
+import csv
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from patchmux.cli import EXIT_OK, main
+
+
+def _sha(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def _simulate(out: str, seed: int, q: float, error_rate: float, workers: str = "1") -> None:
+    cfg = Path(f"{out}.json")
+    cfg.write_text(
+        json.dumps(
+            {
+                "k": 4,
+                "n_shots": 20000,
+                "seed": seed,
+                "failure": {"kind": "independent", "calibrate_discard": 0.4903},
+                "escape": {"kind": "bernoulli", "q": q, "gap_error": {"rate": error_rate}},
+                "records": True,
+            }
+        )
+    )
+    assert main(["simulate", "--config", str(cfg), "--out", out, "--workers", workers]) == EXIT_OK
+
+
+def _gap_sweep(out: str, config: dict) -> None:
+    cfg = Path(f"{out}.json")
+    cfg.write_text(json.dumps(config))
+    assert main(["gap-sweep", "--config", str(cfg), "--out", out]) == EXIT_OK
+
+
+PINNED = {
+    "sim/records.jsonl": "dd6d06c56600fc692b7e21a81f9a74dc2114779ae079eec0541db8fd01d5f2e7",
+    "sim/sim_summary.json": "3e37c802b88b51c7f12d0be79ed6324eccf190dde5564aab6d882bc75dbe8cf5",
+    "tail/records_curve.csv": "3a8f4ea5b158bc0bd3ddd5bb058cf4ef38fe1615cf5c90b8eac604324e9152e4",
+    "tail/gap_report.json": "2802b02d7cfd4df07595f2603eedf1a88e872f5eaf935a4726e85b3a434b6cb8",
+    "simb/records.jsonl": "b83aa94fdf3b6e03dbbcf59a501dcc3bcd9d5284f04432e7afcefa09ed1f8f58",
+    "simb/sim_summary.json": "4b445b1fcb0a48fd4a5ef63da7df273054948d6f1f375fca4bf1c1e8d2235432",
+    "pair/1_records_curve.csv": "07c93adfa4bdc288f540e1a5be8bc7df3abdd1b13a82d02f378d89a49a21454a",
+    "pair/2_records_curve.csv": "1df19aee5930455390a7c9d4787f80c40efe3d7508886a96d74e98f153d3a7b9",
+    "pair/gap_report.json": "e5854bac82c06a223fc1f2d17ca4c2881ef69bb4b5a08725640a9d32ed467e19",
+}
+
+
+@pytest.fixture
+def chain_outputs(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _simulate("sim", seed=7, q=0.05, error_rate=0.25, workers="2")
+    # an explicit grid that runs past the largest gap, so the tail fit
+    # extends over rows where no correct record survives
+    grid = [float(g) for g in range(41)] + [60.0, 100.0, 200.0, 400.0, 1000.0]
+    _gap_sweep(
+        "tail",
+        {"records": ["sim/records.jsonl"], "thresholds": grid, "tail_window": [2, 20]},
+    )
+    # the second input: fewer errors, but their gaps decay slowly, so its
+    # error rate starts below the first input's and ends above it
+    _simulate("simb", seed=8, q=0.02, error_rate=0.04)
+    lines = Path("simb/records.jsonl").read_text().splitlines()
+    rows = ["gap,correct"]
+    for line in lines:
+        rec = json.loads(line)
+        rows.append(f"{rec['gap']!r},{'true' if rec['correct'] else 'false'}")
+    Path("simb/records.csv").write_text("\n".join(rows) + "\n")
+    shots_b = json.loads(Path("simb/sim_summary.json").read_text())["results"]["shots"]
+    _gap_sweep(
+        "pair",
+        {"records": ["sim/records.jsonl", "simb/records.csv"], "n_attempts": [None, shots_b]},
+    )
+    return tmp_path
+
+
+def test_chain_output_bytes_are_pinned(chain_outputs):
+    got = {name: _sha(chain_outputs / name) for name in PINNED}
+    assert got == PINNED
+
+
+def test_tail_rows_past_the_largest_gap_stay_finite(chain_outputs):
+    with open(chain_outputs / "tail" / "records_curve.csv") as fh:
+        last = list(csv.DictReader(fh))[-1]
+    assert last["G"] == "1000" and last["extrapolated"] == "true"
+    assert last["kept_correct"] == "0"
+    assert 0 < float(last["kept_error"]) < 1e-90
+    assert float(last["logical_error"]) == 1.0
+    assert float(last["attempts"]) == pytest.approx(20000 / float(last["kept_error"]), rel=1e-9)
+
+
+def test_pair_reports_a_crossing(chain_outputs):
+    report = json.loads((chain_outputs / "pair" / "gap_report.json").read_text())
+    crossing = report["results"]["crossing"]
+    assert crossing is not None
+    low, high = crossing["bracket"]
+    assert low <= crossing["threshold"] <= high
