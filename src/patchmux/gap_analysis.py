@@ -9,6 +9,12 @@ A(G) = n_attempts / kept and the error fraction among kept shots p_L(G).
 Both are NaN-sentinelled when nothing survives a threshold; an empty kept
 set never reports a zero error rate. A tail fit adds rows of the same type,
 flagged ``extrapolated``, whose error count is the fitted estimate.
+
+Record files (JSONL, or CSV for ingestion) and curve CSVs are read and
+written a fixed block of lines or rows at a time: a block is parsed or
+formatted in one batch, so only the numpy columns grow with the file. A
+block that fails any check is read again record by record, which names the
+first bad record as a line-by-line reader would.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from typing import Sequence
 
@@ -26,9 +33,209 @@ UNDEFINED = math.nan
 
 RECORD_FIELDS = {"gap", "correct", "attempts_consumed"}
 
+# Record and curve files are read and written this many lines (or CSV rows)
+# at a time, so the Python objects alive at once do not grow with the file.
+_IO_BLOCK = 4096
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+_CSV_FLAGS = {"true": True, "1": True, "false": False, "0": False}
+
 
 class RecordFormatError(ValueError):
     """Malformed record stream; message carries the record number."""
+
+
+def _gaps_in_range(gaps: np.ndarray) -> bool:
+    return bool(np.all(gaps >= 0.0) and np.all(np.isfinite(gaps)))
+
+
+def _checked_gap(rec_no: int, gap) -> float:
+    """``gap`` as a float, or the range error naming its record."""
+    try:
+        value = float(gap)
+    except OverflowError:  # an integer beyond the float range
+        value = math.inf
+    if not 0.0 <= value < math.inf:  # also rejects NaN
+        raise RecordFormatError(f"record {rec_no}: gap {gap!r} out of range")
+    return value
+
+
+def _jsonl_record(rec_no: int, line: str) -> tuple[float, bool, int | None]:
+    """Parse and check one non-blank JSONL line: (gap, correct, attempts_consumed).
+
+    Every record error message of the JSONL reader comes from here.
+    """
+    try:
+        obj = json.loads(line)
+    # JSONDecodeError, an integer of too many digits, or nesting past the stack
+    except (ValueError, RecursionError) as exc:
+        raise RecordFormatError(f"record {rec_no}: invalid JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise RecordFormatError(f"record {rec_no}: expected an object")
+    unknown = set(obj) - RECORD_FIELDS
+    if unknown:
+        raise RecordFormatError(f"record {rec_no}: unknown fields {sorted(unknown)}")
+    if "gap" not in obj or "correct" not in obj:
+        raise RecordFormatError(f"record {rec_no}: missing 'gap' or 'correct'")
+    gap = obj["gap"]
+    flag = obj["correct"]
+    if not isinstance(gap, (int, float)) or isinstance(gap, bool):
+        raise RecordFormatError(f"record {rec_no}: gap must be a number")
+    if not isinstance(flag, bool):
+        raise RecordFormatError(f"record {rec_no}: correct must be a boolean")
+    value = _checked_gap(rec_no, gap)
+    if "attempts_consumed" not in obj:
+        return value, flag, None
+    ac = obj["attempts_consumed"]
+    if not isinstance(ac, int) or isinstance(ac, bool) or ac < 1:
+        raise RecordFormatError(f"record {rec_no}: attempts_consumed must be a positive integer")
+    if ac > _INT64_MAX:
+        raise RecordFormatError(f"record {rec_no}: attempts_consumed exceeds {_INT64_MAX}")
+    return value, flag, ac
+
+
+def _checked_jsonl_block(lines: list[str], first_no: int, consumed: int):
+    """Read a block record by record, raising the first record's error.
+
+    Returns (gaps, correct, records with attempts_consumed, running total of
+    attempts_consumed), the same as ``_jsonl_block``.
+    """
+    gaps: list[float] = []
+    flags: list[bool] = []
+    with_consumed = 0
+    for rec_no, line in enumerate(lines, start=first_no):
+        line = line.strip()
+        if not line:
+            continue
+        gap, flag, ac = _jsonl_record(rec_no, line)
+        gaps.append(gap)
+        flags.append(flag)
+        if ac is not None:
+            with_consumed += 1
+            consumed += ac
+            if consumed > _INT64_MAX:
+                raise RecordFormatError(
+                    f"record {rec_no}: attempts_consumed total exceeds {_INT64_MAX}"
+                )
+    return np.array(gaps, dtype=np.float64), np.array(flags, dtype=bool), with_consumed, consumed
+
+
+def _jsonl_block(lines: list[str], consumed: int):
+    """Parse a block with one ``json.loads``; None when any check fails.
+
+    The block is accepted only if every non-blank line ends in ``}`` and the
+    joined array holds one object per line, every object a flat record whose
+    keys and value types pass. A string running across a join would hold the
+    joining comma, and no record key does, so none does; each line then ends
+    at the close of a top-level object, and with as many objects as lines,
+    each line was exactly one object, as a line-by-line parse would find.
+    """
+    texts = [text for text in map(str.strip, lines) if text]
+    try:
+        objs = json.loads("[" + ",".join(texts) + "]")
+    except (ValueError, RecursionError):  # the array nests each line one level deeper
+        return None
+    if (
+        len(objs) != len(texts)
+        or not all(text[-1] == "}" for text in texts)
+        or not set(map(type, objs)) <= {dict}
+        or not set().union(*objs) <= RECORD_FIELDS
+    ):
+        return None
+    gaps = [obj.get("gap") for obj in objs]
+    flags = [obj.get("correct") for obj in objs]
+    acs = [obj["attempts_consumed"] for obj in objs if "attempts_consumed" in obj]
+    if (
+        not set(map(type, gaps)) <= {int, float}
+        or not set(map(type, flags)) <= {bool}
+        or not set(map(type, acs)) <= {int}
+    ):
+        return None
+    try:
+        gap_column = np.array(gaps, dtype=np.float64)
+        ac_column = np.array(acs, dtype=np.int64)
+    except OverflowError:
+        return None
+    if not _gaps_in_range(gap_column) or not np.all(ac_column >= 1):
+        return None
+    consumed += sum(acs)  # Python ints: a total past int64 is caught, not wrapped
+    if consumed > _INT64_MAX:
+        return None
+    return gap_column, np.array(flags, dtype=bool), len(acs), consumed
+
+
+def _csv_record(rec_no: int, row: list[str]) -> tuple[float, bool]:
+    """Check one non-blank CSV row; every CSV record error message comes from here."""
+    if len(row) != 2:
+        raise RecordFormatError(f"record {rec_no}: expected 2 columns")
+    try:
+        gap = float(row[0])
+    except ValueError:
+        raise RecordFormatError(f"record {rec_no}: bad gap {row[0]!r}") from None
+    flag = _CSV_FLAGS.get(row[1].strip().lower())
+    if flag is None:
+        raise RecordFormatError(f"record {rec_no}: bad flag {row[1]!r}")
+    return _checked_gap(rec_no, gap), flag
+
+
+def _is_blank(row: list[str]) -> bool:
+    return not any(map(str.strip, row))
+
+
+def _checked_csv_block(rows: list[list[str]], first_no: int):
+    """Read a block row by row, raising the first row's error."""
+    checked = [
+        _csv_record(rec_no, row)
+        for rec_no, row in enumerate(rows, start=first_no)
+        if not _is_blank(row)
+    ]
+    gaps = np.array([gap for gap, _ in checked], dtype=np.float64)
+    return gaps, np.array([flag for _, flag in checked], dtype=bool)
+
+
+def _csv_block(rows: list[list[str]]):
+    """Convert a block column by column; None when any check fails."""
+    rows = [row for row in rows if not _is_blank(row)]
+    if not set(map(len, rows)) <= {2}:
+        return None
+    gap_texts, flag_texts = zip(*rows) if rows else ((), ())
+    try:
+        gaps = np.fromiter(map(float, gap_texts), np.float64, len(rows))
+        flags = np.fromiter(
+            map(_CSV_FLAGS.__getitem__, map(str.lower, map(str.strip, flag_texts))),
+            bool,
+            len(rows),
+        )
+    except (ValueError, KeyError):
+        return None
+    if not _gaps_in_range(gaps):
+        return None
+    return gaps, flags
+
+
+class _Columns:
+    """Gap and flag columns that grow by doubling as blocks are appended."""
+
+    def __init__(self) -> None:
+        self.gaps = np.empty(0, dtype=np.float64)
+        self.correct = np.empty(0, dtype=bool)
+        self.size = 0
+
+    def append(self, gaps: np.ndarray, correct: np.ndarray) -> None:
+        end = self.size + gaps.size
+        if end > self.gaps.size:
+            capacity = max(end, 2 * self.gaps.size)
+            self.gaps.resize(capacity, refcheck=False)
+            self.correct.resize(capacity, refcheck=False)
+        self.gaps[self.size : end] = gaps
+        self.correct[self.size : end] = correct
+        self.size = end
+
+    def record_set(self, n_attempts: int) -> "RecordSet":
+        self.gaps.resize(self.size, refcheck=False)
+        self.correct.resize(self.size, refcheck=False)
+        return RecordSet(self.gaps, self.correct, n_attempts)
 
 
 class RecordSet:
@@ -50,7 +257,7 @@ class RecordSet:
         correct = np.asarray(correct, dtype=bool)
         if gaps.ndim != 1 or correct.shape != gaps.shape:
             raise ValueError("gaps and correct must be 1-D arrays of equal length")
-        if gaps.size and (not np.all(gaps >= 0.0) or not np.all(np.isfinite(gaps))):
+        if gaps.size and not _gaps_in_range(gaps):
             raise ValueError("gaps must be finite and >= 0")
         if n_attempts < 1:
             raise ValueError("n_attempts must be at least 1")
@@ -85,101 +292,75 @@ class RecordSet:
         ``attempts_consumed`` is optional per record; when present on every
         record its sum is the default attempt total (it excludes any trailing
         attempts after the last kept shot, so pass ``n_attempts`` when known).
+        Records are numbered by line, blank lines included.
         """
-        gaps: list[float] = []
-        correct: list[bool] = []
-        consumed: list[int] = []
+        columns = _Columns()
+        with_consumed = consumed = 0
+        line_no = 0
         with open(path, "r", encoding="utf-8") as fh:
-            for rec_no, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise RecordFormatError(f"record {rec_no}: invalid JSON: {exc}") from None
-                if not isinstance(obj, dict):
-                    raise RecordFormatError(f"record {rec_no}: expected an object")
-                unknown = set(obj) - RECORD_FIELDS
-                if unknown:
-                    raise RecordFormatError(
-                        f"record {rec_no}: unknown fields {sorted(unknown)}"
-                    )
-                if "gap" not in obj or "correct" not in obj:
-                    raise RecordFormatError(
-                        f"record {rec_no}: missing 'gap' or 'correct'"
-                    )
-                gap = obj["gap"]
-                flag = obj["correct"]
-                if not isinstance(gap, (int, float)) or isinstance(gap, bool):
-                    raise RecordFormatError(f"record {rec_no}: gap must be a number")
-                if not isinstance(flag, bool):
-                    raise RecordFormatError(f"record {rec_no}: correct must be a boolean")
-                if gap < 0 or math.isnan(gap) or math.isinf(gap):
-                    raise RecordFormatError(f"record {rec_no}: gap {gap!r} out of range")
-                gaps.append(float(gap))
-                correct.append(flag)
-                if "attempts_consumed" in obj:
-                    ac = obj["attempts_consumed"]
-                    if not isinstance(ac, int) or isinstance(ac, bool) or ac < 1:
-                        raise RecordFormatError(
-                            f"record {rec_no}: attempts_consumed must be a positive integer"
-                        )
-                    consumed.append(ac)
+            while lines := list(islice(fh, _IO_BLOCK)):
+                block = _jsonl_block(lines, consumed) or _checked_jsonl_block(
+                    lines, line_no + 1, consumed
+                )
+                gaps, correct, block_consumed, consumed = block
+                columns.append(gaps, correct)
+                with_consumed += block_consumed
+                line_no += len(lines)
         if n_attempts is None:
-            if consumed and len(consumed) == len(gaps):
-                n_attempts = sum(consumed)
+            if with_consumed and with_consumed == columns.size:
+                n_attempts = consumed
             else:
-                n_attempts = max(1, len(gaps))
-        return cls(
-            np.array(gaps, dtype=np.float64),
-            np.array(correct, dtype=bool),
-            n_attempts,
-        )
+                n_attempts = max(1, columns.size)
+        return columns.record_set(n_attempts)
 
     @classmethod
     def from_csv(cls, path: str | Path, n_attempts: int | None = None) -> "RecordSet":
         """Read the CSV variant with header ``gap,correct``.
 
         The CSV form carries kept records only; without ``n_attempts`` the
-        attempt total defaults to the record count.
+        attempt total defaults to the record count. Rows of blank cells are
+        skipped but still numbered.
         """
-        gaps: list[float] = []
-        correct: list[bool] = []
+        columns = _Columns()
+        row_no = 0
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None or [h.strip().lower() for h in header] != ["gap", "correct"]:
                 raise RecordFormatError("expected CSV header 'gap,correct'")
-            for rec_no, rowv in enumerate(reader, start=1):
-                if not rowv or all(not c.strip() for c in rowv):
-                    continue
-                if len(rowv) != 2:
-                    raise RecordFormatError(f"record {rec_no}: expected 2 columns")
-                try:
-                    gap = float(rowv[0])
-                except ValueError:
-                    raise RecordFormatError(
-                        f"record {rec_no}: bad gap {rowv[0]!r}"
-                    ) from None
-                flag_text = rowv[1].strip().lower()
-                if flag_text in ("true", "1"):
-                    flag = True
-                elif flag_text in ("false", "0"):
-                    flag = False
-                else:
-                    raise RecordFormatError(f"record {rec_no}: bad flag {rowv[1]!r}")
-                if gap < 0 or math.isnan(gap) or math.isinf(gap):
-                    raise RecordFormatError(f"record {rec_no}: gap {gap!r} out of range")
-                gaps.append(gap)
-                correct.append(flag)
+            while rows := list(islice(reader, _IO_BLOCK)):
+                columns.append(*(_csv_block(rows) or _checked_csv_block(rows, row_no + 1)))
+                row_no += len(rows)
         if n_attempts is None:
-            n_attempts = max(1, len(gaps))
-        return cls(
-            np.array(gaps, dtype=np.float64),
-            np.array(correct, dtype=bool),
-            n_attempts,
-        )
+            n_attempts = max(1, columns.size)
+        return columns.record_set(n_attempts)
+
+    def to_jsonl(self, path: str | Path) -> None:
+        """Write one JSON object per record, as ``from_jsonl`` reads them.
+
+        ``attempts_consumed`` counts the shots since the previous kept shot,
+        this one included, so the set needs its ``shot_index``. The text is
+        what ``json.dumps`` gives: a finite float prints as its ``repr``.
+        """
+        if self.shot_index is None:
+            raise ValueError("attempts_consumed needs the records' shot_index")
+        consumed = np.diff(self.shot_index, prepend=-1)
+        with open(path, "w", encoding="utf-8") as fh:
+            for start in range(0, len(self), _IO_BLOCK):
+                block = slice(start, start + _IO_BLOCK)
+                rows = zip(
+                    self.gaps[block].tolist(),
+                    self.correct[block].tolist(),
+                    consumed[block].tolist(),
+                )
+                text = "".join(
+                    [
+                        f'{{"gap": {g!r}, "correct": {"true" if c else "false"}, '
+                        f'"attempts_consumed": {a}}}\n'
+                        for g, c, a in rows
+                    ]
+                )
+                fh.write(text)
 
 
 CURVE_DTYPE = np.dtype(
@@ -201,7 +382,8 @@ def curve_rows(threshold, kept_correct, kept_error, n_attempts: int, extrapolate
     rows.kept_correct = kept_correct
     rows.kept_error = kept_error
     kept = rows.kept_correct + rows.kept_error
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # a fitted count can be so small that A(G) overflows to inf
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         rows.attempts = np.where(kept > 0, n_attempts / kept, UNDEFINED)
         rows.logical_error = np.where(kept > 0, rows.kept_error / kept, UNDEFINED)
     rows.extrapolated = extrapolated
@@ -382,29 +564,19 @@ def extrapolate_tail(
     )
 
 
-_CSV_BLOCK = 1 << 16
-
 CURVE_CSV_HEADER = ["G", "kept_correct", "kept_error", "attempts", "logical_error", "extrapolated"]
 
-
-def _csv_num(value: float) -> str:
-    if math.isnan(value):
-        return "nan"
-    if math.isinf(value):
-        return "inf"
-    return format(value, ".10g")
+# csv.writer's row terminator; %.10g writes "nan", "inf" and "-0" as they are
+_CURVE_CSV_ROW = "%.10g,%.10g,%.10g,%.10g,%.10g,%s\r\n"
 
 
 def write_curve_csv(curve: SweepCurve, path: str | Path) -> None:
     """Emit the plot-data CSV; extrapolated rows carry the fitted error count
     and are flagged in the last column."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CURVE_CSV_HEADER)
-        for start in range(0, len(curve.points), _CSV_BLOCK):  # bounds the Python copies
-            p = curve.points[start : start + _CSV_BLOCK]
-            numbers = [p[name].tolist() for name in CURVE_DTYPE.names[:-1]]
-            writer.writerows(
-                [*map(_csv_num, row), "true" if flag else "false"]
-                for *row, flag in zip(*numbers, p.extrapolated.tolist())
-            )
+        fh.write(",".join(CURVE_CSV_HEADER) + "\r\n")
+        for start in range(0, len(curve.points), _IO_BLOCK):
+            p = curve.points[start : start + _IO_BLOCK]
+            columns = [p[name].tolist() for name in CURVE_DTYPE.names[:-1]]
+            flags = ["true" if flag else "false" for flag in p.extrapolated.tolist()]
+            fh.write("".join([_CURVE_CSV_ROW % row for row in zip(*columns, flags)]))

@@ -19,12 +19,12 @@ Slots not used by a given model are simply ignored; the layout never moves.
 
 Kept shots come back as one ``gap_analysis.RecordSet`` whose attempt total
 is the shot count and whose ``shot_index`` column gives each kept shot's
-index, so the sweep tools read a run's records without conversion.
+index, so the sweep tools read a run's records without conversion, and
+``write_records_jsonl`` writes them with ``RecordSet.to_jsonl`` in blocks.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -229,8 +229,6 @@ class SimSummary:
     records: RecordSet | None
     warnings: tuple[str, ...]
     labels: dict
-    seed: int
-    k: int
 
 
 def _stride(k: int) -> int:
@@ -394,8 +392,6 @@ def run_simulation(
         records=records,
         warnings=warnings,
         labels=config.labels(),
-        seed=config.seed,
-        k=config.k,
     )
 
 
@@ -427,17 +423,10 @@ def calibrate_from_table(discard_single: float, k: int = 4) -> FailureModel:
 
 
 def write_records_jsonl(summary: SimSummary, path: str | Path) -> int:
-    """One JSON object per kept shot; returns the number of records written.
-
-    ``attempts_consumed`` counts the shots since the previous kept shot,
-    this one included.
+    """One JSON object per kept shot (``RecordSet.to_jsonl``); returns the
+    number of records written.
     """
     if summary.records is None:
         raise ValueError("run was configured without record collection")
-    rec = summary.records
-    consumed = np.diff(rec.shot_index, prepend=-1)
-    with open(path, "w", encoding="utf-8") as fh:
-        for g, c, a in zip(rec.gaps.tolist(), rec.correct.tolist(), consumed.tolist()):
-            fh.write(json.dumps({"gap": g, "correct": c, "attempts_consumed": a}))
-            fh.write("\n")
-    return len(rec)
+    summary.records.to_jsonl(path)
+    return len(summary.records)

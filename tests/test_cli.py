@@ -329,6 +329,32 @@ def test_gap_sweep_schema_violation_is_format_error(tmp_path, capsys):
     assert "record 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "records, message",
+    [
+        (
+            '{"gap": 1.0, "correct": true, "attempts_consumed": 1}\n'
+            f'{{"gap": 1.0, "correct": true, "attempts_consumed": {"9" * 400}}}\n',
+            "record 2: attempts_consumed exceeds 9223372036854775807",
+        ),
+        (
+            f'{{"gap": 1.0, "correct": true, "attempts_consumed": {2**62}}}\n' * 2,
+            "record 2: attempts_consumed total exceeds 9223372036854775807",
+        ),
+        (
+            f'{{"gap": 1.0, "correct": true}}\n{{"gap": {"9" * 400}, "correct": true}}\n',
+            f"record 2: gap {'9' * 400} out of range",
+        ),
+    ],
+    ids=["attempts_consumed", "attempts_total", "integer_gap"],
+)
+def test_gap_sweep_oversized_integers_are_format_errors(tmp_path, capsys, records, message):
+    path = tmp_path / "big.jsonl"
+    path.write_text(records)
+    assert run_cli("gap-sweep", "--records", str(path), "--out", str(tmp_path)) == EXIT_FORMAT
+    assert capsys.readouterr().err == f"input format error: {message}\n"
+
+
 def test_gap_sweep_missing_file_is_config_error(tmp_path):
     assert (
         run_cli("gap-sweep", "--records", str(tmp_path / "none.jsonl")) == EXIT_CONFIG
