@@ -489,6 +489,8 @@ def _escape_model(escape: dict) -> EscapeModel:
 
 
 def cmd_simulate(args) -> int:
+    if args.workers < 1:
+        raise ConfigError("workers must be at least 1")
     raw = _load_config_file(args.config)
     cfg = _read_config(raw, _SIMULATE_CONFIG, "simulate config")
 

@@ -179,6 +179,18 @@ def _csv_record(rec_no: int, row: list[str]) -> tuple[float, bool]:
     return _checked_gap(rec_no, gap), flag
 
 
+def _csv_rows(reader, count: int, path, first_no: int) -> list[list[str]]:
+    """The next ``count`` rows; a row the csv module cannot split (a cell past
+    its field limit, say) is an error naming the file and the record, with the
+    header as record 0."""
+    rows: list[list[str]] = []
+    try:
+        rows.extend(islice(reader, count))  # keeps the rows before a bad one
+    except csv.Error as exc:
+        raise RecordFormatError(f"{path}: record {first_no + len(rows)}: {exc}") from None
+    return rows
+
+
 def _is_blank(row: list[str]) -> bool:
     return not any(map(str.strip, row))
 
@@ -325,10 +337,10 @@ class RecordSet:
         row_no = 0
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or [h.strip().lower() for h in header] != ["gap", "correct"]:
+            header = _csv_rows(reader, 1, path, 0)
+            if not header or [h.strip().lower() for h in header[0]] != ["gap", "correct"]:
                 raise RecordFormatError("expected CSV header 'gap,correct'")
-            while rows := list(islice(reader, _IO_BLOCK)):
+            while rows := _csv_rows(reader, _IO_BLOCK, path, row_no + 1):
                 columns.append(*(_csv_block(rows) or _checked_csv_block(rows, row_no + 1)))
                 row_no += len(rows)
         if n_attempts is None:

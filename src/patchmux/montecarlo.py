@@ -1,7 +1,7 @@
 """Seeded shot sampling over a failure model, with a pluggable escape stage.
 
 Determinism contract: every shot owns a fixed window of a counter-based
-uniform stream keyed by the master seed (Philox; shot i uses draws
+stream of 64-bit words keyed by the master seed (Philox; shot i uses words
 [i*stride, (i+1)*stride)). Results are therefore a pure fold over shots in
 index order, and chunking or thread count cannot change any output bit.
 
@@ -16,6 +16,15 @@ Per-shot draw layout (k sites, stride padded to a multiple of 4):
     2k+4        gap draw (also the empirical-pool index)
 
 Slots not used by a given model are simply ignored; the layout never moves.
+
+Words are drawn raw. A draw w stands for the uniform u = (w >> 11) * 2**-53,
+the double ``Generator.random`` makes from the same word, but floats are made
+only where a model reads one: the gap, the empirical-pool index and the
+explicit-joint selector, and the first two only for kept shots. Every other
+test, ``u >= r`` or ``u < r``, is the exact integer comparison of w >> 11
+with ceil(r * 2**53). A chunk is folded in blocks of ``_BLOCK`` shots, and a
+run without records keeps only counts, so it holds O(chunk) memory whatever
+its shot count.
 
 Kept shots come back as one ``gap_analysis.RecordSet`` whose attempt total
 is the shot count and whose ``shot_index`` column gives each kept shot's
@@ -42,7 +51,7 @@ DEFAULT_CHUNK = 1 << 16
 
 @dataclass(frozen=True)
 class GapDistribution:
-    """Named sampler for synthetic confidence gaps (inverse-CDF driven)."""
+    """Named distribution of synthetic confidence gaps, drawn by inverse CDF."""
 
     kind: str  # "exponential" | "discrete_exponential" | "constant"
     rate: float = 1.0
@@ -56,16 +65,12 @@ class GapDistribution:
         if self.kind == "constant" and self.value < 0:
             raise ModelError("constant gap must be >= 0")
 
-    def sample(self, u):
-        """Map uniforms in [0, 1) to gap values; works on scalars and arrays."""
+    def from_exponential(self, e: np.ndarray) -> np.ndarray:
+        """Gaps from unit-exponential variates ``e = -log1p(-u)`` (inverse CDF)."""
         if self.kind == "constant":
-            if np.isscalar(u):
-                return float(self.value)
-            return np.full_like(np.asarray(u, dtype=np.float64), self.value)
-        x = -np.log1p(-np.asarray(u, dtype=np.float64)) / self.rate
-        if self.kind == "discrete_exponential":
-            x = np.floor(x)
-        return float(x) if np.isscalar(u) else x
+            return np.full(np.shape(e), self.value, dtype=np.float64)
+        x = e / self.rate
+        return np.floor(x) if self.kind == "discrete_exponential" else x
 
 
 DEFAULT_CORRECT_GAP = GapDistribution("discrete_exponential", rate=0.05)
@@ -236,104 +241,197 @@ def _stride(k: int) -> int:
     return base + (-base) % 4  # counter blocks are 4 draws wide
 
 
-def _uniform_block(seed: int, start_shot: int, n_shots: int, k: int) -> np.ndarray:
-    stride = _stride(k)
+_UNIT = 1 << 53  # a draw is u = h / 2**53 for the 53-bit integer h = w >> 11
+
+
+def _threshold(r: float) -> int:
+    """ceil(r * 2**53) clipped to [0, 2**53], so ``u >= r`` exactly when h >= it.
+
+    r * 2**53 is exact for every double, so the integer test decides
+    ``u >= r`` (and its negation ``u < r``) with no rounding. A NaN rate maps
+    to 2**53, where ``u >= r`` never holds, as with floats; ``u < r`` tests
+    only see rates validated into [0, 1].
+    """
+    r = float(r)
+    if r <= 0.0:
+        return 0
+    if r < 1.0:
+        return math.ceil(r * _UNIT)
+    return _UNIT
+
+
+def _thresholds(rates) -> np.ndarray:
+    return np.array([_threshold(r) for r in rates], dtype=np.uint64)
+
+
+def _floats(h: np.ndarray) -> np.ndarray:
+    """The uniforms ``Generator.random`` makes from the same words, bit for bit."""
+    return h * (1.0 / _UNIT)
+
+
+@dataclass(frozen=True, eq=False)
+class _Plan:
+    """Per-run constants of the kernel: integer thresholds, joint CDF, pool."""
+
+    config: SimConfig
+    stride: int
+    pass_at: np.ndarray | None  # site passes when h >= pass_at (split: injection)
+    cult_pass_at: np.ndarray | None  # two-stage split: cultivation passes
+    shared_below: np.uint64  # common mode: the sites share one fate when h < it
+    shared_pass_at: np.uint64  # common mode: the shared fate passes when h >= it
+    joint_cdf: np.ndarray | None  # explicit joint: cumulative outcome table
+    keep_below: np.uint64  # escape keeps when h < keep_below
+    error_below: np.uint64  # bernoulli escape: a kept output is an error when h < it
+    pool_gaps: np.ndarray | None
+    pool_correct: np.ndarray | None
+
+
+def _plan(config: SimConfig) -> _Plan:
+    corr = config.failure_model.correlation
+    esc = config.escape_model
+    split = config.stage_split
+    rates = np.asarray(config.failure_model.per_site_fail, dtype=np.float64)
+    common = isinstance(corr, CommonMode)
+    joint = isinstance(corr, ExplicitJoint)
+    empirical = esc.kind == "empirical"
+    if split is not None:
+        pass_at = _thresholds(split.injection_fail)
+    else:
+        pass_at = None if joint else _thresholds(rates)
+    return _Plan(
+        config=config,
+        stride=_stride(config.k),
+        pass_at=pass_at,
+        cult_pass_at=_thresholds(split.cultivation_fail) if split is not None else None,
+        shared_below=np.uint64(_threshold(corr.c) if common else 0),
+        shared_pass_at=np.uint64(_threshold(rates.mean()) if common else 0),
+        joint_cdf=np.cumsum(np.asarray(corr.table, dtype=np.float64)) if joint else None,
+        keep_below=np.uint64(_threshold(esc.keep_prob)),
+        error_below=np.uint64(_threshold(esc.q)),
+        pool_gaps=np.asarray(esc.pool_gaps, dtype=np.float64) if empirical else None,
+        pool_correct=np.asarray(esc.pool_correct, dtype=bool) if empirical else None,
+    )
+
+
+def _philox(seed: int, start_shot: int, stride: int) -> np.random.Philox:
+    """The counter stream positioned at the first word of ``start_shot``."""
     bits = np.random.Philox(key=seed)
     bits.advance(start_shot * stride // 4)
-    return np.random.Generator(bits).random((n_shots, stride))
+    return bits
 
 
-def _survival_bits(u: np.ndarray, config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
-    """(injection-pass, cultivation-pass) booleans of shape (n, k)."""
-    k = config.k
-    model = config.failure_model
-    rates = np.asarray(model.per_site_fail, dtype=np.float64)
-    site_u = u[:, 2 : 2 + k]
+def _draws(bits: np.random.Philox, n_shots: int, stride: int) -> np.ndarray:
+    """h = w >> 11 of the next n_shots windows of raw words, shape (n, stride)."""
+    h = bits.random_raw(n_shots * stride).reshape(n_shots, stride)
+    h >>= np.uint64(11)
+    return h
 
-    if config.stage_split is not None:
-        inj_rates = np.asarray(config.stage_split.injection_fail)
-        cult_rates = np.asarray(config.stage_split.cultivation_fail)
-        inj = site_u >= inj_rates
-        cult = inj & (u[:, 2 + k : 2 + 2 * k] >= cult_rates)
-        return inj, cult
 
-    corr = model.correlation
-    if isinstance(corr, Independent):
-        chi = site_u >= rates
-    elif isinstance(corr, CommonMode):
-        independent = site_u >= rates
-        shared = u[:, 0] < corr.c
-        shared_pass = u[:, 1] >= rates.mean()
-        chi = np.where(shared[:, None], shared_pass[:, None], independent)
-    else:
-        assert isinstance(corr, ExplicitJoint)
-        cdf = np.cumsum(np.asarray(corr.table, dtype=np.float64))
+def _survival_bits(h: np.ndarray, plan: _Plan) -> tuple[np.ndarray, np.ndarray]:
+    """(injection-pass, cultivation-pass) booleans of shape (n, k).
+
+    Cultivation passing implies injection passing, so the second array alone
+    says which sites survived.
+    """
+    k = plan.config.k
+    site = h[:, 2 : 2 + k]
+    if plan.cult_pass_at is not None:
+        inj = site >= plan.pass_at
+        return inj, inj & (h[:, 2 + k : 2 + 2 * k] >= plan.cult_pass_at)
+    if plan.joint_cdf is not None:
         outcome = np.minimum(
-            np.searchsorted(cdf, u[:, 0], side="right"), 2**k - 1
+            np.searchsorted(plan.joint_cdf, _floats(h[:, 0]), side="right"), 2**k - 1
         )
-        fail_bits = (outcome[:, None] >> np.arange(k)) & 1
-        chi = fail_bits == 0
+        chi = ((outcome[:, None] >> np.arange(k)) & 1) == 0
+    elif isinstance(plan.config.failure_model.correlation, CommonMode):
+        shared = h[:, 0] < plan.shared_below
+        shared_pass = h[:, 1] >= plan.shared_pass_at
+        chi = np.where(shared[:, None], shared_pass[:, None], site >= plan.pass_at)
+    else:
+        chi = site >= plan.pass_at
     return chi, chi
 
 
-def _escape_draws(
-    u: np.ndarray, config: SimConfig
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(keep, correct, gap) for every row; meaningful only where a site survived."""
-    k = config.k
-    esc = config.escape_model
-    n = u.shape[0]
-    col_keep, col_cls, col_gap = 2 * k + 2, 2 * k + 3, 2 * k + 4
+def _site_counts(chi: np.ndarray) -> np.ndarray:
+    """Surviving sites per row, summed column by column in the smallest dtype."""
+    counts = np.zeros(chi.shape[0], dtype=np.min_scalar_type(chi.shape[1]))
+    for column in chi.T:
+        counts += column
+    return counts
 
+
+def _kept(h: np.ndarray, candidate: np.ndarray, plan: _Plan) -> np.ndarray:
+    """Rows with a candidate that the escape stage keeps."""
+    if plan.config.escape_model.kind == "always_keep":
+        return candidate
+    return candidate & (h[:, 2 * plan.config.k + 2] < plan.keep_below)
+
+
+def _escape_draws(
+    h: np.ndarray, rows: np.ndarray, plan: _Plan
+) -> tuple[np.ndarray, np.ndarray]:
+    """(gap, correct) of the given rows; floats are made for these rows only."""
+    k = plan.config.k
+    esc = plan.config.escape_model
+    u = _floats(h[rows, 2 * k + 4])
+    if esc.kind == "empirical":
+        size = plan.pool_gaps.size
+        idx = np.minimum((u * size).astype(np.int64), size - 1)
+        return plan.pool_gaps[idx], plan.pool_correct[idx]
+    e = -np.log1p(-u)  # one unit-exponential variate per row, shared by both classes
     if esc.kind == "always_keep":
-        keep = np.ones(n, dtype=bool)
-        correct = np.ones(n, dtype=bool)
-        gaps = esc.gap_correct.sample(u[:, col_gap])
-    elif esc.kind == "bernoulli":
-        keep = u[:, col_keep] < esc.keep_prob
-        erroneous = u[:, col_cls] < esc.q
-        gaps = np.where(
-            erroneous,
-            esc.gap_error.sample(u[:, col_gap]),
-            esc.gap_correct.sample(u[:, col_gap]),
-        )
-        correct = ~erroneous
-    else:
-        keep = u[:, col_keep] < esc.keep_prob
-        pool_gaps = np.asarray(esc.pool_gaps, dtype=np.float64)
-        pool_correct = np.asarray(esc.pool_correct, dtype=bool)
-        idx = np.minimum(
-            (u[:, col_gap] * pool_gaps.size).astype(np.int64), pool_gaps.size - 1
-        )
-        gaps = pool_gaps[idx]
-        correct = pool_correct[idx]
-    return keep, correct, np.asarray(gaps, dtype=np.float64)
+        return esc.gap_correct.from_exponential(e), np.ones(rows.size, dtype=bool)
+    erroneous = h[rows, 2 * k + 3] < plan.error_below
+    gaps = np.where(
+        erroneous, esc.gap_error.from_exponential(e), esc.gap_correct.from_exponential(e)
+    )
+    return gaps, ~erroneous
+
+
+# Shots folded at once inside a chunk: a block's words (8192 * stride * 8
+# bytes, 1 MiB at k=4) stay in cache across the passes over them.
+_BLOCK = 8192
 
 
 @dataclass(eq=False)
-class _ChunkFold:
+class _Fold:
+    """Counts over a run of shots; the kept shots' columns only with records."""
+
     histogram: np.ndarray
-    early_discards: int
-    kept_shot_index: np.ndarray
-    kept_gaps: np.ndarray
-    kept_correct: np.ndarray
+    kept: int
+    kept_shot_index: np.ndarray | None = None
+    kept_gaps: np.ndarray | None = None
+    kept_correct: np.ndarray | None = None
 
 
-def _process_chunk(config: SimConfig, start: int, count: int) -> _ChunkFold:
-    u = _uniform_block(config.seed, start, count, config.k)
-    inj, cult = _survival_bits(u, config)
-    chi = inj & cult
-    sizes = chi.sum(axis=1)
-    has_candidate = sizes > 0
-    keep, correct, gaps = _escape_draws(u, config)
-    kept = has_candidate & keep
-    local = np.nonzero(kept)[0]
-    return _ChunkFold(
-        histogram=np.bincount(sizes, minlength=config.k + 1),
-        early_discards=int((~has_candidate).sum()),
-        kept_shot_index=local + start,
-        kept_gaps=gaps[kept],
-        kept_correct=correct[kept],
+def _merge(folds: list[_Fold]) -> _Fold:
+    """Folds of consecutive shot runs, in shot order, as one."""
+    merged = _Fold(sum(f.histogram for f in folds), sum(f.kept for f in folds))
+    if folds[0].kept_shot_index is not None:
+        merged.kept_shot_index = np.concatenate([f.kept_shot_index for f in folds])
+        merged.kept_gaps = np.concatenate([f.kept_gaps for f in folds])
+        merged.kept_correct = np.concatenate([f.kept_correct for f in folds])
+    return merged
+
+
+def _fold_block(plan: _Plan, bits: np.random.Philox, start: int, count: int) -> _Fold:
+    h = _draws(bits, count, plan.stride)
+    _, survived = _survival_bits(h, plan)
+    sizes = _site_counts(survived)
+    histogram = np.bincount(sizes, minlength=plan.config.k + 1)
+    kept = _kept(h, sizes > 0, plan)
+    if not plan.config.collect_records:
+        return _Fold(histogram, int(np.count_nonzero(kept)))
+    rows = np.flatnonzero(kept)
+    gaps, correct = _escape_draws(h, rows, plan)
+    return _Fold(histogram, int(rows.size), rows + start, gaps, correct)
+
+
+def _process_chunk(plan: _Plan, start: int, count: int) -> _Fold:
+    bits = _philox(plan.config.seed, start, plan.stride)
+    end = start + count
+    return _merge(
+        [_fold_block(plan, bits, s, min(_BLOCK, end - s)) for s in range(start, end, _BLOCK)]
     )
 
 
@@ -350,21 +448,18 @@ def run_simulation(
     if chunk_size < 1:
         raise ValueError("chunk_size must be at least 1")
     n = config.n_shots
+    plan = _plan(config)
     starts = [(s, min(chunk_size, n - s)) for s in range(0, n, chunk_size)]
 
     if workers == 1 or len(starts) == 1:
-        folds = [_process_chunk(config, s, m) for s, m in starts]
+        folds = [_process_chunk(plan, s, m) for s, m in starts]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            folds = list(pool.map(lambda sm: _process_chunk(config, *sm), starts))
+            folds = list(pool.map(lambda sm: _process_chunk(plan, *sm), starts))
 
-    histogram = np.zeros(config.k + 1, dtype=np.int64)
-    early_discards = 0
-    for f in folds:
-        histogram += f.histogram
-        early_discards += f.early_discards
-    kept_idx = np.concatenate([f.kept_shot_index for f in folds])
-    kept = int(kept_idx.size)
+    total = _merge(folds)
+    early_discards = int(total.histogram[0])
+    kept = total.kept
 
     warnings: tuple[str, ...] = ()
     if kept:
@@ -376,10 +471,10 @@ def run_simulation(
     records = None
     if config.collect_records:
         records = RecordSet(
-            gaps=np.concatenate([f.kept_gaps for f in folds]),
-            correct=np.concatenate([f.kept_correct for f in folds]),
+            gaps=total.kept_gaps,
+            correct=total.kept_correct,
             n_attempts=n,
-            shot_index=kept_idx,
+            shot_index=total.kept_shot_index,
         )
 
     return SimSummary(
@@ -388,7 +483,7 @@ def run_simulation(
         kept=kept,
         empirical_discard=early_discards / n,
         empirical_attempts=attempts,
-        site_survival_histogram=tuple(int(c) for c in histogram),
+        site_survival_histogram=tuple(int(c) for c in total.histogram),
         records=records,
         warnings=warnings,
         labels=config.labels(),
@@ -403,18 +498,20 @@ def sample_shot(shot_index: int, config: SimConfig):
     """
     if not (0 <= shot_index < config.n_shots):
         raise ValueError(f"shot_index {shot_index} outside 0..{config.n_shots - 1}")
-    u = _uniform_block(config.seed, shot_index, 1, config.k)
-    inj, cult = _survival_bits(u, config)
+    plan = _plan(config)
+    h = _draws(_philox(config.seed, shot_index, plan.stride), 1, plan.stride)
+    inj, cult = _survival_bits(h, plan)
     indicators = SiteIndicators(
         inj=tuple(int(b) for b in inj[0]), cult=tuple(int(b) for b in cult[0])
     )
-    if any(indicators.survival):
-        keep, correct, gaps = _escape_draws(u, config)
-        outcome = complete_shot(indicators, config.selection_rule, bool(keep[0]))
-        if outcome.escape_kept:
-            return outcome, (float(gaps[0]), bool(correct[0]))
+    if not any(indicators.survival):
+        return complete_shot(indicators, config.selection_rule, None), None
+    keep = bool(_kept(h, np.ones(1, dtype=bool), plan)[0])
+    outcome = complete_shot(indicators, config.selection_rule, keep)
+    if not outcome.escape_kept:
         return outcome, None
-    return complete_shot(indicators, config.selection_rule, None), None
+    gaps, correct = _escape_draws(h, np.zeros(1, dtype=np.intp), plan)
+    return outcome, (float(gaps[0]), bool(correct[0]))
 
 
 def calibrate_from_table(discard_single: float, k: int = 4) -> FailureModel:

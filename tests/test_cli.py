@@ -355,6 +355,17 @@ def test_gap_sweep_oversized_integers_are_format_errors(tmp_path, capsys, record
     assert capsys.readouterr().err == f"input format error: {message}\n"
 
 
+def test_gap_sweep_oversized_csv_cell_is_one_format_error(tmp_path, capsys):
+    path = tmp_path / "big.csv"
+    path.write_text('gap,correct\n1,true\n"' + "1" * 200_000 + '",true\n')
+    assert run_cli("gap-sweep", "--records", str(path), "--out", str(tmp_path)) == EXIT_FORMAT
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        f"input format error: {path}: record 2: field larger than field limit"
+        f" ({csv.field_size_limit()})"
+    ]
+
+
 def test_gap_sweep_missing_file_is_config_error(tmp_path):
     assert (
         run_cli("gap-sweep", "--records", str(tmp_path / "none.jsonl")) == EXIT_CONFIG

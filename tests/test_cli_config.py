@@ -307,3 +307,15 @@ def test_linear_grid_must_be_finite_and_increasing(tmp_path, capsys, grid):
     lines = capsys.readouterr().err.splitlines()
     assert code == EXIT_CONFIG
     assert lines == ["config error: thresholds start, stop and count give no finite increasing grid"]
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_below_one_is_one_config_error(tmp_path, capsys, workers):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"k": 2, "n_shots": 10, "failure": {"calibrate_discard": 0.5}}))
+    code = main(
+        ["simulate", "--config", str(path), "--out", str(tmp_path / "out"), "--workers", workers]
+    )
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.splitlines() == ["config error: workers must be at least 1"]
+    assert not (tmp_path / "out").exists()

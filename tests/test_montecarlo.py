@@ -1,10 +1,12 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from patchmux import montecarlo
 from patchmux.analytics import (
     CommonMode,
     ExplicitJoint,
@@ -396,3 +398,250 @@ def test_config_validation():
             seed=1,
             selection_rule=SelectionRule.fixed_priority((2, 1)),
         )
+
+
+# ---------------------------------------------------------------------------
+# the kernel reads raw Philox words; everything below pins it to the float
+# kernel it replaced
+
+
+def reference_gaps(dist, u):
+    if dist.kind == "constant":
+        return np.full(u.shape, dist.value, dtype=np.float64)
+    x = -np.log1p(-u) / dist.rate
+    return np.floor(x) if dist.kind == "discrete_exponential" else x
+
+
+def reference_run(config):
+    """The float kernel the sampler had before it read raw words.
+
+    Every shot's window comes from ``Generator.random((n, stride))``, every
+    test compares floats, and both gap classes are evaluated for every row.
+    Returns (histogram, early_discards, kept shot indices, gaps, correct).
+    """
+    stride = 2 * config.k + 5 + (-(2 * config.k + 5)) % 4
+    bits = np.random.Philox(key=config.seed)
+    return reference_fold(config, np.random.Generator(bits).random((config.n_shots, stride)))
+
+
+def reference_fold(config, u):
+    """The float kernel's fold over the uniforms ``u``, one row per shot."""
+    k, n = config.k, u.shape[0]
+    model = config.failure_model
+    corr = model.correlation
+    rates = np.asarray(model.per_site_fail, dtype=np.float64)
+    site_u = u[:, 2 : 2 + k]
+    if config.stage_split is not None:
+        inj = site_u >= np.asarray(config.stage_split.injection_fail)
+        chi = inj & (u[:, 2 + k : 2 + 2 * k] >= np.asarray(config.stage_split.cultivation_fail))
+    elif isinstance(corr, CommonMode):
+        shared = u[:, 0] < corr.c
+        shared_pass = u[:, 1] >= rates.mean()
+        chi = np.where(shared[:, None], shared_pass[:, None], site_u >= rates)
+    elif isinstance(corr, ExplicitJoint):
+        cdf = np.cumsum(np.asarray(corr.table, dtype=np.float64))
+        outcome = np.minimum(np.searchsorted(cdf, u[:, 0], side="right"), 2**k - 1)
+        chi = ((outcome[:, None] >> np.arange(k)) & 1) == 0
+    else:
+        chi = site_u >= rates
+    sizes = chi.sum(axis=1)
+
+    esc = config.escape_model
+    g = u[:, 2 * k + 4]
+    keep = u[:, 2 * k + 2] < esc.keep_prob
+    if esc.kind == "always_keep":
+        keep = np.ones(n, dtype=bool)
+        correct = np.ones(n, dtype=bool)
+        gaps = reference_gaps(esc.gap_correct, g)
+    elif esc.kind == "bernoulli":
+        erroneous = u[:, 2 * k + 3] < esc.q
+        gaps = np.where(
+            erroneous, reference_gaps(esc.gap_error, g), reference_gaps(esc.gap_correct, g)
+        )
+        correct = ~erroneous
+    else:
+        pool_gaps = np.asarray(esc.pool_gaps, dtype=np.float64)
+        idx = np.minimum((g * pool_gaps.size).astype(np.int64), pool_gaps.size - 1)
+        gaps = pool_gaps[idx]
+        correct = np.asarray(esc.pool_correct, dtype=bool)[idx]
+    kept = (sizes > 0) & keep
+    histogram = tuple(int(c) for c in np.bincount(sizes, minlength=k + 1))
+    return histogram, int((sizes == 0).sum()), np.nonzero(kept)[0], gaps[kept], correct[kept]
+
+
+def test_raw_words_give_the_generator_floats():
+    for start_shot, stride in ((0, 16), (4097, 16), (3, 8)):
+        n = 65_536 // stride
+        h = montecarlo._draws(montecarlo._philox(11, start_shot, stride), n, stride)
+        bits = np.random.Philox(key=11)
+        bits.advance(start_shot * stride // 4)
+        expected = np.random.Generator(bits).random((n, stride))
+        assert np.array_equal(montecarlo._floats(h), expected)
+
+
+@pytest.mark.parametrize(
+    "r", [0.0, 1.0, 0.4903, 0.5, 1e-300, 5e-324, 2.0**-53, 3 * 2.0**-54, 1 - 2.0**-53, -0.1, 1.5]
+)
+def test_integer_threshold_decides_the_float_test(r):
+    t = montecarlo._threshold(r)
+    top = 2**53 - 1
+    for h in {0, 1, t - 1, t, t + 1, top - 1, top}:
+        if 0 <= h <= top:
+            u = h * 2.0**-53
+            assert (h >= t) == (u >= r)
+            assert (h < t) == (u < r)
+
+
+def test_nan_rate_never_passes_a_site():
+    assert montecarlo._threshold(math.nan) == 2**53  # h >= 2**53 never holds, like u >= nan
+
+
+FAILURES = {
+    "independent": lambda: (FailureModel(per_site_fail=(0.3, 0.6, 0.8, 0.2)), None),
+    "common_mode": lambda: (FailureModel.identical(0.55, 4, CommonMode(0.37)), None),
+    "explicit_joint": lambda: (
+        FailureModel(
+            per_site_fail=(0.25, 0.5, 0.75),
+            correlation=ExplicitJoint(product_joint_table((0.25, 0.5, 0.75))),
+        ),
+        None,
+    ),
+    "stage_split": lambda: (
+        calibrate_from_table(0.28, 2),
+        StageSplit((0.1, 0.1), (0.2, 0.2)),  # 0.1 + 0.9*0.2 = 0.28
+    ),
+}
+ESCAPES = {
+    "always_keep": lambda: EscapeModel.always_keep(GapDistribution("exponential", rate=0.1)),
+    "bernoulli": lambda: EscapeModel.bernoulli_error(
+        0.3, keep_prob=0.7, gap_error=GapDistribution("constant", value=1.5)
+    ),
+    "empirical": lambda: EscapeModel.empirical(
+        RecordSet([2.0, 5.0, 11.0, 0.25], [True, False, True, False], n_attempts=4),
+        keep_prob=0.9,
+    ),
+}
+
+
+def sim_config(failure_name, escape_name, n_shots, seed, collect_records=True):
+    failure, split = FAILURES[failure_name]()
+    return SimConfig(
+        failure_model=failure,
+        n_shots=n_shots,
+        seed=seed,
+        escape_model=ESCAPES[escape_name](),
+        stage_split=split,
+        collect_records=collect_records,
+    )
+
+
+def assert_matches_reference(summary, expected):
+    histogram, early, shot_index, gaps, correct = expected
+    assert summary.site_survival_histogram == histogram
+    assert summary.early_discards == early
+    assert summary.kept == shot_index.size
+    if summary.records is not None:
+        assert np.array_equal(summary.records.shot_index, shot_index)
+        assert np.array_equal(summary.records.gaps, gaps)
+        assert np.array_equal(summary.records.correct, correct)
+
+
+DEFAULT_BLOCK = montecarlo._BLOCK
+
+
+@pytest.mark.parametrize("block", [DEFAULT_BLOCK, 97], ids=lambda b: f"block{b}")
+@pytest.mark.parametrize("escape_name", list(ESCAPES))
+@pytest.mark.parametrize("failure_name", list(FAILURES))
+def test_records_on_and_off_match_the_float_kernel(
+    monkeypatch, failure_name, escape_name, block
+):
+    monkeypatch.setattr(montecarlo, "_BLOCK", block)
+    expected = reference_run(sim_config(failure_name, escape_name, 1000, seed=4242))
+    # one-shot chunks never reach a block boundary, so they run at one block size
+    chunks = (1, 977, 65_536) if block == DEFAULT_BLOCK else (977, 65_536)
+    for collect in (True, False):
+        cfg = sim_config(failure_name, escape_name, 1000, seed=4242, collect_records=collect)
+        for chunk in chunks:
+            for workers in (1, 2):
+                summary = run_simulation(cfg, workers=workers, chunk_size=chunk)
+                assert (summary.records is not None) == collect
+                assert_matches_reference(summary, expected)
+
+
+@pytest.mark.parametrize("escape_name", list(ESCAPES))
+@pytest.mark.parametrize("failure_name", list(FAILURES))
+def test_words_at_every_threshold_match_the_float_kernel(monkeypatch, failure_name, escape_name):
+    # words one below, at and one above each threshold, where a flipped
+    # comparison or an off-by-one threshold would show
+    cfg = sim_config(failure_name, escape_name, 4000, seed=1)
+    plan = montecarlo._plan(cfg)
+    edges = {0, 1, 2**53 - 1}
+    for t in (plan.pass_at, plan.cult_pass_at, plan.shared_below, plan.shared_pass_at,
+              plan.keep_below, plan.error_below):
+        if t is not None:
+            edges |= {int(v) + d for v in np.atleast_1d(t) for d in (-1, 0, 1)}
+    edges = np.array(sorted(e for e in edges if 0 <= e < 2**53), dtype=np.uint64)
+    h = np.random.default_rng(5).choice(edges, size=(cfg.n_shots, plan.stride))
+    monkeypatch.setattr(montecarlo, "_draws", lambda bits, n, stride: h.copy())
+    expected = reference_fold(cfg, h * 2.0**-53)
+    assert_matches_reference(run_simulation(cfg, chunk_size=cfg.n_shots), expected)
+    # sample_shot reads the same words through the same helpers
+    monkeypatch.setattr(montecarlo, "_draws", lambda bits, n, stride: h[:1].copy())
+    _, record = sample_shot(0, cfg)
+    assert (record is not None) == (expected[2][:1].tolist() == [0])
+
+
+def test_default_blocks_and_chunks_match_the_float_kernel():
+    # more shots than one default chunk, so chunks and blocks both split
+    cfg = sim_config("stage_split", "bernoulli", 70_000, seed=99)
+    expected = reference_run(cfg)
+    assert_matches_reference(run_simulation(cfg, workers=2), expected)
+    off = run_simulation(replace(cfg, collect_records=False), workers=2)
+    assert_matches_reference(off, expected)
+
+
+@pytest.mark.parametrize("collect", [True, False], ids=["records_on", "records_off"])
+def test_rates_of_zero_and_one_give_exact_counts(collect):
+    n = 3000
+
+    def run(failure, escape=None, split=None):
+        cfg = SimConfig(
+            failure_model=failure,
+            n_shots=n,
+            seed=57,
+            escape_model=escape or EscapeModel.always_keep(),
+            stage_split=split,
+            collect_records=collect,
+        )
+        summary = run_simulation(cfg, workers=2, chunk_size=977)
+        assert_matches_reference(summary, reference_run(replace(cfg, collect_records=True)))
+        return summary
+
+    # site rates: sites 1 and 3 always survive, sites 2 and 4 never do
+    s = run(FailureModel(per_site_fail=(0.0, 1.0, 0.0, 1.0)))
+    assert (s.site_survival_histogram, s.early_discards, s.kept) == ((0, 0, n, 0, 0), 0, n)
+    s = run(FailureModel(per_site_fail=(1.0,) * 4))
+    assert (s.site_survival_histogram, s.kept) == ((n, 0, 0, 0, 0), 0)
+    s = run(FailureModel(per_site_fail=(0.0, 1.0)), split=StageSplit((0.0, 1.0), (0.0, 0.5)))
+    assert s.site_survival_histogram == (0, n, 0)
+
+    model = calibrate_from_table(0.45, 4)
+    assert run(model, EscapeModel.bernoulli_error(0.2, keep_prob=0.0)).kept == 0
+    s = run(model, EscapeModel.bernoulli_error(0.2, keep_prob=1.0))
+    assert s.kept == n - s.early_discards
+    for q in (0.0, 1.0):
+        s = run(model, EscapeModel.bernoulli_error(q))
+        assert s.kept == n - s.early_discards
+        if collect:
+            assert s.records.correct.tolist() == [q == 0.0] * s.kept
+
+    # common mode: c = 0 is the independent model, c = 1 gives every site one fate
+    rates = (0.3, 0.6, 0.8, 0.2)
+    independent = run(FailureModel(per_site_fail=rates))
+    assert summaries_equal(run(FailureModel(rates, CommonMode(0.0))), independent)
+    s = run(FailureModel(rates, CommonMode(1.0)))
+    assert s.site_survival_histogram[1:4] == (0, 0, 0)
+    assert abs(s.empirical_discard - 0.475) <= 4 * discard_sigma(0.475, n)
+    for d, histogram in ((0.0, (0, 0, 0, 0, n)), (1.0, (n, 0, 0, 0, 0))):
+        s = run(FailureModel.identical(d, 4, CommonMode(1.0)))
+        assert s.site_survival_histogram == histogram

@@ -105,3 +105,34 @@ def test_pair_reports_a_crossing(chain_outputs):
     assert crossing is not None
     low, high = crossing["bracket"]
     assert low <= crossing["threshold"] <= high
+
+
+# A records-off simulate of the sampler benchmark's model (k=4, D=0.4903,
+# Bernoulli q=0.05, continuous exponential gaps) on two workers: the path
+# that folds counts only, which the chain pins above do not reach.
+RECORDS_OFF_PIN = "786d1306a0ac2b082ec6ae39ff16377d1c6572bda7baadbe83d54ee2a3b4193d"
+
+
+def test_records_off_summary_bytes_are_pinned(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("off.json").write_text(
+        json.dumps(
+            {
+                "k": 4,
+                "n_shots": 200000,
+                "seed": 2024,
+                "failure": {"kind": "independent", "calibrate_discard": 0.4903},
+                "escape": {
+                    "kind": "bernoulli",
+                    "q": 0.05,
+                    "gap_correct": {"kind": "exponential", "rate": 0.05},
+                    "gap_error": {"kind": "exponential", "rate": 0.25},
+                },
+                "labels": {"d1": 3, "p": 0.002},
+                "records": False,
+            }
+        )
+    )
+    assert main(["simulate", "--config", "off.json", "--out", "off", "--workers", "2"]) == EXIT_OK
+    assert not Path("off/records.jsonl").exists()
+    assert _sha("off/sim_summary.json") == RECORDS_OFF_PIN

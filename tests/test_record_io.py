@@ -241,6 +241,19 @@ def test_csv_bad_row_in_a_later_block(tmp_path, block, bad, message):
         RecordSet.from_csv(path)
 
 
+@pytest.mark.parametrize("row, number", [(4, 4), (0, 0)], ids=["record", "header"])
+def test_csv_cell_past_the_field_limit_names_file_and_record(tmp_path, block, row, number):
+    rows = ["gap,correct", "1,true", "", "2,false", "3,true", "5,true"]
+    rows[row] = '"' + "1" * 200_000 + '",' + rows[row].split(",")[1]
+    path = tmp_path / "records.csv"
+    write_lines(path, rows)
+    with pytest.raises(RecordFormatError) as info:
+        RecordSet.from_csv(path)
+    assert str(info.value) == (
+        f"{path}: record {number}: field larger than field limit ({csv.field_size_limit()})"
+    )
+
+
 def test_readers_agree_across_block_sizes(tmp_path, monkeypatch):
     rng = np.random.default_rng(3)
     gaps = np.round(rng.exponential(20.0, 1000), 3).tolist()
