@@ -22,7 +22,7 @@ from .analytics import (
 )
 from .gap_analysis import RecordSet, SweepCurve, find_crossing, sweep
 from .geometry import CellSet, FootprintSpec, PatchLayout, Rotation, Stage, pack_sites, rotate_footprint, validate_layout
-from .montecarlo import EscapeModel, SimConfig, SimSummary, calibrate_from_table, run_simulation, sample_shot
+from .montecarlo import EscapeModel, SimConfig, SimSummary, run_simulation, sample_shot
 from .pipeline import CandidateSet, SelectionRule, ShotOutcome, SiteIndicators, complete_shot, form_candidate_set, select_candidate
 
 __all__ = [
@@ -54,7 +54,6 @@ __all__ = [
     "EscapeModel",
     "SimConfig",
     "SimSummary",
-    "calibrate_from_table",
     "run_simulation",
     "sample_shot",
     "RecordSet",

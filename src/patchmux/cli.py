@@ -54,6 +54,7 @@ from .layout_io import (
     load_layout_file,
 )
 from .montecarlo import (
+    LAYOUT_VERSION,
     EscapeModel,
     GapDistribution,
     SimConfig,
@@ -482,9 +483,7 @@ def _escape_model(escape: dict) -> EscapeModel:
     if fields.get("kind") == "empirical":
         if "pool_path" not in escape:
             raise ConfigError("empirical escape model needs pool_path")
-        pool = _load_record_set(_require_file(escape["pool_path"], "escape pool"))
-        fields["pool_gaps"] = tuple(pool.gaps.tolist())
-        fields["pool_correct"] = tuple(pool.correct.tolist())
+        fields["pool"] = _load_record_set(_require_file(escape["pool_path"], "escape pool"))
     return EscapeModel(**fields)
 
 
@@ -561,6 +560,7 @@ def cmd_simulate(args) -> int:
         records_path = out / "records.jsonl"
         results["records_written"] = write_records_jsonl(summary, records_path)
     report = _report("simulate", effective, results, seed=seed)
+    report["provenance"]["layout_version"] = LAYOUT_VERSION  # how the seed becomes draws
     _write_json(out / "sim_summary.json", report)
 
     print(
@@ -620,6 +620,14 @@ def cmd_gap_sweep(args) -> int:
         record_sets = [
             _load_record_set(path, n_att) for path, n_att in zip(files, per_input)
         ]
+    for path, rs in zip(files, record_sets):
+        if rs.attempts_summed:
+            print(
+                f"warning: {path}: n_attempts {rs.n_attempts} is the sum of attempts_consumed, "
+                "which drops the shots after the last kept one; pass the simulate "
+                "report's shots as n_attempts",
+                file=sys.stderr,
+            )
     grid = _threshold_grid(cfg.get("thresholds"), record_sets)
     out = _out_dir(args, cfg)
 

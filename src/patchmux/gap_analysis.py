@@ -258,6 +258,10 @@ class RecordSet:
     when known, is the attempt number of each kept shot.
     """
 
+    # set by from_jsonl when n_attempts is the sum of attempts_consumed, which
+    # leaves out the shots after the last kept one
+    attempts_summed = False
+
     def __init__(
         self,
         gaps: np.ndarray,
@@ -318,12 +322,14 @@ class RecordSet:
                 columns.append(gaps, correct)
                 with_consumed += block_consumed
                 line_no += len(lines)
-        if n_attempts is None:
-            if with_consumed and with_consumed == columns.size:
-                n_attempts = consumed
-            else:
-                n_attempts = max(1, columns.size)
-        return columns.record_set(n_attempts)
+        summed = n_attempts is None and 0 < with_consumed == columns.size
+        if summed:
+            n_attempts = consumed
+        elif n_attempts is None:
+            n_attempts = max(1, columns.size)
+        records = columns.record_set(n_attempts)
+        records.attempts_summed = summed
+        return records
 
     @classmethod
     def from_csv(cls, path: str | Path, n_attempts: int | None = None) -> "RecordSet":

@@ -1,11 +1,14 @@
 """Seeded shot sampling over a failure model, with a pluggable escape stage.
 
-Determinism contract: every shot owns a fixed window of a counter-based
-stream of 64-bit words keyed by the master seed (Philox; shot i uses words
-[i*stride, (i+1)*stride)). Results are therefore a pure fold over shots in
-index order, and chunking or thread count cannot change any output bit.
+Determinism contract (draw layout v2, ``LAYOUT_VERSION``): every draw slot
+of the table below owns its own counter-based stream of 64-bit words,
+Philox keyed by ``seed + (slot << 64)``, and shot i reads word i of each
+stream (``_slot_words``). The key is injective in (seed, slot) for every
+seed up to ``MAX_SEED``. Results are therefore a pure fold over shots in
+index order, and chunking, block size, thread count or collecting records
+cannot change any output bit.
 
-Per-shot draw layout (k sites, stride padded to a multiple of 4):
+Draw slots (k sites):
 
     0           correlation selector (common-mode mixture / joint outcome)
     1           shared common-mode fate
@@ -15,7 +18,9 @@ Per-shot draw layout (k sites, stride padded to a multiple of 4):
     2k+3        escape error-class draw
     2k+4        gap draw (also the empirical-pool index)
 
-Slots not used by a given model are simply ignored; the layout never moves.
+A slot's number depends only on k, never on the model, and a run generates
+only the streams its model reads: the keep slot only when the escape stage
+can reject, the error-class and gap slots only for records.
 
 Words are drawn raw. A draw w stands for the uniform u = (w >> 11) * 2**-53,
 the double ``Generator.random`` makes from the same word, but floats are made
@@ -47,6 +52,7 @@ from .pipeline import SelectionRule, SiteIndicators, complete_shot
 
 MAX_SEED = 2**64 - 1
 DEFAULT_CHUNK = 1 << 16
+LAYOUT_VERSION = 2  # the draw layout of the module docstring; simulate reports carry it
 
 
 @dataclass(frozen=True)
@@ -95,8 +101,7 @@ class EscapeModel:
     keep_prob: float = 1.0
     gap_correct: GapDistribution = DEFAULT_CORRECT_GAP
     gap_error: GapDistribution = DEFAULT_ERROR_GAP
-    pool_gaps: tuple[float, ...] = ()
-    pool_correct: tuple[bool, ...] = ()
+    pool: RecordSet | None = None  # empirical only; its constructor checked the columns
 
     def __post_init__(self) -> None:
         if self.kind not in ESCAPE_KINDS:
@@ -105,13 +110,18 @@ class EscapeModel:
             raise ModelError(f"error probability q={self.q!r} outside [0, 1]")
         if not (0.0 <= self.keep_prob <= 1.0):
             raise ModelError(f"keep_prob={self.keep_prob!r} outside [0, 1]")
-        if self.kind == "empirical":
-            if not self.pool_gaps:
-                raise ModelError("empirical escape model needs a non-empty pool")
-            if len(self.pool_gaps) != len(self.pool_correct):
-                raise ModelError("pool gaps and flags differ in length")
-            if any(g < 0 or math.isnan(g) or math.isinf(g) for g in self.pool_gaps):
-                raise ModelError("pool gaps must be finite and >= 0")
+        if self.kind == "empirical" and (self.pool is None or len(self.pool) == 0):
+            raise ModelError("empirical escape model needs a non-empty pool")
+
+    @property
+    def pool_gaps(self) -> np.ndarray:
+        """The pool's gap column, without a copy (empty without a pool)."""
+        return self.pool.gaps if self.pool is not None else np.empty(0)
+
+    @property
+    def pool_correct(self) -> np.ndarray:
+        """The pool's correct-flag column, without a copy (empty without a pool)."""
+        return self.pool.correct if self.pool is not None else np.empty(0, dtype=bool)
 
     @classmethod
     def always_keep(cls, gap: GapDistribution = DEFAULT_CORRECT_GAP) -> "EscapeModel":
@@ -135,12 +145,7 @@ class EscapeModel:
 
     @classmethod
     def empirical(cls, records: RecordSet, keep_prob: float = 1.0) -> "EscapeModel":
-        return cls(
-            kind="empirical",
-            keep_prob=keep_prob,
-            pool_gaps=tuple(records.gaps.tolist()),
-            pool_correct=tuple(records.correct.tolist()),
-        )
+        return cls(kind="empirical", keep_prob=keep_prob, pool=records)
 
 
 @dataclass(frozen=True)
@@ -236,12 +241,21 @@ class SimSummary:
     labels: dict
 
 
-def _stride(k: int) -> int:
-    base = 2 * k + 5
-    return base + (-base) % 4  # counter blocks are 4 draws wide
-
-
 _UNIT = 1 << 53  # a draw is u = h / 2**53 for the 53-bit integer h = w >> 11
+
+
+def _slot_words(seed: int, slot: int, start: int, n: int) -> np.ndarray:
+    """h = w >> 11 of words ``start .. start+n-1`` of the stream keyed (seed, slot).
+
+    Philox makes four words per counter step, so the stream is advanced to
+    the step that holds word ``start`` and the words before it are dropped.
+    """
+    bits = np.random.Philox(key=seed + (slot << 64))
+    bits.advance(start // 4)
+    bits.random_raw(start % 4)
+    h = bits.random_raw(n)
+    h >>= np.uint64(11)
+    return h
 
 
 def _threshold(r: float) -> int:
@@ -271,19 +285,16 @@ def _floats(h: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class _Plan:
-    """Per-run constants of the kernel: integer thresholds, joint CDF, pool."""
+    """Per-run constants of the kernel: integer thresholds and the joint CDF."""
 
     config: SimConfig
-    stride: int
     pass_at: np.ndarray | None  # site passes when h >= pass_at (split: injection)
     cult_pass_at: np.ndarray | None  # two-stage split: cultivation passes
     shared_below: np.uint64  # common mode: the sites share one fate when h < it
     shared_pass_at: np.uint64  # common mode: the shared fate passes when h >= it
     joint_cdf: np.ndarray | None  # explicit joint: cumulative outcome table
-    keep_below: np.uint64  # escape keeps when h < keep_below
+    keep_below: np.uint64  # escape keeps when h < keep_below (2**53: always)
     error_below: np.uint64  # bernoulli escape: a kept output is an error when h < it
-    pool_gaps: np.ndarray | None
-    pool_correct: np.ndarray | None
 
 
 def _plan(config: SimConfig) -> _Plan:
@@ -293,104 +304,93 @@ def _plan(config: SimConfig) -> _Plan:
     rates = np.asarray(config.failure_model.per_site_fail, dtype=np.float64)
     common = isinstance(corr, CommonMode)
     joint = isinstance(corr, ExplicitJoint)
-    empirical = esc.kind == "empirical"
     if split is not None:
         pass_at = _thresholds(split.injection_fail)
     else:
         pass_at = None if joint else _thresholds(rates)
     return _Plan(
         config=config,
-        stride=_stride(config.k),
         pass_at=pass_at,
         cult_pass_at=_thresholds(split.cultivation_fail) if split is not None else None,
         shared_below=np.uint64(_threshold(corr.c) if common else 0),
         shared_pass_at=np.uint64(_threshold(rates.mean()) if common else 0),
         joint_cdf=np.cumsum(np.asarray(corr.table, dtype=np.float64)) if joint else None,
-        keep_below=np.uint64(_threshold(esc.keep_prob)),
+        keep_below=np.uint64(
+            _UNIT if esc.kind == "always_keep" else _threshold(esc.keep_prob)
+        ),
         error_below=np.uint64(_threshold(esc.q)),
-        pool_gaps=np.asarray(esc.pool_gaps, dtype=np.float64) if empirical else None,
-        pool_correct=np.asarray(esc.pool_correct, dtype=bool) if empirical else None,
     )
 
 
-def _philox(seed: int, start_shot: int, stride: int) -> np.random.Philox:
-    """The counter stream positioned at the first word of ``start_shot``."""
-    bits = np.random.Philox(key=seed)
-    bits.advance(start_shot * stride // 4)
-    return bits
+def _survival_bits(plan: _Plan, draw) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """(injection-pass, cultivation-pass) boolean columns, one per site.
 
-
-def _draws(bits: np.random.Philox, n_shots: int, stride: int) -> np.ndarray:
-    """h = w >> 11 of the next n_shots windows of raw words, shape (n, stride)."""
-    h = bits.random_raw(n_shots * stride).reshape(n_shots, stride)
-    h >>= np.uint64(11)
-    return h
-
-
-def _survival_bits(h: np.ndarray, plan: _Plan) -> tuple[np.ndarray, np.ndarray]:
-    """(injection-pass, cultivation-pass) booleans of shape (n, k).
-
-    Cultivation passing implies injection passing, so the second array alone
-    says which sites survived.
+    ``draw(slot)`` returns the h column of one slot for the shots at hand, and
+    is called only for the slots the model reads. Cultivation passing implies
+    injection passing, so the second list alone says which sites survived.
     """
     k = plan.config.k
-    site = h[:, 2 : 2 + k]
-    if plan.cult_pass_at is not None:
-        inj = site >= plan.pass_at
-        return inj, inj & (h[:, 2 + k : 2 + 2 * k] >= plan.cult_pass_at)
     if plan.joint_cdf is not None:
         outcome = np.minimum(
-            np.searchsorted(plan.joint_cdf, _floats(h[:, 0]), side="right"), 2**k - 1
+            np.searchsorted(plan.joint_cdf, _floats(draw(0)), side="right"), 2**k - 1
         )
-        chi = ((outcome[:, None] >> np.arange(k)) & 1) == 0
-    elif isinstance(plan.config.failure_model.correlation, CommonMode):
-        shared = h[:, 0] < plan.shared_below
-        shared_pass = h[:, 1] >= plan.shared_pass_at
-        chi = np.where(shared[:, None], shared_pass[:, None], site >= plan.pass_at)
-    else:
-        chi = site >= plan.pass_at
-    return chi, chi
+        chi = [((outcome >> j) & 1) == 0 for j in range(k)]
+        return chi, chi
+    inj = [draw(2 + j) >= t for j, t in enumerate(plan.pass_at)]
+    if plan.cult_pass_at is not None:
+        return inj, [
+            passed & (draw(k + 2 + j) >= t)
+            for j, (passed, t) in enumerate(zip(inj, plan.cult_pass_at))
+        ]
+    if plan.shared_below:  # common mode with c > 0; c = 0 is the independent model
+        shared = draw(0) < plan.shared_below
+        shared_pass = shared & (draw(1) >= plan.shared_pass_at)
+        inj = [(passed & ~shared) | shared_pass for passed in inj]
+    return inj, inj
 
 
-def _site_counts(chi: np.ndarray) -> np.ndarray:
-    """Surviving sites per row, summed column by column in the smallest dtype."""
-    counts = np.zeros(chi.shape[0], dtype=np.min_scalar_type(chi.shape[1]))
-    for column in chi.T:
+def _site_counts(chi: list[np.ndarray]) -> np.ndarray:
+    """Surviving sites per shot, summed column by column in the smallest dtype."""
+    counts = np.zeros(chi[0].size, dtype=np.min_scalar_type(len(chi)))
+    for column in chi:
         counts += column
     return counts
 
 
-def _kept(h: np.ndarray, candidate: np.ndarray, plan: _Plan) -> np.ndarray:
-    """Rows with a candidate that the escape stage keeps."""
-    if plan.config.escape_model.kind == "always_keep":
+def _kept(plan: _Plan, draw, candidate: np.ndarray) -> np.ndarray:
+    """Shots with a candidate that the escape stage keeps.
+
+    A stage that keeps every candidate (``always_keep``, or ``keep_prob`` 1)
+    reads no keep words: h < 2**53 holds for every word.
+    """
+    if plan.keep_below == _UNIT:
         return candidate
-    return candidate & (h[:, 2 * plan.config.k + 2] < plan.keep_below)
+    return candidate & (draw(2 * plan.config.k + 2) < plan.keep_below)
 
 
-def _escape_draws(
-    h: np.ndarray, rows: np.ndarray, plan: _Plan
-) -> tuple[np.ndarray, np.ndarray]:
-    """(gap, correct) of the given rows; floats are made for these rows only."""
+def _escape_draws(plan: _Plan, draw, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(gap, correct) of the given shots; floats are made for these shots only."""
     k = plan.config.k
     esc = plan.config.escape_model
-    u = _floats(h[rows, 2 * k + 4])
+    u = _floats(draw(2 * k + 4)[rows])
     if esc.kind == "empirical":
-        size = plan.pool_gaps.size
+        size = len(esc.pool)
         idx = np.minimum((u * size).astype(np.int64), size - 1)
-        return plan.pool_gaps[idx], plan.pool_correct[idx]
-    e = -np.log1p(-u)  # one unit-exponential variate per row, shared by both classes
+        return esc.pool.gaps[idx], esc.pool.correct[idx]
+    e = -np.log1p(-u)  # one unit-exponential variate per shot, shared by both classes
     if esc.kind == "always_keep":
         return esc.gap_correct.from_exponential(e), np.ones(rows.size, dtype=bool)
-    erroneous = h[rows, 2 * k + 3] < plan.error_below
+    erroneous = draw(2 * k + 3)[rows] < plan.error_below
     gaps = np.where(
         erroneous, esc.gap_error.from_exponential(e), esc.gap_correct.from_exponential(e)
     )
     return gaps, ~erroneous
 
 
-# Shots folded at once inside a chunk: a block's words (8192 * stride * 8
-# bytes, 1 MiB at k=4) stay in cache across the passes over them.
-_BLOCK = 8192
+# Shots folded at once. Each slot a block reads is one column of _BLOCK words
+# (512 KiB), and each column costs one Philox construction (~25 us), so long
+# columns amortise it while a block's few columns still fit in cache.
+_BLOCK = 1 << 16
 
 
 @dataclass(eq=False)
@@ -414,24 +414,25 @@ def _merge(folds: list[_Fold]) -> _Fold:
     return merged
 
 
-def _fold_block(plan: _Plan, bits: np.random.Philox, start: int, count: int) -> _Fold:
-    h = _draws(bits, count, plan.stride)
-    _, survived = _survival_bits(h, plan)
+def _fold_block(plan: _Plan, start: int, count: int) -> _Fold:
+    def draw(slot: int) -> np.ndarray:
+        return _slot_words(plan.config.seed, slot, start, count)
+
+    _, survived = _survival_bits(plan, draw)
     sizes = _site_counts(survived)
     histogram = np.bincount(sizes, minlength=plan.config.k + 1)
-    kept = _kept(h, sizes > 0, plan)
+    kept = _kept(plan, draw, sizes > 0)
     if not plan.config.collect_records:
         return _Fold(histogram, int(np.count_nonzero(kept)))
     rows = np.flatnonzero(kept)
-    gaps, correct = _escape_draws(h, rows, plan)
+    gaps, correct = _escape_draws(plan, draw, rows)
     return _Fold(histogram, int(rows.size), rows + start, gaps, correct)
 
 
 def _process_chunk(plan: _Plan, start: int, count: int) -> _Fold:
-    bits = _philox(plan.config.seed, start, plan.stride)
     end = start + count
     return _merge(
-        [_fold_block(plan, bits, s, min(_BLOCK, end - s)) for s in range(start, end, _BLOCK)]
+        [_fold_block(plan, s, min(_BLOCK, end - s)) for s in range(start, end, _BLOCK)]
     )
 
 
@@ -499,24 +500,22 @@ def sample_shot(shot_index: int, config: SimConfig):
     if not (0 <= shot_index < config.n_shots):
         raise ValueError(f"shot_index {shot_index} outside 0..{config.n_shots - 1}")
     plan = _plan(config)
-    h = _draws(_philox(config.seed, shot_index, plan.stride), 1, plan.stride)
-    inj, cult = _survival_bits(h, plan)
+
+    def draw(slot: int) -> np.ndarray:
+        return _slot_words(config.seed, slot, shot_index, 1)
+
+    inj, cult = _survival_bits(plan, draw)
     indicators = SiteIndicators(
-        inj=tuple(int(b) for b in inj[0]), cult=tuple(int(b) for b in cult[0])
+        inj=tuple(int(c[0]) for c in inj), cult=tuple(int(c[0]) for c in cult)
     )
     if not any(indicators.survival):
         return complete_shot(indicators, config.selection_rule, None), None
-    keep = bool(_kept(h, np.ones(1, dtype=bool), plan)[0])
+    keep = bool(_kept(plan, draw, np.ones(1, dtype=bool))[0])
     outcome = complete_shot(indicators, config.selection_rule, keep)
     if not outcome.escape_kept:
         return outcome, None
-    gaps, correct = _escape_draws(h, np.zeros(1, dtype=np.intp), plan)
+    gaps, correct = _escape_draws(plan, draw, np.zeros(1, dtype=np.intp))
     return outcome, (float(gaps[0]), bool(correct[0]))
-
-
-def calibrate_from_table(discard_single: float, k: int = 4) -> FailureModel:
-    """Independent model with every site at a tabulated single-site discard."""
-    return FailureModel.identical(discard_single, k)
 
 
 def write_records_jsonl(summary: SimSummary, path: str | Path) -> int:

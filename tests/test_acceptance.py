@@ -29,7 +29,7 @@ from patchmux.cli import main as cli_main
 from patchmux.gap_analysis import RecordSet, SweepCurve, find_crossing, sweep
 from patchmux.geometry import PatchLayout, Rotation, Stage, rotate_footprint, validate_layout
 from patchmux.layout_io import canonical_layout
-from patchmux.montecarlo import SimConfig, calibrate_from_table, run_simulation
+from patchmux.montecarlo import SimConfig, run_simulation
 from patchmux.presets import EARLY_STAGE_TABLE, FULL_CYCLE_TABLE
 
 
@@ -91,7 +91,7 @@ def test_criterion_4_monte_carlo_agreement():
     for i, row in enumerate(EARLY_STAGE_TABLE):
         d_all = row.discard_single**4
         config = SimConfig(
-            failure_model=calibrate_from_table(row.discard_single, 4),
+            failure_model=FailureModel.identical(row.discard_single, 4),
             n_shots=n,
             seed=1000 + i,
             collect_records=False,

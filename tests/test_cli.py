@@ -309,6 +309,34 @@ def test_gap_sweep_n_attempts_override(tmp_path):
     assert rows[0]["attempts"] == "4"  # 12 attempts / 3 kept
 
 
+def test_gap_sweep_warns_when_it_sums_attempts_consumed(tmp_path, capsys):
+    records = tmp_path / "fixture.jsonl"
+    _write_fixture_records(records)
+    inferred, given = tmp_path / "inferred", tmp_path / "given"
+    assert run_cli("gap-sweep", "--records", str(records), "--out", str(inferred)) == EXIT_OK
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"warning: {records}: n_attempts 6 is the sum of attempts_consumed")
+    assert "pass the simulate report's shots as n_attempts" in err[0]
+    # the warning changes no output file: the curve equals a run given the same total
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"records": [str(records)], "n_attempts": 6}))
+    assert run_cli("gap-sweep", "--config", str(cfg), "--out", str(given)) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    curve = "fixture_curve.csv"
+    assert (inferred / curve).read_bytes() == (given / curve).read_bytes()
+
+
+@pytest.mark.parametrize("n_attempts", [12, [12]], ids=["int", "list"])
+def test_gap_sweep_is_silent_when_n_attempts_is_given(tmp_path, capsys, n_attempts):
+    records = tmp_path / "fixture.jsonl"
+    _write_fixture_records(records)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"records": [str(records)], "n_attempts": n_attempts}))
+    assert run_cli("gap-sweep", "--config", str(cfg), "--out", str(tmp_path)) == EXIT_OK
+    assert capsys.readouterr().err == ""
+
+
 def test_gap_sweep_empty_records_warns(tmp_path, capsys):
     records = tmp_path / "empty.jsonl"
     records.write_text("")

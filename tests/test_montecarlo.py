@@ -21,7 +21,6 @@ from patchmux.montecarlo import (
     GapDistribution,
     SimConfig,
     StageSplit,
-    calibrate_from_table,
     run_simulation,
     sample_shot,
     write_records_jsonl,
@@ -61,12 +60,12 @@ def attempts_sigma(d_all: float, n: int) -> float:
 
 
 def test_identical_configs_reproduce_bit_identically():
-    cfg = SimConfig(failure_model=calibrate_from_table(0.3, 4), n_shots=40_000, seed=99)
+    cfg = SimConfig(failure_model=FailureModel.identical(0.3, 4), n_shots=40_000, seed=99)
     assert summaries_equal(run_simulation(cfg), run_simulation(cfg))
 
 
 def test_chunking_and_workers_do_not_change_results():
-    cfg = SimConfig(failure_model=calibrate_from_table(0.49, 4), n_shots=30_000, seed=5)
+    cfg = SimConfig(failure_model=FailureModel.identical(0.49, 4), n_shots=30_000, seed=5)
     base = run_simulation(cfg, workers=1, chunk_size=30_000)
     for workers, chunk in ((1, 977), (4, 4096), (16, 333)):
         assert summaries_equal(base, run_simulation(cfg, workers=workers, chunk_size=chunk))
@@ -74,7 +73,7 @@ def test_chunking_and_workers_do_not_change_results():
 
 def test_sample_shot_is_pure():
     cfg = SimConfig(
-        failure_model=calibrate_from_table(0.4, 4),
+        failure_model=FailureModel.identical(0.4, 4),
         n_shots=1000,
         seed=1234,
         escape_model=EscapeModel.bernoulli_error(0.2),
@@ -108,6 +107,28 @@ def test_sample_shot_agrees_with_vectorized_run():
         else:
             assert record == kept_by_shot[int(idx)]
             assert outcome.escape_kept is True
+
+
+def test_sample_shot_agrees_with_the_run_at_every_word_offset():
+    # shot i reads word i of each stream, so shots at i = 0, 1, 2, 3 (mod 4)
+    # start at each position inside Philox's four-word counter step
+    cfg = SimConfig(
+        failure_model=FailureModel(per_site_fail=(0.2, 0.5, 0.7, 0.35)),
+        n_shots=5000,
+        seed=2**64 - 1,
+        escape_model=EscapeModel.bernoulli_error(0.3, keep_prob=0.9),
+    )
+    records = run_simulation(cfg, chunk_size=977).records
+    kept = dict(
+        zip(records.shot_index.tolist(), zip(records.gaps.tolist(), records.correct.tolist()))
+    )
+    off = run_simulation(replace(cfg, collect_records=False), workers=2, chunk_size=977)
+    assert off.kept == len(kept)
+    for base in (0, 4, 1000, 4092):
+        for index in range(base, base + 4):
+            outcome, record = sample_shot(index, cfg)
+            assert record == kept.get(index)
+            assert outcome.escape_kept == (index in kept)
 
 
 @pytest.mark.parametrize(
@@ -149,7 +170,7 @@ def test_scalar_and_vector_paths_agree_across_models(failure, escape):
 
 
 def test_never_failing_model_is_exact():
-    cfg = SimConfig(failure_model=calibrate_from_table(0.0, 4), n_shots=5000, seed=3)
+    cfg = SimConfig(failure_model=FailureModel.identical(0.0, 4), n_shots=5000, seed=3)
     summary = run_simulation(cfg)
     assert summary.empirical_discard == 0.0
     assert summary.empirical_attempts == 1.0
@@ -157,7 +178,7 @@ def test_never_failing_model_is_exact():
 
 
 def test_always_failing_model_reports_infinite_attempts():
-    cfg = SimConfig(failure_model=calibrate_from_table(1.0, 4), n_shots=2000, seed=3)
+    cfg = SimConfig(failure_model=FailureModel.identical(1.0, 4), n_shots=2000, seed=3)
     summary = run_simulation(cfg)
     assert summary.early_discards == 2000
     assert summary.empirical_attempts == math.inf
@@ -193,7 +214,7 @@ def test_common_mode_fully_correlated_sites_share_fate():
 def test_candidate_size_histogram_is_binomial():
     d = 0.49
     n = 100_000
-    cfg = SimConfig(failure_model=calibrate_from_table(d, 4), n_shots=n, seed=35)
+    cfg = SimConfig(failure_model=FailureModel.identical(d, 4), n_shots=n, seed=35)
     summary = run_simulation(cfg)
     expected = np.array(
         [stats.binom.pmf(s, 4, 1 - d) * n for s in range(5)]
@@ -245,23 +266,17 @@ def test_correlated_joint_table_beyond_product_form():
 def test_single_site_geometric_attempts(d, printed_attempts):
     n = 1_000_000
     cfg = SimConfig(
-        failure_model=calibrate_from_table(d, 1), n_shots=n, seed=91, collect_records=False
+        failure_model=FailureModel.identical(d, 1), n_shots=n, seed=91, collect_records=False
     )
     summary = run_simulation(cfg)
     assert abs(summary.empirical_attempts - 1 / (1 - d)) <= 4 * attempts_sigma(d, n)
     assert abs(summary.empirical_attempts - printed_attempts) <= 3 * attempts_sigma(d, n)
 
 
-def test_calibrate_from_table():
-    model = calibrate_from_table(0.5931)
-    assert model.k == 4
-    assert model.per_site_fail == (0.5931,) * 4
-
-
 def test_bernoulli_escape_error_fraction():
     q = 0.3
     cfg = SimConfig(
-        failure_model=calibrate_from_table(0.2, 4),
+        failure_model=FailureModel.identical(0.2, 4),
         n_shots=100_000,
         seed=13,
         escape_model=EscapeModel.bernoulli_error(q),
@@ -275,7 +290,7 @@ def test_bernoulli_escape_error_fraction():
 
 def test_keep_probability_rejects_shots_after_selection():
     cfg = SimConfig(
-        failure_model=calibrate_from_table(0.0, 2),
+        failure_model=FailureModel.identical(0.0, 2),
         n_shots=50_000,
         seed=17,
         escape_model=EscapeModel.bernoulli_error(0.0, keep_prob=0.8),
@@ -288,7 +303,7 @@ def test_keep_probability_rejects_shots_after_selection():
 def test_empirical_escape_resamples_pool_values():
     pool = RecordSet([2.0, 5.0, 11.0], [True, False, True], n_attempts=3)
     cfg = SimConfig(
-        failure_model=calibrate_from_table(0.1, 4),
+        failure_model=FailureModel.identical(0.1, 4),
         n_shots=5000,
         seed=19,
         escape_model=EscapeModel.empirical(pool),
@@ -302,7 +317,7 @@ def test_empirical_escape_resamples_pool_values():
 
 def test_records_jsonl_round_trip(tmp_path):
     cfg = SimConfig(
-        failure_model=calibrate_from_table(0.45, 4),
+        failure_model=FailureModel.identical(0.45, 4),
         n_shots=20_000,
         seed=23,
         escape_model=EscapeModel.bernoulli_error(0.25),
@@ -324,7 +339,7 @@ def test_records_jsonl_round_trip(tmp_path):
 
 def test_record_set_reproduces_empirical_attempts_exactly():
     cfg = SimConfig(
-        failure_model=calibrate_from_table(0.55, 4),
+        failure_model=FailureModel.identical(0.55, 4),
         n_shots=30_000,
         seed=29,
         escape_model=EscapeModel.bernoulli_error(0.2),
@@ -335,7 +350,7 @@ def test_record_set_reproduces_empirical_attempts_exactly():
 
 
 def test_stage_split_must_recombine():
-    model = calibrate_from_table(0.28, 2)
+    model = FailureModel.identical(0.28, 2)
     with pytest.raises(ModelError):
         SimConfig(
             failure_model=model,
@@ -365,7 +380,7 @@ def test_stage_split_requires_independent_sites():
 
 def test_selection_rule_feeds_sample_shot():
     cfg = SimConfig(
-        failure_model=calibrate_from_table(0.0, 4),
+        failure_model=FailureModel.identical(0.0, 4),
         n_shots=10,
         seed=41,
         selection_rule=SelectionRule.fixed_priority((3, 1, 2, 4)),
@@ -386,7 +401,7 @@ def test_gap_distribution_validation():
 
 
 def test_config_validation():
-    model = calibrate_from_table(0.5, 4)
+    model = FailureModel.identical(0.5, 4)
     with pytest.raises(ValueError):
         SimConfig(failure_model=model, n_shots=0, seed=1)
     with pytest.raises(ValueError):
@@ -401,8 +416,8 @@ def test_config_validation():
 
 
 # ---------------------------------------------------------------------------
-# the kernel reads raw Philox words; everything below pins it to the float
-# kernel it replaced
+# the kernel reads raw Philox words, one keyed stream per draw slot;
+# everything below pins it to a float kernel over the same streams
 
 
 def reference_gaps(dist, u):
@@ -413,15 +428,22 @@ def reference_gaps(dist, u):
 
 
 def reference_run(config):
-    """The float kernel the sampler had before it read raw words.
+    """The float kernel over draw layout v2.
 
-    Every shot's window comes from ``Generator.random((n, stride))``, every
-    test compares floats, and both gap classes are evaluated for every row.
-    Returns (histogram, early_discards, kept shot indices, gaps, correct).
+    Column ``slot`` of the uniforms is ``Generator.random`` on the Philox
+    stream keyed ``seed + (slot << 64)``, so shot i reads word i of every
+    slot; every test compares floats, and both gap classes are evaluated
+    for every row. Returns (histogram, early_discards, kept shot indices,
+    gaps, correct).
     """
-    stride = 2 * config.k + 5 + (-(2 * config.k + 5)) % 4
-    bits = np.random.Philox(key=config.seed)
-    return reference_fold(config, np.random.Generator(bits).random((config.n_shots, stride)))
+    n = config.n_shots
+    u = np.column_stack(
+        [
+            np.random.Generator(np.random.Philox(key=config.seed + (slot << 64))).random(n)
+            for slot in range(2 * config.k + 5)
+        ]
+    )
+    return reference_fold(config, u)
 
 
 def reference_fold(config, u):
@@ -469,14 +491,50 @@ def reference_fold(config, u):
     return histogram, int((sizes == 0).sum()), np.nonzero(kept)[0], gaps[kept], correct[kept]
 
 
-def test_raw_words_give_the_generator_floats():
-    for start_shot, stride in ((0, 16), (4097, 16), (3, 8)):
-        n = 65_536 // stride
-        h = montecarlo._draws(montecarlo._philox(11, start_shot, stride), n, stride)
-        bits = np.random.Philox(key=11)
-        bits.advance(start_shot * stride // 4)
-        expected = np.random.Generator(bits).random((n, stride))
-        assert np.array_equal(montecarlo._floats(h), expected)
+@pytest.mark.parametrize("start", [0, 1, 2, 3, 4097, 65_534])
+def test_slot_words_give_the_generator_floats(start):
+    # shot i reads word i of the slot's stream, whatever the start's offset
+    # inside Philox's four-word counter step
+    for seed, slot in ((11, 0), (11, 5), (montecarlo.MAX_SEED, 12)):
+        h = montecarlo._slot_words(seed, slot, start, 4099)
+        u = np.random.Generator(np.random.Philox(key=seed + (slot << 64))).random(start + 4099)
+        assert np.array_equal(montecarlo._floats(h), u[start:])
+
+
+def test_slot_keys_are_distinct_at_the_edges():
+    # the key seed + (slot << 64) puts the seed in the low word and the slot
+    # in the high word, so the largest seed on slot 0 is not seed 0 on slot 1
+    last = montecarlo._slot_words(montecarlo.MAX_SEED, 0, 0, 64)
+    first = montecarlo._slot_words(0, 1, 0, 64)
+    assert not np.array_equal(last, first)
+    for seed, slot in ((montecarlo.MAX_SEED, 0), (0, 1)):
+        key = np.random.Philox(key=seed + (slot << 64)).state["state"]["key"]
+        assert key.tolist() == [seed, slot]
+    # slot 0 of seed s is the v1 stream of Philox(key=s), read word by word
+    v1 = np.random.Philox(key=montecarlo.MAX_SEED).random_raw(64) >> np.uint64(11)
+    assert np.array_equal(last, v1)
+
+
+def test_a_run_generates_only_the_slots_its_model_reads(monkeypatch):
+    calls = set()
+    words = montecarlo._slot_words
+
+    def spy(seed, slot, start, n):
+        calls.add(slot)
+        return words(seed, slot, start, n)
+
+    monkeypatch.setattr(montecarlo, "_slot_words", spy)
+    model = FailureModel.identical(0.49, 4)
+    escape = EscapeModel.bernoulli_error(0.05)  # keep_prob 1 reads no keep words
+    cfg = SimConfig(failure_model=model, n_shots=100, seed=3, escape_model=escape)
+    run_simulation(replace(cfg, collect_records=False))
+    assert calls == {2, 3, 4, 5}
+    calls.clear()
+    run_simulation(cfg)
+    assert calls == {2, 3, 4, 5, 11, 12}
+    calls.clear()
+    run_simulation(replace(cfg, escape_model=EscapeModel.bernoulli_error(0.05, keep_prob=0.5)))
+    assert calls == {2, 3, 4, 5, 10, 11, 12}
 
 
 @pytest.mark.parametrize(
@@ -507,7 +565,7 @@ FAILURES = {
         None,
     ),
     "stage_split": lambda: (
-        calibrate_from_table(0.28, 2),
+        FailureModel.identical(0.28, 2),
         StageSplit((0.1, 0.1), (0.2, 0.2)),  # 0.1 + 0.9*0.2 = 0.28
     ),
 }
@@ -572,7 +630,8 @@ def test_records_on_and_off_match_the_float_kernel(
 @pytest.mark.parametrize("failure_name", list(FAILURES))
 def test_words_at_every_threshold_match_the_float_kernel(monkeypatch, failure_name, escape_name):
     # words one below, at and one above each threshold, where a flipped
-    # comparison or an off-by-one threshold would show
+    # comparison or an off-by-one threshold would show; column ``slot`` of h
+    # stands in for the slot's stream
     cfg = sim_config(failure_name, escape_name, 4000, seed=1)
     plan = montecarlo._plan(cfg)
     edges = {0, 1, 2**53 - 1}
@@ -581,14 +640,19 @@ def test_words_at_every_threshold_match_the_float_kernel(monkeypatch, failure_na
         if t is not None:
             edges |= {int(v) + d for v in np.atleast_1d(t) for d in (-1, 0, 1)}
     edges = np.array(sorted(e for e in edges if 0 <= e < 2**53), dtype=np.uint64)
-    h = np.random.default_rng(5).choice(edges, size=(cfg.n_shots, plan.stride))
-    monkeypatch.setattr(montecarlo, "_draws", lambda bits, n, stride: h.copy())
+    h = np.random.default_rng(5).choice(edges, size=(cfg.n_shots, 2 * cfg.k + 5))
+    monkeypatch.setattr(
+        montecarlo, "_slot_words", lambda seed, slot, start, n: h[start : start + n, slot].copy()
+    )
     expected = reference_fold(cfg, h * 2.0**-53)
     assert_matches_reference(run_simulation(cfg, chunk_size=cfg.n_shots), expected)
+    assert_matches_reference(run_simulation(cfg, workers=2, chunk_size=977), expected)
     # sample_shot reads the same words through the same helpers
-    monkeypatch.setattr(montecarlo, "_draws", lambda bits, n, stride: h[:1].copy())
-    _, record = sample_shot(0, cfg)
-    assert (record is not None) == (expected[2][:1].tolist() == [0])
+    _, kept_index, gaps, correct = expected[1:]
+    kept = dict(zip(kept_index.tolist(), zip(gaps.tolist(), correct.tolist())))
+    for index in range(0, cfg.n_shots, 97):
+        _, record = sample_shot(index, cfg)
+        assert record == kept.get(index)
 
 
 def test_default_blocks_and_chunks_match_the_float_kernel():
@@ -625,7 +689,7 @@ def test_rates_of_zero_and_one_give_exact_counts(collect):
     s = run(FailureModel(per_site_fail=(0.0, 1.0)), split=StageSplit((0.0, 1.0), (0.0, 0.5)))
     assert s.site_survival_histogram == (0, n, 0)
 
-    model = calibrate_from_table(0.45, 4)
+    model = FailureModel.identical(0.45, 4)
     assert run(model, EscapeModel.bernoulli_error(0.2, keep_prob=0.0)).kept == 0
     s = run(model, EscapeModel.bernoulli_error(0.2, keep_prob=1.0))
     assert s.kept == n - s.early_discards

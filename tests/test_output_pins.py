@@ -4,6 +4,11 @@ The sha256 of every file these runs write is fixed, so a refactor of the
 record or curve types cannot change an output byte unnoticed. Paths are
 relative to a temporary working directory, because reports echo the record
 paths they read.
+
+The pins are taken on draw layout v2 (one keyed Philox stream per draw
+slot). The v1 pins are kept too: fed the v1 words (one Philox stream keyed
+by the seed, a 16-word window per shot at k=4), the same kernel still writes
+every v1 byte, so the v2 re-pin comes from the layout alone.
 """
 
 import csv
@@ -11,9 +16,11 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from patchmux.cli import EXIT_OK, main
+from patchmux import montecarlo
+from patchmux.cli import EXIT_OK, _write_json, main
 
 
 def _sha(path) -> str:
@@ -44,6 +51,20 @@ def _gap_sweep(out: str, config: dict) -> None:
 
 
 PINNED = {
+    "sim/records.jsonl": "61fba84d212ec3c06723cc3ae55dda75ca9b251be59809c5afca55e25644e2e3",
+    "sim/sim_summary.json": "6bb8f827a3737a9906a0bacb8a2d57565f77d8e09a9433b89e2e0af0fde2dfe7",
+    "tail/records_curve.csv": "65a6f37e81f0e918f14c39bfc9e134a3dcf666b10ee5fbaef31d9147c86f82d3",
+    "tail/gap_report.json": "734888bfead41718813b59900510ab6c70280f401388caa0104f7738bf93117e",
+    "simb/records.jsonl": "5e01093dc3eb48456a1125148be4d8dffadae028d8b9c866dcce9ea0f1711c8a",
+    "simb/sim_summary.json": "3f7f3001563e38e7639031b8ad90c70907a1158e6704712d3948f3462df95b9b",
+    "pair/1_records_curve.csv": "e21782b8e4bb1b2ca91af2813597a847215e9c2c69d52272ca92f391f748d6c7",
+    "pair/2_records_curve.csv": "d000bdb924fb7d5a170da58aeb7c611359ba1e106ea82c1fd97e8ca4756043fc",
+    "pair/gap_report.json": "c95ea866f2b1ec2fc48b0ceef83623c327336225bc604ea2252bcbb9be7e3bd8",
+}
+
+# the same files under draw layout v1, each sim_summary.json without its
+# layout_version
+V1_PINNED = {
     "sim/records.jsonl": "dd6d06c56600fc692b7e21a81f9a74dc2114779ae079eec0541db8fd01d5f2e7",
     "sim/sim_summary.json": "3e37c802b88b51c7f12d0be79ed6324eccf190dde5564aab6d882bc75dbe8cf5",
     "tail/records_curve.csv": "3a8f4ea5b158bc0bd3ddd5bb058cf4ef38fe1615cf5c90b8eac604324e9152e4",
@@ -56,9 +77,7 @@ PINNED = {
 }
 
 
-@pytest.fixture
-def chain_outputs(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
+def _run_chain() -> None:
     _simulate("sim", seed=7, q=0.05, error_rate=0.25, workers="2")
     # an explicit grid that runs past the largest gap, so the tail fit
     # extends over rows where no correct record survives
@@ -81,6 +100,12 @@ def chain_outputs(tmp_path, monkeypatch):
         "pair",
         {"records": ["sim/records.jsonl", "simb/records.csv"], "n_attempts": [None, shots_b]},
     )
+
+
+@pytest.fixture
+def chain_outputs(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _run_chain()
     return tmp_path
 
 
@@ -110,11 +135,11 @@ def test_pair_reports_a_crossing(chain_outputs):
 # A records-off simulate of the sampler benchmark's model (k=4, D=0.4903,
 # Bernoulli q=0.05, continuous exponential gaps) on two workers: the path
 # that folds counts only, which the chain pins above do not reach.
-RECORDS_OFF_PIN = "786d1306a0ac2b082ec6ae39ff16377d1c6572bda7baadbe83d54ee2a3b4193d"
+RECORDS_OFF_PIN = "07e53d4c99240161c3405cd65abbb6bff28b2876d90d29b5fa11d46f7753bb32"
+V1_RECORDS_OFF_PIN = "786d1306a0ac2b082ec6ae39ff16377d1c6572bda7baadbe83d54ee2a3b4193d"
 
 
-def test_records_off_summary_bytes_are_pinned(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
+def _run_records_off() -> None:
     Path("off.json").write_text(
         json.dumps(
             {
@@ -135,4 +160,37 @@ def test_records_off_summary_bytes_are_pinned(tmp_path, monkeypatch):
     )
     assert main(["simulate", "--config", "off.json", "--out", "off", "--workers", "2"]) == EXIT_OK
     assert not Path("off/records.jsonl").exists()
+
+
+def test_records_off_summary_bytes_are_pinned(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    _run_records_off()
     assert _sha("off/sim_summary.json") == RECORDS_OFF_PIN
+
+
+def _v1_slot_words(seed, slot, start, n):
+    """Column ``slot`` of layout v1: shot i owns words [16 i, 16 i + 16) of Philox(key=seed)."""
+    bits = np.random.Philox(key=seed)
+    bits.advance(start * 16 // 4)
+    return bits.random_raw(n * 16).reshape(n, 16)[:, slot] >> np.uint64(11)
+
+
+def _sha_without_layout_version(path: Path) -> str:
+    """A sim_summary.json's sha256 once ``layout_version`` is dropped, as v1 wrote it."""
+    if path.name != "sim_summary.json":
+        return _sha(path)
+    doc = json.loads(path.read_text())
+    assert doc["provenance"].pop("layout_version") == montecarlo.LAYOUT_VERSION
+    v1_path = path.with_name("sim_summary_v1.json")
+    _write_json(v1_path, doc)
+    return _sha(v1_path)
+
+
+def test_v1_words_reproduce_every_v1_pin(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(montecarlo, "_slot_words", _v1_slot_words)
+    _run_chain()
+    _run_records_off()
+    got = {name: _sha_without_layout_version(tmp_path / name) for name in V1_PINNED}
+    assert got == V1_PINNED
+    assert _sha_without_layout_version(tmp_path / "off" / "sim_summary.json") == V1_RECORDS_OFF_PIN
