@@ -14,14 +14,26 @@ Record files (JSONL, or CSV for ingestion) and curve CSVs are read and
 written a fixed block of lines or rows at a time: a block is parsed or
 formatted in one batch, so only the numpy columns grow with the file. A
 block that fails any check is read again record by record, which names the
-first bad record as a line-by-line reader would.
+first bad record as a line-by-line reader would. A leading UTF-8 byte order
+mark is skipped; one anywhere else is a record error.
+
+A record file whose body holds at least two ``_PART_BYTES`` is read on every
+usable CPU: cut into byte ranges that each end just after a ``\n`` byte, one
+per CPU, each range parsed in a forked worker by the same block functions
+(and quote-free ``number,flag`` CSV text without the csv module). A range
+returns its columns or declines; any decline reads the whole file again with
+the serial reader, so outputs and error messages do not depend on the split.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
+import os
+import re
+import threading
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
@@ -36,6 +48,10 @@ RECORD_FIELDS = {"gap", "correct", "attempts_consumed"}
 # Record and curve files are read and written this many lines (or CSV rows)
 # at a time, so the Python objects alive at once do not grow with the file.
 _IO_BLOCK = 4096
+
+# A file whose body holds at least two parts of this many bytes is read in
+# line-aligned byte ranges, one per usable CPU.
+_PART_BYTES = 1 << 19
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
@@ -244,10 +260,227 @@ class _Columns:
         self.correct[self.size : end] = correct
         self.size = end
 
-    def record_set(self, n_attempts: int) -> "RecordSet":
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
         self.gaps.resize(self.size, refcheck=False)
         self.correct.resize(self.size, refcheck=False)
-        return RecordSet(self.gaps, self.correct, n_attempts)
+        return self.gaps, self.correct
+
+
+def _read_jsonl(path) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """Gaps, flags, records with attempts_consumed and their total, read
+    block by block; the only source of JSONL record errors."""
+    columns = _Columns()
+    with_consumed = consumed = 0
+    line_no = 0
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        while lines := list(islice(fh, _IO_BLOCK)):
+            block = _jsonl_block(lines, consumed) or _checked_jsonl_block(
+                lines, line_no + 1, consumed
+            )
+            gaps, correct, block_consumed, consumed = block
+            columns.append(gaps, correct)
+            with_consumed += block_consumed
+            line_no += len(lines)
+    return *columns.arrays(), with_consumed, consumed
+
+
+def _check_csv_header(header: list[list[str]]) -> None:
+    if not header or [h.strip().lower() for h in header[0]] != ["gap", "correct"]:
+        raise RecordFormatError("expected CSV header 'gap,correct'")
+
+
+def _read_csv(path) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """Gaps and flags, read block by block (and two zeros, as ``_read_jsonl``
+    gives); the only source of CSV record errors."""
+    columns = _Columns()
+    row_no = 0
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        reader = csv.reader(fh)
+        _check_csv_header(_csv_rows(reader, 1, path, 0))
+        while rows := _csv_rows(reader, _IO_BLOCK, path, row_no + 1):
+            columns.append(*(_csv_block(rows) or _checked_csv_block(rows, row_no + 1)))
+            row_no += len(rows)
+    return *columns.arrays(), 0, 0
+
+
+# Split reading. A range is parsed by the block functions above and either
+# returns its columns or declines (None); any decline makes the caller read
+# the whole file serially, so record errors and their numbers always come
+# from the serial readers.
+
+# Quote-free "number,flag" rows, each ending in a \n, a \r\n or the text, with
+# no blank or spaced cell: csv.reader splits each at its one comma, so the
+# cells are cut out of the block's text in bulk.
+_PLAIN_CELL = 64
+_PLAIN_CSV_ROWS = re.compile(
+    r"(?:[0-9.eE+-]{1,%d},(?:true|false|1|0)(?:\r?\n|\Z))*" % _PLAIN_CELL
+)
+
+
+def _plain_csv_block(text: str):
+    """Columns of text that ``_PLAIN_CSV_ROWS`` matches; None on a bad gap."""
+    cells = text.replace("\r", "").replace("\n", ",").split(",")
+    n = len(cells) // 2  # a final line end leaves one empty cell over
+    try:
+        gaps = np.fromiter(map(float, cells[0 : 2 * n : 2]), np.float64, n)
+    except ValueError:
+        return None
+    if not _gaps_in_range(gaps):
+        return None
+    return gaps, np.fromiter(map(_CSV_FLAGS.__getitem__, cells[1 : 2 * n : 2]), bool, n)
+
+
+def _range_csv_block(lines: list[str]):
+    """A block of CSV lines from a range, as ``_csv_block`` converts it; None
+    when it holds a quote, since a quoted cell may hold a line end that a cut
+    splits, or when a check fails."""
+    text = "".join(lines)
+    if '"' in text:
+        return None
+    # the plain pattern's cells fit any field limit of the csv module's above it
+    if csv.field_size_limit() >= _PLAIN_CELL and _PLAIN_CSV_ROWS.fullmatch(text):
+        return _plain_csv_block(text)
+    return _csv_block(list(csv.reader(lines)))
+
+
+class _ByteRange(io.RawIOBase):
+    """Bytes ``start`` up to ``end`` of a file, as a raw stream."""
+
+    def __init__(self, path, start: int, end: int) -> None:
+        self._file = open(path, "rb", buffering=0)
+        self._file.seek(start)
+        self._left = end - start
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        n = self._file.readinto(memoryview(buffer)[: self._left])
+        self._left -= n
+        return n
+
+    def close(self) -> None:
+        self._file.close()
+        super().close()
+
+
+def _read_range(path, is_csv: bool, start: int, end: int):
+    """(gaps, correct, records with attempts_consumed, their total) of one
+    byte range, streamed in blocks of lines in the serial reader's newline
+    mode, or None to decline."""
+    columns = _Columns()
+    with_consumed = consumed = 0
+    raw = io.BufferedReader(_ByteRange(path, start, end))
+    encoding = "utf-8-sig" if start == 0 else "utf-8"  # only a file's start holds a BOM
+    try:
+        with io.TextIOWrapper(raw, encoding=encoding, newline="" if is_csv else None) as fh:
+            while lines := list(islice(fh, _IO_BLOCK)):
+                block = _range_csv_block(lines) if is_csv else _jsonl_block(lines, consumed)
+                if block is None:
+                    return None
+                columns.append(block[0], block[1])
+                if not is_csv:
+                    with_consumed += block[2]
+                    consumed = block[3]
+    except (UnicodeDecodeError, csv.Error):
+        return None
+    return *columns.arrays(), with_consumed, consumed
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _csv_body_start(path) -> int | None:
+    r"""Byte offset just past the header's text-mode line, or None where the
+    header needs the serial reader (a quote, bad text, or not 'gap,correct').
+
+    The line ends at the first line end csv.reader would see: ``\n``,
+    ``\r\n`` or a lone ``\r``.
+    """
+    with open(path, "rb") as fh:
+        head = fh.readline()
+    lone_cr = head.find(b"\r")
+    if lone_cr >= 0 and head[lone_cr + 1 : lone_cr + 2] != b"\n":
+        head = head[: lone_cr + 1]
+    try:
+        text = head.decode("utf-8-sig")
+    except UnicodeDecodeError:
+        return None
+    if '"' in text:
+        return None
+    try:
+        _check_csv_header([text.rstrip("\r\n").split(",")])
+    except RecordFormatError:
+        return None
+    return len(head)
+
+
+def _byte_ranges(path, start: int) -> list[tuple[int, int]]:
+    r"""Ranges from ``start`` to the end of the file, one per part, each cut
+    just after a ``\n`` byte; none when the body is below two parts."""
+    with open(path, "rb") as fh:
+        end = fh.seek(0, io.SEEK_END)
+        if end - start < 2 * _PART_BYTES:
+            return []
+        parts = min(_usable_cpus(), (end - start) // _PART_BYTES)
+        cuts = [start]
+        for i in range(1, parts):
+            fh.seek(max(cuts[-1], start + (end - start) * i // parts) - 1)
+            fh.readline()  # to just past the next \n
+            cuts.append(fh.tell())
+    cuts.append(end)
+    return [(a, b) for a, b in zip(cuts, cuts[1:]) if a < b]
+
+
+def _parse_ranges(path, is_csv: bool, ranges: list[tuple[int, int]]) -> list:
+    """``_read_range`` of each range: in forked workers when there are two or
+    more ranges, the platform can fork and this process runs one thread (a
+    fork copies no other thread, and would copy the locks they hold);
+    otherwise, or when the pool cannot start, one after another here."""
+    jobs = [(path, is_csv, a, b) for a, b in ranges]
+    # imported here: loading the pool machinery at import would slow every command
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    if (
+        len(jobs) >= 2
+        and "fork" in multiprocessing.get_all_start_methods()
+        and threading.active_count() == 1
+    ):
+        try:
+            with ProcessPoolExecutor(
+                len(jobs), mp_context=multiprocessing.get_context("fork")
+            ) as pool:
+                return list(pool.map(_read_range, *zip(*jobs)))
+        except (OSError, BrokenProcessPool):
+            pass
+    return [_read_range(*job) for job in jobs]
+
+
+def _read_split(path, is_csv: bool):
+    """What the serial reader returns, read in line-aligned byte ranges;
+    None when the file is small or a range declines."""
+    start = _csv_body_start(path) if is_csv else 0
+    ranges = [] if start is None else _byte_ranges(path, start)
+    if not ranges:
+        return None
+    parts = _parse_ranges(path, is_csv, ranges)
+    if None in parts:
+        return None
+    consumed = sum(part[3] for part in parts)
+    if consumed > _INT64_MAX:
+        return None
+    return (
+        np.concatenate([part[0] for part in parts]),
+        np.concatenate([part[1] for part in parts]),
+        sum(part[2] for part in parts),
+        consumed,
+    )
 
 
 class RecordSet:
@@ -310,24 +543,13 @@ class RecordSet:
         attempts after the last kept shot, so pass ``n_attempts`` when known).
         Records are numbered by line, blank lines included.
         """
-        columns = _Columns()
-        with_consumed = consumed = 0
-        line_no = 0
-        with open(path, "r", encoding="utf-8") as fh:
-            while lines := list(islice(fh, _IO_BLOCK)):
-                block = _jsonl_block(lines, consumed) or _checked_jsonl_block(
-                    lines, line_no + 1, consumed
-                )
-                gaps, correct, block_consumed, consumed = block
-                columns.append(gaps, correct)
-                with_consumed += block_consumed
-                line_no += len(lines)
-        summed = n_attempts is None and 0 < with_consumed == columns.size
+        gaps, correct, with_consumed, consumed = _read_split(path, False) or _read_jsonl(path)
+        summed = n_attempts is None and 0 < with_consumed == gaps.size
         if summed:
             n_attempts = consumed
         elif n_attempts is None:
-            n_attempts = max(1, columns.size)
-        records = columns.record_set(n_attempts)
+            n_attempts = max(1, gaps.size)
+        records = RecordSet(gaps, correct, n_attempts)
         records.attempts_summed = summed
         return records
 
@@ -339,19 +561,8 @@ class RecordSet:
         attempt total defaults to the record count. Rows of blank cells are
         skipped but still numbered.
         """
-        columns = _Columns()
-        row_no = 0
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            header = _csv_rows(reader, 1, path, 0)
-            if not header or [h.strip().lower() for h in header[0]] != ["gap", "correct"]:
-                raise RecordFormatError("expected CSV header 'gap,correct'")
-            while rows := _csv_rows(reader, _IO_BLOCK, path, row_no + 1):
-                columns.append(*(_csv_block(rows) or _checked_csv_block(rows, row_no + 1)))
-                row_no += len(rows)
-        if n_attempts is None:
-            n_attempts = max(1, columns.size)
-        return columns.record_set(n_attempts)
+        gaps, correct, _, _ = _read_split(path, True) or _read_csv(path)
+        return RecordSet(gaps, correct, max(1, gaps.size) if n_attempts is None else n_attempts)
 
     def to_jsonl(self, path: str | Path) -> None:
         """Write one JSON object per record, as ``from_jsonl`` reads them.

@@ -40,6 +40,7 @@ index, so the sweep tools read a run's records without conversion, and
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -244,14 +245,34 @@ class SimSummary:
 _UNIT = 1 << 53  # a draw is u = h / 2**53 for the 53-bit integer h = w >> 11
 
 
+# Re-keying a generator by setting its ``state`` costs about a sixth of
+# building ``Philox(key=...)``, which draws a SeedSequence even when given a
+# key. Each thread keeps its own generator; one is never shared across threads.
+_thread_bits = threading.local()
+_WORD = (1 << 64) - 1
+
+
 def _slot_words(seed: int, slot: int, start: int, n: int) -> np.ndarray:
     """h = w >> 11 of words ``start .. start+n-1`` of the stream keyed (seed, slot).
 
-    Philox makes four words per counter step, so the stream is advanced to
-    the step that holds word ``start`` and the words before it are dropped.
+    Philox makes four words per counter step and steps its counter before
+    making them, so the counter is set to ``start // 4``: the next four words
+    are those of the step that holds word ``start``, and the ones before
+    ``start`` are dropped.
     """
-    bits = np.random.Philox(key=seed + (slot << 64))
-    bits.advance(start // 4)
+    bits = getattr(_thread_bits, "philox", None)
+    if bits is None:
+        bits = _thread_bits.philox = np.random.Philox(0)
+    key = seed + (slot << 64)
+    step = start // 4
+    bits.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": [step & _WORD, step >> 64, 0, 0], "key": [key & _WORD, key >> 64]},
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
     bits.random_raw(start % 4)
     h = bits.random_raw(n)
     h >>= np.uint64(11)
@@ -388,7 +409,7 @@ def _escape_draws(plan: _Plan, draw, rows: np.ndarray) -> tuple[np.ndarray, np.n
 
 
 # Shots folded at once. Each slot a block reads is one column of _BLOCK words
-# (512 KiB), and each column costs one Philox construction (~25 us), so long
+# (512 KiB), and each column costs one Philox re-keying (~5 us), so long
 # columns amortise it while a block's few columns still fit in cache.
 _BLOCK = 1 << 16
 

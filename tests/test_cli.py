@@ -394,6 +394,14 @@ def test_gap_sweep_oversized_csv_cell_is_one_format_error(tmp_path, capsys):
     ]
 
 
+def test_gap_sweep_reads_a_csv_with_a_byte_order_mark(tmp_path):
+    # Excel's "CSV UTF-8" export starts the file with a BOM
+    path = tmp_path / "excel.csv"
+    path.write_text("\ufeffgap,correct\r\n1,true\r\n2,false\r\n", encoding="utf-8")
+    assert run_cli("gap-sweep", "--records", str(path), "--out", str(tmp_path)) == EXIT_OK
+    assert read_json(tmp_path / "gap_report.json")["results"]["inputs"][0]["records"] == 2
+
+
 def test_gap_sweep_missing_file_is_config_error(tmp_path):
     assert (
         run_cli("gap-sweep", "--records", str(tmp_path / "none.jsonl")) == EXIT_CONFIG

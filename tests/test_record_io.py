@@ -6,9 +6,14 @@ as first written (one ``json.dumps``/``json.loads`` per record, one
 ``csv.writer`` row per curve point); the block code must match it exactly.
 """
 
+import concurrent.futures
 import csv
 import json
 import math
+import multiprocessing
+import os
+import threading
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -120,31 +125,31 @@ def test_jsonl_error_names_the_line_in_a_later_block(tmp_path, block):
         RecordSet.from_jsonl(path)
 
 
-@pytest.mark.parametrize(
-    "bad, message",
-    [
-        (
-            '{"gap": 1, "correct": true}, {"gap": 2, "correct": true}',
-            r"^record 5: invalid JSON: Extra data",
-        ),
-        ('{"gap": 1, "correct": true}, {"gap": 2', r"^record 5: invalid JSON"),
-        ('{"gap": NaN, "correct": true}', r"^record 5: gap nan out of range$"),
-        ('{"gap": Infinity, "correct": true}', r"^record 5: gap inf out of range$"),
-        ('{"gap": -Infinity, "correct": true}', r"^record 5: gap -inf out of range$"),
-        ('{"gap": -2, "correct": true}', r"^record 5: gap -2 out of range$"),
-        ('{"gap": 1, "correct": true, "extra": 1}', r"^record 5: unknown fields \['extra'\]$"),
-        ('{"gap": 1}', r"^record 5: missing 'gap' or 'correct'$"),
-        ('{"gap": true, "correct": true}', r"^record 5: gap must be a number$"),
-        ('[1]', r"^record 5: expected an object$"),
-        # past the interpreter's digit limit json.loads raises a plain ValueError
-        ('{"gap": 1' + "0" * 5000 + ', "correct": true}', r"^record 5: (invalid JSON|gap 10+ out)"),
-        ("[" * 100000 + "]" * 100000, r"^record 5: invalid JSON: maximum recursion depth exceeded"),
-        (
-            '{"gap": 1, "correct": true, "attempts_consumed": 0}',
-            r"^record 5: attempts_consumed must be a positive integer$",
-        ),
-    ],
-)
+JSONL_BAD = [
+    (
+        '{"gap": 1, "correct": true}, {"gap": 2, "correct": true}',
+        r"^record 5: invalid JSON: Extra data",
+    ),
+    ('{"gap": 1, "correct": true}, {"gap": 2', r"^record 5: invalid JSON"),
+    ('{"gap": NaN, "correct": true}', r"^record 5: gap nan out of range$"),
+    ('{"gap": Infinity, "correct": true}', r"^record 5: gap inf out of range$"),
+    ('{"gap": -Infinity, "correct": true}', r"^record 5: gap -inf out of range$"),
+    ('{"gap": -2, "correct": true}', r"^record 5: gap -2 out of range$"),
+    ('{"gap": 1, "correct": true, "extra": 1}', r"^record 5: unknown fields \['extra'\]$"),
+    ('{"gap": 1}', r"^record 5: missing 'gap' or 'correct'$"),
+    ('{"gap": true, "correct": true}', r"^record 5: gap must be a number$"),
+    ('[1]', r"^record 5: expected an object$"),
+    # past the interpreter's digit limit json.loads raises a plain ValueError
+    ('{"gap": 1' + "0" * 5000 + ', "correct": true}', r"^record 5: (invalid JSON|gap 10+ out)"),
+    ("[" * 100000 + "]" * 100000, r"^record 5: invalid JSON: maximum recursion depth exceeded"),
+    (
+        '{"gap": 1, "correct": true, "attempts_consumed": 0}',
+        r"^record 5: attempts_consumed must be a positive integer$",
+    ),
+]
+
+
+@pytest.mark.parametrize("bad, message", JSONL_BAD)
 def test_jsonl_bad_record_after_good_ones(tmp_path, block, bad, message):
     good = '{"gap": 1.5, "correct": true, "attempts_consumed": 1}'
     path = tmp_path / "records.jsonl"
@@ -222,17 +227,17 @@ def test_csv_without_records(tmp_path, block, text):
     assert len(rs) == 0 and rs.n_attempts == 1
 
 
-@pytest.mark.parametrize(
-    "bad, message",
-    [
-        ("2,yes", r"^record 7: bad flag 'yes'$"),
-        ("abc,true", r"^record 7: bad gap 'abc'$"),
-        ("1,true,3", r"^record 7: expected 2 columns$"),
-        ("nan,true", r"^record 7: gap nan out of range$"),
-        ("inf,false", r"^record 7: gap inf out of range$"),
-        ("-1,false", r"^record 7: gap -1.0 out of range$"),
-    ],
-)
+CSV_BAD = [
+    ("2,yes", r"^record 7: bad flag 'yes'$"),
+    ("abc,true", r"^record 7: bad gap 'abc'$"),
+    ("1,true,3", r"^record 7: expected 2 columns$"),
+    ("nan,true", r"^record 7: gap nan out of range$"),
+    ("inf,false", r"^record 7: gap inf out of range$"),
+    ("-1,false", r"^record 7: gap -1.0 out of range$"),
+]
+
+
+@pytest.mark.parametrize("bad, message", CSV_BAD)
 def test_csv_bad_row_in_a_later_block(tmp_path, block, bad, message):
     rows = ["gap,correct", "1,true", "", "2,false", " , ", "3,true", "4,true", bad, "5,true"]
     path = tmp_path / "records.csv"
@@ -295,3 +300,376 @@ def test_empty_curve_writes_the_header_only(tmp_path, block):
     path = tmp_path / "curve.csv"
     write_curve_csv(curve, path)
     assert path.read_bytes() == b"G,kept_correct,kept_error,attempts,logical_error,extrapolated\r\n"
+
+
+# Split reading. A file whose body holds at least two parts is cut into
+# line-aligned byte ranges, one per usable CPU, parsed by forked workers. With
+# parts of 40 bytes even these small files are split; a read whose parts are
+# too large to split anything is the serial reference.
+
+TINY_PART = 40
+REAL_READ_RANGE = gap_analysis._read_range
+
+
+@pytest.fixture(params=[2, 3], ids=lambda n: f"cpus{n}")
+def cpus(request):
+    return request.param
+
+
+def reader_for(path):
+    return RecordSet.from_csv if path.suffix == ".csv" else RecordSet.from_jsonl
+
+
+def outcome(path):
+    """The record columns and totals a read gives, or its exception."""
+    try:
+        rs = reader_for(path)(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return rs.gaps.view(np.uint64).tolist(), rs.correct.tolist(), rs.n_attempts, rs.attempts_summed
+
+
+def serial_outcome(path, monkeypatch):
+    monkeypatch.setattr(gap_analysis, "_PART_BYTES", 1 << 60)
+    return outcome(path)
+
+
+def split_outcome(path, monkeypatch, cpus):
+    """(outcome, whether the serial reader ran) with the file cut in tiny parts."""
+    monkeypatch.setattr(gap_analysis, "_PART_BYTES", TINY_PART)
+    monkeypatch.setattr(gap_analysis, "_usable_cpus", lambda: cpus)
+    serial_calls = []
+    for name in ("_read_jsonl", "_read_csv"):
+        serial = getattr(gap_analysis, name)
+        spy = lambda p, serial=serial: serial_calls.append(p) or serial(p)  # noqa: E731
+        monkeypatch.setattr(gap_analysis, name, spy)
+    return outcome(path), bool(serial_calls)
+
+
+def assert_split_matches_serial(path, monkeypatch, cpus) -> bool:
+    """Split and serial reads agree; returns whether the split read declined."""
+    expected = serial_outcome(path, monkeypatch)
+    got, declined = split_outcome(path, monkeypatch, cpus)
+    assert got == expected
+    return declined
+
+
+def lines_text(lines, end="\n"):
+    return "\n".join(lines) + end
+
+
+def fixture_files():
+    """The text of every reader fixture above, by name."""
+    good_jsonl = '{"gap": 1.5, "correct": true, "attempts_consumed": 1}'
+    blanks = reference_jsonl(GAPS, CORRECT, SHOT_INDEX).splitlines()
+    blanks[2:2] = ["", "   "]
+    huge = "9" * 400
+    files = {
+        "blank_lines.jsonl": lines_text(blanks + [""]),
+        "partial_attempts.jsonl": lines_text(
+            [
+                '{"gap": 3, "correct": true, "attempts_consumed": 2}',
+                '{"gap": -0, "correct": false}',
+                '{"gap": 2.5, "correct": true, "attempts_consumed": 4}',
+                '{"correct": false, "gap": 12}',
+            ],
+            end="",
+        ),
+        "later_block.jsonl": lines_text(
+            ['{"gap": 1.5, "correct": true}', ""] + ['{"gap": 1.5, "correct": true}'] * 7
+            + ['{"gap": 2, "correct": "yes"}']
+        ),
+        "split_object.jsonl": lines_text(
+            ['{"gap": 1, "correct": true}, {"gap": 2', '"correct": true}']
+        ),
+        "huge_attempts.jsonl": lines_text(
+            [good_jsonl] * 2 + [f'{{"gap": 1.0, "correct": true, "attempts_consumed": {huge}}}']
+        ),
+        "huge_gap.jsonl": lines_text([good_jsonl, f'{{"gap": {huge}, "correct": true}}']),
+        "total_past_int64.jsonl": lines_text(
+            [good_jsonl] * 4 + [f'{{"gap": 1.0, "correct": true, "attempts_consumed": {2**62}}}'] * 2
+        ),
+        "largest_total.jsonl": lines_text(
+            [
+                '{"gap": 1.0, "correct": true, "attempts_consumed": 1}',
+                f'{{"gap": 2.0, "correct": false, "attempts_consumed": {2**63 - 2}}}',
+            ]
+        ),
+        "blank_rows.csv": lines_text(
+            ["gap,correct", "1.5,true", "", " , ", ",", "2,0", "1e-3, TRUE ", "  ", "0,false", "7,1"],
+            end="",
+        ),
+    }
+    for i, text in enumerate(["", "\n", "\n  \n\n"]):
+        files[f"empty{i}.jsonl"] = text
+    for i, text in enumerate(["", "gap,correct\n", "gap,correct\n\n,\n"]):
+        files[f"empty{i}.csv"] = text
+    for i, (bad, _) in enumerate(JSONL_BAD):
+        files[f"bad{i}.jsonl"] = lines_text([good_jsonl, good_jsonl, "", good_jsonl, bad, good_jsonl])
+    for i, (bad, _) in enumerate(CSV_BAD):
+        files[f"bad{i}.csv"] = lines_text(
+            ["gap,correct", "1,true", "", "2,false", " , ", "3,true", "4,true", bad, "5,true"]
+        )
+    for row in (4, 0):
+        rows = ["gap,correct", "1,true", "", "2,false", "3,true", "5,true"]
+        rows[row] = '"' + "1" * 200_000 + '",' + rows[row].split(",")[1]
+        files[f"field_limit{row}.csv"] = lines_text(rows)
+    # unquoted, so only the field limit tells it from a valid gap of 1
+    files["field_limit_unquoted.csv"] = lines_text(["gap,correct"] + ["0" * 200_000 + "1,true"] * 3)
+    rng = np.random.default_rng(3)
+    gaps = np.round(rng.exponential(20.0, 1000), 3).tolist()
+    correct = (rng.random(1000) > 0.1).tolist()
+    files["agree.jsonl"] = reference_jsonl(gaps, correct, np.cumsum(rng.integers(1, 4, 1000)))
+    files["agree.csv"] = lines_text(["gap,correct", *(f"{g!r},{c}" for g, c in zip(gaps, correct))])
+    return files
+
+
+FIXTURE_FILES = fixture_files()
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_FILES))
+def test_split_read_of_every_fixture_matches_serial(tmp_path, monkeypatch, cpus, name):
+    path = tmp_path / name
+    path.write_text(FIXTURE_FILES[name], encoding="utf-8")
+    assert_split_matches_serial(path, monkeypatch, cpus)
+
+
+LINE_ENDS = ["\n", "\r\n", "\r"]
+
+
+def valid_jsonl(rng) -> str:
+    """Valid records with mixed line ends, blank lines and field layouts."""
+    consumed = rng.choice(["all", "none", "some"])
+    lines = []
+    while len(lines) < 12 or sum(map(len, lines)) < 200:
+        if rng.random() < 0.15:
+            lines.append(str(rng.choice(["", "  ", "\t"])))
+            continue
+        gap = rng.choice(["0", "-0", "3", "2.5", "1e-3", "7E2", "0.1", "123456.789", "1e22"])
+        fields = [f'"gap": {gap}', f'"correct": {rng.choice(["true", "false"])}']
+        if consumed == "all" or (consumed == "some" and rng.random() < 0.5):
+            fields.append(f'"attempts_consumed": {rng.integers(1, 5)}')
+        rng.shuffle(fields)
+        lines.append("{" + str(rng.choice([", ", ","])).join(fields) + "}")
+    return "".join(line + str(rng.choice(LINE_ENDS)) for line in lines)
+
+
+def valid_csv(rng) -> str:
+    """Valid rows with mixed line ends, blank rows, spacing and flag spellings;
+    some files quote cells, a newline inside one among them."""
+    quoted = rng.random() < 0.3
+    rows = [str(rng.choice(["gap,correct", " Gap , CORRECT", "gap,correct "]))]
+    while len(rows) < 12 or sum(map(len, rows)) < 120:
+        pick = rng.random()
+        if pick < 0.1:
+            rows.append(str(rng.choice(["", " , ", ","])))
+        elif quoted and pick < 0.25:
+            rows.append(str(rng.choice(['"1.5",true', '"2\n",false', '3,"1"', '"4\r\n\n",0'])))
+        else:
+            gap = rng.choice(["0", "3", "2.5", "1e-3", " 4 ", "-0", "7E2", "0.25"])
+            flag = rng.choice(["true", "false", "1", "0", " TRUE ", "False"])
+            rows.append(f"{gap},{flag}")
+    return "".join(row + str(rng.choice(LINE_ENDS)) for row in rows)
+
+
+@pytest.mark.parametrize("suffix", [".jsonl", ".csv"])
+def test_split_read_of_generated_valid_files_matches_serial(tmp_path, monkeypatch, suffix):
+    # valid files only: a bad record makes the split read decline, which
+    # would hide a range that parsed wrongly
+    rng = np.random.default_rng(20)
+    make = valid_csv if suffix == ".csv" else valid_jsonl
+    for i in range(40):
+        text = make(rng)
+        if rng.random() < 0.3:
+            text = text.rstrip("\r\n")  # no line end after the last record
+        if rng.random() < 0.2:
+            text = "\ufeff" + text
+        path = tmp_path / f"valid{i}{suffix}"
+        path.write_text(text, encoding="utf-8", newline="")
+        declined = assert_split_matches_serial(path, monkeypatch, cpus=2 + i % 2)
+        assert declined == (suffix == ".csv" and '"' in text), text
+
+
+def test_a_header_ending_in_a_lone_cr_keeps_the_first_record(tmp_path, monkeypatch, cpus):
+    # the body starts after the header's text-mode line, not after the first
+    # \n byte, which here ends the first record
+    path = tmp_path / "records.csv"
+    path.write_bytes(b"gap,correct\r" + b"".join(b"%d,true\n" % i for i in range(40)))
+    assert not assert_split_matches_serial(path, monkeypatch, cpus)
+    assert len(RecordSet.from_csv(path)) == 40
+
+
+def test_a_header_only_csv_reads_no_records(tmp_path, monkeypatch, cpus):
+    path = tmp_path / "records.csv"
+    path.write_text("gap,correct" + " " * 100 + "\r\n")
+    assert_split_matches_serial(path, monkeypatch, cpus)
+    assert len(RecordSet.from_csv(path)) == 0
+
+
+def test_a_quoted_newline_across_a_cut_declines(tmp_path, monkeypatch):
+    rows = ["gap,correct"] + ["1,true"] * 6 + ['"2' + "\n" * 40 + '",false'] + ["3,false"] * 6
+    path = tmp_path / "records.csv"
+    write_lines(path, rows)
+    monkeypatch.setattr(gap_analysis, "_PART_BYTES", TINY_PART)
+    monkeypatch.setattr(gap_analysis, "_usable_cpus", lambda: 2)
+    text = path.read_bytes()
+    cut = gap_analysis._byte_ranges(path, len(b"gap,correct\n"))[1][0]
+    assert text.index(b'"') < cut < text.rindex(b'"')  # the cut splits the quoted cell
+    assert assert_split_matches_serial(path, monkeypatch, cpus=2)
+    assert RecordSet.from_csv(path).gaps.tolist() == [1.0] * 6 + [2.0] + [3.0] * 6
+
+
+@pytest.mark.parametrize("suffix", [".jsonl", ".csv"])
+def test_a_bad_byte_in_the_last_range_raises_as_serial(tmp_path, monkeypatch, cpus, suffix):
+    row = b'{"gap": 1, "correct": true}\n' if suffix == ".jsonl" else b"1,true\n"
+    head = b"gap,correct\n" if suffix == ".csv" else b""
+    path = tmp_path / f"records{suffix}"
+    path.write_bytes(head + row * 20 + b"2\xff,true\n")
+    assert_split_matches_serial(path, monkeypatch, cpus)
+    with pytest.raises(UnicodeDecodeError):
+        reader_for(path)(path)
+
+
+def test_an_attempt_total_past_int64_across_ranges_raises_as_serial(tmp_path, monkeypatch, cpus):
+    big = f'{{"gap": 1.0, "correct": true, "attempts_consumed": {2**62}}}'
+    small = '{"gap": 1.0, "correct": true, "attempts_consumed": 1}'
+    # one large record per range: each range's total fits in int64, the sum does not
+    lines = [big] + [small] * 3
+    lines = (lines + [""]) * (cpus - 1) + lines
+    path = tmp_path / "records.jsonl"
+    write_lines(path, lines)
+    monkeypatch.setattr(gap_analysis, "_PART_BYTES", TINY_PART)
+    monkeypatch.setattr(gap_analysis, "_usable_cpus", lambda: cpus)
+    ranges = gap_analysis._byte_ranges(path, 0)
+    assert len(ranges) == cpus
+    assert all(REAL_READ_RANGE(path, False, a, b)[3] == 2**62 + 3 for a, b in ranges)
+    got = split_outcome(path, monkeypatch, cpus)[0]
+    assert got == serial_outcome(path, monkeypatch)
+    assert got[0] is RecordFormatError and "attempts_consumed total exceeds" in got[1]
+
+
+def read_range_in_worker(path, is_csv, start, end):
+    """``_read_range`` that notes the process it ran in."""
+    with open(path.parent / "pids", "a") as fh:
+        fh.write(f"{os.getpid()}\n")
+    return REAL_READ_RANGE(path, is_csv, start, end)
+
+
+def test_ranges_are_parsed_in_forked_workers(tmp_path, monkeypatch, cpus):
+    path = tmp_path / "records.csv"
+    path.write_text(FIXTURE_FILES["agree.csv"])
+    monkeypatch.setattr(gap_analysis, "_read_range", read_range_in_worker)
+    expected = serial_outcome(path, monkeypatch)
+    assert split_outcome(path, monkeypatch, cpus) == (expected, False)
+    pids = (tmp_path / "pids").read_text().split()
+    assert len(pids) == cpus and str(os.getpid()) not in pids
+
+
+@pytest.mark.parametrize("error", [OSError, BrokenProcessPool])
+def test_a_pool_that_cannot_start_reads_in_process(tmp_path, monkeypatch, error):
+    def no_pool(*args, **kwargs):
+        raise error("cannot start")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    path = tmp_path / "records.jsonl"
+    path.write_text(FIXTURE_FILES["agree.jsonl"])
+    assert split_outcome(path, monkeypatch, 2) == (serial_outcome(path, monkeypatch), False)
+
+
+def forbidden_pool(*args, **kwargs):
+    raise AssertionError("a pool was built")
+
+
+def test_no_fork_while_another_thread_runs(tmp_path, monkeypatch):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", forbidden_pool)
+    path = tmp_path / "records.csv"
+    path.write_text(FIXTURE_FILES["agree.csv"])
+    expected = serial_outcome(path, monkeypatch)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert split_outcome(path, monkeypatch, 2) == (expected, False)
+    finally:
+        stop.set()
+        thread.join()
+
+
+def test_no_fork_where_the_platform_cannot(tmp_path, monkeypatch):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", forbidden_pool)
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    path = tmp_path / "records.jsonl"
+    path.write_text(FIXTURE_FILES["agree.jsonl"])
+    assert split_outcome(path, monkeypatch, 2) == (serial_outcome(path, monkeypatch), False)
+
+
+# A UTF-8 byte order mark (Excel's "CSV UTF-8") may start a record file; one
+# anywhere else stays an error.
+
+BOM_FILES = {
+    "records.jsonl": [f'{{"gap": {i}, "correct": {"true" if i % 3 else "false"}}}' for i in range(20)],
+    "records.csv": ["gap,correct"] + [f"{i},{'true' if i % 3 else 'false'}" for i in range(20)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(BOM_FILES))
+@pytest.mark.parametrize("split", [False, True], ids=["serial", "split"])
+def test_a_leading_bom_is_read_past(tmp_path, monkeypatch, name, split):
+    plain, marked = tmp_path / "plain" / name, tmp_path / "marked" / name
+    for path, prefix in ((plain, ""), (marked, "\ufeff")):
+        path.parent.mkdir()
+        path.write_text(prefix + lines_text(BOM_FILES[name]), encoding="utf-8")
+    expected = serial_outcome(plain, monkeypatch)
+    assert len(expected[0]) == 20
+    if split:
+        assert split_outcome(marked, monkeypatch, 2) == (expected, False)
+    else:
+        assert serial_outcome(marked, monkeypatch) == expected
+
+
+@pytest.mark.parametrize(
+    "name, message",
+    [
+        ("records.jsonl", r"^record 3: invalid JSON: Unexpected UTF-8 BOM"),
+        ("records.csv", r"^record 2: bad gap '\\ufeff1'$"),
+    ],
+)
+@pytest.mark.parametrize("split", [False, True], ids=["serial", "split"])
+def test_a_bom_after_the_start_is_an_error(tmp_path, monkeypatch, name, message, split):
+    lines = list(BOM_FILES[name])
+    lines[2] = "\ufeff" + lines[2]
+    path = tmp_path / name
+    path.write_text(lines_text(lines), encoding="utf-8")
+    if split:
+        monkeypatch.setattr(gap_analysis, "_PART_BYTES", TINY_PART)
+        monkeypatch.setattr(gap_analysis, "_usable_cpus", lambda: 2)
+    with pytest.raises(RecordFormatError, match=message):
+        reader_for(path)(path)
+
+
+@pytest.mark.parametrize("name", sorted(BOM_FILES))
+def test_a_bom_that_starts_a_later_range_is_an_error(tmp_path, monkeypatch, name):
+    monkeypatch.setattr(gap_analysis, "_PART_BYTES", TINY_PART)
+    monkeypatch.setattr(gap_analysis, "_usable_cpus", lambda: 2)
+    path = tmp_path / name
+    text = lines_text(BOM_FILES[name])
+    path.write_text(text, encoding="utf-8")
+    body = len("gap,correct\n") if name.endswith(".csv") else 0
+    cut = gap_analysis._byte_ranges(path, body)[1][0]
+    path.write_text(text[:cut] + "\ufeff" + text[cut:], encoding="utf-8")
+    assert gap_analysis._byte_ranges(path, body)[1][0] == cut
+    expected = serial_outcome(path, monkeypatch)
+    assert expected[0] is RecordFormatError
+    assert split_outcome(path, monkeypatch, 2) == (expected, True)
+
+
+def test_a_lowered_field_limit_holds_for_plain_rows(tmp_path, monkeypatch, cpus):
+    path = tmp_path / "records.csv"
+    write_lines(path, ["gap,correct"] + ["12345.6789,true"] * 20)
+    limit = csv.field_size_limit(8)
+    try:
+        assert_split_matches_serial(path, monkeypatch, cpus)
+        with pytest.raises(RecordFormatError, match="field larger than field limit"):
+            RecordSet.from_csv(path)
+    finally:
+        csv.field_size_limit(limit)
