@@ -9,21 +9,7 @@ and failure models), montecarlo (deterministic shot sampling), gap_analysis
 
 __version__ = "0.1.0"
 
-from .analytics import (
-    CommonMode,
-    ExplicitJoint,
-    FailureModel,
-    Independent,
-    StageStats,
-    attempt_reduction,
-    expected_attempts,
-    iid_multiplex_discard,
-    multiplex_pass_probability,
-)
-from .gap_analysis import RecordSet, SweepCurve, find_crossing, sweep
-from .geometry import CellSet, FootprintSpec, PatchLayout, Rotation, Stage, pack_sites, rotate_footprint, validate_layout
-from .montecarlo import EscapeModel, SimConfig, SimSummary, run_simulation, sample_shot
-from .pipeline import CandidateSet, SelectionRule, ShotOutcome, SiteIndicators, complete_shot, form_candidate_set, select_candidate
+import importlib
 
 __all__ = [
     "__version__",
@@ -61,3 +47,25 @@ __all__ = [
     "find_crossing",
     "sweep",
 ]
+
+# Each exported name loads its module on first use (PEP 562), so importing
+# the package, or only the CLI, loads none of the layout modules.
+_EXPORTS = {
+    "analytics": "CommonMode ExplicitJoint FailureModel Independent StageStats attempt_reduction "
+    "expected_attempts iid_multiplex_discard multiplex_pass_probability",
+    "gap_analysis": "RecordSet SweepCurve find_crossing sweep",
+    "geometry": "CellSet FootprintSpec PatchLayout Rotation Stage pack_sites rotate_footprint "
+    "validate_layout",
+    "montecarlo": "EscapeModel SimConfig SimSummary run_simulation sample_shot",
+    "pipeline": "CandidateSet SelectionRule ShotOutcome SiteIndicators complete_shot "
+    "form_candidate_set select_candidate",
+}
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+
+
+def __getattr__(name: str):
+    if name not in _SOURCE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_SOURCE[name]}", __name__), name)
+    globals()[name] = value
+    return value

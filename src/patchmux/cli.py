@@ -45,14 +45,6 @@ from .gap_analysis import (
     sweep,
     write_curve_csv,
 )
-from .geometry import Stage, pack_sites, validate_layout
-from .layout_io import (
-    LayoutParseError,
-    ascii_map,
-    canonical_document,
-    layout_report,
-    load_layout_file,
-)
 from .montecarlo import (
     LAYOUT_VERSION,
     EscapeModel,
@@ -63,7 +55,6 @@ from .montecarlo import (
     write_records_jsonl,
 )
 from .pipeline import SelectionRule
-from .presets import ANALYTIC_PRESETS, simulation_presets
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -79,7 +70,7 @@ class InputFormatError(Exception):
     """An input file the library readers do not cover is malformed."""
 
 
-_FORMAT_ERRORS = (LayoutParseError, RecordFormatError, InputFormatError)
+_FORMAT_ERRORS = (RecordFormatError, InputFormatError)
 
 
 # ---------------------------------------------------------------------------
@@ -386,6 +377,8 @@ def _analytic_csv_text(results) -> str:
 
 
 def cmd_analytic(args) -> int:
+    from .presets import ANALYTIC_PRESETS
+
     cfg = _read_config(_load_config_file(args.config), _ANALYTIC_CONFIG, "analytic config")
     preset = args.preset or cfg.get("preset")
     input_csv = cfg.get("input_csv")
@@ -495,6 +488,8 @@ def cmd_simulate(args) -> int:
 
     preset_name = args.preset or cfg.get("preset")
     if preset_name is not None:
+        from .presets import simulation_presets
+
         presets = simulation_presets()
         if preset_name not in presets:
             raise ConfigError(
@@ -613,8 +608,8 @@ def cmd_gap_sweep(args) -> int:
     elif len(per_input) != len(files):
         raise ConfigError("n_attempts must be an int or one entry per record file")
     tail_window = cfg.get("tail_window")
-    if tail_window is not None and len(tail_window) != 2:
-        raise ConfigError("tail_window must be [low, high]")
+    if tail_window is not None and (len(tail_window) != 2 or tail_window[0] >= tail_window[1]):
+        raise ConfigError("tail_window must be [low, high] with low < high")
 
     with _config_errors():
         record_sets = [
@@ -699,7 +694,20 @@ def cmd_gap_sweep(args) -> int:
 # layout
 
 
+def _load_layout(path: Path):
+    from .layout_io import LayoutParseError, load_layout_file
+
+    try:
+        return load_layout_file(path)
+    except LayoutParseError as exc:
+        raise InputFormatError(str(exc)) from None
+
+
 def cmd_layout(args) -> int:
+    # the layout modules load only for this command, to keep every other one's start short
+    from .geometry import Stage, pack_sites, validate_layout
+    from .layout_io import ascii_map, canonical_document, layout_report
+
     raw = _load_config_file(args.config)
     cfg = _read_config(raw, _LAYOUT_CONFIG, "layout config")
     preset = args.preset or cfg.get("preset")
@@ -715,7 +723,7 @@ def cmd_layout(args) -> int:
     with _config_errors():
         stage = Stage.parse(cfg.get("stage", "cultivation"))
         if file_path is not None:
-            doc = _read_file(load_layout_file, _require_file(file_path, "layout file"))
+            doc = _read_file(_load_layout, _require_file(file_path, "layout file"))
             source = file_path
         else:
             doc = canonical_document()

@@ -17,12 +17,18 @@ block that fails any check is read again record by record, which names the
 first bad record as a line-by-line reader would. A leading UTF-8 byte order
 mark is skipped; one anywhere else is a record error.
 
-A record file whose body holds at least two ``_PART_BYTES`` is read on every
-usable CPU: cut into byte ranges that each end just after a ``\n`` byte, one
-per CPU, each range parsed in a forked worker by the same block functions
-(and quote-free ``number,flag`` CSV text without the csv module). A range
-returns its columns or declines; any decline reads the whole file again with
-the serial reader, so outputs and error messages do not depend on the split.
+Large files are read and written on every usable CPU, by one fork helper
+(``_write_in_parts``): this process handles part 0, and each later part runs
+in a forked child that sends its bytes back through a pipe; only this
+process writes the output, and it does a failed child's part itself. A
+record file whose body holds at least two ``_PART_BYTES`` is cut into byte
+ranges that each end just after a ``\n`` byte, one per CPU, each parsed by
+the same block functions (and quote-free ``number,flag`` CSV text without
+the csv module). A range returns its columns or declines; any decline reads
+the whole file again with the serial reader, so outputs and error messages
+do not depend on the split. A record set or curve of at least two
+``_PART_ROWS`` rows is cut into row ranges, one per CPU, each formatted by
+the writer's one block formatter, so the bytes do not depend on the split.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ import io
 import json
 import math
 import os
+import pickle
 import re
 import threading
 from dataclasses import dataclass
@@ -52,6 +59,14 @@ _IO_BLOCK = 4096
 # A file whose body holds at least two parts of this many bytes is read in
 # line-aligned byte ranges, one per usable CPU.
 _PART_BYTES = 1 << 19
+
+# Record and curve sets of at least two parts of this many rows are written
+# in parts, one per usable CPU.
+_PART_ROWS = 1 << 14
+
+# A forked part's bytes are copied from its pipe this many at a time, so the
+# writing process never holds a whole part.
+_PIPE_CHUNK = 1 << 16
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
@@ -394,6 +409,98 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+# Work split by usable CPU. Part 0 runs in this process and every later part
+# in a forked child, which sends its bytes back through a pipe; only this
+# process writes the output. Fork, not spawn: a spawned child imports numpy
+# and patchmux again (~0.25 s, more than a part takes).
+class _Child:
+    """A forked process producing the bytes of one part, and its pipe."""
+
+    def __init__(self, produce, part: int, others: list["_Child"]) -> None:
+        read_fd, write_fd = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            os.close(read_fd)
+            os.close(write_fd)
+            raise
+        if self.pid == 0:
+            status = 1
+            try:  # never returns: a child must not run the CLI's rest or atexit
+                os.close(read_fd)
+                for other in others:
+                    other.pipe.close()
+                # the whole part first: streaming while this process still
+                # produces part 0 would block the child on a full pipe
+                data = b"".join(produce(part))
+                with open(write_fd, "wb") as pipe:
+                    pipe.write(len(data).to_bytes(8, "little"))
+                    pipe.write(data)
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(write_fd)
+        self.pipe = open(read_fd, "rb")
+        self.status: int | None = None
+
+    def copy_to(self, out) -> bool:
+        """Copy the part into ``out`` in ``_PIPE_CHUNK`` pieces; whether it
+        arrived whole from a child that exited 0."""
+        size = self.pipe.read(8)
+        left = int.from_bytes(size, "little")
+        while left and (chunk := self.pipe.read(min(left, _PIPE_CHUNK))):
+            out.write(chunk)
+            left -= len(chunk)
+        return self.wait() == 0 and len(size) == 8 and left == 0
+
+    def wait(self) -> int:
+        self.pipe.close()  # a child still writing then fails, and exits
+        if self.status is None:
+            self.status = os.waitpid(self.pid, 0)[1]
+        return self.status
+
+
+def _write_in_parts(out, produce, count: int) -> None:
+    """Write the bytes of ``produce(0)``, ..., ``produce(count - 1)`` to the
+    binary stream ``out``, in order.
+
+    With two or more parts, where the platform can fork and this process runs
+    one thread (a fork copies no other thread, and would copy the locks they
+    hold), parts 1 on are produced in forked children while this process
+    produces part 0. A child that cannot start, exits non-zero or sends a
+    short stream costs only time: ``out`` is cut back to where its part began
+    and the part is produced here.
+    """
+    children: list[_Child] = []
+    if count >= 2 and hasattr(os, "fork") and threading.active_count() == 1:
+        try:
+            for part in range(1, count):
+                children.append(_Child(produce, part, children))
+        except OSError:  # no pipe or process to be had: the rest run here
+            pass
+    try:
+        for part in range(count):
+            start = out.tell()
+            if not (0 < part <= len(children) and children[part - 1].copy_to(out)):
+                out.seek(start)
+                out.truncate()
+                out.writelines(produce(part))
+    finally:
+        for child in children:
+            child.wait()
+
+
+def _write_rows(path, head: bytes, text, rows: int) -> None:
+    """Write ``head``, then ``text(start, stop)`` (bytes, a block of rows at a
+    time) for rows 0 to ``rows``: in parts, one per usable CPU, when they
+    come to at least two of ``_PART_ROWS``."""
+    parts = max(1, min(_usable_cpus(), rows // _PART_ROWS))
+    cuts = [rows * part // parts for part in range(parts + 1)]
+    with open(path, "wb") as fh:
+        fh.write(head)
+        _write_in_parts(fh, lambda part: text(cuts[part], cuts[part + 1]), parts)
+
+
 def _csv_body_start(path) -> int | None:
     r"""Byte offset just past the header's text-mode line, or None where the
     header needs the serial reader (a quote, bad text, or not 'gap,correct').
@@ -437,29 +544,14 @@ def _byte_ranges(path, start: int) -> list[tuple[int, int]]:
 
 
 def _parse_ranges(path, is_csv: bool, ranges: list[tuple[int, int]]) -> list:
-    """``_read_range`` of each range: in forked workers when there are two or
-    more ranges, the platform can fork and this process runs one thread (a
-    fork copies no other thread, and would copy the locks they hold);
-    otherwise, or when the pool cannot start, one after another here."""
-    jobs = [(path, is_csv, a, b) for a, b in ranges]
-    # imported here: loading the pool machinery at import would slow every command
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
-    if (
-        len(jobs) >= 2
-        and "fork" in multiprocessing.get_all_start_methods()
-        and threading.active_count() == 1
-    ):
-        try:
-            with ProcessPoolExecutor(
-                len(jobs), mp_context=multiprocessing.get_context("fork")
-            ) as pool:
-                return list(pool.map(_read_range, *zip(*jobs)))
-        except (OSError, BrokenProcessPool):
-            pass
-    return [_read_range(*job) for job in jobs]
+    """``_read_range`` of each range, range 0 here and the others in forked
+    children where ``_write_in_parts`` forks; each result crosses as a pickle."""
+    out = io.BytesIO()
+    _write_in_parts(
+        out, lambda part: [pickle.dumps(_read_range(path, is_csv, *ranges[part]))], len(ranges)
+    )
+    out.seek(0)
+    return [pickle.load(out) for _ in ranges]
 
 
 def _read_split(path, is_csv: bool):
@@ -574,22 +666,23 @@ class RecordSet:
         if self.shot_index is None:
             raise ValueError("attempts_consumed needs the records' shot_index")
         consumed = np.diff(self.shot_index, prepend=-1)
-        with open(path, "w", encoding="utf-8") as fh:
-            for start in range(0, len(self), _IO_BLOCK):
-                block = slice(start, start + _IO_BLOCK)
-                rows = zip(
-                    self.gaps[block].tolist(),
-                    self.correct[block].tolist(),
-                    consumed[block].tolist(),
-                )
-                text = "".join(
+
+        def text(start: int, stop: int):
+            for block in range(start, stop, _IO_BLOCK):
+                rows = slice(block, min(block + _IO_BLOCK, stop))
+                yield "".join(
                     [
                         f'{{"gap": {g!r}, "correct": {"true" if c else "false"}, '
                         f'"attempts_consumed": {a}}}\n'
-                        for g, c, a in rows
+                        for g, c, a in zip(
+                            self.gaps[rows].tolist(),
+                            self.correct[rows].tolist(),
+                            consumed[rows].tolist(),
+                        )
                     ]
-                )
-                fh.write(text)
+                ).encode()
+
+        _write_rows(path, b"", text, len(self))
 
 
 CURVE_DTYPE = np.dtype(
@@ -802,10 +895,12 @@ _CURVE_CSV_ROW = "%.10g,%.10g,%.10g,%.10g,%.10g,%s\r\n"
 def write_curve_csv(curve: SweepCurve, path: str | Path) -> None:
     """Emit the plot-data CSV; extrapolated rows carry the fitted error count
     and are flagged in the last column."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(CURVE_CSV_HEADER) + "\r\n")
-        for start in range(0, len(curve.points), _IO_BLOCK):
-            p = curve.points[start : start + _IO_BLOCK]
+
+    def text(start: int, stop: int):
+        for block in range(start, stop, _IO_BLOCK):
+            p = curve.points[block : min(block + _IO_BLOCK, stop)]
             columns = [p[name].tolist() for name in CURVE_DTYPE.names[:-1]]
             flags = ["true" if flag else "false" for flag in p.extrapolated.tolist()]
-            fh.write("".join([_CURVE_CSV_ROW % row for row in zip(*columns, flags)]))
+            yield "".join([_CURVE_CSV_ROW % row for row in zip(*columns, flags)]).encode()
+
+    _write_rows(path, (",".join(CURVE_CSV_HEADER) + "\r\n").encode(), text, len(curve.points))

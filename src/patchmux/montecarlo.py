@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import math
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -476,6 +475,8 @@ def run_simulation(
     if workers == 1 or len(starts) == 1:
         folds = [_process_chunk(plan, s, m) for s, m in starts]
     else:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             folds = list(pool.map(lambda sm: _process_chunk(plan, *sm), starts))
 

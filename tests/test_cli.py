@@ -1,8 +1,12 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import patchmux
 from patchmux.cli import EXIT_CONFIG, EXIT_EMPTY, EXIT_FORMAT, EXIT_OK, main
 
 
@@ -434,6 +438,19 @@ def test_gap_sweep_tail_window(tmp_path):
     assert "rate" in report["results"]["inputs"][0]["tail"]
 
 
+@pytest.mark.parametrize("window", [[20, 2], [5, 5]])
+def test_gap_sweep_rejects_a_reversed_or_empty_tail_window(tmp_path, capsys, window):
+    records = tmp_path / "bad.jsonl"
+    records.write_text("not json\n")  # would exit 3 if it were read
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"records": [str(records)], "tail_window": window}))
+    assert run_cli("gap-sweep", "--config", str(cfg), "--out", str(tmp_path)) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "config error: tail_window must be [low, high] with low < high\n"
+    )
+    assert not (tmp_path / "gap_report.json").exists()
+
+
 def test_layout_canonical_validation(tmp_path):
     assert run_cli("layout", "--out", str(tmp_path)) == EXIT_OK
     report = read_json(tmp_path / "layout_report.json")
@@ -484,7 +501,7 @@ def test_layout_parse_error_is_format_error(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"file": str(layout_file)}))
     assert run_cli("layout", "--config", str(cfg), "--out", str(tmp_path)) == EXIT_FORMAT
-    assert "line 2" in capsys.readouterr().err
+    assert capsys.readouterr().err == "input format error: line 2: non-integer cell '0 zero'\n"
 
 
 def test_layout_pack_infeasible_is_empty_result(tmp_path):
@@ -570,3 +587,18 @@ def test_rerun_with_embedded_config_reproduces_report(tmp_path):
     assert (out_a / "sim_summary.json").read_bytes() == (
         out_b / "sim_summary.json"
     ).read_bytes()
+
+
+def test_cli_import_loads_no_layout_or_process_pool_modules():
+    code = (
+        "import sys, patchmux.cli; "
+        "print(sorted(m for m in sys.modules if m in {"
+        "'patchmux.geometry', 'patchmux.layout_io', 'patchmux.presets', "
+        "'multiprocessing', 'concurrent.futures.process'}))"
+    )
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(patchmux.__file__))}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "[]\n"

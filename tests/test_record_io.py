@@ -6,14 +6,14 @@ as first written (one ``json.dumps``/``json.loads`` per record, one
 ``csv.writer`` row per curve point); the block code must match it exactly.
 """
 
-import concurrent.futures
+import atexit
 import csv
 import json
 import math
-import multiprocessing
 import os
+import subprocess
+import sys
 import threading
-from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -555,52 +555,132 @@ def read_range_in_worker(path, is_csv, start, end):
     return REAL_READ_RANGE(path, is_csv, start, end)
 
 
-def test_ranges_are_parsed_in_forked_workers(tmp_path, monkeypatch, cpus):
+def range_pids(path):
+    return (path.parent / "pids").read_text().split()
+
+
+def test_ranges_are_parsed_here_and_in_forked_children(tmp_path, monkeypatch, cpus):
     path = tmp_path / "records.csv"
     path.write_text(FIXTURE_FILES["agree.csv"])
     monkeypatch.setattr(gap_analysis, "_read_range", read_range_in_worker)
     expected = serial_outcome(path, monkeypatch)
     assert split_outcome(path, monkeypatch, cpus) == (expected, False)
-    pids = (tmp_path / "pids").read_text().split()
-    assert len(pids) == cpus and str(os.getpid()) not in pids
+    pids = range_pids(path)
+    assert len(set(pids)) == cpus and pids.count(str(os.getpid())) == 1
 
 
-@pytest.mark.parametrize("error", [OSError, BrokenProcessPool])
-def test_a_pool_that_cannot_start_reads_in_process(tmp_path, monkeypatch, error):
-    def no_pool(*args, **kwargs):
-        raise error("cannot start")
+REAL_FORK = os.fork
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+
+def fork_then(child_action):
+    """``os.fork`` whose child runs ``child_action`` first (and exits 99 if
+    it raises, so a child never returns into the test run)."""
+
+    def fork():
+        pid = REAL_FORK()
+        if pid == 0:
+            try:
+                child_action()
+            except BaseException:
+                os._exit(99)
+        return pid
+
+    return fork
+
+
+def exit_at_once():
+    os._exit(3)
+
+
+def fail_to_format():
+    # the child's text blocks, and its range reads, then raise
+    gap_analysis._IO_BLOCK = 0
+    gap_analysis._read_range = None
+
+
+def fail_but_exit_zero():
+    fail_to_format()
+    real_exit = os._exit
+    os._exit = lambda status: real_exit(0)
+
+
+class ShortPipe:
+    """A pipe file that passes on only the first half of each write."""
+
+    def __init__(self, fd, mode):
+        self.file = open(fd, mode)
+
+    def write(self, data):
+        return self.file.write(data if len(data) == 8 else data[: len(data) // 2])
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.file.close()
+
+
+def stream_short():
+    gap_analysis.open = ShortPipe
+
+
+CHILD_FAILURES = [exit_at_once, fail_to_format, fail_but_exit_zero, stream_short]
+
+
+@pytest.mark.parametrize("failure", CHILD_FAILURES, ids=lambda f: f.__name__)
+def test_a_failed_child_range_is_read_here(tmp_path, monkeypatch, cpus, failure):
     path = tmp_path / "records.jsonl"
     path.write_text(FIXTURE_FILES["agree.jsonl"])
-    assert split_outcome(path, monkeypatch, 2) == (serial_outcome(path, monkeypatch), False)
+    expected = serial_outcome(path, monkeypatch)
+    monkeypatch.setattr(os, "fork", fork_then(failure))
+    monkeypatch.setattr(gap_analysis, "_read_range", read_range_in_worker)
+    assert split_outcome(path, monkeypatch, cpus) == (expected, False)
+    assert range_pids(path).count(str(os.getpid())) == cpus
 
 
-def forbidden_pool(*args, **kwargs):
-    raise AssertionError("a pool was built")
+def failing_call(*args, **kwargs):
+    raise OSError("cannot start")
+
+
+@pytest.mark.parametrize("call", ["fork", "pipe"])
+def test_a_child_that_cannot_start_leaves_its_range_here(tmp_path, monkeypatch, cpus, call):
+    monkeypatch.setattr(os, call, failing_call)
+    monkeypatch.setattr(gap_analysis, "_read_range", read_range_in_worker)
+    path = tmp_path / "records.jsonl"
+    path.write_text(FIXTURE_FILES["agree.jsonl"])
+    assert split_outcome(path, monkeypatch, cpus) == (serial_outcome(path, monkeypatch), False)
+    assert range_pids(path) == [str(os.getpid())] * cpus
+
+
+def forbidden_fork():
+    raise AssertionError("a child was forked")
 
 
 def test_no_fork_while_another_thread_runs(tmp_path, monkeypatch):
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", forbidden_pool)
     path = tmp_path / "records.csv"
     path.write_text(FIXTURE_FILES["agree.csv"])
     expected = serial_outcome(path, monkeypatch)
+    written = serial_writes(tmp_path, monkeypatch, 23)
+    monkeypatch.setattr(os, "fork", forbidden_fork)
     stop = threading.Event()
     thread = threading.Thread(target=stop.wait)
     thread.start()
     try:
         assert split_outcome(path, monkeypatch, 2) == (expected, False)
+        assert split_writes(tmp_path, monkeypatch, 23, 2) == written
     finally:
         stop.set()
-        thread.join()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
 
 
 def test_no_fork_where_the_platform_cannot(tmp_path, monkeypatch):
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", forbidden_pool)
-    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
     path = tmp_path / "records.jsonl"
     path.write_text(FIXTURE_FILES["agree.jsonl"])
+    written = serial_writes(tmp_path, monkeypatch, 23)
+    monkeypatch.delattr(os, "fork")
     assert split_outcome(path, monkeypatch, 2) == (serial_outcome(path, monkeypatch), False)
+    assert split_writes(tmp_path, monkeypatch, 23, 2) == written
 
 
 # A UTF-8 byte order mark (Excel's "CSV UTF-8") may start a record file; one
@@ -673,3 +753,150 @@ def test_a_lowered_field_limit_holds_for_plain_rows(tmp_path, monkeypatch, cpus)
             RecordSet.from_csv(path)
     finally:
         csv.field_size_limit(limit)
+
+
+# Split writing. Record and curve sets of at least two parts of _PART_ROWS
+# rows are written in parts, one per usable CPU: part 0 here, each later part
+# formatted whole in a forked child and streamed back. With parts of 2 rows
+# even these small sets are split; the bytes never change.
+
+WRITE_GAPS = [0.0, 5e-324, 1e308, 3.0, 7.0, 0.1, 2.5e-7, 123456.789, 1e22, 40.0, 0.5, 1.0]
+
+
+def sets_to_write(rows):
+    """A record set and a curve of ``rows`` rows: edge gaps, integral gaps,
+    curve rows with NaN and inf, and extrapolated rows."""
+    pick = np.arange(rows) % len(WRITE_GAPS)
+    records = RecordSet(
+        np.array(WRITE_GAPS)[pick],
+        pick % 3 > 0,
+        n_attempts=3 * rows + 1,
+        shot_index=3 * np.arange(rows) + pick % 3,
+    )
+    kept_error = np.array([2.0, 0.0, 1e-320, 1.0])[np.arange(rows) % 4]
+    points = curve_rows(np.arange(rows) * 0.5, np.arange(rows) % 3 * 1.0, kept_error, 9)
+    points.extrapolated[2 * rows // 3 :] = True
+    return records, SweepCurve(points=points, n_attempts=9)
+
+
+def written_bytes(tmp_path, rows):
+    records, curve = sets_to_write(rows)
+    records.to_jsonl(tmp_path / "out.jsonl")
+    write_curve_csv(curve, tmp_path / "out.csv")
+    return (tmp_path / "out.jsonl").read_bytes(), (tmp_path / "out.csv").read_bytes()
+
+
+def serial_writes(tmp_path, monkeypatch, rows):
+    monkeypatch.setattr(gap_analysis, "_PART_ROWS", 1 << 60)
+    return written_bytes(tmp_path, rows)
+
+
+def split_writes(tmp_path, monkeypatch, rows, cpus):
+    monkeypatch.setattr(gap_analysis, "_PART_ROWS", 2)
+    monkeypatch.setattr(gap_analysis, "_usable_cpus", lambda: cpus)
+    return written_bytes(tmp_path, rows)
+
+
+def count_forks(monkeypatch, fork=os.fork):
+    """Patch ``os.fork`` to note each child this process forks."""
+    children = []
+
+    def counted():
+        pid = fork()
+        if pid:
+            children.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return children
+
+
+@pytest.mark.parametrize("rows", [0, 1, 3, 11, 23])
+@pytest.mark.parametrize("cpus", [1, 2, 3], ids=lambda n: f"cpus{n}")
+def test_split_writes_match_serial(tmp_path, monkeypatch, block, cpus, rows):
+    records, curve = sets_to_write(rows)
+    reference = tmp_path / "reference.csv"
+    reference_curve_csv(curve, reference)
+    gaps, correct = records.gaps.tolist(), records.correct.tolist()
+    expected = serial_writes(tmp_path, monkeypatch, rows)
+    assert expected == (
+        reference_jsonl(gaps, correct, records.shot_index).encode(),
+        reference.read_bytes(),
+    )
+    children = count_forks(monkeypatch)
+    assert split_writes(tmp_path, monkeypatch, rows, cpus) == expected
+    assert len(children) == 2 * (max(1, min(cpus, rows // 2)) - 1)
+
+
+@pytest.mark.parametrize("failure", CHILD_FAILURES, ids=lambda f: f.__name__)
+def test_a_failed_child_part_is_written_here(tmp_path, monkeypatch, cpus, failure):
+    expected = serial_writes(tmp_path, monkeypatch, 23)
+    children = count_forks(monkeypatch, fork_then(failure))
+    assert split_writes(tmp_path, monkeypatch, 23, cpus) == expected
+    assert len(children) == 2 * (cpus - 1)
+
+
+def fork_failing_after(count):
+    calls = []
+
+    def fork():
+        calls.append(None)
+        if len(calls) > count:
+            raise OSError("cannot start")
+        return REAL_FORK()
+
+    return fork
+
+
+@pytest.mark.parametrize(
+    "call, make_failure",
+    [
+        ("fork", lambda: failing_call),
+        ("pipe", lambda: failing_call),
+        ("fork", lambda: fork_failing_after(1)),
+    ],
+    ids=["fork", "pipe", "second_fork"],
+)
+def test_a_child_that_cannot_start_leaves_its_part_here(tmp_path, monkeypatch, call, make_failure):
+    expected = serial_writes(tmp_path, monkeypatch, 23)
+    monkeypatch.setattr(os, call, make_failure())
+    assert split_writes(tmp_path, monkeypatch, 23, 3) == expected
+
+
+CHILD_EXIT_SCRIPT = """
+import atexit, os, sys
+from patchmux import gap_analysis
+from patchmux.gap_analysis import RecordSet
+
+atexit.register(print, "exit handler ran")
+gap_analysis._PART_ROWS = 2
+gap_analysis._usable_cpus = lambda: 3
+records = RecordSet([1.5] * 12, [True] * 12, 12, shot_index=range(12))
+records.to_jsonl(sys.argv[1])
+fork = os.fork
+
+def failing_fork():
+    pid = fork()
+    if pid == 0:
+        gap_analysis._IO_BLOCK = 0  # formatting in the child raises
+    return pid
+
+os.fork = failing_fork
+records.to_jsonl(sys.argv[2])
+print("written")
+"""
+
+
+def test_children_leave_without_running_the_rest_or_exit_handlers(tmp_path):
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(gap_analysis.__file__))}
+    out = subprocess.run(
+        [sys.executable, "-c", CHILD_EXIT_SCRIPT, tmp_path / "a.jsonl", tmp_path / "b.jsonl"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "written\nexit handler ran\n"
+    assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
+    assert (tmp_path / "a.jsonl").read_text().count("\n") == 12
