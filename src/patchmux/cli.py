@@ -42,6 +42,7 @@ from .gap_analysis import (
     default_thresholds,
     extrapolate_tail,
     find_crossing,
+    linear_thresholds,
     sweep,
     write_curve_csv,
 )
@@ -587,9 +588,8 @@ def _threshold_grid(spec, record_sets):
         raise ConfigError(f"thresholds missing {exc}") from None
     if count < 2 or stop <= start:
         raise ConfigError("thresholds need stop > start and count >= 2")
-    step = (stop - start) / (count - 1)
-    grid = tuple(start + i * step for i in range(count))
-    if not all(map(math.isfinite, grid)) or any(b <= a for a, b in zip(grid, grid[1:])):
+    grid = linear_thresholds(start, stop, count)
+    if grid is None:
         raise ConfigError("thresholds start, stop and count give no finite increasing grid")
     return grid
 
@@ -639,7 +639,7 @@ def cmd_gap_sweep(args) -> int:
         curve_path = out / curve_name
         write_curve_csv(curve if tail is None else curve.with_tail(tail), curve_path)
         curves.append(curve)
-        zero = curve.points[0]
+        zero = curve.rows(0, 1)[0]
         entry = {
             "input": str(path),
             "records": len(rs),

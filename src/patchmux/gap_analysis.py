@@ -3,12 +3,16 @@
 Each kept shot carries a confidence gap (a non-negative scalar from the
 downstream decoder, consumed here as data) and a correct/error flag. A
 ``RecordSet`` holds them as numpy columns. A sweep at threshold G keeps the
-records with gap >= G; each row of the resulting ``SweepCurve`` holds the
-kept correct and error counts, the expected attempts per kept shot
-A(G) = n_attempts / kept and the error fraction among kept shots p_L(G).
-Both are NaN-sentinelled when nothing survives a threshold; an empty kept
-set never reports a zero error rate. A tail fit adds rows of the same type,
-flagged ``extrapolated``, whose error count is the fitted estimate.
+records with gap >= G; the resulting ``SweepCurve`` holds the grid and the
+kept correct and error counts at each threshold, one column each, and
+nothing more. Its rows add the expected attempts per kept shot
+A(G) = n_attempts / kept and the error fraction among kept shots p_L(G),
+derived a block of rows at a time where they are read (the curve CSV
+writer, ``find_crossing``). Both are NaN-sentinelled when nothing survives
+a threshold; an empty kept set never reports a zero error rate. A tail fit
+is a few numbers; a curve carrying it (``with_tail``) shares the count
+columns and reads the error count of each row past the fit's anchor from
+the fit, flagging the row ``extrapolated``.
 
 Record files (JSONL, or CSV for ingestion) and curve CSVs are read and
 written a fixed block of lines or rows at a time: a block is parsed or
@@ -41,7 +45,7 @@ import os
 import pickle
 import re
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import islice
 from pathlib import Path
 from typing import Sequence
@@ -633,9 +637,18 @@ class RecordSet:
         ``attempts_consumed`` is optional per record; when present on every
         record its sum is the default attempt total (it excludes any trailing
         attempts after the last kept shot, so pass ``n_attempts`` when known).
-        Records are numbered by line, blank lines included.
+        An ``n_attempts`` below the attempts the records account for is a
+        ValueError naming the file. Records are numbered by line, blank lines
+        included.
         """
         gaps, correct, with_consumed, consumed = _read_split(path, False) or _read_jsonl(path)
+        # a record without attempts_consumed took at least its own attempt
+        least = consumed + gaps.size - with_consumed
+        if with_consumed and n_attempts is not None and n_attempts < least:
+            raise ValueError(
+                f"{path}: n_attempts {n_attempts} is below the {least} attempts "
+                "its records consumed"
+            )
         summed = n_attempts is None and 0 < with_consumed == gaps.size
         if summed:
             n_attempts = consumed
@@ -688,8 +701,8 @@ class RecordSet:
 CURVE_DTYPE = np.dtype(
     [
         ("threshold", np.float64),
-        ("kept_correct", np.float64),  # a count, or the fit on extrapolated rows
-        ("kept_error", np.float64),
+        ("kept_correct", np.float64),  # a count
+        ("kept_error", np.float64),  # a count, or the fit on extrapolated rows
         ("attempts", np.float64),  # NaN when nothing is kept
         ("logical_error", np.float64),  # NaN when nothing is kept
         ("extrapolated", bool),
@@ -712,34 +725,141 @@ def curve_rows(threshold, kept_correct, kept_error, n_attempts: int, extrapolate
     return rows
 
 
+@dataclass(frozen=True)
+class TailExtrapolation:
+    """Log-linear fit ln(kept_error) = intercept + slope * G of the error counts.
+
+    The decay rate and its band come from this fit alone; they are an
+    estimate produced by the sweep tooling, not an observed count. A curve
+    carrying the fit (``SweepCurve.with_tail``) reads its error count beyond
+    ``anchor_threshold``, the last fitted threshold, from ``error_at``.
+    """
+
+    slope: float
+    slope_stderr: float
+    intercept: float
+    anchor_threshold: float
+
+    @property
+    def rate(self) -> float:
+        """Exponential decay rate of the error tail (−slope)."""
+        return -self.slope
+
+    @property
+    def anchor_log(self) -> float:
+        return self.intercept + self.slope * self.anchor_threshold
+
+    def error_at(self, thresholds: np.ndarray) -> np.ndarray:
+        """The fitted error count at each threshold."""
+        logs = self.anchor_log + self.slope * (thresholds - self.anchor_threshold)
+        # math.exp, not np.exp: numpy's SIMD exp can differ from libm in the last
+        # bit, and the fit is written out at ten significant digits
+        return np.fromiter(map(math.exp, logs.tolist()), np.float64, logs.size)
+
+    def band(self, thresholds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(low, high): the fit with its slope moved by one standard error
+        either way, from the anchor on."""
+        dg = np.asarray(thresholds, dtype=np.float64) - self.anchor_threshold
+        low = np.exp(self.anchor_log + (self.slope - self.slope_stderr) * dg)
+        high = np.exp(self.anchor_log + (self.slope + self.slope_stderr) * dg)
+        return np.minimum(low, high), np.maximum(low, high)
+
+
 @dataclass(frozen=True, eq=False)
 class SweepCurve:
-    """One row per threshold, as a record array with the ``CURVE_DTYPE`` fields."""
+    """Kept correct and error counts (as floats) on a strictly increasing grid.
 
-    points: np.recarray
+    Rows with A(G) and p_L(G) are derived when they are read (``rows``,
+    ``points``). A curve carrying a tail fit reads the error count of every
+    row beyond the fit's anchor from the fit, and flags those rows
+    ``extrapolated``; its count columns are those of the curve it came from.
+    """
+
+    threshold: np.ndarray
+    kept_correct: np.ndarray
+    kept_error: np.ndarray  # observed, also where a tail fit replaces it
     n_attempts: int
-    extrapolated_from: float | None = None
+    tail: TailExtrapolation | None = None
 
     def __post_init__(self) -> None:
-        points = np.asarray(self.points, dtype=CURVE_DTYPE).view(np.recarray)
-        if points.ndim != 1 or np.any(np.diff(points.threshold) <= 0):
+        columns = {
+            name: np.asarray(getattr(self, name), dtype=np.float64)
+            for name in ("threshold", "kept_correct", "kept_error")
+        }
+        ts = columns["threshold"]
+        if ts.ndim != 1 or any(column.shape != ts.shape for column in columns.values()):
+            raise ValueError("curve columns must be 1-D and of equal length")
+        if np.any(ts[1:] <= ts[:-1]):
             raise ValueError("thresholds must be strictly increasing")
-        object.__setattr__(self, "points", points)
+        for name, column in columns.items():
+            object.__setattr__(self, name, column)
 
-    def with_tail(self, tail: "TailExtrapolation") -> "SweepCurve":
-        """Replace the rows beyond the fit anchor by the fitted extension."""
-        observed = self.points[self.points.threshold <= tail.anchor_threshold]
-        return SweepCurve(
-            points=np.concatenate([observed, tail.points]),
-            n_attempts=self.n_attempts,
-            extrapolated_from=tail.anchor_threshold,
+    @property
+    def points(self) -> "_CurveRows":
+        """Every row, as a sequence whose rows are derived when read."""
+        return _CurveRows(self)
+
+    def rows(self, start: int = 0, stop: int | None = None) -> np.recarray:
+        """Rows ``start`` up to ``stop`` as a ``CURVE_DTYPE`` record array."""
+        ts = self.threshold[start:stop]
+        kept_error = self.kept_error[start:stop]
+        extrapolated = np.zeros(ts.size, dtype=bool)
+        if self.tail is not None:
+            fitted = int(np.searchsorted(ts, self.tail.anchor_threshold, side="right"))
+            extrapolated[fitted:] = True
+            kept_error = np.concatenate([kept_error[:fitted], self.tail.error_at(ts[fitted:])])
+        return curve_rows(
+            ts, self.kept_correct[start:stop], kept_error, self.n_attempts, extrapolated
         )
+
+    def with_tail(self, tail: TailExtrapolation) -> "SweepCurve":
+        """This curve with the rows beyond the fit anchor read from the fit."""
+        return replace(self, tail=tail)
+
+
+class _CurveRows:
+    """A curve's rows as a sequence of ``CURVE_DTYPE`` records: its length,
+    a row by index, and iteration a block of rows at a time."""
+
+    def __init__(self, curve: SweepCurve) -> None:
+        self._curve = curve
+
+    def __len__(self) -> int:
+        return self._curve.threshold.size
+
+    def __getitem__(self, index: int):
+        row = range(len(self))[index]  # a negative index counts from the end
+        return self._curve.rows(row, row + 1)[0]
+
+    def __iter__(self):
+        for start in range(0, len(self), _IO_BLOCK):
+            yield from self._curve.rows(start, start + _IO_BLOCK)
 
 
 def default_thresholds(*record_sets: RecordSet) -> np.ndarray:
-    """Zero plus every distinct gap of the record sets: the exact step positions."""
-    values = np.unique(np.concatenate([[0.0], *(rs.gaps for rs in record_sets)]))
-    return values + 0.0  # + 0.0 turns a -0.0 gap into 0.0
+    """Zero plus every distinct gap of the record sets: the exact step positions.
+
+    The grid takes in one record set at a time, so only one set's gaps are
+    copied at once.
+    """
+    grid = np.zeros(1)
+    for record_set in record_sets:
+        values = np.concatenate([grid, record_set.gaps])
+        values += 0.0  # turns a -0.0 gap into 0.0
+        values.sort()
+        grid = values[np.insert(values[1:] != values[:-1], 0, True)]
+    return grid
+
+
+def linear_thresholds(start: float, stop: float, count: int) -> np.ndarray | None:
+    """start + i * (stop - start) / (count - 1) for i in 0..count-1, bit for bit
+    as Python floats give it; None unless that is finite and increasing."""
+    step = (stop - start) / (count - 1)
+    with np.errstate(over="ignore", invalid="ignore"):  # an infinite step fails below
+        grid = float(start) + np.arange(count, dtype=np.float64) * step
+    if not (np.isfinite(grid).all() and (grid[1:] > grid[:-1]).all()):
+        return None
+    return grid
 
 
 def sweep(record_set: RecordSet, thresholds: Sequence[float] | None = None) -> SweepCurve:
@@ -747,15 +867,15 @@ def sweep(record_set: RecordSet, thresholds: Sequence[float] | None = None) -> S
     if thresholds is None:
         thresholds = default_thresholds(record_set)
     ts = np.asarray(thresholds, dtype=np.float64)
-    correct_gaps = np.sort(record_set.gaps[record_set.correct])
-    error_gaps = np.sort(record_set.gaps[~record_set.correct])
-    # gap >= G keeps the record; ties at the threshold are kept
-    kept_correct = correct_gaps.size - np.searchsorted(correct_gaps, ts, side="left")
-    kept_error = error_gaps.size - np.searchsorted(error_gaps, ts, side="left")
-    return SweepCurve(
-        points=curve_rows(ts, kept_correct, kept_error, record_set.n_attempts),
-        n_attempts=record_set.n_attempts,
-    )
+    counts = []
+    for keep in (record_set.correct, ~record_set.correct):
+        gaps = record_set.gaps[keep]
+        gaps.sort()
+        # gap >= G keeps the record; ties at the threshold are kept
+        kept = np.empty(ts.shape)
+        np.subtract(gaps.size, np.searchsorted(gaps, ts, side="left"), out=kept)
+        counts.append(kept)
+    return SweepCurve(ts, *counts, n_attempts=record_set.n_attempts)
 
 
 @dataclass(frozen=True)
@@ -772,11 +892,13 @@ def find_crossing(curve_a: SweepCurve, curve_b: SweepCurve) -> Crossing | None:
     flanked by opposite signs is reported at the tie's own threshold.
     Undefined (NaN) points break brackets; no flip means no result.
     """
-    a, b = curve_a.points, curve_b.points
-    if not np.array_equal(a.threshold, b.threshold):
+    if not np.array_equal(curve_a.threshold, curve_b.threshold):
         raise ValueError("curves must share one threshold grid")
-    ts = a.threshold.tolist()
-    diffs = (a.logical_error - b.logical_error).tolist()
+    ts = curve_a.threshold.tolist()
+    diffs: list[float] = []
+    for start in range(0, len(ts), _IO_BLOCK):
+        a, b = curve_a.rows(start, start + _IO_BLOCK), curve_b.rows(start, start + _IO_BLOCK)
+        diffs += (a.logical_error - b.logical_error).tolist()
 
     def sign(x: float) -> int:
         return 0 if x == 0 else (1 if x > 0 else -1)
@@ -812,48 +934,25 @@ def find_crossing(curve_a: SweepCurve, curve_b: SweepCurve) -> Crossing | None:
     return None
 
 
-@dataclass(frozen=True, eq=False)
-class TailExtrapolation:
-    """Log-linear extension of the error-survival counts.
-
-    The decay rate and its band come from this fit alone; they are an
-    estimate produced by the sweep tooling, not an observed count.
-    ``points`` are curve rows beyond the anchor whose ``kept_error`` is the
-    fit; ``error_low`` and ``error_high`` hold its band, row by row.
-    """
-
-    slope: float
-    slope_stderr: float
-    intercept: float
-    anchor_threshold: float
-    fit_thresholds: tuple[float, ...]
-    points: np.recarray
-    error_low: np.ndarray
-    error_high: np.ndarray
-
-    @property
-    def rate(self) -> float:
-        """Exponential decay rate of the error tail (−slope)."""
-        return -self.slope
-
-
 def extrapolate_tail(
     curve: SweepCurve, fit_window: tuple[float, float]
 ) -> TailExtrapolation | None:
-    """Fit ln(kept_error) over a threshold window and extend it rightward.
+    """Fit ln(kept_error) over a threshold window by least squares.
 
     Needs at least three window points with a surviving error count;
-    otherwise returns None. Extension points are produced at the curve's own
-    thresholds beyond the window, with a band from the slope's standard
-    error anchored at the last fitted threshold.
+    otherwise returns None. The fit is anchored at the last fitted threshold
+    and extends the curve at its own thresholds beyond it (``with_tail``);
+    its band comes from the slope's standard error.
     """
     lo, hi = fit_window
-    p = curve.points
-    in_fit = (lo <= p.threshold) & (p.threshold <= hi) & ~p.extrapolated & (p.kept_error >= 1)
+    ts = curve.threshold
+    in_fit = (lo <= ts) & (ts <= hi) & (curve.kept_error >= 1)
+    if curve.tail is not None:  # rows that are already extrapolated are not data
+        in_fit &= ts <= curve.tail.anchor_threshold
     if np.count_nonzero(in_fit) < 3:
         return None
-    xs = p.threshold[in_fit]
-    ys = np.log(p.kept_error[in_fit])
+    xs = ts[in_fit]
+    ys = np.log(curve.kept_error[in_fit])
     slope, intercept = np.polyfit(xs, ys, 1)
     resid = ys - (intercept + slope * xs)
     dof = xs.size - 2
@@ -862,27 +961,11 @@ def extrapolate_tail(
         stderr = math.sqrt(float(np.sum(resid**2)) / dof / denom)
     else:
         stderr = 0.0
-
-    anchor = float(xs[-1])
-    anchor_log = intercept + slope * anchor
-    beyond = p[p.threshold > anchor]
-    dg = beyond.threshold - anchor
-    # math.exp, not np.exp: numpy's SIMD exp can differ from libm in the last
-    # bit, and the fit is written out at ten significant digits
-    fit = np.fromiter(map(math.exp, (anchor_log + slope * dg).tolist()), np.float64, dg.size)
-    low = np.exp(anchor_log + (slope - stderr) * dg)
-    high = np.exp(anchor_log + (slope + stderr) * dg)
     return TailExtrapolation(
         slope=float(slope),
         slope_stderr=float(stderr),
         intercept=float(intercept),
-        anchor_threshold=anchor,
-        fit_thresholds=tuple(xs.tolist()),
-        points=curve_rows(
-            beyond.threshold, beyond.kept_correct, fit, curve.n_attempts, extrapolated=True
-        ),
-        error_low=np.minimum(low, high),
-        error_high=np.maximum(low, high),
+        anchor_threshold=float(xs[-1]),
     )
 
 
@@ -898,9 +981,9 @@ def write_curve_csv(curve: SweepCurve, path: str | Path) -> None:
 
     def text(start: int, stop: int):
         for block in range(start, stop, _IO_BLOCK):
-            p = curve.points[block : min(block + _IO_BLOCK, stop)]
+            p = curve.rows(block, min(block + _IO_BLOCK, stop))
             columns = [p[name].tolist() for name in CURVE_DTYPE.names[:-1]]
             flags = ["true" if flag else "false" for flag in p.extrapolated.tolist()]
             yield "".join([_CURVE_CSV_ROW % row for row in zip(*columns, flags)]).encode()
 
-    _write_rows(path, (",".join(CURVE_CSV_HEADER) + "\r\n").encode(), text, len(curve.points))
+    _write_rows(path, (",".join(CURVE_CSV_HEADER) + "\r\n").encode(), text, curve.threshold.size)

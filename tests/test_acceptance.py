@@ -236,9 +236,10 @@ def test_criterion_10_crossing_oracle():
     # data, which this artifact does not ship; the detector is validated on a
     # fixture whose intersection is known analytically (50 exactly).
     def curve(grid, values):
+        # 1000 kept records per threshold, round(1000 p) of them errors
+        kept_error = [round(1000 * v) for v in values]
         return SweepCurve(
-            points=[(g, 100, 10, 1.0, v, False) for g, v in zip(grid, values)],
-            n_attempts=1000,
+            grid, [1000 - e for e in kept_error], kept_error, n_attempts=10_000
         )
 
     for grid in ([0.0, 20.0, 48.0, 52.0, 80.0], [0.0, 25.0, 50.0, 75.0]):

@@ -4,9 +4,10 @@ inputs are one-line errors, and a report's config block reproduces the report.""
 import json
 import math
 
+import numpy as np
 import pytest
 
-from patchmux.cli import EXIT_CONFIG, EXIT_FORMAT, EXIT_OK, main
+from patchmux.cli import EXIT_CONFIG, EXIT_FORMAT, EXIT_OK, _threshold_grid, main
 
 # Every config key of every command, with its JSON type. Written out here on
 # purpose rather than read from the CLI, so a key the CLI stops checking
@@ -307,6 +308,53 @@ def test_linear_grid_must_be_finite_and_increasing(tmp_path, capsys, grid):
     lines = capsys.readouterr().err.splitlines()
     assert code == EXIT_CONFIG
     assert lines == ["config error: thresholds start, stop and count give no finite increasing grid"]
+
+
+LINEAR_GRIDS = [
+    {"start": 0.0, "stop": 20.0, "count": 41},
+    {"start": 0.1, "stop": 0.3, "count": 7},
+    {"start": -3.7, "stop": 1e6, "count": 1001},
+    {"start": 1, "stop": 7, "count": 4},
+    {"start": -2, "stop": 0, "count": 3},
+    {"start": 5e-324, "stop": 1e-300, "count": 9},
+    {"start": -1e300, "stop": 1e300, "count": 5},
+    {"start": 1e15, "stop": 1e15 + 3, "count": 4},
+]
+
+
+@pytest.mark.parametrize("spec", LINEAR_GRIDS, ids=[json.dumps(g) for g in LINEAR_GRIDS])
+def test_linear_grid_is_the_python_float_grid_bit_for_bit(spec):
+    start, stop, count = spec["start"], spec["stop"], spec["count"]
+    step = (stop - start) / (count - 1)
+    expected = tuple(start + i * step for i in range(count))
+    grid = _threshold_grid(spec, [])
+    assert isinstance(grid, np.ndarray) and grid.dtype == np.float64
+    assert grid.view(np.uint64).tolist() == np.array(expected).view(np.uint64).tolist()
+
+
+def test_n_attempts_below_the_consumed_attempts_is_one_config_error(tmp_path, capsys):
+    records = tmp_path / "r.jsonl"
+    records.write_text(
+        '{"gap": 1.0, "correct": true, "attempts_consumed": 4}\n'
+        '{"gap": 2.0, "correct": false, "attempts_consumed": 6}\n'
+    )
+    cfg = tmp_path / "cfg.json"
+    for n_attempts, code in ((5, EXIT_CONFIG), (9, EXIT_CONFIG), (10, EXIT_OK)):
+        cfg.write_text(json.dumps({"records": [str(records)], "n_attempts": n_attempts}))
+        assert main(["gap-sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == code
+        lines = capsys.readouterr().err.splitlines()
+        if code == EXIT_CONFIG:
+            assert lines == [
+                f"config error: {records}: n_attempts {n_attempts} is below the 10 "
+                "attempts its records consumed"
+            ]
+    # a record without attempts_consumed still took one attempt
+    records.write_text(
+        '{"gap": 1.0, "correct": true, "attempts_consumed": 4}\n{"gap": 2.0, "correct": false}\n'
+    )
+    cfg.write_text(json.dumps({"records": [str(records)], "n_attempts": 4}))
+    assert main(["gap-sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert "below the 5 attempts" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])

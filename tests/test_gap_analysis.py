@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -133,8 +134,10 @@ def test_sweep_matches_brute_force_recount():
 
 
 def synthetic_curve(thresholds, p_l_values):
-    points = [(g, 100, 10, 1.0, p, False) for g, p in zip(thresholds, p_l_values)]
-    return SweepCurve(points=points, n_attempts=1000)
+    """1000 kept records per threshold, round(1000 p) of them errors; none where p is NaN."""
+    kept_error = [0 if math.isnan(p) else round(1000 * p) for p in p_l_values]
+    kept_correct = [0 if math.isnan(p) else 1000 - e for p, e in zip(p_l_values, kept_error)]
+    return SweepCurve(thresholds, kept_correct, kept_error, n_attempts=10_000)
 
 
 def test_crossing_of_linear_curves_by_interpolation():
@@ -195,11 +198,13 @@ def test_tail_fit_recovers_exponential_rate():
     fit = extrapolate_tail(curve, (0.0, 12.0))
     assert fit is not None
     assert fit.rate == pytest.approx(rate, rel=0.02)
-    assert len(fit.points)  # extends beyond the window
-    assert fit.points.extrapolated.all()
-    assert np.all(fit.points.threshold > fit.anchor_threshold)
-    assert np.all(fit.error_low <= fit.points.kept_error)
-    assert np.all(fit.points.kept_error <= fit.error_high)
+    beyond = curve.with_tail(fit).rows()
+    beyond = beyond[beyond.extrapolated]
+    assert len(beyond)  # extends beyond the window
+    assert np.all(beyond.threshold > fit.anchor_threshold)
+    low, high = fit.band(beyond.threshold)
+    assert np.all(low <= beyond.kept_error)
+    assert np.all(beyond.kept_error <= high)
 
 
 def test_tail_fit_needs_three_error_points():
@@ -212,14 +217,16 @@ def test_tail_fit_needs_three_error_points():
 
 
 def test_tail_fit_flat_when_counts_constant():
-    points = [(float(g), 50, 8, 2.0, 8 / 58, False) for g in range(5)]
-    points.append((10.0, 40, 0, 25.0, 0.0, False))
-    curve = SweepCurve(points=points, n_attempts=1000)
+    curve = SweepCurve(
+        [0.0, 1.0, 2.0, 3.0, 4.0, 10.0], [50] * 5 + [40], [8] * 5 + [0], n_attempts=1000
+    )
     fit = extrapolate_tail(curve, (0.0, 4.0))
     assert fit is not None
     assert fit.slope == pytest.approx(0.0, abs=1e-12)
-    assert fit.points[0].kept_error == pytest.approx(8.0, rel=1e-9)
-    assert fit.points[0].attempts == pytest.approx(1000 / 48, rel=1e-9)
+    extended = curve.with_tail(fit).points[-1]
+    assert extended.extrapolated
+    assert extended.kept_error == pytest.approx(8.0, rel=1e-9)
+    assert extended.attempts == pytest.approx(1000 / 48, rel=1e-9)
 
 
 def test_with_tail_merges_fit_into_curve():
@@ -230,12 +237,18 @@ def test_with_tail_merges_fit_into_curve():
     curve = sweep(rs, grid)
     fit = extrapolate_tail(curve, (0.0, 20.0))
     merged = curve.with_tail(fit)
-    assert merged.extrapolated_from == 20.0
-    assert np.array_equal(merged.points.threshold, curve.points.threshold)
-    assert np.array_equal(merged.points.extrapolated, merged.points.threshold > 20.0)
-    beyond = merged.points[merged.points.extrapolated]
-    assert np.array_equal(beyond.kept_error, fit.points.kept_error)
-    assert np.array_equal(beyond.kept_correct, curve.points.kept_correct[-len(beyond):])
+    assert merged.tail is fit and fit.anchor_threshold == 20.0
+    # the observed columns are shared, not copied
+    for name in ("threshold", "kept_correct", "kept_error"):
+        assert getattr(merged, name) is getattr(curve, name)
+    rows, observed = merged.rows(), curve.rows()
+    assert np.array_equal(rows.threshold, observed.threshold)
+    assert np.array_equal(rows.extrapolated, rows.threshold > 20.0)
+    assert np.array_equal(rows[:11], observed[:11])
+    beyond = rows[rows.extrapolated]
+    fitted = [math.exp(fit.anchor_log + fit.slope * (g - 20.0)) for g in beyond.threshold]
+    assert beyond.kept_error.tolist() == fitted
+    assert np.array_equal(beyond.kept_correct, observed.kept_correct[-len(beyond):])
 
 
 def test_fitted_rows_with_no_observed_count_stay_defined():
@@ -268,7 +281,7 @@ def test_parallel_threshold_ranges_merge_to_sequential_sweep():
     split = 2
     left = sweep(THREE_RECORDS, grid[:split])
     right = sweep(THREE_RECORDS, grid[split:])
-    assert np.array_equal(np.concatenate([left.points, right.points]), full.points)
+    assert np.array_equal(np.concatenate([left.rows(), right.rows()]), full.rows())
 
 
 def test_curve_csv_format(tmp_path):
@@ -331,3 +344,27 @@ def test_csv_ingestion(tmp_path):
     with pytest.raises(RecordFormatError) as err:
         RecordSet.from_csv(path)
     assert "record 1" in str(err.value)
+
+
+def test_curve_path_keeps_each_column_once(tmp_path):
+    # default grid -> sweep -> tail fit -> curve CSV over 2e5 continuous gaps
+    # (one grid row per record) peaked at 168 traced bytes per grid row when
+    # the sweep, the tail and the merge each built a 41-byte row array; the
+    # three count columns and the fit's least-squares workspace stay well
+    # under half of that
+    n = 200_000
+    rng = np.random.default_rng(2024)
+    correct = rng.random(n) >= 0.05
+    gaps = np.where(correct, rng.exponential(20.0, n), rng.exponential(4.0, n))
+    records = RecordSet(gaps, correct, n_attempts=2 * n)
+    tracemalloc.start()
+    try:
+        grid = default_thresholds(records)
+        curve = sweep(records, grid)
+        tail = extrapolate_tail(curve, (2, 20))
+        write_curve_csv(curve.with_tail(tail), tmp_path / "curve.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grid.size == n + 1
+    assert peak / grid.size <= 84

@@ -24,7 +24,7 @@ from patchmux.gap_analysis import (
     RecordFormatError,
     RecordSet,
     SweepCurve,
-    curve_rows,
+    TailExtrapolation,
     write_curve_csv,
 )
 
@@ -60,7 +60,7 @@ def reference_curve_csv(curve, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CURVE_CSV_HEADER)
-        for row in curve.points.tolist():
+        for row in curve.rows().tolist():
             writer.writerow([*map(num, row[:-1]), "true" if row[-1] else "false"])
 
 
@@ -282,11 +282,14 @@ def test_readers_agree_across_block_sizes(tmp_path, monkeypatch):
 def test_curve_writer_matches_csv_writer(tmp_path, block):
     thresholds = [-0.0, 0.5, 1.0, 2.0, 3.0, 1e22]
     kept_correct = [5.0, 4.0, 0.0, 0.0, 0.0, 0.0]
-    kept_error = [2.0, 1.0, 1.0, 1e-320, 0.0, 0.0]
-    rows = curve_rows(thresholds, kept_correct, kept_error, n_attempts=9)
-    rows.extrapolated[3] = True
-    curve = SweepCurve(points=rows, n_attempts=9)
-    assert math.isinf(curve.points.attempts[3]) and math.isnan(curve.points.attempts[4])
+    kept_error = [2.0, 1.0, 1.0, 1.0, 0.0, 0.0]
+    # fitted from G=2 on: about 8.5e-321 there, so A(G) is inf, then 0 and 0
+    fit = TailExtrapolation(slope=-737.0, slope_stderr=0.0, intercept=737.0, anchor_threshold=1.0)
+    curve = SweepCurve(thresholds, kept_correct, kept_error, n_attempts=9, tail=fit)
+    rows = curve.rows()
+    assert rows.extrapolated.tolist() == [False] * 3 + [True] * 3
+    assert 0 < rows.kept_error[3] < 1e-320 and math.isinf(rows.attempts[3])
+    assert math.isnan(rows.attempts[4]) and math.isnan(rows.attempts[5])
     path, reference = tmp_path / "curve.csv", tmp_path / "reference.csv"
     write_curve_csv(curve, path)
     reference_curve_csv(curve, reference)
@@ -296,7 +299,7 @@ def test_curve_writer_matches_csv_writer(tmp_path, block):
 
 
 def test_empty_curve_writes_the_header_only(tmp_path, block):
-    curve = SweepCurve(points=curve_rows([], [], [], n_attempts=1), n_attempts=1)
+    curve = SweepCurve([], [], [], n_attempts=1)
     path = tmp_path / "curve.csv"
     write_curve_csv(curve, path)
     assert path.read_bytes() == b"G,kept_correct,kept_error,attempts,logical_error,extrapolated\r\n"
@@ -774,9 +777,14 @@ def sets_to_write(rows):
         shot_index=3 * np.arange(rows) + pick % 3,
     )
     kept_error = np.array([2.0, 0.0, 1e-320, 1.0])[np.arange(rows) % 4]
-    points = curve_rows(np.arange(rows) * 0.5, np.arange(rows) % 3 * 1.0, kept_error, 9)
-    points.extrapolated[2 * rows // 3 :] = True
-    return records, SweepCurve(points=points, n_attempts=9)
+    # rows from 2 * rows // 3 on are extrapolated
+    fit = TailExtrapolation(
+        slope=-1.5, slope_stderr=0.1, intercept=2.0, anchor_threshold=(2 * rows // 3 - 1) * 0.5
+    )
+    curve = SweepCurve(
+        np.arange(rows) * 0.5, np.arange(rows) % 3 * 1.0, kept_error, n_attempts=9, tail=fit
+    )
+    return records, curve
 
 
 def written_bytes(tmp_path, rows):
