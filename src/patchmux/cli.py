@@ -574,10 +574,11 @@ def cmd_simulate(args) -> int:
 # gap-sweep
 
 
-def _threshold_grid(spec, record_sets):
-    """The sweep grid: zero plus every observed gap, a list, or a linear grid."""
+def _threshold_grid(spec):
+    """The sweep grid of a thresholds list or linear grid, checked before any
+    record file is read; None for the default (zero plus every observed gap)."""
     if spec is None:
-        return default_thresholds(*record_sets)
+        return None
     if isinstance(spec, tuple):
         if not spec or any(b <= a for a, b in zip(spec, spec[1:])):
             raise ConfigError("thresholds list must be non-empty and strictly increasing")
@@ -588,7 +589,10 @@ def _threshold_grid(spec, record_sets):
         raise ConfigError(f"thresholds missing {exc}") from None
     if count < 2 or stop <= start:
         raise ConfigError("thresholds need stop > start and count >= 2")
-    grid = linear_thresholds(start, stop, count)
+    try:
+        grid = linear_thresholds(start, stop, count)
+    except (MemoryError, ValueError, OverflowError):  # start and stop are checked floats
+        raise ConfigError(f"thresholds.count {count} is too large to build the grid") from None
     if grid is None:
         raise ConfigError("thresholds start, stop and count give no finite increasing grid")
     return grid
@@ -610,6 +614,7 @@ def cmd_gap_sweep(args) -> int:
     tail_window = cfg.get("tail_window")
     if tail_window is not None and (len(tail_window) != 2 or tail_window[0] >= tail_window[1]):
         raise ConfigError("tail_window must be [low, high] with low < high")
+    grid = _threshold_grid(cfg.get("thresholds"))
 
     with _config_errors():
         record_sets = [
@@ -623,7 +628,8 @@ def cmd_gap_sweep(args) -> int:
                 "report's shots as n_attempts",
                 file=sys.stderr,
             )
-    grid = _threshold_grid(cfg.get("thresholds"), record_sets)
+    if grid is None:
+        grid = default_thresholds(*record_sets)
     out = _out_dir(args, cfg)
 
     curve_names = [f"{p.stem}_curve.csv" for p in files]

@@ -853,10 +853,18 @@ def default_thresholds(*record_sets: RecordSet) -> np.ndarray:
 
 def linear_thresholds(start: float, stop: float, count: int) -> np.ndarray | None:
     """start + i * (stop - start) / (count - 1) for i in 0..count-1, bit for bit
-    as Python floats give it; None unless that is finite and increasing."""
+    as Python floats give it; None unless that is finite and increasing.
+
+    A count too large to allocate raises MemoryError, or numpy's ValueError
+    when the array could not even be addressed, before memory is touched.
+    """
     step = (stop - start) / (count - 1)
+    grid = np.arange(count, dtype=np.float64)
+    if grid.size != count:  # numpy wraps a count near 2**63 to an empty range
+        raise ValueError(f"array of {count} thresholds is too big")
     with np.errstate(over="ignore", invalid="ignore"):  # an infinite step fails below
-        grid = float(start) + np.arange(count, dtype=np.float64) * step
+        grid *= step
+        grid += float(start)
     if not (np.isfinite(grid).all() and (grid[1:] > grid[:-1]).all()):
         return None
     return grid
@@ -891,46 +899,42 @@ def find_crossing(curve_a: SweepCurve, curve_b: SweepCurve) -> Crossing | None:
     adjacent defined points is located by linear interpolation; an exact tie
     flanked by opposite signs is reported at the tie's own threshold.
     Undefined (NaN) points break brackets; no flip means no result.
+
+    The differences are read one ``_IO_BLOCK`` of rows at a time. Only the
+    last nonzero difference of an unbroken run crosses into the next block.
     """
     if not np.array_equal(curve_a.threshold, curve_b.threshold):
         raise ValueError("curves must share one threshold grid")
-    ts = curve_a.threshold.tolist()
-    diffs: list[float] = []
-    for start in range(0, len(ts), _IO_BLOCK):
-        a, b = curve_a.rows(start, start + _IO_BLOCK), curve_b.rows(start, start + _IO_BLOCK)
-        diffs += (a.logical_error - b.logical_error).tolist()
-
-    def sign(x: float) -> int:
-        return 0 if x == 0 else (1 if x > 0 else -1)
-
-    pending_zero: float | None = None  # first threshold of a touch run
-    prev_sign: int | None = None  # last nonzero sign on an unbroken run
-    prev_idx: int | None = None
-    for i, d in enumerate(diffs):
-        if math.isnan(d):
-            pending_zero = None
-            prev_sign = None
-            prev_idx = None
-            continue
-        s = sign(d)
-        if s == 0:
-            if prev_sign is not None and pending_zero is None:
-                pending_zero = ts[i]
-            continue
-        if prev_sign is not None:
-            if s != prev_sign:
-                if pending_zero is not None:
-                    return Crossing(threshold=pending_zero, bracket=(pending_zero, pending_zero))
-                if prev_idx == i - 1:
-                    d0, d1 = diffs[prev_idx], d
-                    t0, t1 = ts[prev_idx], ts[i]
-                    g_star = t0 + (t1 - t0) * abs(d0) / (abs(d0) + abs(d1))
-                    return Crossing(threshold=g_star, bracket=(t0, t1))
-                # run was interrupted by zeros that turned out not to start
-                # at a recorded threshold; fall through and restart
-            pending_zero = None
-        prev_sign = s
-        prev_idx = i
+    ts = curve_a.threshold
+    last: tuple[int, float] | None = None  # (row, difference) of the run so far
+    for start in range(0, ts.size, _IO_BLOCK):
+        stop = start + _IO_BLOCK
+        diffs = curve_a.rows(start, stop).logical_error - curve_b.rows(start, stop).logical_error
+        undefined = np.isnan(diffs)
+        at = np.flatnonzero(~undefined & (diffs != 0))
+        # a pair of successive nonzero rows is unbroken when no NaN lies between
+        breaks = np.cumsum(undefined)[at]
+        rows, values = at + start, diffs[at]
+        if last is not None:
+            rows = np.insert(rows, 0, last[0])
+            values = np.insert(values, 0, last[1])
+            breaks = np.insert(breaks, 0, 0)
+        flips = np.flatnonzero(
+            (np.sign(values[1:]) != np.sign(values[:-1])) & (breaks[1:] == breaks[:-1])
+        )
+        if flips.size:
+            j, i = int(rows[flips[0]]), int(rows[flips[0] + 1])
+            if i > j + 1:  # zeros between: the tie's first threshold
+                tie = float(ts[j + 1])
+                return Crossing(threshold=tie, bracket=(tie, tie))
+            d0, d1 = float(values[flips[0]]), float(values[flips[0] + 1])
+            t0, t1 = float(ts[j]), float(ts[i])
+            g_star = t0 + (t1 - t0) * abs(d0) / (abs(d0) + abs(d1))
+            return Crossing(threshold=g_star, bracket=(t0, t1))
+        if at.size:
+            last = (int(rows[-1]), float(values[-1]))
+        if undefined[at[-1] + 1 if at.size else 0 :].any():  # a NaN after it breaks the run
+            last = None
     return None
 
 

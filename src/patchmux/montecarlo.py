@@ -1,6 +1,6 @@
 """Seeded shot sampling over a failure model, with a pluggable escape stage.
 
-Determinism contract (draw layout v2, ``LAYOUT_VERSION``): every draw slot
+Determinism contract (draw layout v3, ``LAYOUT_VERSION``): every draw slot
 of the table below owns its own counter-based stream of 64-bit words,
 Philox keyed by ``seed + (slot << 64)``, and shot i reads word i of each
 stream (``_slot_words``). The key is injective in (seed, slot) for every
@@ -8,28 +8,37 @@ seed up to ``MAX_SEED``. Results are therefore a pure fold over shots in
 index order, and chunking, block size, thread count or collecting records
 cannot change any output bit.
 
-Draw slots (k sites):
+Draw slots (k sites, m = ceil(k / 4)):
 
-    0           correlation selector (common-mode mixture / joint outcome)
-    1           shared common-mode fate
-    2 .. k+1    per-site early-stage draws (injection when split)
-    k+2 .. 2k+1 per-site cultivation draws (two-stage split only)
-    2k+2        escape keep draw
-    2k+3        escape error-class draw
-    2k+4        gap draw (also the empirical-pool index)
+    0               explicit-joint selector (whole words)
+    1               gap draw, also the empirical-pool index (whole words)
+    2               common mode: selector (quarter 0), shared fate (quarter 1)
+    3               escape: keep (quarter 0), error class (quarter 1)
+    4 .. 3+m        site j's early-stage test (injection when split):
+                    word 4 + j // 4, quarter j % 4
+    4+m .. 3+2m     site j's cultivation test (two-stage split only), likewise
+    2**32 + 4s + q  tie stream of quarter q of packed slot s
 
 A slot's number depends only on k, never on the model, and a run generates
-only the streams its model reads: the keep slot only when the escape stage
-can reject, the error-class and gap slots only for records.
+only the streams its model reads: the escape word only when the stage can
+reject or, with records, draws an error class, and the gap stream only for
+records.
 
-Words are drawn raw. A draw w stands for the uniform u = (w >> 11) * 2**-53,
-the double ``Generator.random`` makes from the same word, but floats are made
-only where a model reads one: the gap, the empirical-pool index and the
-explicit-joint selector, and the first two only for kept shots. Every other
-test, ``u >= r`` or ``u < r``, is the exact integer comparison of w >> 11
-with ceil(r * 2**53). A chunk is folded in blocks of ``_BLOCK`` shots, and a
-run without records keeps only counts, so it holds O(chunk) memory whatever
-its shot count.
+Slots 2 .. 3+2m are packed: each word holds four Bernoulli tests, and test
+q of shot i reads the quarter d = (w >> 16q) & 0xFFFF of word i. A test
+decides ``u >= r`` for the 53-bit uniform u = (d * 2**37 + e) / 2**53,
+exactly, as the integer comparison with t = ceil(r * 2**53): d alone decides
+unless it equals the top 16 bits of t, about once in 65,536 tests, and only
+then is e read, the top 37 bits of word i of that test's own tie stream,
+compared with the low 37 bits of t (``_passes``). ``u < r`` is its negation.
+Whole words stand for u = (w >> 11) * 2**-53, the double ``Generator.random``
+makes from the same word, and are made into floats only where a model reads
+one: the gap and the empirical-pool index, for kept shots only, and the
+explicit-joint selector. Fed the words of layout v2 repacked (the top 16 of
+its 53 bits into a test's quarter, the low 37 into its tie stream) the
+kernel writes v2's outputs bit for bit. A chunk is folded in blocks of
+``_BLOCK`` shots, and a run without records keeps only counts, so it holds
+O(chunk) memory whatever its shot count.
 
 Kept shots come back as one ``gap_analysis.RecordSet`` whose attempt total
 is the shot count and whose ``shot_index`` column gives each kept shot's
@@ -52,7 +61,7 @@ from .pipeline import SelectionRule, SiteIndicators, complete_shot
 
 MAX_SEED = 2**64 - 1
 DEFAULT_CHUNK = 1 << 16
-LAYOUT_VERSION = 2  # the draw layout of the module docstring; simulate reports carry it
+LAYOUT_VERSION = 3  # the draw layout of the module docstring; simulate reports carry it
 
 
 @dataclass(frozen=True)
@@ -241,7 +250,13 @@ class SimSummary:
     labels: dict
 
 
-_UNIT = 1 << 53  # a draw is u = h / 2**53 for the 53-bit integer h = w >> 11
+_UNIT = 1 << 53  # a test decides u >= r for u = h / 2**53, h a 53-bit integer
+_TIE_BITS = 37  # h = d * 2**37 + e: a 16-bit quarter d and a 37-bit tie-break e
+_TIE_UNIT = 1 << _TIE_BITS
+_QUARTER = 0xFFFF
+_TIES = 1 << 32  # the tie stream of quarter q of packed slot s is slot _TIES + 4 s + q
+_JOINT, _GAP, _COMMON, _ESCAPE, _SITES = 0, 1, 2, 3, 4  # slots of the module docstring
+_BYTE_SUM = np.uint32(0x01010101)  # x * _BYTE_SUM >> 24 sums the four bytes of x
 
 
 # Re-keying a generator by setting its ``state`` costs about a sixth of
@@ -252,7 +267,7 @@ _WORD = (1 << 64) - 1
 
 
 def _slot_words(seed: int, slot: int, start: int, n: int) -> np.ndarray:
-    """h = w >> 11 of words ``start .. start+n-1`` of the stream keyed (seed, slot).
+    """Words ``start .. start+n-1`` of the stream keyed (seed, slot).
 
     Philox makes four words per counter step and steps its counter before
     making them, so the counter is set to ``start // 4``: the next four words
@@ -273,9 +288,7 @@ def _slot_words(seed: int, slot: int, start: int, n: int) -> np.ndarray:
         "uinteger": 0,
     }
     bits.random_raw(start % 4)
-    h = bits.random_raw(n)
-    h >>= np.uint64(11)
-    return h
+    return bits.random_raw(n)
 
 
 def _threshold(r: float) -> int:
@@ -294,105 +307,185 @@ def _threshold(r: float) -> int:
     return _UNIT
 
 
-def _thresholds(rates) -> np.ndarray:
-    return np.array([_threshold(r) for r in rates], dtype=np.uint64)
-
-
-def _floats(h: np.ndarray) -> np.ndarray:
+def _floats(words: np.ndarray) -> np.ndarray:
     """The uniforms ``Generator.random`` makes from the same words, bit for bit."""
-    return h * (1.0 / _UNIT)
+    return (words >> np.uint64(11)) * (1.0 / _UNIT)
+
+
+@dataclass(frozen=True, eq=False)
+class _Tests:
+    """The four tests of one packed slot: ``u >= r`` for each quarter's rate.
+
+    With t = ceil(r * 2**53), quarter q passes when d > hi[q], or when
+    d == hi[q] and the tie-break e >= lo[q]. ``hi`` is tiled to a block's
+    shots, so one flat comparison covers every quarter of a block. A quarter
+    a run does not read gets t = 2**53, which never passes and reads no tie.
+    """
+
+    slot: int
+    hi: np.ndarray  # uint16 min(t >> 37, 0xFFFF) of quarter q at 4 i + q
+    lo: tuple[int, ...]  # t - (hi << 37), in [0, 2**37]; 2**37 never passes
+
+
+def _tests(slot: int, thresholds, block: int) -> _Tests:
+    t = list(thresholds) + [_UNIT] * (4 - len(thresholds))
+    hi = [min(v >> _TIE_BITS, _QUARTER) for v in t]
+    return _Tests(
+        slot,
+        np.tile(np.array(hi, dtype=np.uint16), block),
+        tuple(v - (h << _TIE_BITS) for v, h in zip(t, hi)),
+    )
+
+
+def _passes(tests: _Tests, seed: int, start: int, words: np.ndarray) -> np.ndarray:
+    """``u >= r`` of every quarter of ``words``, word i being shot start + i of
+    slot ``tests.slot``: one flat column with quarter q of shot i at 4 i + q.
+
+    Viewing little-endian words as little-endian 16-bit values puts
+    (w >> 16q) & 0xFFFF at 4 i + q whatever the host's byte order. Only the
+    tied quarters read their tie stream, one word each.
+    """
+    d = np.ascontiguousarray(words, dtype="<u8").view("<u2")
+    hi = tests.hi[: d.size]
+    passed = d > hi
+    for at in np.flatnonzero(d == hi).tolist():
+        shot, q = divmod(at, 4)
+        lo = tests.lo[q]
+        if 0 < lo < _TIE_UNIT:
+            tie = _slot_words(seed, _TIES + 4 * tests.slot + q, start + shot, 1)
+            passed[at] = int(tie[0]) >> (64 - _TIE_BITS) >= lo
+        else:
+            passed[at] = lo == 0
+    return passed
+
+
+class _Draws:
+    """The draws of shots start .. start+count-1; each packed slot is tested once."""
+
+    def __init__(self, seed: int, start: int, count: int) -> None:
+        self.seed, self.start, self.count = seed, start, count
+        self._passed: dict[int, np.ndarray] = {}
+
+    def floats(self, slot: int, rows: np.ndarray | None = None) -> np.ndarray:
+        words = _slot_words(self.seed, slot, self.start, self.count)
+        return _floats(words if rows is None else words[rows])
+
+    def passes(self, tests: _Tests) -> np.ndarray:
+        passed = self._passed.get(tests.slot)
+        if passed is None:
+            words = _slot_words(self.seed, tests.slot, self.start, self.count)
+            passed = self._passed[tests.slot] = _passes(tests, self.seed, self.start, words)
+        return passed
 
 
 @dataclass(frozen=True, eq=False)
 class _Plan:
-    """Per-run constants of the kernel: integer thresholds and the joint CDF."""
+    """Per-run constants of the kernel: the packed tests and the joint CDF.
+
+    Site columns are flat like the tests: one boolean column of 4 x shots
+    per word of four sites, False past the last site.
+    """
 
     config: SimConfig
-    pass_at: np.ndarray | None  # site passes when h >= pass_at (split: injection)
-    cult_pass_at: np.ndarray | None  # two-stage split: cultivation passes
-    shared_below: np.uint64  # common mode: the sites share one fate when h < it
-    shared_pass_at: np.uint64  # common mode: the shared fate passes when h >= it
+    sites: tuple[_Tests, ...]  # site passes (split: injection); empty for a joint model
+    cultivation: tuple[_Tests, ...]  # two-stage split: cultivation passes
+    site_bytes: tuple[np.uint32, ...]  # per site word, the bytes of its sites set to 1
+    common: _Tests | None  # c > 0: q0 passes when sites keep their own fate, q1 when the shared fate passes
+    escape: _Tests | None  # q0 passes when the stage rejects, q1 when a bernoulli output is correct
+    rejects: bool  # whether the escape stage can reject a candidate
     joint_cdf: np.ndarray | None  # explicit joint: cumulative outcome table
-    keep_below: np.uint64  # escape keeps when h < keep_below (2**53: always)
-    error_below: np.uint64  # bernoulli escape: a kept output is an error when h < it
 
 
-def _plan(config: SimConfig) -> _Plan:
+def _plan(config: SimConfig, block: int, records: bool) -> _Plan:
+    """The plan of folds of up to ``block`` shots; error classes only with ``records``."""
     corr = config.failure_model.correlation
     esc = config.escape_model
     split = config.stage_split
+    k = config.k
     rates = np.asarray(config.failure_model.per_site_fail, dtype=np.float64)
-    common = isinstance(corr, CommonMode)
+    common = isinstance(corr, CommonMode) and _threshold(corr.c) > 0
     joint = isinstance(corr, ExplicitJoint)
-    if split is not None:
-        pass_at = _thresholds(split.injection_fail)
-    else:
-        pass_at = None if joint else _thresholds(rates)
+
+    words = (k + 3) // 4
+
+    def packed(first: int, site_rates) -> tuple[_Tests, ...]:
+        t = [_threshold(r) for r in site_rates]
+        return tuple(_tests(first + w, t[4 * w : 4 * w + 4], block) for w in range(words))
+
+    reject_at = _UNIT if esc.kind == "always_keep" else _threshold(esc.keep_prob)
+    errors = esc.kind == "bernoulli" and records
     return _Plan(
         config=config,
-        pass_at=pass_at,
-        cult_pass_at=_thresholds(split.cultivation_fail) if split is not None else None,
-        shared_below=np.uint64(_threshold(corr.c) if common else 0),
-        shared_pass_at=np.uint64(_threshold(rates.mean()) if common else 0),
-        joint_cdf=np.cumsum(np.asarray(corr.table, dtype=np.float64)) if joint else None,
-        keep_below=np.uint64(
-            _UNIT if esc.kind == "always_keep" else _threshold(esc.keep_prob)
+        sites=() if joint else packed(_SITES, split.injection_fail if split else rates),
+        cultivation=packed(_SITES + words, split.cultivation_fail) if split else (),
+        site_bytes=tuple(
+            np.array([4 * w + q < k for q in range(4)]).view(np.uint32)[0] for w in range(words)
         ),
-        error_below=np.uint64(_threshold(esc.q)),
+        common=_tests(_COMMON, [_threshold(corr.c), _threshold(rates.mean())], block)
+        if common
+        else None,
+        escape=_tests(_ESCAPE, [reject_at, _threshold(esc.q) if errors else _UNIT], block)
+        if reject_at < _UNIT or errors
+        else None,
+        rejects=reject_at < _UNIT,
+        joint_cdf=np.cumsum(np.asarray(corr.table, dtype=np.float64)) if joint else None,
     )
 
 
-def _survival_bits(plan: _Plan, draw) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """(injection-pass, cultivation-pass) boolean columns, one per site.
+def _survival_bits(plan: _Plan, draws: _Draws) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """(injection-pass, cultivation-pass) flat boolean columns, one per site word.
 
-    ``draw(slot)`` returns the h column of one slot for the shots at hand, and
-    is called only for the slots the model reads. Cultivation passing implies
+    Only the slots the model reads are drawn. Cultivation passing implies
     injection passing, so the second list alone says which sites survived.
     """
     k = plan.config.k
     if plan.joint_cdf is not None:
         outcome = np.minimum(
-            np.searchsorted(plan.joint_cdf, _floats(draw(0)), side="right"), 2**k - 1
+            np.searchsorted(plan.joint_cdf, draws.floats(_JOINT), side="right"), 2**k - 1
         )
-        chi = [((outcome >> j) & 1) == 0 for j in range(k)]
+        site = np.arange(4 * len(plan.site_bytes))
+        bits = (((outcome[:, None] >> site) & 1) == 0) & (site < k)
+        chi = [bits[:, 4 * w : 4 * w + 4].ravel() for w in range(len(plan.site_bytes))]
         return chi, chi
-    inj = [draw(2 + j) >= t for j, t in enumerate(plan.pass_at)]
-    if plan.cult_pass_at is not None:
-        return inj, [
-            passed & (draw(k + 2 + j) >= t)
-            for j, (passed, t) in enumerate(zip(inj, plan.cult_pass_at))
+    inj = [draws.passes(tests) for tests in plan.sites]
+    if plan.cultivation:
+        return inj, [passed & draws.passes(t) for passed, t in zip(inj, plan.cultivation)]
+    if plan.common is not None:
+        common = draws.passes(plan.common)
+        shared, fate = ~common[0::4], common[1::4].astype(np.uint32)
+        inj = [
+            np.where(shared, fate * used, passed.view(np.uint32)).view(bool)
+            for passed, used in zip(inj, plan.site_bytes)
         ]
-    if plan.shared_below:  # common mode with c > 0; c = 0 is the independent model
-        shared = draw(0) < plan.shared_below
-        shared_pass = shared & (draw(1) >= plan.shared_pass_at)
-        inj = [(passed & ~shared) | shared_pass for passed in inj]
     return inj, inj
 
 
 def _site_counts(chi: list[np.ndarray]) -> np.ndarray:
-    """Surviving sites per shot, summed column by column in the smallest dtype."""
-    counts = np.zeros(chi[0].size, dtype=np.min_scalar_type(len(chi)))
-    for column in chi:
-        counts += column
+    """Surviving sites per shot: each shot's four bytes of a column summed as one word."""
+    counts = chi[0].view(np.uint32) * _BYTE_SUM
+    counts >>= 24
+    for column in chi[1:]:
+        more = column.view(np.uint32) * _BYTE_SUM
+        more >>= 24
+        counts += more
     return counts
 
 
-def _kept(plan: _Plan, draw, candidate: np.ndarray) -> np.ndarray:
+def _kept(plan: _Plan, draws: _Draws, candidate: np.ndarray) -> np.ndarray:
     """Shots with a candidate that the escape stage keeps.
 
     A stage that keeps every candidate (``always_keep``, or ``keep_prob`` 1)
-    reads no keep words: h < 2**53 holds for every word.
+    reads no escape words for it.
     """
-    if plan.keep_below == _UNIT:
+    if not plan.rejects:
         return candidate
-    return candidate & (draw(2 * plan.config.k + 2) < plan.keep_below)
+    return candidate & ~draws.passes(plan.escape)[0::4]
 
 
-def _escape_draws(plan: _Plan, draw, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _escape_draws(plan: _Plan, draws: _Draws, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(gap, correct) of the given shots; floats are made for these shots only."""
-    k = plan.config.k
     esc = plan.config.escape_model
-    u = _floats(draw(2 * k + 4)[rows])
+    u = draws.floats(_GAP, rows)
     if esc.kind == "empirical":
         size = len(esc.pool)
         idx = np.minimum((u * size).astype(np.int64), size - 1)
@@ -400,16 +493,16 @@ def _escape_draws(plan: _Plan, draw, rows: np.ndarray) -> tuple[np.ndarray, np.n
     e = -np.log1p(-u)  # one unit-exponential variate per shot, shared by both classes
     if esc.kind == "always_keep":
         return esc.gap_correct.from_exponential(e), np.ones(rows.size, dtype=bool)
-    erroneous = draw(2 * k + 3)[rows] < plan.error_below
+    correct = draws.passes(plan.escape)[1::4][rows]
     gaps = np.where(
-        erroneous, esc.gap_error.from_exponential(e), esc.gap_correct.from_exponential(e)
+        correct, esc.gap_correct.from_exponential(e), esc.gap_error.from_exponential(e)
     )
-    return gaps, ~erroneous
+    return gaps, correct
 
 
-# Shots folded at once. Each slot a block reads is one column of _BLOCK words
-# (512 KiB), and each column costs one Philox re-keying (~5 us), so long
-# columns amortise it while a block's few columns still fit in cache.
+# Shots folded at once. A block reads one word a shot from each slot it
+# tests, and each slot costs one Philox re-keying (~5 us), so long blocks
+# amortise it while a block's few columns still fit in cache.
 _BLOCK = 1 << 16
 
 
@@ -435,17 +528,16 @@ def _merge(folds: list[_Fold]) -> _Fold:
 
 
 def _fold_block(plan: _Plan, start: int, count: int) -> _Fold:
-    def draw(slot: int) -> np.ndarray:
-        return _slot_words(plan.config.seed, slot, start, count)
-
-    _, survived = _survival_bits(plan, draw)
+    draws = _Draws(plan.config.seed, start, count)
+    _, survived = _survival_bits(plan, draws)
     sizes = _site_counts(survived)
-    histogram = np.bincount(sizes, minlength=plan.config.k + 1)
-    kept = _kept(plan, draw, sizes > 0)
+    # a counting pass per size beats np.bincount's cast to intp for a patch's few sites
+    histogram = np.array([np.count_nonzero(sizes == c) for c in range(plan.config.k + 1)])
+    kept = _kept(plan, draws, sizes > 0)
     if not plan.config.collect_records:
         return _Fold(histogram, int(np.count_nonzero(kept)))
     rows = np.flatnonzero(kept)
-    gaps, correct = _escape_draws(plan, draw, rows)
+    gaps, correct = _escape_draws(plan, draws, rows)
     return _Fold(histogram, int(rows.size), rows + start, gaps, correct)
 
 
@@ -469,7 +561,7 @@ def run_simulation(
     if chunk_size < 1:
         raise ValueError("chunk_size must be at least 1")
     n = config.n_shots
-    plan = _plan(config)
+    plan = _plan(config, min(_BLOCK, chunk_size, n), config.collect_records)
     starts = [(s, min(chunk_size, n - s)) for s in range(0, n, chunk_size)]
 
     if workers == 1 or len(starts) == 1:
@@ -521,22 +613,20 @@ def sample_shot(shot_index: int, config: SimConfig):
     """
     if not (0 <= shot_index < config.n_shots):
         raise ValueError(f"shot_index {shot_index} outside 0..{config.n_shots - 1}")
-    plan = _plan(config)
-
-    def draw(slot: int) -> np.ndarray:
-        return _slot_words(config.seed, slot, shot_index, 1)
-
-    inj, cult = _survival_bits(plan, draw)
+    plan = _plan(config, 1, records=True)
+    draws = _Draws(config.seed, shot_index, 1)
+    inj, cult = _survival_bits(plan, draws)
     indicators = SiteIndicators(
-        inj=tuple(int(c[0]) for c in inj), cult=tuple(int(c[0]) for c in cult)
+        inj=tuple(int(inj[j // 4][j % 4]) for j in range(config.k)),
+        cult=tuple(int(cult[j // 4][j % 4]) for j in range(config.k)),
     )
     if not any(indicators.survival):
         return complete_shot(indicators, config.selection_rule, None), None
-    keep = bool(_kept(plan, draw, np.ones(1, dtype=bool))[0])
+    keep = bool(_kept(plan, draws, np.ones(1, dtype=bool))[0])
     outcome = complete_shot(indicators, config.selection_rule, keep)
     if not outcome.escape_kept:
         return outcome, None
-    gaps, correct = _escape_draws(plan, draw, np.zeros(1, dtype=np.intp))
+    gaps, correct = _escape_draws(plan, draws, np.zeros(1, dtype=np.intp))
     return outcome, (float(gaps[0]), bool(correct[0]))
 
 

@@ -310,6 +310,26 @@ def test_linear_grid_must_be_finite_and_increasing(tmp_path, capsys, grid):
     assert lines == ["config error: thresholds start, stop and count give no finite increasing grid"]
 
 
+# numpy refuses each of these counts before touching memory: 10**15 floats
+# cannot be allocated, 2**62 cannot be addressed, and 2**63 - 1 wraps numpy's
+# range length to an empty range
+@pytest.mark.parametrize("count", [10**15, 2**62, 2**63 - 1], ids=["1e15", "2^62", "2^63-1"])
+def test_a_grid_too_large_to_build_is_one_config_error_before_records_are_read(
+    tmp_path, capsys, count
+):
+    records = tmp_path / "r.jsonl"
+    records.write_text("not a record\n")  # reading it would exit 3
+    cfg = tmp_path / "cfg.json"
+    grid = {"start": 0, "stop": 1, "count": count}
+    cfg.write_text(json.dumps({"records": [str(records)], "thresholds": grid}))
+    code = main(["gap-sweep", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: thresholds.count {count} is too large to build the grid"
+    ]
+    assert not (tmp_path / "out").exists()
+
+
 LINEAR_GRIDS = [
     {"start": 0.0, "stop": 20.0, "count": 41},
     {"start": 0.1, "stop": 0.3, "count": 7},
@@ -327,7 +347,7 @@ def test_linear_grid_is_the_python_float_grid_bit_for_bit(spec):
     start, stop, count = spec["start"], spec["stop"], spec["count"]
     step = (stop - start) / (count - 1)
     expected = tuple(start + i * step for i in range(count))
-    grid = _threshold_grid(spec, [])
+    grid = _threshold_grid(spec)
     assert isinstance(grid, np.ndarray) and grid.dtype == np.float64
     assert grid.view(np.uint64).tolist() == np.array(expected).view(np.uint64).tolist()
 

@@ -6,7 +6,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from patchmux import gap_analysis
 from patchmux.gap_analysis import (
+    Crossing,
     RecordFormatError,
     RecordSet,
     SweepCurve,
@@ -185,6 +187,79 @@ def test_crossing_requires_shared_grid():
     b = synthetic_curve([0.0, 2.0], [0.1, 0.2])
     with pytest.raises(ValueError):
         find_crossing(a, b)
+
+
+def reference_crossing(curve_a, curve_b):
+    """The grid walk find_crossing replaced, over Python lists of the grid."""
+    ts = curve_a.threshold.tolist()
+    diffs = (curve_a.rows().logical_error - curve_b.rows().logical_error).tolist()
+
+    def sign(x: float) -> int:
+        return 0 if x == 0 else (1 if x > 0 else -1)
+
+    pending_zero = None  # first threshold of a touch run
+    prev_sign = None  # last nonzero sign on an unbroken run
+    prev_idx = None
+    for i, d in enumerate(diffs):
+        if math.isnan(d):
+            pending_zero = None
+            prev_sign = None
+            prev_idx = None
+            continue
+        s = sign(d)
+        if s == 0:
+            if prev_sign is not None and pending_zero is None:
+                pending_zero = ts[i]
+            continue
+        if prev_sign is not None:
+            if s != prev_sign:
+                if pending_zero is not None:
+                    return Crossing(threshold=pending_zero, bracket=(pending_zero, pending_zero))
+                if prev_idx == i - 1:
+                    d0, d1 = diffs[prev_idx], d
+                    t0, t1 = ts[prev_idx], ts[i]
+                    g_star = t0 + (t1 - t0) * abs(d0) / (abs(d0) + abs(d1))
+                    return Crossing(threshold=g_star, bracket=(t0, t1))
+            pending_zero = None
+        prev_sign = s
+        prev_idx = i
+    return None
+
+
+def random_count_curve(rng, grid, runs):
+    """Counts in 0..2, so logical errors tie often and are NaN where nothing
+    is kept; ``runs`` copies a random earlier row forward, making long runs
+    of equal differences that can reach across blocks."""
+    counts = rng.integers(0, 3, size=(2, grid.size)).astype(float)
+    for _ in range(runs):
+        start = int(rng.integers(0, grid.size))
+        stop = min(grid.size, start + int(rng.integers(1, 40)))
+        counts[:, start:stop] = counts[:, start : start + 1]
+    return SweepCurve(grid, counts[0], counts[1], n_attempts=10)
+
+
+@pytest.mark.parametrize("block", [1, 2, 7, 4096], ids=lambda b: f"block{b}")
+def test_crossing_matches_the_grid_walk_on_random_curves(monkeypatch, block):
+    monkeypatch.setattr(gap_analysis, "_IO_BLOCK", block)
+    rng = np.random.default_rng(block)
+    found = {"interpolated": 0, "tie": 0, "none": 0}
+    for trial in range(300):
+        size = int(rng.integers(1, 40 if trial % 2 else 200))
+        grid = np.cumsum(rng.random(size) + 0.01)
+        runs = int(rng.integers(0, 8))
+        a = random_count_curve(rng, grid, runs)
+        b = random_count_curve(rng, grid, runs)
+        if trial % 3 == 0:  # equal rows, so zero runs
+            same = rng.random(size) < 0.7
+            b = SweepCurve(grid, a.kept_correct, np.where(same, a.kept_error, b.kept_error), 10)
+        expected = reference_crossing(a, b)
+        got = find_crossing(a, b)
+        assert got == expected
+        if expected is None:
+            found["none"] += 1
+        else:
+            found["tie" if expected.bracket[0] == expected.bracket[1] else "interpolated"] += 1
+    assert min(found.values()) > 20, found
 
 
 def test_tail_fit_recovers_exponential_rate():

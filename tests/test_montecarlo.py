@@ -416,8 +416,34 @@ def test_config_validation():
 
 
 # ---------------------------------------------------------------------------
-# the kernel reads raw Philox words, one keyed stream per draw slot;
-# everything below pins it to a float kernel over the same streams
+# the kernel reads raw Philox words under draw layout v3; everything below
+# pins it to a float kernel over the same streams
+
+TIES = 2**32  # the tie stream of quarter q of packed slot s is slot 2**32 + 4 s + q
+LOW_37 = np.uint64(2**37 - 1)
+
+
+def draw_columns(config):
+    """Where each draw column of the float kernel comes from under v3.
+
+    Columns are numbered as ``reference_fold`` reads them: 0 selector,
+    1 shared fate, 2..k+1 sites, k+2..2k+1 cultivation, 2k+2 keep, 2k+3 error
+    class, 2k+4 gap. Returns ({column: (packed slot, quarter)}, {column: whole
+    slot}), from the slot table of the montecarlo docstring. Column 0 is the
+    explicit-joint selector (whole words) or the common-mode selector.
+    """
+    k = config.k
+    m = (k + 3) // 4
+    packed = {1: (2, 1), 2 * k + 2: (3, 0), 2 * k + 3: (3, 1)}
+    for j in range(k):
+        packed[2 + j] = (4 + j // 4, j % 4)
+        packed[k + 2 + j] = (4 + m + j // 4, j % 4)
+    whole = {2 * k + 4: 1}
+    if isinstance(config.failure_model.correlation, ExplicitJoint):
+        whole[0] = 0
+    else:
+        packed[0] = (2, 0)
+    return packed, whole
 
 
 def reference_gaps(dist, u):
@@ -427,22 +453,27 @@ def reference_gaps(dist, u):
     return np.floor(x) if dist.kind == "discrete_exponential" else x
 
 
-def reference_run(config):
-    """The float kernel over draw layout v2.
+def stream(seed, slot, n):
+    return np.random.Philox(key=seed + (slot << 64)).random_raw(n)
 
-    Column ``slot`` of the uniforms is ``Generator.random`` on the Philox
-    stream keyed ``seed + (slot << 64)``, so shot i reads word i of every
-    slot; every test compares floats, and both gap classes are evaluated
-    for every row. Returns (histogram, early_discards, kept shot indices,
-    gaps, correct).
+
+def reference_run(config):
+    """The float kernel over draw layout v3, every tie stream drawn in full.
+
+    A packed column is u = (d * 2**37 + e) / 2**53 with d the quarter
+    (w >> 16q) & 0xFFFF of its slot's word and e the top 37 bits of its tie
+    stream's word, for every shot; a whole column is ``Generator.random`` on
+    its slot's stream. Returns what ``reference_fold`` returns.
     """
-    n = config.n_shots
-    u = np.column_stack(
-        [
-            np.random.Generator(np.random.Philox(key=config.seed + (slot << 64))).random(n)
-            for slot in range(2 * config.k + 5)
-        ]
-    )
+    n, seed = config.n_shots, config.seed
+    packed, whole = draw_columns(config)
+    u = np.zeros((n, 2 * config.k + 5))
+    for column, (slot, q) in packed.items():
+        d = (stream(seed, slot, n) >> np.uint64(16 * q)) & np.uint64(0xFFFF)
+        e = stream(seed, TIES + 4 * slot + q, n) >> np.uint64(27)
+        u[:, column] = ((d << np.uint64(37)) + e) * 2.0**-53
+    for column, slot in whole.items():
+        u[:, column] = np.random.Generator(np.random.Philox(key=seed + (slot << 64))).random(n)
     return reference_fold(config, u)
 
 
@@ -491,14 +522,41 @@ def reference_fold(config, u):
     return histogram, int((sizes == 0).sum()), np.nonzero(kept)[0], gaps[kept], correct[kept]
 
 
+def repacked_words(config, h):
+    """A word source serving the 53-bit integers ``h[i, column]`` as v3 words.
+
+    A whole word carries h in its top 53 bits, a quarter its top 16 bits, and
+    the quarter's tie word its low 37 bits in the top 37, so the kernel
+    decides every test on h. A read of a tie stream of no column fails.
+    """
+    packed, whole = draw_columns(config)
+    at_quarter = {where: column for column, where in packed.items()}
+    at_whole = {slot: column for column, slot in whole.items()}
+
+    def words(seed, slot, start, n):
+        rows = h[start : start + n]
+        if slot in at_whole:
+            return rows[:, at_whole[slot]] << np.uint64(11)
+        if slot >= TIES:
+            column = at_quarter[divmod(slot - TIES, 4)]
+            return (rows[:, column] & LOW_37) << np.uint64(27)
+        w = np.zeros(rows.shape[0], dtype=np.uint64)
+        for q in range(4):
+            if (slot, q) in at_quarter:
+                w |= (rows[:, at_quarter[slot, q]] >> np.uint64(37)) << np.uint64(16 * q)
+        return w
+
+    return words
+
+
 @pytest.mark.parametrize("start", [0, 1, 2, 3, 4097, 65_534])
 def test_slot_words_give_the_generator_floats(start):
     # shot i reads word i of the slot's stream, whatever the start's offset
     # inside Philox's four-word counter step
-    for seed, slot in ((11, 0), (11, 5), (montecarlo.MAX_SEED, 12)):
-        h = montecarlo._slot_words(seed, slot, start, 4099)
+    for seed, slot in ((11, 0), (11, 5), (montecarlo.MAX_SEED, 12), (3, TIES + 17)):
+        words = montecarlo._slot_words(seed, slot, start, 4099)
         u = np.random.Generator(np.random.Philox(key=seed + (slot << 64))).random(start + 4099)
-        assert np.array_equal(montecarlo._floats(h), u[start:])
+        assert np.array_equal(montecarlo._floats(words), u[start:])
 
 
 def test_slot_keys_are_distinct_at_the_edges():
@@ -507,34 +565,64 @@ def test_slot_keys_are_distinct_at_the_edges():
     last = montecarlo._slot_words(montecarlo.MAX_SEED, 0, 0, 64)
     first = montecarlo._slot_words(0, 1, 0, 64)
     assert not np.array_equal(last, first)
-    for seed, slot in ((montecarlo.MAX_SEED, 0), (0, 1)):
+    for seed, slot in ((montecarlo.MAX_SEED, 0), (0, 1), (0, TIES + 23)):
         key = np.random.Philox(key=seed + (slot << 64)).state["state"]["key"]
         assert key.tolist() == [seed, slot]
     # slot 0 of seed s is the v1 stream of Philox(key=s), read word by word
-    v1 = np.random.Philox(key=montecarlo.MAX_SEED).random_raw(64) >> np.uint64(11)
-    assert np.array_equal(last, v1)
+    assert np.array_equal(last, np.random.Philox(key=montecarlo.MAX_SEED).random_raw(64))
+
+
+def expected_ties(seed, slot, thresholds, n):
+    """(tie slot, shot) of every quarter of ``slot`` whose 16 bits equal its
+    threshold's top bits, for thresholds whose low 37 bits leave e to decide."""
+    words = stream(seed, slot, n)
+    ties = set()
+    for q, t in enumerate(thresholds):
+        hi, lo = t >> 37, t & (2**37 - 1)
+        if lo:
+            shots = np.flatnonzero(((words >> np.uint64(16 * q)) & np.uint64(0xFFFF)) == hi)
+            ties |= {(TIES + 4 * slot + q, int(i)) for i in shots}
+    return ties
 
 
 def test_a_run_generates_only_the_slots_its_model_reads(monkeypatch):
-    calls = set()
+    calls = []
     words = montecarlo._slot_words
 
     def spy(seed, slot, start, n):
-        calls.add(slot)
+        calls.append((slot, start, n))
         return words(seed, slot, start, n)
 
+    def read():
+        blocks = {slot for slot, _, n in calls if slot < TIES}
+        ties = {(slot, start) for slot, start, n in calls if slot >= TIES and n == 1}
+        assert len(ties) == sum(slot >= TIES for slot, _, _ in calls)  # one word a tie
+        calls.clear()
+        return blocks, ties
+
     monkeypatch.setattr(montecarlo, "_slot_words", spy)
+    n, seed = 300_000, 3
     model = FailureModel.identical(0.49, 4)
-    escape = EscapeModel.bernoulli_error(0.05)  # keep_prob 1 reads no keep words
-    cfg = SimConfig(failure_model=model, n_shots=100, seed=3, escape_model=escape)
+    escape = EscapeModel.bernoulli_error(0.05)  # keep_prob 1 reads no keep quarter
+    cfg = SimConfig(failure_model=model, n_shots=n, seed=seed, escape_model=escape)
+    site_ties = expected_ties(seed, 4, [montecarlo._threshold(0.49)] * 4, n)
+    assert len(site_ties) > 5  # about 18 at this shot count
+    # k=4 records off: one packed word a shot, tie words at tied shots only
     run_simulation(replace(cfg, collect_records=False))
-    assert calls == {2, 3, 4, 5}
-    calls.clear()
+    assert read() == ({4}, site_ties)
+    # records: the gap stream and the escape word, whose error-class quarter
+    # ties too; the error class is drawn for the whole block
+    error_ties = expected_ties(seed, 3, [2**53, montecarlo._threshold(0.05)], n)
     run_simulation(cfg)
-    assert calls == {2, 3, 4, 5, 11, 12}
-    calls.clear()
-    run_simulation(replace(cfg, escape_model=EscapeModel.bernoulli_error(0.05, keep_prob=0.5)))
-    assert calls == {2, 3, 4, 5, 10, 11, 12}
+    assert read() == ({1, 3, 4}, site_ties | error_ties)
+    # an escape that can reject reads the keep quarter, also without records
+    keep_ties = expected_ties(seed, 3, [montecarlo._threshold(0.7), 2**53], n)
+    assert keep_ties
+    rejecting = replace(cfg, escape_model=EscapeModel.bernoulli_error(0.05, keep_prob=0.7))
+    run_simulation(replace(rejecting, collect_records=False))
+    assert read() == ({3, 4}, site_ties | keep_ties)
+    run_simulation(rejecting)
+    assert read() == ({1, 3, 4}, site_ties | keep_ties | error_ties)
 
 
 @pytest.mark.parametrize(
@@ -552,6 +640,37 @@ def test_integer_threshold_decides_the_float_test(r):
 
 def test_nan_rate_never_passes_a_site():
     assert montecarlo._threshold(math.nan) == 2**53  # h >= 2**53 never holds, like u >= nan
+
+
+@pytest.mark.parametrize("seed", [0, montecarlo.MAX_SEED])
+def test_each_quarter_decides_u_at_least_r_exactly(monkeypatch, seed):
+    # h one below, at and one above each threshold: where d equals the
+    # threshold's top 16 bits, e is t_lo - 1, t_lo or t_lo + 1 of the
+    # quarter's own tie stream; t = 2**53 (rate 1, NaN) has no 16-bit top,
+    # so it never passes and reads no tie
+    start = 1000
+    reads = []
+    for slot, rates in ((4, [0.0, 2.0**-53, 0.4903, 1 - 2.0**-53]), (9, [1.0, math.nan, 0.5])):
+        t = [montecarlo._threshold(r) for r in rates]
+        near = sorted({v + d for v in t + [0, 2**53 - 1] for d in (-1, 0, 1)} - {-1, 2**53, 2**53 + 1})
+        h = np.column_stack([np.roll(np.array(near, dtype=np.uint64), q) for q in range(4)])
+        words = np.zeros(len(near), dtype=np.uint64)
+        for q in range(4):
+            words |= (h[:, q] >> np.uint64(37)) << np.uint64(16 * q)
+        tie_streams = {TIES + 4 * slot + q: (h[:, q] & LOW_37) << np.uint64(27) for q in range(4)}
+
+        def ties(seed_, tie_slot, at, n):
+            assert seed_ == seed
+            reads.append(tie_slot)
+            return tie_streams[tie_slot][at - start : at - start + n]
+
+        monkeypatch.setattr(montecarlo, "_slot_words", ties)
+        passed = montecarlo._passes(montecarlo._tests(slot, t, len(near)), seed, start, words)
+        for q, r in enumerate(rates):
+            assert passed[q::4].tolist() == (h[:, q] * 2.0**-53 >= r).tolist(), r
+    # t_lo = 0 (rates 0 and 0.5) passes every tie unread; only rates 2**-53,
+    # 0.4903 and 1 - 2**-53 leave e to decide
+    assert set(reads) == {TIES + 16 + q for q in (1, 2, 3)}
 
 
 FAILURES = {
@@ -626,31 +745,56 @@ def test_records_on_and_off_match_the_float_kernel(
                 assert_matches_reference(summary, expected)
 
 
+def column_thresholds(config):
+    """ceil(r * 2**53) of the rate each test column compares (see draw_columns)."""
+    k = config.k
+    model = config.failure_model
+    esc = config.escape_model
+    rates = {1: float(np.mean(model.per_site_fail)), 2 * k + 2: esc.keep_prob, 2 * k + 3: esc.q}
+    if isinstance(model.correlation, CommonMode):
+        rates[0] = model.correlation.c
+    split = config.stage_split
+    for j in range(k):
+        rates[2 + j] = split.injection_fail[j] if split else model.per_site_fail[j]
+        if split:
+            rates[k + 2 + j] = split.cultivation_fail[j]
+    return {column: montecarlo._threshold(r) for column, r in rates.items()}
+
+
+@pytest.mark.parametrize("block", [DEFAULT_BLOCK, 97], ids=lambda b: f"block{b}")
 @pytest.mark.parametrize("escape_name", list(ESCAPES))
 @pytest.mark.parametrize("failure_name", list(FAILURES))
-def test_words_at_every_threshold_match_the_float_kernel(monkeypatch, failure_name, escape_name):
-    # words one below, at and one above each threshold, where a flipped
-    # comparison or an off-by-one threshold would show; column ``slot`` of h
-    # stands in for the slot's stream
-    cfg = sim_config(failure_name, escape_name, 4000, seed=1)
-    plan = montecarlo._plan(cfg)
-    edges = {0, 1, 2**53 - 1}
-    for t in (plan.pass_at, plan.cult_pass_at, plan.shared_below, plan.shared_pass_at,
-              plan.keep_below, plan.error_below):
-        if t is not None:
-            edges |= {int(v) + d for v in np.atleast_1d(t) for d in (-1, 0, 1)}
-    edges = np.array(sorted(e for e in edges if 0 <= e < 2**53), dtype=np.uint64)
-    h = np.random.default_rng(5).choice(edges, size=(cfg.n_shots, 2 * cfg.k + 5))
-    monkeypatch.setattr(
-        montecarlo, "_slot_words", lambda seed, slot, start, n: h[start : start + n, slot].copy()
-    )
+def test_tied_words_at_every_threshold_match_the_float_kernel(
+    monkeypatch, failure_name, escape_name, block
+):
+    # Each test column's h is often one below, at or one above its threshold,
+    # and always at block and chunk edges: there d equals the threshold's top
+    # 16 bits and e is t_lo - 1, t_lo or t_lo + 1, so a flipped tie comparison,
+    # an off-by-one threshold, a wrong quarter or another test's tie stream
+    # would show. Column ``c`` of h is served as v3 words (repacked_words).
+    monkeypatch.setattr(montecarlo, "_BLOCK", block)
+    n = 2000
+    cfg = sim_config(failure_name, escape_name, n, seed=1)
+    rng = np.random.default_rng(5)
+    h = rng.integers(0, 2**53, size=(n, 2 * cfg.k + 5), dtype=np.uint64)
+    edges = [i for i in (0, block - 1, block, 976, 977, 1953, 1954, n - 1) if i < n]
+    for column, t in column_thresholds(cfg).items():
+        near = np.array([v for v in (t - 1, t, t + 1) if 0 <= v < 2**53], dtype=np.uint64)
+        h[:, column] = np.where(rng.random(n) < 0.1, rng.choice(near, n), h[:, column])
+        h[edges, column] = rng.choice(near, len(edges))
+    monkeypatch.setattr(montecarlo, "_slot_words", repacked_words(cfg, h))
     expected = reference_fold(cfg, h * 2.0**-53)
-    assert_matches_reference(run_simulation(cfg, chunk_size=cfg.n_shots), expected)
-    assert_matches_reference(run_simulation(cfg, workers=2, chunk_size=977), expected)
+    for collect in (True, False):
+        for workers in (1, 2):
+            for chunk in (977, n):
+                summary = run_simulation(
+                    replace(cfg, collect_records=collect), workers=workers, chunk_size=chunk
+                )
+                assert_matches_reference(summary, expected)
     # sample_shot reads the same words through the same helpers
     _, kept_index, gaps, correct = expected[1:]
     kept = dict(zip(kept_index.tolist(), zip(gaps.tolist(), correct.tolist())))
-    for index in range(0, cfg.n_shots, 97):
+    for index in edges + list(range(5, n, 97)):
         _, record = sample_shot(index, cfg)
         assert record == kept.get(index)
 

@@ -5,10 +5,12 @@ record or curve types cannot change an output byte unnoticed. Paths are
 relative to a temporary working directory, because reports echo the record
 paths they read.
 
-The pins are taken on draw layout v2 (one keyed Philox stream per draw
-slot). The v1 pins are kept too: fed the v1 words (one Philox stream keyed
-by the seed, a 16-word window per shot at k=4), the same kernel still writes
-every v1 byte, so the v2 re-pin comes from the layout alone.
+The pins are taken on draw layout v3 (four 16-bit tests to a word of a
+packed stream, with a tie-break stream per test). The v2 and v1 pins are
+kept too: fed the words of v2 (one keyed Philox stream per draw slot) or v1
+(one Philox stream keyed by the seed, a 16-word window per shot at k=4),
+repacked into v3's streams, the same kernel still writes every v2 and v1
+byte, so each re-pin comes from the layout alone.
 """
 
 import csv
@@ -51,6 +53,19 @@ def _gap_sweep(out: str, config: dict) -> None:
 
 
 PINNED = {
+    "sim/records.jsonl": "52b63395989cc5458896394e436ff368f176b371b2cb2bd7191bc3152c732209",
+    "sim/sim_summary.json": "2f23f6f0aae0ffea954abfb7abdfa4445d9d962d6324d70352bca7931ee2b6c9",
+    "tail/records_curve.csv": "c163042d0829cadee28fcb6a3aeb9372812d3939b09776408c03ce0d1dff5f34",
+    "tail/gap_report.json": "9cabaf3a693cd6e85905af561e939f2beedea2d63e03678de6c1813572f932df",
+    "simb/records.jsonl": "7932840fa3d14aa5069c159d717fa6715eadc66923e590a0a5401710c55826bf",
+    "simb/sim_summary.json": "a0062e4de8f26bbb901177efcb5a78f527c760cde1c43cee63f13a2ad71e8015",
+    "pair/1_records_curve.csv": "27c988b3887091484c29a771a74fa020b5ae755828759af914fad4b3d0b4ae56",
+    "pair/2_records_curve.csv": "cd4acf782ffbfcc432cbb5e0e8673a7fdfd463b457a41fd463fb0531156ed561",
+    "pair/gap_report.json": "d9aa1b7dac8639d037494f30cd600f39fc598939b4702f4721bb6519af7c0842",
+}
+
+# the same files under draw layouts v2 and v1; v1 wrote no layout_version
+V2_PINNED = {
     "sim/records.jsonl": "61fba84d212ec3c06723cc3ae55dda75ca9b251be59809c5afca55e25644e2e3",
     "sim/sim_summary.json": "6bb8f827a3737a9906a0bacb8a2d57565f77d8e09a9433b89e2e0af0fde2dfe7",
     "tail/records_curve.csv": "65a6f37e81f0e918f14c39bfc9e134a3dcf666b10ee5fbaef31d9147c86f82d3",
@@ -62,8 +77,6 @@ PINNED = {
     "pair/gap_report.json": "c95ea866f2b1ec2fc48b0ceef83623c327336225bc604ea2252bcbb9be7e3bd8",
 }
 
-# the same files under draw layout v1, each sim_summary.json without its
-# layout_version
 V1_PINNED = {
     "sim/records.jsonl": "dd6d06c56600fc692b7e21a81f9a74dc2114779ae079eec0541db8fd01d5f2e7",
     "sim/sim_summary.json": "3e37c802b88b51c7f12d0be79ed6324eccf190dde5564aab6d882bc75dbe8cf5",
@@ -135,7 +148,8 @@ def test_pair_reports_a_crossing(chain_outputs):
 # A records-off simulate of the sampler benchmark's model (k=4, D=0.4903,
 # Bernoulli q=0.05, continuous exponential gaps) on two workers: the path
 # that folds counts only, which the chain pins above do not reach.
-RECORDS_OFF_PIN = "07e53d4c99240161c3405cd65abbb6bff28b2876d90d29b5fa11d46f7753bb32"
+RECORDS_OFF_PIN = "fe74d91e51e2c2977b4ae11934084d07e03a6077f133cbc904484c1db5d6b1f6"
+V2_RECORDS_OFF_PIN = "07e53d4c99240161c3405cd65abbb6bff28b2876d90d29b5fa11d46f7753bb32"
 V1_RECORDS_OFF_PIN = "786d1306a0ac2b082ec6ae39ff16377d1c6572bda7baadbe83d54ee2a3b4193d"
 
 
@@ -168,6 +182,14 @@ def test_records_off_summary_bytes_are_pinned(tmp_path, monkeypatch):
     assert _sha("off/sim_summary.json") == RECORDS_OFF_PIN
 
 
+def _v2_slot_words(seed, slot, start, n):
+    """h = w >> 11 of words ``start .. start+n-1`` of the v2 stream of ``slot``."""
+    bits = np.random.Philox(key=seed + (slot << 64))
+    bits.advance(start // 4)
+    bits.random_raw(start % 4)
+    return bits.random_raw(n) >> np.uint64(11)
+
+
 def _v1_slot_words(seed, slot, start, n):
     """Column ``slot`` of layout v1: shot i owns words [16 i, 16 i + 16) of Philox(key=seed)."""
     bits = np.random.Philox(key=seed)
@@ -175,22 +197,64 @@ def _v1_slot_words(seed, slot, start, n):
     return bits.random_raw(n * 16).reshape(n, 16)[:, slot] >> np.uint64(11)
 
 
-def _sha_without_layout_version(path: Path) -> str:
-    """A sim_summary.json's sha256 once ``layout_version`` is dropped, as v1 wrote it."""
+# At k=4, the v2 slot of each v3 whole-word slot, and of each quarter of
+# each v3 packed slot (module docstrings of both layouts)
+V2_WHOLE = {0: 0, 1: 12}  # joint selector, gap
+V2_QUARTERS = {2: (0, 1), 3: (10, 11), 4: (2, 3, 4, 5), 5: (6, 7, 8, 9)}
+LOW_37 = np.uint64(2**37 - 1)
+
+
+def _repacked(v2_words):
+    """v3 words made from v2-slot h values: a whole word carries h in its top
+    53 bits, a quarter its top 16 bits, and the quarter's tie word its low 37
+    bits in the top 37, so every v3 test compares the same 53-bit h."""
+
+    def words(seed, slot, start, n):
+        if slot in V2_WHOLE:
+            return v2_words(seed, V2_WHOLE[slot], start, n) << np.uint64(11)
+        if slot >= montecarlo._TIES:
+            packed, q = divmod(slot - montecarlo._TIES, 4)
+            h = v2_words(seed, V2_QUARTERS[packed][q], start, n)
+            return (h & LOW_37) << np.uint64(27)
+        w = np.zeros(n, dtype=np.uint64)
+        for q, v2_slot in enumerate(V2_QUARTERS[slot]):
+            w |= (v2_words(seed, v2_slot, start, n) >> np.uint64(37)) << np.uint64(16 * q)
+        return w
+
+    return words
+
+
+def _sha_as_layout(path: Path, version: int | None) -> str:
+    """A file's sha256 once a sim_summary.json's ``layout_version`` says
+    ``version``, or is dropped for None, as v1 wrote it."""
     if path.name != "sim_summary.json":
         return _sha(path)
     doc = json.loads(path.read_text())
-    assert doc["provenance"].pop("layout_version") == montecarlo.LAYOUT_VERSION
-    v1_path = path.with_name("sim_summary_v1.json")
-    _write_json(v1_path, doc)
-    return _sha(v1_path)
+    assert doc["provenance"]["layout_version"] == montecarlo.LAYOUT_VERSION
+    if version is None:
+        del doc["provenance"]["layout_version"]
+    else:
+        doc["provenance"]["layout_version"] = version
+    relabelled = path.with_name(f"sim_summary_v{version}.json")
+    _write_json(relabelled, doc)
+    return _sha(relabelled)
 
 
-def test_v1_words_reproduce_every_v1_pin(tmp_path, monkeypatch):
+@pytest.mark.parametrize(
+    "words,version,pinned,records_off",
+    [
+        (_v2_slot_words, 2, V2_PINNED, V2_RECORDS_OFF_PIN),
+        (_v1_slot_words, None, V1_PINNED, V1_RECORDS_OFF_PIN),
+    ],
+    ids=["v2", "v1"],
+)
+def test_v2_and_v1_words_repacked_reproduce_every_v2_and_v1_pin(
+    tmp_path, monkeypatch, words, version, pinned, records_off
+):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(montecarlo, "_slot_words", _v1_slot_words)
+    monkeypatch.setattr(montecarlo, "_slot_words", _repacked(words))
     _run_chain()
     _run_records_off()
-    got = {name: _sha_without_layout_version(tmp_path / name) for name in V1_PINNED}
-    assert got == V1_PINNED
-    assert _sha_without_layout_version(tmp_path / "off" / "sim_summary.json") == V1_RECORDS_OFF_PIN
+    got = {name: _sha_as_layout(tmp_path / name, version) for name in pinned}
+    assert got == pinned
+    assert _sha_as_layout(tmp_path / "off" / "sim_summary.json", version) == records_off
