@@ -318,7 +318,8 @@ class _Tests:
 
     With t = ceil(r * 2**53), quarter q passes when d > hi[q], or when
     d == hi[q] and the tie-break e >= lo[q]. ``hi`` is tiled to a block's
-    shots, so one flat comparison covers every quarter of a block. A quarter
+    shots, so one flat comparison covers every quarter of a block; quarters
+    that share one value keep a single element, which broadcasts. A quarter
     a run does not read gets t = 2**53, which never passes and reads no tie.
     """
 
@@ -329,11 +330,11 @@ class _Tests:
 
 def _tests(slot: int, thresholds, block: int) -> _Tests:
     t = list(thresholds) + [_UNIT] * (4 - len(thresholds))
-    hi = [min(v >> _TIE_BITS, _QUARTER) for v in t]
+    hi = np.array([min(v >> _TIE_BITS, _QUARTER) for v in t], dtype=np.uint16)
     return _Tests(
         slot,
-        np.tile(np.array(hi, dtype=np.uint16), block),
-        tuple(v - (h << _TIE_BITS) for v, h in zip(t, hi)),
+        hi[:1] if (hi == hi[0]).all() else np.tile(hi, block),
+        tuple(v - (int(h) << _TIE_BITS) for v, h in zip(t, hi)),
     )
 
 
@@ -347,8 +348,9 @@ def _passes(tests: _Tests, seed: int, start: int, words: np.ndarray) -> np.ndarr
     """
     d = np.ascontiguousarray(words, dtype="<u8").view("<u2")
     hi = tests.hi[: d.size]
+    ties = np.flatnonzero(d == hi)  # before ``passed``, so one mask is alive at a time
     passed = d > hi
-    for at in np.flatnonzero(d == hi).tolist():
+    for at in ties.tolist():
         shot, q = divmod(at, 4)
         lo = tests.lo[q]
         if 0 < lo < _TIE_UNIT:

@@ -310,10 +310,12 @@ def test_linear_grid_must_be_finite_and_increasing(tmp_path, capsys, grid):
     assert lines == ["config error: thresholds start, stop and count give no finite increasing grid"]
 
 
-# numpy refuses each of these counts before touching memory: 10**15 floats
-# cannot be allocated, 2**62 cannot be addressed, and 2**63 - 1 wraps numpy's
-# range length to an empty range
-@pytest.mark.parametrize("count", [10**15, 2**62, 2**63 - 1], ids=["1e15", "2^62", "2^63-1"])
+# each of these counts is refused before memory is touched: 10**15 floats
+# cannot be allocated, 2**62 cannot be addressed, 2**63 - 1 wraps numpy's
+# range length to an empty range, and 10**400 has no float step
+@pytest.mark.parametrize(
+    "count", [10**15, 2**62, 2**63 - 1, 10**400], ids=["1e15", "2^62", "2^63-1", "1e400"]
+)
 def test_a_grid_too_large_to_build_is_one_config_error_before_records_are_read(
     tmp_path, capsys, count
 ):
