@@ -923,11 +923,11 @@ def find_crossing(curve_a: SweepCurve, curve_b: SweepCurve) -> Crossing | None:
             (np.sign(values[1:]) != np.sign(values[:-1])) & (breaks[1:] == breaks[:-1])
         )
         if flips.size:
-            j, i = int(rows[flips[0]]), int(rows[flips[0] + 1])
+            first = flips[0]
+            (j, i), (d0, d1) = rows[first : first + 2].tolist(), values[first : first + 2].tolist()
             if i > j + 1:  # zeros between: the tie's first threshold
                 tie = float(ts[j + 1])
                 return Crossing(threshold=tie, bracket=(tie, tie))
-            d0, d1 = float(values[flips[0]]), float(values[flips[0] + 1])
             t0, t1 = float(ts[j]), float(ts[i])
             g_star = t0 + (t1 - t0) * abs(d0) / (abs(d0) + abs(d1))
             return Crossing(threshold=g_star, bracket=(t0, t1))

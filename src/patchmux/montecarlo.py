@@ -392,8 +392,9 @@ class _Plan:
     sites: tuple[_Tests, ...]  # site passes (split: injection); empty for a joint model
     cultivation: tuple[_Tests, ...]  # two-stage split: cultivation passes
     site_bytes: tuple[np.uint32, ...]  # per site word, the bytes of its sites set to 1
-    common: _Tests | None  # c > 0: q0 passes when sites keep their own fate, q1 when the shared fate passes
-    escape: _Tests | None  # q0 passes when the stage rejects, q1 when a bernoulli output is correct
+    common: _Tests | None  # c > 0: q0 passes when the sites keep their own fates,
+    #                        q1 when the shared fate passes
+    escape: _Tests | None  # q0 passes when the stage rejects, q1 when an output is correct
     rejects: bool  # whether the escape stage can reject a candidate
     joint_cdf: np.ndarray | None  # explicit joint: cumulative outcome table
 
