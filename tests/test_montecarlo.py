@@ -666,9 +666,13 @@ def test_each_quarter_decides_u_at_least_r_exactly(monkeypatch, seed):
             return tie_streams[tie_slot][at - start : at - start + n]
 
         monkeypatch.setattr(montecarlo, "_slot_words", ties)
-        passed = montecarlo._passes(montecarlo._tests(slot, t, len(near)), seed, start, words)
+        tests = montecarlo._tests(slot, t, len(near))
+        passed = montecarlo._passes(tests, seed, start, words)
         for q, r in enumerate(rates):
             assert passed[q::4].tolist() == (h[:, q] * 2.0**-53 >= r).tolist(), r
+        # quarters are taken from the words' values, whatever their byte order
+        swapped = words.astype(words.dtype.newbyteorder())
+        assert np.array_equal(montecarlo._passes(tests, seed, start, swapped), passed)
     # t_lo = 0 (rates 0 and 0.5) passes every tie unread; only rates 2**-53,
     # 0.4903 and 1 - 2**-53 leave e to decide
     assert set(reads) == {TIES + 16 + q for q in (1, 2, 3)}
@@ -807,6 +811,46 @@ def test_default_blocks_and_chunks_match_the_float_kernel():
     assert_matches_reference(run_simulation(cfg, workers=2), expected)
     off = run_simulation(replace(cfg, collect_records=False), workers=2)
     assert_matches_reference(off, expected)
+
+
+SIX_SITES = (0.3, 0.6, 0.8, 0.2, 0.5, 0.45)
+
+
+@pytest.mark.parametrize(
+    "failure,split",
+    [
+        (FailureModel(per_site_fail=SIX_SITES), None),
+        (FailureModel(SIX_SITES, CommonMode(0.37)), None),
+        (FailureModel.identical(0.28, 6), StageSplit((0.1,) * 6, (0.2,) * 6)),
+    ],
+    ids=["independent", "common_mode", "stage_split"],
+)
+def test_more_than_four_sites_span_two_packed_words(monkeypatch, failure, split):
+    # sites 5 and 6 sit in quarters 0 and 1 of a second word per role, whose
+    # quarters 2 and 3 belong to no site
+    cfg = SimConfig(
+        failure_model=failure,
+        n_shots=3000,
+        seed=31,
+        escape_model=EscapeModel.bernoulli_error(0.3, keep_prob=0.7),
+        stage_split=split,
+    )
+    for workers, chunk in ((1, 3000), (2, 977)):
+        summary = run_simulation(cfg, workers=workers, chunk_size=chunk)
+        assert_matches_reference(summary, reference_run(cfg))
+    # the same with every test column often tied at its threshold
+    rng = np.random.default_rng(8)
+    h = rng.integers(0, 2**53, size=(cfg.n_shots, 2 * cfg.k + 5), dtype=np.uint64)
+    for column, t in column_thresholds(cfg).items():
+        near = np.array([v for v in (t - 1, t, t + 1) if 0 <= v < 2**53], dtype=np.uint64)
+        h[:, column] = np.where(rng.random(cfg.n_shots) < 0.1, rng.choice(near, cfg.n_shots),
+                                h[:, column])
+    monkeypatch.setattr(montecarlo, "_slot_words", repacked_words(cfg, h))
+    expected = reference_fold(cfg, h * 2.0**-53)
+    assert_matches_reference(run_simulation(cfg, workers=2, chunk_size=977), expected)
+    kept = dict(zip(expected[2].tolist(), zip(expected[3].tolist(), expected[4].tolist())))
+    for index in range(0, cfg.n_shots, 61):
+        assert sample_shot(index, cfg)[1] == kept.get(index)
 
 
 @pytest.mark.parametrize("collect", [True, False], ids=["records_on", "records_off"])
