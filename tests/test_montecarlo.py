@@ -660,8 +660,8 @@ def test_each_quarter_decides_u_at_least_r_exactly(monkeypatch, seed):
             words |= (h[:, q] >> np.uint64(37)) << np.uint64(16 * q)
         tie_streams = {TIES + 4 * slot + q: (h[:, q] & LOW_37) << np.uint64(27) for q in range(4)}
 
-        def ties(seed_, tie_slot, at, n):
-            assert seed_ == seed
+        def ties(word_seed, tie_slot, at, n):
+            assert word_seed == seed
             reads.append(tie_slot)
             return tie_streams[tie_slot][at - start : at - start + n]
 
