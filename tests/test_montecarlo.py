@@ -750,6 +750,30 @@ def test_records_on_and_off_match_the_float_kernel(
                 assert_matches_reference(summary, expected)
 
 
+EXTREMES = np.array([0, 1, 2**53 - 1], dtype=np.uint64)
+
+
+def tied_words(config, rng, edges, extreme_rows):
+    """53-bit integers for every draw column, often at a column's edge values.
+
+    A test column's h is t - 1, t or t + 1 (see column_thresholds) on 10% of
+    rows and on every row of ``edges``. Every column, whole-word ones
+    included, is also 0, 1 or 2**53 - 1 on 5% of rows and on every row of
+    ``extreme_rows``, so u = 0 and u = 1 - 2**-53 reach the gap transform,
+    the empirical-pool index clamp and the explicit-joint CDF clamp.
+    """
+    n = config.n_shots
+    h = rng.integers(0, 2**53, size=(n, 2 * config.k + 5), dtype=np.uint64)
+    for column, t in column_thresholds(config).items():
+        near = np.array([v for v in (t - 1, t, t + 1) if 0 <= v < 2**53], dtype=np.uint64)
+        h[:, column] = np.where(rng.random(n) < 0.1, rng.choice(near, n), h[:, column])
+        h[edges, column] = rng.choice(near, len(edges))
+    for column in range(h.shape[1]):
+        h[:, column] = np.where(rng.random(n) < 0.05, rng.choice(EXTREMES, n), h[:, column])
+        h[extreme_rows, column] = rng.choice(EXTREMES, len(extreme_rows))
+    return h
+
+
 def column_thresholds(config):
     """ceil(r * 2**53) of the rate each test column compares (see draw_columns)."""
     k = config.k
@@ -776,17 +800,15 @@ def test_tied_words_at_every_threshold_match_the_float_kernel(
     # and always at block and chunk edges: there d equals the threshold's top
     # 16 bits and e is t_lo - 1, t_lo or t_lo + 1, so a flipped tie comparison,
     # an off-by-one threshold, a wrong quarter or another test's tie stream
-    # would show. Column ``c`` of h is served as v3 words (repacked_words).
+    # would show. Every column, gap and joint selector included, also takes
+    # 0, 1 and 2**53 - 1, some of them next to the edges. Column ``c`` of h
+    # is served as v3 words (repacked_words).
     monkeypatch.setattr(montecarlo, "_BLOCK", block)
     n = 2000
     cfg = sim_config(failure_name, escape_name, n, seed=1)
-    rng = np.random.default_rng(5)
-    h = rng.integers(0, 2**53, size=(n, 2 * cfg.k + 5), dtype=np.uint64)
     edges = [i for i in (0, block - 1, block, 976, 977, 1953, 1954, n - 1) if i < n]
-    for column, t in column_thresholds(cfg).items():
-        near = np.array([v for v in (t - 1, t, t + 1) if 0 <= v < 2**53], dtype=np.uint64)
-        h[:, column] = np.where(rng.random(n) < 0.1, rng.choice(near, n), h[:, column])
-        h[edges, column] = rng.choice(near, len(edges))
+    extreme_rows = [i for i in (1, block - 2, block + 1, 975, 978, 1952, n - 2) if i < n]
+    h = tied_words(cfg, np.random.default_rng(5), edges, extreme_rows)
     monkeypatch.setattr(montecarlo, "_slot_words", repacked_words(cfg, h))
     expected = reference_fold(cfg, h * 2.0**-53)
     for collect in (True, False):
@@ -838,19 +860,55 @@ def test_more_than_four_sites_span_two_packed_words(monkeypatch, failure, split)
     for workers, chunk in ((1, 3000), (2, 977)):
         summary = run_simulation(cfg, workers=workers, chunk_size=chunk)
         assert_matches_reference(summary, reference_run(cfg))
-    # the same with every test column often tied at its threshold
-    rng = np.random.default_rng(8)
-    h = rng.integers(0, 2**53, size=(cfg.n_shots, 2 * cfg.k + 5), dtype=np.uint64)
-    for column, t in column_thresholds(cfg).items():
-        near = np.array([v for v in (t - 1, t, t + 1) if 0 <= v < 2**53], dtype=np.uint64)
-        h[:, column] = np.where(rng.random(cfg.n_shots) < 0.1, rng.choice(near, cfg.n_shots),
-                                h[:, column])
+    # the same with every test column often tied at its threshold, and every
+    # column often at 0, 1 or 2**53 - 1
+    h = tied_words(cfg, np.random.default_rng(8), [0, 976, 977, 2999], [1, 975, 978, 2998])
     monkeypatch.setattr(montecarlo, "_slot_words", repacked_words(cfg, h))
     expected = reference_fold(cfg, h * 2.0**-53)
-    assert_matches_reference(run_simulation(cfg, workers=2, chunk_size=977), expected)
+    for workers, chunk in ((1, 3000), (2, 977)):
+        assert_matches_reference(run_simulation(cfg, workers=workers, chunk_size=chunk), expected)
     kept = dict(zip(expected[2].tolist(), zip(expected[3].tolist(), expected[4].tolist())))
     for index in range(0, cfg.n_shots, 61):
         assert sample_shot(index, cfg)[1] == kept.get(index)
+
+
+def test_a_joint_table_short_of_one_clamps_the_top_uniform(monkeypatch):
+    # a table summing to 1 - 5e-13, inside the sum tolerance, leaves
+    # u = 1 - 2**-53 past the CDF's end; it takes the all-fail outcome
+    table = list(product_joint_table((0.25, 0.5, 0.75)))
+    table[-1] -= 5e-13
+    cfg = SimConfig(
+        failure_model=FailureModel((0.25, 0.5, 0.75), ExplicitJoint(tuple(table))),
+        n_shots=3000,
+        seed=33,
+        escape_model=EscapeModel.always_keep(GapDistribution("exponential", rate=0.1)),
+    )
+    h = tied_words(cfg, np.random.default_rng(9), [], [0, 976, 977, 2999])
+    assert (h[:, 0] == 2**53 - 1).sum() > 10
+    monkeypatch.setattr(montecarlo, "_slot_words", repacked_words(cfg, h))
+    expected = reference_fold(cfg, h * 2.0**-53)
+    for workers, chunk in ((1, 3000), (2, 977)):
+        assert_matches_reference(run_simulation(cfg, workers=workers, chunk_size=chunk), expected)
+
+
+@pytest.mark.parametrize("k", [1, 7, 8, 12])
+def test_histogram_counts_every_size(k):
+    # counting passes below eight sites, np.bincount from eight on
+    sizes = np.random.default_rng(k).binomial(k, 0.4, 5000).astype(np.uint32)
+    histogram = montecarlo._histogram(sizes, k)
+    assert histogram.tolist() == np.bincount(sizes, minlength=k + 1).tolist()
+
+
+def test_nine_sites_match_the_float_kernel():
+    cfg = SimConfig(
+        failure_model=FailureModel(per_site_fail=SIX_SITES + (0.1, 0.9, 0.35)),
+        n_shots=3000,
+        seed=32,
+        escape_model=EscapeModel.bernoulli_error(0.3, keep_prob=0.7),
+    )
+    expected = reference_run(cfg)
+    for workers, chunk in ((1, 3000), (2, 977)):
+        assert_matches_reference(run_simulation(cfg, workers=workers, chunk_size=chunk), expected)
 
 
 @pytest.mark.parametrize("collect", [True, False], ids=["records_on", "records_off"])
