@@ -26,24 +26,27 @@ Large files are read and written on every usable CPU, by one fork helper
 in a forked child that sends its bytes back through a pipe; only this
 process writes the output, and it does a failed child's part itself. A
 record file whose body holds at least two ``_PART_BYTES`` is cut into byte
-ranges that each end just after a ``\n`` byte, one per CPU, each parsed by
-the same block functions (and quote-free ``number,flag`` CSV text without
-the csv module). A range returns its columns or declines; any decline reads
-the whole file again with the serial reader, so outputs and error messages
-do not depend on the split. A record set or curve of at least two
-``_PART_ROWS`` rows is cut into row ranges, one per CPU, each formatted by
-the writer's one block formatter, so the bytes do not depend on the split.
+ranges that each end just after a ``\n`` byte, one per CPU, each read about
+``_BYTE_BLOCK`` bytes at a time: a block of the writer's JSONL lines or of
+plain ``number,flag`` CSV rows is checked and parsed from its bytes; any
+other block is decoded and parsed by the serial reader's text block
+functions, so other valid text reads as before. A range returns its columns
+or declines; any decline reads the whole file again with the serial reader,
+so outputs and error messages do not depend on the split. A record set or
+curve of at least two ``_PART_ROWS`` rows is cut into row ranges, one per
+CPU, each formatted by the writer's one block formatter, so the bytes do
+not depend on the split.
 """
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import json
 import math
 import os
 import pickle
-import re
 import threading
 from dataclasses import dataclass, replace
 from itertools import islice
@@ -322,87 +325,132 @@ def _read_csv(path) -> tuple[np.ndarray, np.ndarray, int, int]:
     return *columns.arrays(), 0, 0
 
 
-# Split reading. A range is parsed by the block functions above and either
-# returns its columns or declines (None); any decline makes the caller read
-# the whole file serially, so record errors and their numbers always come
-# from the serial readers.
+# Split reading: a range returns its columns or declines (None); any decline
+# makes the caller read the whole file serially, so record errors and their
+# numbers always come from the serial readers.
 
-# Quote-free "number,flag" rows, each ending in a \n, a \r\n or the text, with
-# no blank or spaced cell: csv.reader splits each at its one comma, so the
-# cells are cut out of the block's text in bulk.
+_BYTE_BLOCK = 1 << 16  # so a block's temporaries (a CSV block's cells) stay below 1 MB
+
+# The writer's line is {"gap": G, "correct": B, "attempts_consumed": N}\n: two
+# commas, both in the middle key, 17 bytes apart when B is true, then the \n.
+_GAP_KEY = np.frombuffer(b'{"gap": ', np.uint8)
+_MIDDLE_KEYS = [b', "correct": %s, "attempts_consumed": ' % flag for flag in (b"true", b"false")]
+
+# A plain CSV row is a gap of at most _PLAIN_CELL bytes, which fits any field
+# limit of the csv module's above that, a comma, a flag and a \n or \r\n.
 _PLAIN_CELL = 64
-_PLAIN_CSV_ROWS = re.compile(
-    r"(?:[0-9.eE+-]{1,%d},(?:true|false|1|0)(?:\r?\n|\Z))*" % _PLAIN_CELL
-)
+_PLAIN_FLAGS = [b",%s\n" % flag.encode() for flag in _CSV_FLAGS]
+_PLAIN_BYTES = b"0123456789.eE+-,\ntruefals"  # any other byte declines
 
 
-def _plain_csv_block(text: str):
-    """Columns of text that ``_PLAIN_CSV_ROWS`` matches; None on a bad gap."""
-    cells = text.replace("\r", "").replace("\n", ",").split(",")
-    n = len(cells) // 2  # a final line end leaves one empty cell over
+def _line_marks(raw: bytes, pattern: bytes):
+    r"""The block's bytes and the offsets of its commas and ``\n`` bytes, a row
+    a line; None unless it ends in a ``\n`` and each line's marks are ``pattern``."""
+    data = np.frombuffer(raw, np.uint8)
+    marks = np.flatnonzero((data == ord(",")) | (data == ord("\n")))
+    if not raw.endswith(b"\n") or marks.size % len(pattern):
+        return None
+    marks = marks.reshape(-1, len(pattern))
+    return None if np.any(data[marks] != np.frombuffer(pattern, np.uint8)) else (data, marks)
+
+
+def _jsonl_bytes(raw: bytes, consumed: int):
+    """``_jsonl_block`` of a block of the writer's lines, read from its bytes;
+    None unless every line has the writer's skeleton and its values pass."""
+    lines = raw.isascii() and b"\r" not in raw and _line_marks(raw, b",,\n")
+    # Each middle key holds two commas. With as many keys as lines, and two
+    # commas on each line, each line holds one key, which starts at its first.
+    if not lines or sum(map(raw.count, _MIDDLE_KEYS)) != len(lines[1]):
+        return None
+    data, (first, second, ends) = lines[0], lines[1].T
+    starts = np.insert(ends[:-1] + 1, 0, 0)
+    digits_at = second + len(b', "attempts_consumed": ')
+    width = ends - 1 - digits_at  # the count runs up to the closing brace
+    widest = int(width.max())
+    if (
+        np.any(data[ends - 1] != ord("}"))
+        or np.any(data[starts[:, None] + np.arange(_GAP_KEY.size)] != _GAP_KEY)
+        or not 1 <= width.min() <= widest <= 18  # 18 digits fit in int64
+        or np.any(data[digits_at] == ord("0"))
+    ):
+        return None
+    # right-aligned digit columns, as wide as the widest count
+    columns = (ends - 1 - widest)[:, None] + np.arange(widest)
+    digits = np.where(columns >= digits_at[:, None], data[columns] - np.uint8(ord("0")), 0)
+    if np.any(digits > 9):
+        return None
+    counts = digits.astype(np.int64) @ 10 ** np.arange(widest - 1, -1, -1, dtype=np.int64)
+    consumed += sum(counts.tolist())  # Python ints: a total past int64 is caught, not wrapped
+    # each gap's text with the comma after it, joined into one JSON array
+    begin, size = starts + _GAP_KEY.size, first + 1 - starts - _GAP_KEY.size
+    at = np.cumsum(size) - size
+    spans = data[np.repeat(begin - at, size) + np.arange(at[-1] + size[-1])].tobytes()
     try:
-        gaps = np.fromiter(map(float, cells[0 : 2 * n : 2]), np.float64, n)
+        gaps = json.loads("[%s]" % spans[:-1].decode())  # str: no encoding to guess
+        gaps = np.array(gaps, np.float64) if set(map(type, gaps)) <= {int, float} else None
+    except (ValueError, RecursionError, OverflowError):
+        return None
+    if gaps is None or gaps.size != first.size or not _gaps_in_range(gaps) or consumed > _INT64_MAX:
+        return None
+    return gaps, second - first == len(b', "correct": true'), first.size, consumed
+
+
+def _csv_bytes(raw: bytes, consumed: int):
+    """``_csv_block`` of plain ``number,flag`` rows read from their bytes, with
+    ``_jsonl_bytes``' two counts; None for any other block or a bad gap."""
+    raw = raw.replace(b"\r\n", b"\n")  # csv.reader ends a row at either
+    plain = not raw.translate(None, _PLAIN_BYTES) and csv.field_size_limit() >= _PLAIN_CELL
+    lines = plain and _line_marks(raw, b",\n")
+    # one comma a row, and as many flags after a comma as rows
+    if not lines or sum(map(raw.count, _PLAIN_FLAGS)) != len(lines[1]):
+        return None
+    data, (commas, ends) = lines[0], lines[1].T
+    if np.any(commas - np.insert(ends[:-1] + 1, 0, 0) > _PLAIN_CELL):
+        return None
+    cells = raw.replace(b"\n", b",").split(b",")
+    try:  # an empty gap cell, or a flag letter in one, fails here
+        gaps = np.fromiter(map(float, cells[0 : 2 * commas.size : 2]), np.float64, commas.size)
     except ValueError:
         return None
     if not _gaps_in_range(gaps):
         return None
-    return gaps, np.fromiter(map(_CSV_FLAGS.__getitem__, cells[1 : 2 * n : 2]), bool, n)
+    flags = data[commas + 1]
+    return gaps, (flags == ord("t")) | (flags == ord("1")), 0, consumed
 
 
-def _range_csv_block(lines: list[str]):
-    """A block of CSV lines from a range, as ``_csv_block`` converts it; None
-    when it holds a quote, since a quoted cell may hold a line end that a cut
-    splits, or when a check fails."""
-    text = "".join(lines)
-    if '"' in text:
+def _text_block(raw: bytes, is_csv: bool, consumed: int):
+    """A block the byte parsers decline, parsed by the text block functions
+    from its lines in the serial reader's newline mode; None when a check
+    fails or it holds a CSV quote (a quoted cell may span a cut)."""
+    try:
+        text = raw.decode()
+        lines = list(io.StringIO(text, newline="" if is_csv else None))
+        if not is_csv:
+            return _jsonl_block(lines, consumed)
+        block = None if '"' in text else _csv_block(list(csv.reader(lines)))
+    except (UnicodeDecodeError, csv.Error):
         return None
-    # the plain pattern's cells fit any field limit of the csv module's above it
-    if csv.field_size_limit() >= _PLAIN_CELL and _PLAIN_CSV_ROWS.fullmatch(text):
-        return _plain_csv_block(text)
-    return _csv_block(list(csv.reader(lines)))
-
-
-class _ByteRange(io.RawIOBase):
-    """Bytes ``start`` up to ``end`` of a file, as a raw stream."""
-
-    def __init__(self, path, start: int, end: int) -> None:
-        self._file = open(path, "rb", buffering=0)
-        self._file.seek(start)
-        self._left = end - start
-
-    def readable(self) -> bool:
-        return True
-
-    def readinto(self, buffer) -> int:
-        n = self._file.readinto(memoryview(buffer)[: self._left])
-        self._left -= n
-        return n
-
-    def close(self) -> None:
-        self._file.close()
-        super().close()
+    return block and (*block, 0, consumed)
 
 
 def _read_range(path, is_csv: bool, start: int, end: int):
-    """(gaps, correct, records with attempts_consumed, their total) of one
-    byte range, streamed in blocks of lines in the serial reader's newline
-    mode, or None to decline."""
+    r"""(gaps, correct, records with attempts_consumed, their total) of one
+    byte range, read about ``_BYTE_BLOCK`` bytes at a time, each block cut
+    just after a ``\n`` where the range goes on; None to decline."""
     columns = _Columns()
     with_consumed = consumed = 0
-    raw = io.BufferedReader(_ByteRange(path, start, end))
-    encoding = "utf-8-sig" if start == 0 else "utf-8"  # only a file's start holds a BOM
-    try:
-        with io.TextIOWrapper(raw, encoding=encoding, newline="" if is_csv else None) as fh:
-            while lines := list(islice(fh, _IO_BLOCK)):
-                block = _range_csv_block(lines) if is_csv else _jsonl_block(lines, consumed)
-                if block is None:
-                    return None
-                columns.append(block[0], block[1])
-                if not is_csv:
-                    with_consumed += block[2]
-                    consumed = block[3]
-    except (UnicodeDecodeError, csv.Error):
-        return None
+    parse_bytes = _csv_bytes if is_csv else _jsonl_bytes
+    with open(path, "rb") as fh:
+        if start > 0 or fh.read(3) != codecs.BOM_UTF8:  # only a file's start holds a BOM
+            fh.seek(start)
+        while (left := end - fh.tell()) > 0 and (raw := fh.read(min(_BYTE_BLOCK, left))):
+            if not raw.endswith(b"\n"):
+                raw += fh.readline(left - len(raw))
+            block = parse_bytes(raw, consumed) or _text_block(raw, is_csv, consumed)
+            if block is None:
+                return None
+            columns.append(block[0], block[1])
+            with_consumed, consumed = with_consumed + block[2], block[3]
     return *columns.arrays(), with_consumed, consumed
 
 
@@ -851,14 +899,25 @@ def default_thresholds(*record_sets: RecordSet) -> np.ndarray:
     return grid
 
 
+def _physical_memory() -> int:
+    """Bytes of physical memory, or 0 where the platform does not say."""
+    try:
+        return max(0, os.sysconf("SC_PHYS_PAGES")) * max(0, os.sysconf("SC_PAGE_SIZE"))
+    except (AttributeError, ValueError, OSError):  # no sysconf, or not these names
+        return 0
+
+
 def linear_thresholds(start: float, stop: float, count: int) -> np.ndarray | None:
     """start + i * (stop - start) / (count - 1) for i in 0..count-1, bit for bit
     as Python floats give it; None unless that is finite and increasing.
 
-    A count too large to allocate raises MemoryError, or numpy's ValueError
-    when the array could not even be addressed, before memory is touched.
+    A count whose grid exceeds physical memory (which an overcommitting host
+    grants, then fails to fill) or cannot be allocated raises MemoryError, or
+    numpy's ValueError where it cannot be addressed, before memory is touched.
     """
     step = (stop - start) / (count - 1)
+    if 0 < _physical_memory() < count * np.dtype(np.float64).itemsize:
+        raise MemoryError(f"{count} thresholds exceed physical memory")
     grid = np.arange(count, dtype=np.float64)
     if grid.size != count:  # numpy wraps a count near 2**63 to an empty range
         raise ValueError(f"array of {count} thresholds is too big")

@@ -3,10 +3,12 @@ inputs are one-line errors, and a report's config block reproduces the report.""
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
 
+from patchmux import gap_analysis
 from patchmux.cli import EXIT_CONFIG, EXIT_FORMAT, EXIT_OK, _threshold_grid, main
 
 # Every config key of every command, with its JSON type. Written out here on
@@ -330,6 +332,53 @@ def test_a_grid_too_large_to_build_is_one_config_error_before_records_are_read(
         f"config error: thresholds.count {count} is too large to build the grid"
     ]
     assert not (tmp_path / "out").exists()
+
+
+def refuse_to_allocate(*args, **kwargs):
+    raise AssertionError("the grid was allocated")
+
+
+# Under memory overcommit numpy grants a grid the host cannot back (10**10
+# floats are 80 GB), and filling it gets the process killed; a count past
+# physical memory is refused before anything is allocated. The memory probe
+# is made small here, and nothing is ever allocated.
+@pytest.mark.parametrize(
+    "memory, count", [(8000, 1001), (2**33, 10**10)], ids=["8kB-1001", "8GB-1e10"]
+)
+def test_a_grid_past_physical_memory_is_one_config_error_before_it_is_built(
+    tmp_path, capsys, monkeypatch, memory, count
+):
+    monkeypatch.setattr(gap_analysis, "_physical_memory", lambda: memory)
+    monkeypatch.setattr(np, "arange", refuse_to_allocate)
+    records = tmp_path / "r.jsonl"
+    records.write_text("not a record\n")  # reading it would exit 3
+    cfg = tmp_path / "cfg.json"
+    grid = {"start": 0, "stop": 1, "count": count}
+    cfg.write_text(json.dumps({"records": [str(records)], "thresholds": grid}))
+    code = main(["gap-sweep", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: thresholds.count {count} is too large to build the grid"
+    ]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("memory", [8000, 0], ids=["fits", "unknown"])
+def test_a_grid_within_physical_memory_is_built(monkeypatch, memory):
+    # 1000 floats fill 8000 bytes exactly; a host that does not say how much
+    # memory it has bounds nothing
+    monkeypatch.setattr(gap_analysis, "_physical_memory", lambda: memory)
+    assert _threshold_grid({"start": 0.0, "stop": 999.0, "count": 1000}).tolist() == list(
+        map(float, range(1000))
+    )
+
+
+def test_physical_memory_is_read_where_the_platform_says():
+    memory = gap_analysis._physical_memory()
+    if hasattr(os, "sysconf") and "SC_PHYS_PAGES" in os.sysconf_names:
+        assert memory > 0
+    else:
+        assert memory == 0
 
 
 LINEAR_GRIDS = [

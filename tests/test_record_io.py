@@ -7,10 +7,12 @@ as first written (one ``json.dumps``/``json.loads`` per record, one
 """
 
 import atexit
+import codecs
 import csv
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import threading
@@ -19,6 +21,7 @@ import numpy as np
 import pytest
 
 from patchmux import gap_analysis
+from patchmux.cli import main
 from patchmux.gap_analysis import (
     CURVE_CSV_HEADER,
     RecordFormatError,
@@ -756,6 +759,244 @@ def test_a_lowered_field_limit_holds_for_plain_rows(tmp_path, monkeypatch, cpus)
             RecordSet.from_csv(path)
     finally:
         csv.field_size_limit(limit)
+
+
+# Byte kernels. A range is read a block of bytes at a time: a block of the
+# writer's JSONL lines or of plain "number,flag" CSV rows is parsed from its
+# bytes, any other block by the text block functions. Each case below is read
+# by the serial reader and by the range reader, which must agree: the same
+# columns and totals, or a decline where the serial reader raises. With blocks
+# of KERNEL_BLOCK bytes the changed line sits mid-range, with whole blocks of
+# canonical lines before and after it.
+
+KERNEL_BLOCK = 160
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    monkeypatch.setattr(gap_analysis, "_BYTE_BLOCK", KERNEL_BLOCK)
+
+
+def canonical_lines(suffix) -> list[bytes]:
+    """Lines as the JSONL writer or a plain CSV writer gives them, each with
+    its \\n; a CSV file's header is its first line."""
+    gaps = [0.0, 1.0, 0.1, 1e-320, 1e22, 3.25, 7.0, 123456.789, 2.5e-7, 40.0, 0.5, 12.0] * 2
+    correct = [i % 3 != 1 for i in range(len(gaps))]
+    if suffix == ".csv":
+        rows = [f"{g!r},{flag}" for g, flag in zip(gaps, ["true", "false", "1", "0"] * 6)]
+        return [f"{row}\n".encode() for row in ["gap,correct", *rows]]
+    shot_index = np.cumsum([1, 12, 1, 3, 123456789, 1, 1, 2, 40, 1, 1, 5] * 2) - 1
+    return reference_jsonl(gaps, correct, shot_index).encode().splitlines(keepends=True)
+
+
+def columns_of(read):
+    try:
+        got = read()
+    except (RecordFormatError, UnicodeDecodeError):
+        return "raises"
+    return None if got is None else (got[0].view(np.uint64).tolist(), got[1].tolist(), *got[2:])
+
+
+def assert_range_agrees_with_serial(path):
+    """The range reader over the whole body gives the serial reader's columns
+    and totals, or declines where the serial reader raises; a CSV body with a
+    quote may also decline."""
+    is_csv = path.suffix == ".csv"
+    read_serial = gap_analysis._read_csv if is_csv else gap_analysis._read_jsonl
+    serial = columns_of(lambda: read_serial(path))
+    start = gap_analysis._csv_body_start(path) if is_csv else 0
+    size = path.stat().st_size
+    got = columns_of(lambda: gap_analysis._read_range(path, is_csv, start, size))
+    if serial == "raises":
+        assert got is None
+    elif got is None:
+        assert is_csv and b'"' in path.read_bytes()
+    else:
+        assert got == serial
+
+
+MUTATIONS = [bytes([c]) for c in b'09.e-+ \t,"}{\rtfn\x80\0'] + [codecs.BOM_UTF8]
+
+
+def mutated(lines, offset, byte, before):
+    """The lines with the middle line's byte at ``offset`` replaced by, or
+    preceded by, ``byte``."""
+    lines = list(lines)
+    line = lines[len(lines) // 2]
+    lines[len(lines) // 2] = line[:offset] + byte + line[offset + (0 if before else 1) :]
+    return b"".join(lines)
+
+
+@pytest.mark.parametrize("suffix", [".jsonl", ".csv"])
+def test_every_one_byte_change_of_a_line_reads_as_serial(tmp_path, small_blocks, suffix):
+    lines = canonical_lines(suffix)
+    path = tmp_path / f"records{suffix}"
+    path.write_bytes(b"".join(lines))
+    assert_range_agrees_with_serial(path)
+    for offset in range(len(lines[len(lines) // 2])):
+        for byte in MUTATIONS:
+            for before in (False, True):
+                path.write_bytes(mutated(lines, offset, byte, before))
+                assert_range_agrees_with_serial(path)
+
+
+@pytest.mark.parametrize("suffix", [".jsonl", ".csv"])
+def test_sampled_one_byte_changes_split_read_as_serial(tmp_path, small_blocks, monkeypatch, suffix):
+    rng = np.random.default_rng(11)
+    lines = canonical_lines(suffix)
+    path = tmp_path / f"records{suffix}"
+    for i in range(24):
+        offset = int(rng.integers(len(lines[len(lines) // 2])))
+        byte = MUTATIONS[int(rng.integers(len(MUTATIONS)))]
+        path.write_bytes(mutated(lines, offset, byte, bool(rng.integers(2))))
+        assert_split_matches_serial(path, monkeypatch, cpus=1 + i % 3)
+
+
+def jsonl_line(gap="2.5", flag="true", consumed="3"):
+    return f'{{"gap": {gap}, "correct": {flag}, "attempts_consumed": {consumed}}}'
+
+
+def with_middle_line(suffix, line: str, end="\n") -> bytes:
+    lines = canonical_lines(suffix)
+    lines[len(lines) // 2] = line.encode() + end.encode()
+    return b"".join(lines)
+
+
+def with_line_ends(suffix, end: str) -> bytes:
+    return b"".join(line.replace(b"\n", end.encode()) for line in canonical_lines(suffix))
+
+
+JSONL_GAPS = ["01.5", "1.", ".5", "-0", "-0.0", "1e400", "1e-400", "1E2", "NaN", "Infinity",
+              "-Infinity", "true", "null", '"1.5"', '"a,b"', "[1]", "{}", " 2 ", "\t2", "-2",
+              "9" * 400, "1" + "0" * 5000, "2 3", "", "\x001", "1\x00"]
+JSONL_COUNTS = ["0", "01", "-1", "1.0", "1e3", " 4", "+4", "9" * 18, "1" + "0" * 18,
+                str(2**63 - 1), str(2**63), "9" * 400]
+BIG_COUNT = jsonl_line(consumed="9" * 18)
+
+JSONL_CASES = {
+    **{f"gap {gap!r}": with_middle_line(".jsonl", jsonl_line(gap=gap)) for gap in JSONL_GAPS},
+    **{
+        f"attempts_consumed {count[:24]!r}": with_middle_line(".jsonl", jsonl_line(consumed=count))
+        for count in JSONL_COUNTS
+    },
+    "total past int64": "".join(f"{BIG_COUNT}\n" for _ in range(12)).encode(),
+    "crlf": with_line_ends(".jsonl", "\r\n"),
+    "lone cr": with_middle_line(".jsonl", jsonl_line(), end="\r"),
+    "blank lines": with_middle_line(".jsonl", "\n  \n" + jsonl_line()),
+    "no last line end": b"".join(canonical_lines(".jsonl")).rstrip(b"\n"),
+    "a last line without a comma or line end": b"".join(canonical_lines(".jsonl")) + b'{"gap": 1}',
+    "reordered keys": b"".join(
+        json.dumps(json.loads(line), sort_keys=True, separators=(",", ":")).encode() + b"\n"
+        for line in canonical_lines(".jsonl")
+    ),
+    "duplicate key": with_middle_line(".jsonl", '{"gap": 1, ' + jsonl_line()[1:]),
+    "no attempts_consumed": with_middle_line(".jsonl", '{"gap": 2.5, "correct": false}'),
+    "flag True": with_middle_line(".jsonl", jsonl_line(flag="True")),
+    "two records": with_middle_line(".jsonl", jsonl_line() + ", " + jsonl_line()),
+}
+
+CSV_CASES = {
+    **{
+        f"gap {gap[:24]!r}": with_middle_line(".csv", f"{gap},true")
+        for gap in ["01.5", "1.", ".5", "-0", "1e400", "1e-400", "NaN", "Infinity", "inf",
+                    "true", "1_0", " 1", "1 ", "-2", "", "0" * 63 + "1", "0" * 64 + "1"]
+    },
+    **{
+        f"flag {flag!r}": with_middle_line(".csv", f"2.5,{flag}")
+        for flag in ["TRUE", " true", "true ", "False", "2", "yes", "1.0", "", "tru"]
+    },
+    "crlf": with_line_ends(".csv", "\r\n"),
+    "lone cr": with_middle_line(".csv", "2.5,true", end="\r"),
+    "blank rows": with_middle_line(".csv", "\n , \n,\n2.5,true"),
+    "no last line end": b"".join(canonical_lines(".csv")).rstrip(b"\n"),
+    "a last line without a comma or line end": b"".join(canonical_lines(".csv")) + b"7",
+    "quoted cell": with_middle_line(".csv", '"2.5",true'),
+    "three cells": with_middle_line(".csv", "2.5,true,1"),
+    "nul byte": with_middle_line(".csv", "2.5\0,true"),
+}
+
+NAMED_CASES = {
+    **{(".jsonl", name): text for name, text in JSONL_CASES.items()},
+    **{(".csv", name): text for name, text in CSV_CASES.items()},
+}
+
+
+@pytest.mark.parametrize("suffix, name", sorted(NAMED_CASES))
+def test_named_cases_read_as_serial(tmp_path, small_blocks, suffix, name):
+    path = tmp_path / f"records{suffix}"
+    path.write_bytes(NAMED_CASES[suffix, name])
+    assert_range_agrees_with_serial(path)
+
+
+def gap_sweep_outcome(path, capsys):
+    """Exit code, stdout, stderr and output files of a one-input gap-sweep."""
+    out, cfg = path.parent / "out", path.parent / "sweep.json"
+    shutil.rmtree(out, ignore_errors=True)
+    cfg.write_text("{}")
+    code = main(["gap-sweep", "--config", str(cfg), "--records", str(path), "--out", str(out)])
+    outputs = {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.exists() else {}
+    return code, *capsys.readouterr(), outputs
+
+
+@pytest.mark.parametrize("suffix, name", sorted(NAMED_CASES))
+def test_named_cases_through_the_cli_match_serial(
+    tmp_path, small_blocks, monkeypatch, capsys, suffix, name
+):
+    path = tmp_path / f"records{suffix}"
+    path.write_bytes(NAMED_CASES[suffix, name])
+    monkeypatch.setattr(gap_analysis, "_PART_BYTES", 1 << 60)
+    expected = gap_sweep_outcome(path, capsys)
+    monkeypatch.setattr(gap_analysis, "_PART_BYTES", TINY_PART)
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(gap_analysis, "_usable_cpus", lambda: cpus)
+        assert gap_sweep_outcome(path, capsys) == expected
+
+
+def count_text_blocks(monkeypatch):
+    calls = []
+    real = gap_analysis._text_block
+    monkeypatch.setattr(
+        gap_analysis, "_text_block", lambda *args: calls.append(args[0]) or real(*args)
+    )
+    return calls
+
+
+@pytest.mark.parametrize("suffix, end", [(".jsonl", "\n"), (".csv", "\n"), (".csv", "\r\n")])
+def test_canonical_blocks_are_read_from_their_bytes(
+    tmp_path, small_blocks, monkeypatch, suffix, end
+):
+    path = tmp_path / f"records{suffix}"
+    path.write_bytes(with_line_ends(suffix, end))
+    calls = count_text_blocks(monkeypatch)
+    assert_range_agrees_with_serial(path)
+    assert calls == []
+
+
+def test_reordered_keys_take_the_text_parser_and_do_not_decline(
+    tmp_path, small_blocks, monkeypatch
+):
+    path = tmp_path / "records.jsonl"
+    path.write_bytes(JSONL_CASES["reordered keys"])
+    calls = count_text_blocks(monkeypatch)
+    got = gap_analysis._read_range(path, False, 0, path.stat().st_size)
+    assert got is not None and len(calls) > 1
+    assert got[3] == RecordSet.from_jsonl(path).n_attempts
+
+
+def test_a_writer_file_reads_through_the_byte_kernel(tmp_path, monkeypatch):
+    # written by the JSONL writer, then read at the default block size
+    rng = np.random.default_rng(5)
+    n = 20_000
+    gaps = rng.exponential(20.0, n)
+    gaps[::7] = np.floor(gaps[::7])
+    records = RecordSet(gaps, rng.random(n) > 0.1, 5 * n, np.cumsum(rng.integers(1, 6, n)) - 1)
+    path = tmp_path / "records.jsonl"
+    records.to_jsonl(path)
+    calls = count_text_blocks(monkeypatch)
+    got = gap_analysis._read_range(path, False, 0, path.stat().st_size)
+    assert calls == []
+    assert got[0].tolist() == gaps.tolist() and got[1].tolist() == records.correct.tolist()
+    assert got[2:] == (n, int(records.shot_index[-1]) + 1)
 
 
 # Split writing. Record and curve sets of at least two parts of _PART_ROWS
