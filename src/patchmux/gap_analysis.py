@@ -329,7 +329,7 @@ def _read_csv(path) -> tuple[np.ndarray, np.ndarray, int, int]:
 # makes the caller read the whole file serially, so record errors and their
 # numbers always come from the serial readers.
 
-_BYTE_BLOCK = 1 << 16  # so a block's temporaries (a CSV block's cells) stay below 1 MB
+_BYTE_BLOCK = 1 << 16  # small: a CSV block makes two Python objects a row
 
 # The writer's line is {"gap": G, "correct": B, "attempts_consumed": N}\n: two
 # commas, both in the middle key, 17 bytes apart when B is true, then the \n.
