@@ -14,28 +14,27 @@ is a few numbers; a curve carrying it (``with_tail``) shares the count
 columns and reads the error count of each row past the fit's anchor from
 the fit, flagging the row ``extrapolated``.
 
-Record files (JSONL, or CSV for ingestion) and curve CSVs are read and
-written a fixed block of lines or rows at a time: a block is parsed or
-formatted in one batch, so only the numpy columns grow with the file. A
-block that fails any check is read again record by record, which names the
-first bad record as a line-by-line reader would. A leading UTF-8 byte order
-mark is skipped; one anywhere else is a record error.
+Record files (JSONL, or CSV for ingestion) are read in byte ranges that each
+end just after a ``\n`` byte: one range per usable CPU where the body holds
+at least two ``_PART_BYTES``, else one. A range is read about ``_BYTE_BLOCK``
+bytes at a time: a block of the writer's JSONL lines or of plain
+``number,flag`` CSV rows is checked and parsed from its bytes, and any other
+block is decoded and parsed as a batch of lines (CSV strictly, so a quoted
+cell still open at a cut fails). A block that fails any check makes its range
+decline, and any decline reads the whole file again with ``_read_checked``,
+one record at a time. It alone reports record errors, naming the first bad
+record as a line-by-line reader would, so outputs and messages do not depend
+on the split. A leading UTF-8 byte order mark is skipped; one anywhere else is
+a record error.
 
-Large files are read and written on every usable CPU, by one fork helper
-(``_write_in_parts``): this process handles part 0, and each later part runs
-in a forked child that sends its bytes back through a pipe; only this
-process writes the output, and it does a failed child's part itself. A
-record file whose body holds at least two ``_PART_BYTES`` is cut into byte
-ranges that each end just after a ``\n`` byte, one per CPU, each read about
-``_BYTE_BLOCK`` bytes at a time: a block of the writer's JSONL lines or of
-plain ``number,flag`` CSV rows is checked and parsed from its bytes; any
-other block is decoded and parsed by the serial reader's text block
-functions, so other valid text reads as before. A range returns its columns
-or declines; any decline reads the whole file again with the serial reader,
-so outputs and error messages do not depend on the split. A record set or
-curve of at least two ``_PART_ROWS`` rows is cut into row ranges, one per
-CPU, each formatted by the writer's one block formatter, so the bytes do
-not depend on the split.
+Record sets and curves are written a fixed block of rows at a time, so only
+the numpy columns grow with the file, and on every usable CPU, by one fork
+helper (``_write_in_parts``): this process handles part 0, and each later part
+runs in a forked child that sends its bytes back through a pipe; only this
+process writes the output, and it does a failed child's part itself. A record
+set or curve of at least two ``_PART_ROWS`` rows is cut into row ranges, one
+per CPU, each formatted by the writer's one block formatter, so the bytes do
+not depend on the split. Byte ranges are read by the same helper.
 """
 
 from __future__ import annotations
@@ -49,7 +48,6 @@ import os
 import pickle
 import threading
 from dataclasses import dataclass, replace
-from itertools import islice
 from pathlib import Path
 from typing import Sequence
 
@@ -133,32 +131,6 @@ def _jsonl_record(rec_no: int, line: str) -> tuple[float, bool, int | None]:
     return value, flag, ac
 
 
-def _checked_jsonl_block(lines: list[str], first_no: int, consumed: int):
-    """Read a block record by record, raising the first record's error.
-
-    Returns (gaps, correct, records with attempts_consumed, running total of
-    attempts_consumed), the same as ``_jsonl_block``.
-    """
-    gaps: list[float] = []
-    flags: list[bool] = []
-    with_consumed = 0
-    for rec_no, line in enumerate(lines, start=first_no):
-        line = line.strip()
-        if not line:
-            continue
-        gap, flag, ac = _jsonl_record(rec_no, line)
-        gaps.append(gap)
-        flags.append(flag)
-        if ac is not None:
-            with_consumed += 1
-            consumed += ac
-            if consumed > _INT64_MAX:
-                raise RecordFormatError(
-                    f"record {rec_no}: attempts_consumed total exceeds {_INT64_MAX}"
-                )
-    return np.array(gaps, dtype=np.float64), np.array(flags, dtype=bool), with_consumed, consumed
-
-
 def _jsonl_block(lines: list[str], consumed: int):
     """Parse a block with one ``json.loads``; None when any check fails.
 
@@ -217,31 +189,8 @@ def _csv_record(rec_no: int, row: list[str]) -> tuple[float, bool]:
     return _checked_gap(rec_no, gap), flag
 
 
-def _csv_rows(reader, count: int, path, first_no: int) -> list[list[str]]:
-    """The next ``count`` rows; a row the csv module cannot split (a cell past
-    its field limit, say) is an error naming the file and the record, with the
-    header as record 0."""
-    rows: list[list[str]] = []
-    try:
-        rows.extend(islice(reader, count))  # keeps the rows before a bad one
-    except csv.Error as exc:
-        raise RecordFormatError(f"{path}: record {first_no + len(rows)}: {exc}") from None
-    return rows
-
-
 def _is_blank(row: list[str]) -> bool:
     return not any(map(str.strip, row))
-
-
-def _checked_csv_block(rows: list[list[str]], first_no: int):
-    """Read a block row by row, raising the first row's error."""
-    checked = [
-        _csv_record(rec_no, row)
-        for rec_no, row in enumerate(rows, start=first_no)
-        if not _is_blank(row)
-    ]
-    gaps = np.array([gap for gap, _ in checked], dtype=np.float64)
-    return gaps, np.array([flag for _, flag in checked], dtype=bool)
 
 
 def _csv_block(rows: list[list[str]]):
@@ -272,8 +221,8 @@ class _Columns:
         self.correct = np.empty(0, dtype=bool)
         self.size = 0
 
-    def append(self, gaps: np.ndarray, correct: np.ndarray) -> None:
-        end = self.size + gaps.size
+    def append(self, gaps, correct) -> None:
+        end = self.size + len(gaps)
         if end > self.gaps.size:
             capacity = max(end, 2 * self.gaps.size)
             self.gaps.resize(capacity, refcheck=False)
@@ -288,46 +237,59 @@ class _Columns:
         return self.gaps, self.correct
 
 
-def _read_jsonl(path) -> tuple[np.ndarray, np.ndarray, int, int]:
-    """Gaps, flags, records with attempts_consumed and their total, read
-    block by block; the only source of JSONL record errors."""
-    columns = _Columns()
-    with_consumed = consumed = 0
-    line_no = 0
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        while lines := list(islice(fh, _IO_BLOCK)):
-            block = _jsonl_block(lines, consumed) or _checked_jsonl_block(
-                lines, line_no + 1, consumed
-            )
-            gaps, correct, block_consumed, consumed = block
-            columns.append(gaps, correct)
-            with_consumed += block_consumed
-            line_no += len(lines)
-    return *columns.arrays(), with_consumed, consumed
-
-
-def _check_csv_header(header: list[list[str]]) -> None:
-    if not header or [h.strip().lower() for h in header[0]] != ["gap", "correct"]:
+def _check_csv_header(row: list[str] | None) -> None:
+    if row is None or [h.strip().lower() for h in row] != ["gap", "correct"]:
         raise RecordFormatError("expected CSV header 'gap,correct'")
 
 
-def _read_csv(path) -> tuple[np.ndarray, np.ndarray, int, int]:
-    """Gaps and flags, read block by block (and two zeros, as ``_read_jsonl``
-    gives); the only source of CSV record errors."""
+def _read_checked(path, is_csv: bool) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """Gaps, flags, records with attempts_consumed and their total (two zeros
+    for CSV), read in text mode one record at a time, so an error names the
+    first bad record; the only source of record errors. Records are numbered
+    by line (JSONL) or row (CSV, the header being record 0), blank included."""
     columns = _Columns()
-    row_no = 0
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
-        _check_csv_header(_csv_rows(reader, 1, path, 0))
-        while rows := _csv_rows(reader, _IO_BLOCK, path, row_no + 1):
-            columns.append(*(_csv_block(rows) or _checked_csv_block(rows, row_no + 1)))
-            row_no += len(rows)
-    return *columns.arrays(), 0, 0
+    gaps: list[float] = []
+    flags: list[bool] = []
+    with_consumed = consumed = 0
+    rec_no = -1 if is_csv else 0  # the number before the first record
+    try:
+        with open(path, "r", encoding="utf-8-sig", newline="" if is_csv else None) as fh:
+            for rec_no, line in enumerate(csv.reader(fh) if is_csv else fh, rec_no + 1):
+                if rec_no == 0:  # a CSV's header
+                    _check_csv_header(line)
+                    continue
+                if is_csv:
+                    if _is_blank(line):
+                        continue
+                    gap, flag = _csv_record(rec_no, line)
+                else:
+                    line = line.strip()
+                    if not line:
+                        continue
+                    gap, flag, ac = _jsonl_record(rec_no, line)
+                    if ac is not None:
+                        with_consumed += 1
+                        consumed += ac
+                        if consumed > _INT64_MAX:
+                            raise RecordFormatError(
+                                f"record {rec_no}: attempts_consumed total exceeds {_INT64_MAX}"
+                            )
+                gaps.append(gap)
+                flags.append(flag)
+                if len(gaps) == _IO_BLOCK:
+                    columns.append(gaps, flags)
+                    gaps, flags = [], []
+    except csv.Error as exc:  # a row the csv module cannot split: a cell past its field limit, say
+        raise RecordFormatError(f"{path}: record {rec_no + 1}: {exc}") from None
+    if rec_no < 0:  # a CSV without a header
+        _check_csv_header(None)
+    columns.append(gaps, flags)
+    return *columns.arrays(), with_consumed, consumed
 
 
-# Split reading: a range returns its columns or declines (None); any decline
-# makes the caller read the whole file serially, so record errors and their
-# numbers always come from the serial readers.
+# Range reading: a range returns its columns or declines (None); any decline
+# makes the caller read the whole file with ``_read_checked``, so record
+# errors and their numbers always come from it.
 
 _BYTE_BLOCK = 1 << 16  # small: a CSV block makes two Python objects a row
 
@@ -420,14 +382,14 @@ def _csv_bytes(raw: bytes, consumed: int):
 
 def _text_block(raw: bytes, is_csv: bool, consumed: int):
     """A block the byte parsers decline, parsed by the text block functions
-    from its lines in the serial reader's newline mode; None when a check
-    fails or it holds a CSV quote (a quoted cell may span a cut)."""
+    from its lines in ``_read_checked``'s newline mode; None when a check
+    fails. CSV is parsed strictly, so a quoted cell still open at the block's
+    end (one holding a line end, cut) declines."""
     try:
-        text = raw.decode()
-        lines = list(io.StringIO(text, newline="" if is_csv else None))
+        lines = list(io.StringIO(raw.decode(), newline="" if is_csv else None))
         if not is_csv:
             return _jsonl_block(lines, consumed)
-        block = None if '"' in text else _csv_block(list(csv.reader(lines)))
+        block = _csv_block(list(csv.reader(lines, strict=True)))
     except (UnicodeDecodeError, csv.Error):
         return None
     return block and (*block, 0, consumed)
@@ -554,8 +516,9 @@ def _write_rows(path, head: bytes, text, rows: int) -> None:
 
 
 def _csv_body_start(path) -> int | None:
-    r"""Byte offset just past the header's text-mode line, or None where the
-    header needs the serial reader (a quote, bad text, or not 'gap,correct').
+    r"""Byte offset just past the header's text-mode line, or None where
+    ``_read_checked`` must read the header: bad text, not 'gap,correct', or
+    a line strict csv parsing rejects (a quoted cell holding a line end).
 
     The line ends at the first line end csv.reader would see: ``\n``,
     ``\r\n`` or a lone ``\r``.
@@ -566,33 +529,25 @@ def _csv_body_start(path) -> int | None:
     if lone_cr >= 0 and head[lone_cr + 1 : lone_cr + 2] != b"\n":
         head = head[: lone_cr + 1]
     try:
-        text = head.decode("utf-8-sig")
-    except UnicodeDecodeError:
-        return None
-    if '"' in text:
-        return None
-    try:
-        _check_csv_header([text.rstrip("\r\n").split(",")])
-    except RecordFormatError:
+        _check_csv_header(next(csv.reader([head.decode("utf-8-sig")], strict=True), None))
+    except (UnicodeDecodeError, csv.Error, RecordFormatError):
         return None
     return len(head)
 
 
 def _byte_ranges(path, start: int) -> list[tuple[int, int]]:
     r"""Ranges from ``start`` to the end of the file, one per part, each cut
-    just after a ``\n`` byte; none when the body is below two parts."""
+    just after a ``\n`` byte; one when the body is below two parts."""
     with open(path, "rb") as fh:
         end = fh.seek(0, io.SEEK_END)
-        if end - start < 2 * _PART_BYTES:
-            return []
-        parts = min(_usable_cpus(), (end - start) // _PART_BYTES)
+        parts = max(1, min(_usable_cpus(), (end - start) // _PART_BYTES))
         cuts = [start]
         for i in range(1, parts):
             fh.seek(max(cuts[-1], start + (end - start) * i // parts) - 1)
             fh.readline()  # to just past the next \n
             cuts.append(fh.tell())
     cuts.append(end)
-    return [(a, b) for a, b in zip(cuts, cuts[1:]) if a < b]
+    return [(a, b) for a, b in zip(cuts, cuts[1:]) if a < b] or [(start, end)]
 
 
 def _parse_ranges(path, is_csv: bool, ranges: list[tuple[int, int]]) -> list:
@@ -606,25 +561,17 @@ def _parse_ranges(path, is_csv: bool, ranges: list[tuple[int, int]]) -> list:
     return [pickle.load(out) for _ in ranges]
 
 
-def _read_split(path, is_csv: bool):
-    """What the serial reader returns, read in line-aligned byte ranges;
-    None when the file is small or a range declines."""
+def _read_records(path, is_csv: bool) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """What ``_read_checked`` returns, read in line-aligned byte ranges; read
+    by ``_read_checked`` instead where the CSV header or a range declines."""
     start = _csv_body_start(path) if is_csv else 0
-    ranges = [] if start is None else _byte_ranges(path, start)
-    if not ranges:
-        return None
-    parts = _parse_ranges(path, is_csv, ranges)
-    if None in parts:
-        return None
-    consumed = sum(part[3] for part in parts)
-    if consumed > _INT64_MAX:
-        return None
-    return (
-        np.concatenate([part[0] for part in parts]),
-        np.concatenate([part[1] for part in parts]),
-        sum(part[2] for part in parts),
-        consumed,
-    )
+    parts = None if start is None else _parse_ranges(path, is_csv, _byte_ranges(path, start))
+    if parts is None or None in parts:
+        return _read_checked(path, is_csv)
+    gaps, correct, with_consumed, consumed = zip(*parts)
+    if sum(consumed) > _INT64_MAX:
+        return _read_checked(path, is_csv)
+    return np.concatenate(gaps), np.concatenate(correct), sum(with_consumed), sum(consumed)
 
 
 class RecordSet:
@@ -689,7 +636,7 @@ class RecordSet:
         ValueError naming the file. Records are numbered by line, blank lines
         included.
         """
-        gaps, correct, with_consumed, consumed = _read_split(path, False) or _read_jsonl(path)
+        gaps, correct, with_consumed, consumed = _read_records(path, False)
         # a record without attempts_consumed took at least its own attempt
         least = consumed + gaps.size - with_consumed
         if with_consumed and n_attempts is not None and n_attempts < least:
@@ -714,7 +661,7 @@ class RecordSet:
         attempt total defaults to the record count. Rows of blank cells are
         skipped but still numbered.
         """
-        gaps, correct, _, _ = _read_split(path, True) or _read_csv(path)
+        gaps, correct, _, _ = _read_records(path, True)
         return RecordSet(gaps, correct, max(1, gaps.size) if n_attempts is None else n_attempts)
 
     def to_jsonl(self, path: str | Path) -> None:

@@ -12,6 +12,7 @@ import csv
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -310,8 +311,9 @@ def test_empty_curve_writes_the_header_only(tmp_path, block):
 
 # Split reading. A file whose body holds at least two parts is cut into
 # line-aligned byte ranges, one per usable CPU, parsed by forked workers. With
-# parts of 40 bytes even these small files are split; a read whose parts are
-# too large to split anything is the serial reference.
+# parts of 40 bytes even these small files are split. The reference is a read
+# by ``_read_checked`` alone, one record at a time, which every declined read
+# falls back to.
 
 TINY_PART = 40
 REAL_READ_RANGE = gap_analysis._read_range
@@ -335,21 +337,30 @@ def outcome(path):
     return rs.gaps.view(np.uint64).tolist(), rs.correct.tolist(), rs.n_attempts, rs.attempts_summed
 
 
-def serial_outcome(path, monkeypatch):
-    monkeypatch.setattr(gap_analysis, "_PART_BYTES", 1 << 60)
-    return outcome(path)
+def serial_outcome(path, monkeypatch, read=outcome):
+    """``read(path)`` with every record file read by ``_read_checked`` alone."""
+    with monkeypatch.context() as patch:
+        patch.setattr(gap_analysis, "_read_records", gap_analysis._read_checked)
+        return read(path)
+
+
+def checked_calls(monkeypatch) -> list:
+    """Spy on ``_read_checked``: the paths it reads, in order."""
+    calls = []
+    real = gap_analysis._read_checked
+    monkeypatch.setattr(
+        gap_analysis, "_read_checked", lambda path, is_csv: calls.append(path) or real(path, is_csv)
+    )
+    return calls
 
 
 def split_outcome(path, monkeypatch, cpus):
-    """(outcome, whether the serial reader ran) with the file cut in tiny parts."""
+    """(outcome, whether the read declined to ``_read_checked``) with the file
+    cut in tiny parts."""
     monkeypatch.setattr(gap_analysis, "_PART_BYTES", TINY_PART)
     monkeypatch.setattr(gap_analysis, "_usable_cpus", lambda: cpus)
-    serial_calls = []
-    for name in ("_read_jsonl", "_read_csv"):
-        serial = getattr(gap_analysis, name)
-        spy = lambda p, serial=serial: serial_calls.append(p) or serial(p)  # noqa: E731
-        monkeypatch.setattr(gap_analysis, name, spy)
-    return outcome(path), bool(serial_calls)
+    calls = checked_calls(monkeypatch)
+    return outcome(path), bool(calls)
 
 
 def assert_split_matches_serial(path, monkeypatch, cpus) -> bool:
@@ -478,12 +489,22 @@ def valid_csv(rng) -> str:
     return "".join(row + str(rng.choice(LINE_ENDS)) for row in rows)
 
 
+def cuts_a_quoted_cell(path) -> bool:
+    """Whether a cut between the split read's ranges falls inside a quoted
+    cell, which then holds a line end, as every cut follows a \\n byte."""
+    data = path.read_bytes()
+    cuts = [a for a, _ in gap_analysis._byte_ranges(path, gap_analysis._csv_body_start(path))]
+    cells = [cell.span() for cell in re.finditer(rb'"[^"]*"', data)]
+    return any(a < cut < b for a, b in cells for cut in cuts)
+
+
 @pytest.mark.parametrize("suffix", [".jsonl", ".csv"])
 def test_split_read_of_generated_valid_files_matches_serial(tmp_path, monkeypatch, suffix):
     # valid files only: a bad record makes the split read decline, which
     # would hide a range that parsed wrongly
     rng = np.random.default_rng(20)
     make = valid_csv if suffix == ".csv" else valid_jsonl
+    quoted_reads = []
     for i in range(40):
         text = make(rng)
         if rng.random() < 0.3:
@@ -493,7 +514,11 @@ def test_split_read_of_generated_valid_files_matches_serial(tmp_path, monkeypatc
         path = tmp_path / f"valid{i}{suffix}"
         path.write_text(text, encoding="utf-8", newline="")
         declined = assert_split_matches_serial(path, monkeypatch, cpus=2 + i % 2)
-        assert declined == (suffix == ".csv" and '"' in text), text
+        # only a quoted cell open at a range's end declines, not any quote
+        assert declined == (suffix == ".csv" and cuts_a_quoted_cell(path)), text
+        if '"' in text:
+            quoted_reads.append(declined)
+    assert suffix == ".jsonl" or False in quoted_reads  # some quoted files read split
 
 
 def test_a_header_ending_in_a_lone_cr_keeps_the_first_record(tmp_path, monkeypatch, cpus):
@@ -523,6 +548,78 @@ def test_a_quoted_newline_across_a_cut_declines(tmp_path, monkeypatch):
     assert text.index(b'"') < cut < text.rindex(b'"')  # the cut splits the quoted cell
     assert assert_split_matches_serial(path, monkeypatch, cpus=2)
     assert RecordSet.from_csv(path).gaps.tolist() == [1.0] * 6 + [2.0] + [3.0] * 6
+
+
+SMALL_LAYOUTS = ["writer.jsonl", "sorted.jsonl", "plain.csv", "spaced.csv", "quote_all.csv"]
+
+
+def small_valid_files(tmp_path) -> dict:
+    """Valid record files of under 1 MiB, so one range each, by layout: the
+    JSONL writer's, sorted keys without spaces, plain CSV, CSV with a space
+    before each cell and flags spelled True and False, and CSV with every
+    cell quoted, the header too."""
+    rng = np.random.default_rng(8)
+    n = 3000
+    gaps = rng.exponential(20.0, n)
+    correct = rng.random(n) > 0.1
+    records = RecordSet(gaps, correct, 3 * n, np.cumsum(rng.integers(1, 4, n)) - 1)
+    paths = {name: tmp_path / name for name in SMALL_LAYOUTS}
+    records.to_jsonl(paths["writer.jsonl"])
+    paths["sorted.jsonl"].write_text(
+        "".join(
+            json.dumps(json.loads(line), sort_keys=True, separators=(",", ":")) + "\n"
+            for line in paths["writer.jsonl"].read_text().splitlines()
+        )
+    )
+    rows = list(zip(gaps.tolist(), correct.tolist()))
+    write_lines(paths["plain.csv"], ["gap,correct", *(f"{g!r},{str(c).lower()}" for g, c in rows)])
+    write_lines(paths["spaced.csv"], ["gap, correct", *(f"{g!r}, {c}" for g, c in rows)])
+    with open(paths["quote_all.csv"], "w", newline="") as fh:
+        csv.writer(fh, quoting=csv.QUOTE_ALL).writerows([("gap", "correct"), *rows])
+    return paths
+
+
+@pytest.mark.parametrize("name", SMALL_LAYOUTS)
+@pytest.mark.parametrize("cpus", [1, 2], ids=lambda n: f"cpus{n}")
+def test_a_small_valid_file_is_read_in_ranges(tmp_path, monkeypatch, cpus, name):
+    path = small_valid_files(tmp_path)[name]
+    assert path.stat().st_size < 2 * gap_analysis._PART_BYTES
+    expected = serial_outcome(path, monkeypatch)
+    assert len(expected[0]) == 3000
+    monkeypatch.setattr(gap_analysis, "_usable_cpus", lambda: cpus)
+    calls = checked_calls(monkeypatch)
+    assert outcome(path) == expected
+    assert calls == []
+
+
+def test_a_header_spanning_lines_reads_through_read_checked(tmp_path, monkeypatch):
+    path = tmp_path / "records.csv"
+    write_lines(path, ['"gap\n",correct', "1.5,true", "2,false"])
+    calls = checked_calls(monkeypatch)
+    rs = RecordSet.from_csv(path)
+    assert rs.gaps.tolist() == [1.5, 2.0] and rs.correct.tolist() == [True, False]
+    assert calls == [path]
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["serial", "split"])
+def test_a_csv_error_names_the_first_bad_row(tmp_path, monkeypatch, capsys, split):
+    # a bad gap at record 3, then a cell past the csv module's field limit
+    # at record 6: the first is named, as a line-by-line reader would
+    rows = ["gap,correct", "1,true", "2,false", "x,true", "4,true", "5,true"]
+    path = tmp_path / "records.csv"
+    write_lines(path, rows + ['"' + "1" * 200_000 + '",true', "7,true"])
+    message = "record 3: bad gap 'x'"
+    if split:
+        monkeypatch.setattr(gap_analysis, "_PART_BYTES", TINY_PART)
+        monkeypatch.setattr(gap_analysis, "_usable_cpus", lambda: 2)
+        assert len(gap_analysis._byte_ranges(path, len(b"gap,correct\n"))) == 2
+    else:
+        monkeypatch.setattr(gap_analysis, "_read_records", gap_analysis._read_checked)
+    with pytest.raises(RecordFormatError) as info:
+        RecordSet.from_csv(path)
+    assert str(info.value) == message
+    code, out, err, _ = gap_sweep_outcome(path, capsys)
+    assert (code, out, err) == (3, "", f"input format error: {message}\n")
 
 
 @pytest.mark.parametrize("suffix", [".jsonl", ".csv"])
@@ -764,8 +861,8 @@ def test_a_lowered_field_limit_holds_for_plain_rows(tmp_path, monkeypatch, cpus)
 # Byte kernels. A range is read a block of bytes at a time: a block of the
 # writer's JSONL lines or of plain "number,flag" CSV rows is parsed from its
 # bytes, any other block by the text block functions. Each case below is read
-# by the serial reader and by the range reader, which must agree: the same
-# columns and totals, or a decline where the serial reader raises. With blocks
+# by ``_read_checked`` and by the range reader, which must agree: the same
+# columns and totals, or a decline where ``_read_checked`` raises. With blocks
 # of KERNEL_BLOCK bytes the changed line sits mid-range, with whole blocks of
 # canonical lines before and after it.
 
@@ -798,12 +895,11 @@ def columns_of(read):
 
 
 def assert_range_agrees_with_serial(path):
-    """The range reader over the whole body gives the serial reader's columns
-    and totals, or declines where the serial reader raises; a CSV body with a
+    """The range reader over the whole body gives ``_read_checked``'s columns
+    and totals, or declines where ``_read_checked`` raises; a CSV body with a
     quote may also decline."""
     is_csv = path.suffix == ".csv"
-    read_serial = gap_analysis._read_csv if is_csv else gap_analysis._read_jsonl
-    serial = columns_of(lambda: read_serial(path))
+    serial = columns_of(lambda: gap_analysis._read_checked(path, is_csv))
     start = gap_analysis._csv_body_start(path) if is_csv else 0
     size = path.stat().st_size
     got = columns_of(lambda: gap_analysis._read_range(path, is_csv, start, size))
@@ -944,8 +1040,7 @@ def test_named_cases_through_the_cli_match_serial(
 ):
     path = tmp_path / f"records{suffix}"
     path.write_bytes(NAMED_CASES[suffix, name])
-    monkeypatch.setattr(gap_analysis, "_PART_BYTES", 1 << 60)
-    expected = gap_sweep_outcome(path, capsys)
+    expected = serial_outcome(path, monkeypatch, lambda p: gap_sweep_outcome(p, capsys))
     monkeypatch.setattr(gap_analysis, "_PART_BYTES", TINY_PART)
     for cpus in (1, 2, 3):
         monkeypatch.setattr(gap_analysis, "_usable_cpus", lambda: cpus)
