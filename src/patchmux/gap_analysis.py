@@ -18,7 +18,9 @@ Record files (JSONL, or CSV for ingestion) are read in byte ranges that each
 end just after a ``\n`` byte: one range per usable CPU where the body holds
 at least two ``_PART_BYTES``, else one. A range is read about ``_BYTE_BLOCK``
 bytes at a time: a block of the writer's JSONL lines or of plain
-``number,flag`` CSV rows is checked and parsed from its bytes, and any other
+``number,flag`` CSV rows is checked and parsed from its bytes (counts, flags
+and integer gaps of at most 15 digits, ``N`` or JSONL ``N.0``, from digit
+columns; other gaps by one ``json.loads`` or a ``float`` a row), and any other
 block is decoded and parsed as a batch of lines (CSV strictly, so a quoted
 cell still open at a cut fails). A block that fails any check makes its range
 decline, and any decline reads the whole file again with ``_read_checked``,
@@ -246,7 +248,11 @@ def _read_checked(path, is_csv: bool) -> tuple[np.ndarray, np.ndarray, int, int]
     """Gaps, flags, records with attempts_consumed and their total (two zeros
     for CSV), read in text mode one record at a time, so an error names the
     first bad record; the only source of record errors. Records are numbered
-    by line (JSONL) or row (CSV, the header being record 0), blank included."""
+    by line (JSONL) or row (CSV, the header being record 0), blank included.
+    Bytes that are not UTF-8 anywhere raise UnicodeDecodeError before any."""
+    with open(path, "rb") as fh:
+        for _ in codecs.iterdecode(iter(lambda: fh.read(_BYTE_BLOCK), b""), "utf-8"):
+            pass
     columns = _Columns()
     gaps: list[float] = []
     flags: list[bool] = []
@@ -291,92 +297,126 @@ def _read_checked(path, is_csv: bool) -> tuple[np.ndarray, np.ndarray, int, int]
 # makes the caller read the whole file with ``_read_checked``, so record
 # errors and their numbers always come from it.
 
-_BYTE_BLOCK = 1 << 16  # small: a CSV block makes two Python objects a row
+_BYTE_BLOCK = 1 << 16  # small: a CSV block of non-integer gaps makes two Python objects a row
 
 # The writer's line is {"gap": G, "correct": B, "attempts_consumed": N}\n: two
-# commas, both in the middle key, 17 bytes apart when B is true, then the \n.
-_GAP_KEY = np.frombuffer(b'{"gap": ', np.uint8)
-_MIDDLE_KEYS = [b', "correct": %s, "attempts_consumed": ' % flag for flag in (b"true", b"false")]
+# commas, 17 bytes apart when B is true and 18 when false, then the \n. The 40
+# bytes from 17 before the second comma are one of the two middle keys (a false
+# line's first comma is the byte before its key).
+_GAP_KEY = b'{"gap": '
+_COUNT_KEY = b', "attempts_consumed": '
+_MIDDLE_KEYS = np.array(
+    [b', "correct": true' + _COUNT_KEY, b' "correct": false' + _COUNT_KEY], "V40"
+)
 
 # A plain CSV row is a gap of at most _PLAIN_CELL bytes, which fits any field
 # limit of the csv module's above that, a comma, a flag and a \n or \r\n.
 _PLAIN_CELL = 64
-_PLAIN_FLAGS = [b",%s\n" % flag.encode() for flag in _CSV_FLAGS]
 _PLAIN_BYTES = b"0123456789.eE+-,\ntruefals"  # any other byte declines
+# A plain flag is known by its first byte, which gives its length (-1: no flag
+# starts so) and, for true and false, the four bytes that end it.
+_FLAG_SIZE = np.full(256, -1)
+_FLAG_SIZE[list(b"tf10")] = [4, 5, 1, 1]
+_FLAG_TAIL = np.zeros(256, "<u4")
+_FLAG_TAIL[list(b"tf")] = np.frombuffer(b"truealse", "<u4")
 
 
 def _line_marks(raw: bytes, pattern: bytes):
-    r"""The block's bytes and the offsets of its commas and ``\n`` bytes, a row
-    a line; None unless it ends in a ``\n`` and each line's marks are ``pattern``."""
+    r"""The block's bytes and its comma and ``\n`` offsets, one row a mark of
+    ``pattern``; None unless it ends in a ``\n`` and each line's marks are ``pattern``."""
     data = np.frombuffer(raw, np.uint8)
     marks = np.flatnonzero((data == ord(",")) | (data == ord("\n")))
-    if not raw.endswith(b"\n") or marks.size % len(pattern):
+    lines = marks.size // len(pattern)
+    if not raw.endswith(b"\n") or data[marks].tobytes() != pattern * lines:
         return None
-    marks = marks.reshape(-1, len(pattern))
-    return None if np.any(data[marks] != np.frombuffer(pattern, np.uint8)) else (data, marks)
+    return data, marks.reshape(lines, len(pattern)).T
+
+
+def _digits(data, begin, end, most: int, dtype):
+    """The numbers ``data[begin:end]``, one a row, as ``dtype``; None unless each
+    is 1 to ``most`` digits. Read from right-aligned digit columns: a column
+    left of a shorter number is masked, and clipped before the block, so no index wraps."""
+    width = end - begin
+    widest = int(width.max())
+    if widest > most or width.min() < 1:
+        return None
+    columns = np.arange(widest)[:, None] + (end - widest)  # one row per digit place
+    digits = (data.take(columns, mode="clip") - np.uint8(ord("0"))) * (columns >= begin)
+    if digits.max() > 9:
+        return None
+    return np.power(10, np.arange(widest - 1, -1, -1), dtype=dtype) @ digits
 
 
 def _jsonl_bytes(raw: bytes, consumed: int):
     """``_jsonl_block`` of a block of the writer's lines, read from its bytes;
     None unless every line has the writer's skeleton and its values pass."""
-    lines = raw.isascii() and b"\r" not in raw and _line_marks(raw, b",,\n")
-    # Each middle key holds two commas. With as many keys as lines, and two
-    # commas on each line, each line holds one key, which starts at its first.
-    if not lines or sum(map(raw.count, _MIDDLE_KEYS)) != len(lines[1]):
+    whole = raw.startswith(_GAP_KEY) and raw.endswith(b"}\n")  # the first and last line
+    lines = whole and raw.isascii() and b"\r" not in raw and _line_marks(raw, b",,\n")
+    if not lines:
         return None
-    data, (first, second, ends) = lines[0], lines[1].T
-    starts = np.insert(ends[:-1] + 1, 0, 0)
-    digits_at = second + len(b', "attempts_consumed": ')
-    width = ends - 1 - digits_at  # the count runs up to the closing brace
-    widest = int(width.max())
-    if (
-        np.any(data[ends - 1] != ord("}"))
-        or np.any(data[starts[:, None] + np.arange(_GAP_KEY.size)] != _GAP_KEY)
-        or not 1 <= width.min() <= widest <= 18  # 18 digits fit in int64
-        or np.any(data[digits_at] == ord("0"))
-    ):
+    data, (first, second, ends) = lines
+    begin = np.concatenate(([0], ends[:-1] + 1)) + len(_GAP_KEY)  # each gap's text
+    width = first - begin
+    flag, digits_at = second - first - 17, second + len(_COUNT_KEY)  # flag: 0 true, 1 false
+    if not 0 <= flag.min() <= flag.max() <= 1 or width.min() < 1:
         return None
-    # right-aligned digit columns, as wide as the widest count
-    columns = (ends - 1 - widest)[:, None] + np.arange(widest)
-    digits = np.where(columns >= digits_at[:, None], data[columns] - np.uint8(ord("0")), 0)
-    if np.any(digits > 9):
+    # attempts_consumed: 1-18 digits (they fit in int64) up to the brace, no leading zero
+    counts = _digits(data, digits_at, ends - 1, 18, np.int64)
+    if counts is None or np.any(data[digits_at] == ord("0")):
         return None
-    counts = digits.astype(np.int64) @ 10 ** np.arange(widest - 1, -1, -1, dtype=np.int64)
-    consumed += sum(counts.tolist())  # Python ints: a total past int64 is caught, not wrapped
-    # each gap's text with the comma after it, joined into one JSON array
-    begin, size = starts + _GAP_KEY.size, first + 1 - starts - _GAP_KEY.size
-    at = np.cumsum(size) - size
-    spans = data[np.repeat(begin - at, size) + np.arange(at[-1] + size[-1])].tobytes()
-    try:
-        gaps = json.loads("[%s]" % spans[:-1].decode())  # str: no encoding to guess
-        gaps = np.array(gaps, np.float64) if set(map(type, gaps)) <= {int, float} else None
-    except (ValueError, RecursionError, OverflowError):
+    # the keys, gathered now that every line is known to be long enough for them
+    keys = np.ndarray((data.size - 39,), "V40", raw, 0, (1,))[second - 17].tobytes()
+    joins = np.ndarray((data.size - 9,), "V10", raw, 0, (1,))[ends[:-1] - 1].tobytes()
+    if keys != _MIDDLE_KEYS.take(flag).tobytes() or joins != (b"}\n" + _GAP_KEY) * (ends.size - 1):
         return None
-    if gaps is None or gaps.size != first.size or not _gaps_in_range(gaps) or consumed > _INT64_MAX:
-        return None
-    return gaps, second - first == len(b', "correct": true'), first.size, consumed
+    fits = counts.max() <= _INT64_MAX // counts.size  # else sum Python ints, which cannot wrap
+    consumed += int(counts.sum()) if fits else sum(counts.tolist())
+    gaps = None
+    if width.max() <= 17:  # room for 15 digits and ".0": maybe integers
+        end = first - 2 * ((data[first - 2] == ord(".")) & (data[first - 1] == ord("0")))
+        if not np.any((data[begin] == ord("0")) & (end - begin > 1)):  # JSON has no leading zeros
+            gaps = _digits(data, begin, end, 15, np.float64)  # 15 digits are exact in float64
+    if gaps is None:  # each gap's text with the comma after it, joined into one JSON array
+        size = width + 1
+        at = np.cumsum(size) - size
+        spans = data[np.repeat(begin - at, size) + np.arange(at[-1] + size[-1])].tobytes()
+        try:
+            gaps = json.loads("[%s]" % spans[:-1].decode())  # str: no encoding to guess
+            gaps = np.array(gaps, np.float64) if set(map(type, gaps)) <= {int, float} else None
+        except (ValueError, RecursionError, OverflowError):
+            return None
+        if gaps is None or gaps.size != first.size or not _gaps_in_range(gaps):
+            return None
+    return None if consumed > _INT64_MAX else (gaps, flag == 0, first.size, consumed)
 
 
 def _csv_bytes(raw: bytes, consumed: int):
     """``_csv_block`` of plain ``number,flag`` rows read from their bytes, with
     ``_jsonl_bytes``' two counts; None for any other block or a bad gap."""
-    raw = raw.replace(b"\r\n", b"\n")  # csv.reader ends a row at either
+    if b"\r" in raw:
+        raw = raw.replace(b"\r\n", b"\n")  # csv.reader ends a row at either
     plain = not raw.translate(None, _PLAIN_BYTES) and csv.field_size_limit() >= _PLAIN_CELL
     lines = plain and _line_marks(raw, b",\n")
-    # one comma a row, and as many flags after a comma as rows
-    if not lines or sum(map(raw.count, _PLAIN_FLAGS)) != len(lines[1]):
+    if not lines:
         return None
-    data, (commas, ends) = lines[0], lines[1].T
-    if np.any(commas - np.insert(ends[:-1] + 1, 0, 0) > _PLAIN_CELL):
-        return None
-    cells = raw.replace(b"\n", b",").split(b",")
-    try:  # an empty gap cell, or a flag letter in one, fails here
-        gaps = np.fromiter(map(float, cells[0 : 2 * commas.size : 2]), np.float64, commas.size)
-    except ValueError:
-        return None
-    if not _gaps_in_range(gaps):
-        return None
+    data, (commas, ends) = lines
+    starts = np.concatenate(([0], ends[:-1] + 1))
     flags = data[commas + 1]
+    if np.any(_FLAG_SIZE.take(flags) != ends - commas - 1):
+        return None
+    long = flags > ord("1")  # true and false; a flag 1 or 0 is its first byte
+    tails = np.ndarray((data.size - 3,), "<u4", raw, 0, (1,))[ends[long] - 4]
+    if np.any(tails != _FLAG_TAIL.take(flags[long])) or np.any(commas - starts > _PLAIN_CELL):
+        return None
+    gaps = _digits(data, starts, commas, 15, np.float64)  # 15 digits are exact in float64
+    if gaps is None:  # not all integers: cut into cells
+        cells = raw.replace(b"\n", b",").split(b",")
+        try:  # an empty gap cell, or a flag letter in one, fails here
+            gaps = np.fromiter(map(float, cells[0 : 2 * commas.size : 2]), np.float64, commas.size)
+        except ValueError:
+            return None
+        if not _gaps_in_range(gaps):
+            return None
     return gaps, (flags == ord("t")) | (flags == ord("1")), 0, consumed
 
 

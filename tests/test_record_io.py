@@ -17,6 +17,7 @@ import shutil
 import subprocess
 import sys
 import threading
+import types
 
 import numpy as np
 import pytest
@@ -192,6 +193,14 @@ def test_jsonl_oversized_integers_name_their_record(tmp_path, block):
     )
     with pytest.raises(
         RecordFormatError, match=r"^record 6: attempts_consumed total exceeds 9223372036854775807$"
+    ):
+        RecordSet.from_jsonl(path)
+
+    # 18-digit counts, read from the bytes: ten of them in one block pass int64
+    nines = "9" * 18
+    write_lines(path, [f'{{"gap": 1.0, "correct": true, "attempts_consumed": {nines}}}'] * 10)
+    with pytest.raises(
+        RecordFormatError, match=r"^record 10: attempts_consumed total exceeds 9223372036854775807$"
     ):
         RecordSet.from_jsonl(path)
 
@@ -874,13 +883,21 @@ def small_blocks(monkeypatch):
     monkeypatch.setattr(gap_analysis, "_BYTE_BLOCK", KERNEL_BLOCK)
 
 
-def canonical_lines(suffix) -> list[bytes]:
+# integer gaps as the default gap kind gives them, a short one first and one
+# of 15 digits, the most read from digit columns
+INTEGER_GAPS = [0.0, 1.0, 7.0, 12.0, 40.0, 3.0, 123456.0, 2.0, 10.0, 999999999999999.0, 5.0, 100.0]
+
+
+def canonical_lines(suffix, integer=False) -> list[bytes]:
     """Lines as the JSONL writer or a plain CSV writer gives them, each with
-    its \\n; a CSV file's header is its first line."""
+    its \\n; a CSV file's header is its first line. Integer gaps are written
+    ``N.0`` in JSONL, as the writer does, and ``N`` in CSV."""
     gaps = [0.0, 1.0, 0.1, 1e-320, 1e22, 3.25, 7.0, 123456.789, 2.5e-7, 40.0, 0.5, 12.0] * 2
+    gaps = INTEGER_GAPS * 2 if integer else gaps
     correct = [i % 3 != 1 for i in range(len(gaps))]
     if suffix == ".csv":
-        rows = [f"{g!r},{flag}" for g, flag in zip(gaps, ["true", "false", "1", "0"] * 6)]
+        texts = [f"{g:.0f}" if integer else repr(g) for g in gaps]
+        rows = [f"{g},{flag}" for g, flag in zip(texts, ["true", "false", "1", "0"] * 6)]
         return [f"{row}\n".encode() for row in ["gap,correct", *rows]]
     shot_index = np.cumsum([1, 12, 1, 3, 123456789, 1, 1, 2, 40, 1, 1, 5] * 2) - 1
     return reference_jsonl(gaps, correct, shot_index).encode().splitlines(keepends=True)
@@ -952,8 +969,8 @@ def jsonl_line(gap="2.5", flag="true", consumed="3"):
     return f'{{"gap": {gap}, "correct": {flag}, "attempts_consumed": {consumed}}}'
 
 
-def with_middle_line(suffix, line: str, end="\n") -> bytes:
-    lines = canonical_lines(suffix)
+def with_middle_line(suffix, line: str, end="\n", integer=False) -> bytes:
+    lines = canonical_lines(suffix, integer)
     lines[len(lines) // 2] = line.encode() + end.encode()
     return b"".join(lines)
 
@@ -988,6 +1005,9 @@ JSONL_CASES = {
     "duplicate key": with_middle_line(".jsonl", '{"gap": 1, ' + jsonl_line()[1:]),
     "no attempts_consumed": with_middle_line(".jsonl", '{"gap": 2.5, "correct": false}'),
     "flag True": with_middle_line(".jsonl", jsonl_line(flag="True")),
+    # valid JSON whose commas are 19 bytes apart
+    "flag false, a space": with_middle_line(".jsonl", jsonl_line(flag="false ")),
+    "flag true, two spaces": with_middle_line(".jsonl", jsonl_line(flag="true  ")),
     "two records": with_middle_line(".jsonl", jsonl_line() + ", " + jsonl_line()),
 }
 
@@ -1011,9 +1031,58 @@ CSV_CASES = {
     "nul byte": with_middle_line(".csv", "2.5\0,true"),
 }
 
+# Integer gap text (JSONL 0 or [1-9]\d{0,14}, each with or without ".0"; CSV
+# \d{1,15}) is read from digit columns; any other text in a block, the changed
+# line among canonical integer lines here, keeps the json.loads or float path.
+# 9007199254740993 is 2**53 + 1; a float64 dot product of the digits of
+# 97689186037540745 or 4602522718947464391 can round away from float()
+INTEGER_JSONL_GAPS = ["0", "0.0", "100", "00.0", "01.0", "1.00", "1.", ".0", "-0.0", "1e3", "2.5",
+                      "1" * 15 + ".0", "9007199254740993.0", "97689186037540745",
+                      "4602522718947464391.0"]
+INTEGER_CSV_GAPS = ["0", "000", "017", "+1", "-0", "2.5", "9" * 15, "9007199254740993",
+                    "4602522718947464391"]
+# and each byte of true and false changed to another byte a plain row may hold
+INTEGER_CSV_FLAGS = ["tru", "truee", "fals", "t", "10", ""] + [
+    flag[:i] + ("s" if flag[i] == "e" else "e") + flag[i + 1 :]
+    for flag in ("true", "false")
+    for i in range(len(flag))
+]
+
+
+def short_row_then_15_digits(suffix) -> bytes:
+    """A first row with a one-digit gap, then one of 15 digits: the first
+    row's digit columns start before the block."""
+    if suffix == ".csv":
+        return b"gap,correct\n1,true\n" + b"9" * 15 + b",false\n"
+    return (jsonl_line(gap="1.0") + "\n" + jsonl_line(gap="9" * 15 + ".0") + "\n").encode()
+
+
+INTEGER_CASES = {
+    **{
+        (".jsonl", f"integer gap {gap[:24]!r}"): with_middle_line(
+            ".jsonl", jsonl_line(gap=gap), integer=True
+        )
+        for gap in INTEGER_JSONL_GAPS
+    },
+    **{
+        (".csv", f"integer gap {gap!r}"): with_middle_line(".csv", f"{gap},true", integer=True)
+        for gap in INTEGER_CSV_GAPS
+    },
+    **{
+        (".csv", f"integer flag {flag!r}"): with_middle_line(".csv", f"12,{flag}", integer=True)
+        for flag in INTEGER_CSV_FLAGS
+    },
+    (".csv", "integer flag '' crlf"): with_middle_line(".csv", "12,", end="\r\n", integer=True),
+    **{
+        (suffix, "short row then 15 digits"): short_row_then_15_digits(suffix)
+        for suffix in (".jsonl", ".csv")
+    },
+}
+
 NAMED_CASES = {
     **{(".jsonl", name): text for name, text in JSONL_CASES.items()},
     **{(".csv", name): text for name, text in CSV_CASES.items()},
+    **INTEGER_CASES,
 }
 
 
@@ -1092,6 +1161,76 @@ def test_a_writer_file_reads_through_the_byte_kernel(tmp_path, monkeypatch):
     assert calls == []
     assert got[0].tolist() == gaps.tolist() and got[1].tolist() == records.correct.tolist()
     assert got[2:] == (n, int(records.shot_index[-1]) + 1)
+
+
+def spy_on_text_parser(monkeypatch, suffix) -> list:
+    """Note each call ``gap_analysis`` makes to the gap text parser of the
+    format: ``json.loads`` for JSONL, ``float`` for CSV (JSONL code also reads
+    ``float`` as a type, so it is left alone there)."""
+    calls = []
+    if suffix == ".csv":
+        spy = lambda text: calls.append(text) or float(text)  # noqa: E731
+        monkeypatch.setattr(gap_analysis, "float", spy, raising=False)
+    else:
+        loads = json.loads
+        spy = types.SimpleNamespace(loads=lambda text: calls.append(text) or loads(text))
+        monkeypatch.setattr(gap_analysis, "json", spy)
+    return calls
+
+
+def integer_files(tmp_path) -> dict:
+    """Integer-gap files: the JSONL writer's, a %d CSV of the same records,
+    canonical integer lines and a short row before one of 15 digits."""
+    rng = np.random.default_rng(8)
+    n = 20_000
+    gaps = np.floor(rng.exponential(20.0, n))
+    gaps[::97] = 10**15 - 1
+    records = RecordSet(gaps, rng.random(n) > 0.1, 5 * n, np.cumsum(rng.integers(1, 6, n)) - 1)
+    records.to_jsonl(tmp_path / "writer.jsonl")
+    flags = np.where(records.correct, "true", "false")
+    rows = "".join(f"{g:.0f},{c}\n" for g, c in zip(gaps.tolist(), flags.tolist()))
+    (tmp_path / "writer.csv").write_text("gap,correct\n" + rows)
+    for suffix in (".jsonl", ".csv"):
+        (tmp_path / f"canonical{suffix}").write_bytes(b"".join(canonical_lines(suffix, True)))
+        (tmp_path / f"short{suffix}").write_bytes(short_row_then_15_digits(suffix))
+    return {path.name: path for path in sorted(tmp_path.iterdir())}
+
+
+@pytest.mark.parametrize("block", [KERNEL_BLOCK, gap_analysis._BYTE_BLOCK], ids=["small", "full"])
+def test_integer_blocks_call_neither_json_loads_nor_float(tmp_path, monkeypatch, block):
+    monkeypatch.setattr(gap_analysis, "_BYTE_BLOCK", block)
+    for path in integer_files(tmp_path).values():
+        is_csv = path.suffix == ".csv"
+        serial = columns_of(lambda: gap_analysis._read_checked(path, is_csv))
+        body = (gap_analysis._csv_body_start(path) if is_csv else 0, path.stat().st_size)
+        with monkeypatch.context() as patch:
+            calls = spy_on_text_parser(patch, path.suffix)
+            got = columns_of(lambda: gap_analysis._read_range(path, is_csv, *body))
+        assert (path.name, got, calls) == (path.name, serial, [])
+
+
+@pytest.mark.parametrize("suffix", [".jsonl", ".csv"])
+def test_a_half_integer_gap_takes_the_text_parser(tmp_path, small_blocks, monkeypatch, suffix):
+    path = tmp_path / f"records{suffix}"
+    path.write_bytes(INTEGER_CASES[suffix, "integer gap '2.5'"])
+    calls = spy_on_text_parser(monkeypatch, suffix)
+    assert_range_agrees_with_serial(path)
+    assert any("2.5" in str(text) for text in calls)
+
+
+# A file that is not UTF-8 says so, wherever the bad byte sits after a bad record.
+@pytest.mark.parametrize("suffix", [".jsonl", ".csv"])
+@pytest.mark.parametrize("distance", [1, 1000])
+def test_a_non_utf8_byte_wins_over_an_earlier_bad_record(tmp_path, capsys, suffix, distance):
+    if suffix == ".csv":
+        head, bad, good, last = b"gap,correct\n", b"1,yes\n", b"12345.5,true\n", b"2\xff,true\n"
+    else:
+        head, bad = b"", b'{"gap": 1, "correct": "yes"}\n'
+        good, last = b'{"gap": 1.0, "correct": true}\n', b'{"gap": 2\xff}\n'
+    path = tmp_path / f"records{suffix}"
+    path.write_bytes(head + bad + good * (distance - 1) + last)
+    code, out, err, _ = gap_sweep_outcome(path, capsys)
+    assert (code, out, err) == (3, "", f"input format error: {path}: not UTF-8 text\n")
 
 
 # Split writing. Record and curve sets of at least two parts of _PART_ROWS
