@@ -22,7 +22,6 @@ __all__ = [
     "rotate_footprint",
     "validate_layout",
     "CandidateSet",
-    "SelectionRule",
     "ShotOutcome",
     "SiteIndicators",
     "complete_shot",
@@ -57,8 +56,8 @@ _EXPORTS = {
     "geometry": "CellSet FootprintSpec PatchLayout Rotation Stage pack_sites rotate_footprint "
     "validate_layout",
     "montecarlo": "EscapeModel SimConfig SimSummary run_simulation sample_shot",
-    "pipeline": "CandidateSet SelectionRule ShotOutcome SiteIndicators complete_shot "
-    "form_candidate_set select_candidate",
+    "pipeline": "CandidateSet ShotOutcome SiteIndicators complete_shot form_candidate_set "
+    "select_candidate",
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 

@@ -55,7 +55,6 @@ from .montecarlo import (
     run_simulation,
     write_records_jsonl,
 )
-from .pipeline import SelectionRule
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -157,7 +156,6 @@ _SIMULATE_CONFIG = {
         "pool_path": str,
     },
     "stage_split": {"injection_fail": [float], "cultivation_fail": [float]},
-    "selection_priority": [int],
     "labels": {"d1": int, "p": float, "d2": int, "r1": int, "r2": int},
     "records": bool,
     "out": str,
@@ -508,15 +506,11 @@ def cmd_simulate(args) -> int:
     raw_labels = raw.get("labels", {})
     with _config_errors():
         failure = _failure_model(cfg["failure"], cfg.get("k"))
-        rule = SelectionRule.lowest_index()
-        if "selection_priority" in cfg:
-            rule = SelectionRule.fixed_priority(cfg["selection_priority"])
         sim_config = SimConfig(
             failure_model=failure,
             n_shots=n_shots,
             seed=seed,
             escape_model=_escape_model(cfg.get("escape", {})),
-            selection_rule=rule,
             stage_split=StageSplit(**cfg["stage_split"]) if "stage_split" in cfg else None,
             collect_records=want_records,
             # d1, p and r1 ride along as written; d2 and r2 as integers
@@ -537,7 +531,6 @@ def cmd_simulate(args) -> int:
         "failure": raw.get("failure"),
         "escape": raw.get("escape", {}),
         "stage_split": raw.get("stage_split"),
-        "selection_priority": raw.get("selection_priority"),
         "labels": raw_labels,
         "records": want_records,
     }

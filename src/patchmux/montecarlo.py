@@ -57,11 +57,12 @@ import numpy as np
 
 from .analytics import CommonMode, ExplicitJoint, FailureModel, Independent, ModelError
 from .gap_analysis import RecordSet
-from .pipeline import SelectionRule, SiteIndicators, complete_shot
+from .pipeline import SiteIndicators, complete_shot
 
 MAX_SEED = 2**64 - 1
 DEFAULT_CHUNK = 1 << 16
 LAYOUT_VERSION = 3  # the draw layout of the module docstring; simulate reports carry it
+_LARGEST_EXPONENTIAL = -math.log1p(-(1.0 - 2.0**-53))  # e at the largest uniform a draw makes
 
 
 @dataclass(frozen=True)
@@ -77,6 +78,8 @@ class GapDistribution:
             raise ModelError(f"unknown gap distribution {self.kind!r}")
         if self.kind != "constant" and self.rate <= 0:
             raise ModelError("gap distribution rate must be positive")
+        if self.kind != "constant" and not math.isfinite(_LARGEST_EXPONENTIAL / float(self.rate)):
+            raise ModelError(f"gap distribution rate {self.rate!r} is too small: gaps overflow")
         if self.kind == "constant" and self.value < 0:
             raise ModelError("constant gap must be >= 0")
 
@@ -121,16 +124,6 @@ class EscapeModel:
             raise ModelError(f"keep_prob={self.keep_prob!r} outside [0, 1]")
         if self.kind == "empirical" and (self.pool is None or len(self.pool) == 0):
             raise ModelError("empirical escape model needs a non-empty pool")
-
-    @property
-    def pool_gaps(self) -> np.ndarray:
-        """The pool's gap column, without a copy (empty without a pool)."""
-        return self.pool.gaps if self.pool is not None else np.empty(0)
-
-    @property
-    def pool_correct(self) -> np.ndarray:
-        """The pool's correct-flag column, without a copy (empty without a pool)."""
-        return self.pool.correct if self.pool is not None else np.empty(0, dtype=bool)
 
     @classmethod
     def always_keep(cls, gap: GapDistribution = DEFAULT_CORRECT_GAP) -> "EscapeModel":
@@ -183,7 +176,6 @@ class SimConfig:
     n_shots: int
     seed: int
     escape_model: EscapeModel = field(default_factory=EscapeModel.always_keep)
-    selection_rule: SelectionRule = field(default_factory=SelectionRule.lowest_index)
     stage_split: StageSplit | None = None
     collect_records: bool = True
     d1_label: int | None = None
@@ -197,10 +189,6 @@ class SimConfig:
             raise ValueError("n_shots must be at least 1")
         if not (0 <= self.seed <= MAX_SEED):
             raise ValueError("seed must fit in 64 unsigned bits")
-        if self.selection_rule.priority is not None and len(
-            self.selection_rule.priority
-        ) != self.k:
-            raise ValueError("selection priority length must equal the site count")
         if self.stage_split is not None:
             if not isinstance(self.failure_model.correlation, Independent):
                 raise ModelError("stage split is only defined for independent sites")
@@ -635,9 +623,9 @@ def sample_shot(shot_index: int, config: SimConfig):
         cult=tuple(int(cult[j // 4][j % 4]) for j in range(config.k)),
     )
     if not any(indicators.survival):
-        return complete_shot(indicators, config.selection_rule, None), None
+        return complete_shot(indicators), None
     keep = bool(_kept(plan, draws, np.ones(1, dtype=bool))[0])
-    outcome = complete_shot(indicators, config.selection_rule, keep)
+    outcome = complete_shot(indicators, keep)
     if not outcome.escape_kept:
         return outcome, None
     gaps, correct = _escape_draws(plan, draws, np.zeros(1, dtype=np.intp))

@@ -2,10 +2,10 @@
 
 One shot runs k local trials in parallel. Each trial carries two survival
 bits (injection, then cultivation); a site survives the early stages iff
-both are 1. Surviving sites form the candidate set, a predetermined rule
-picks exactly one candidate to continue, and the continuation either passes
-or fails its final acceptance check. Everything here is pure; randomness
-and any notion of a decoder live elsewhere.
+both are 1. Surviving sites form the candidate set, the lowest-index
+survivor is the one candidate that continues, and the continuation either
+passes or fails its final acceptance check. Everything here is pure;
+randomness and any notion of a decoder live elsewhere.
 """
 
 from __future__ import annotations
@@ -84,28 +84,6 @@ class CandidateSet:
         return len(self.members)
 
 
-@dataclass(frozen=True)
-class SelectionRule:
-    """Predetermined choice of one candidate; never uses downstream data.
-
-    ``priority=None`` selects the lowest surviving index. A fixed priority is
-    a permutation of 1..k tried in order.
-    """
-
-    priority: tuple[int, ...] | None = None
-
-    @classmethod
-    def lowest_index(cls) -> "SelectionRule":
-        return cls(priority=None)
-
-    @classmethod
-    def fixed_priority(cls, order) -> "SelectionRule":
-        perm = tuple(int(i) for i in order)
-        if sorted(perm) != list(range(1, len(perm) + 1)):
-            raise ValueError(f"{perm} is not a permutation of 1..{len(perm)}")
-        return cls(priority=perm)
-
-
 def form_candidate_set(indicators: SiteIndicators) -> CandidateSet:
     """Surviving indices: exactly the sites whose both stage bits are 1."""
     indicators.validate()
@@ -115,20 +93,11 @@ def form_candidate_set(indicators: SiteIndicators) -> CandidateSet:
     return CandidateSet(members=members, k=indicators.k)
 
 
-def select_candidate(candidates: CandidateSet, rule: SelectionRule) -> int:
-    """Apply the predetermined rule; raises EmptyCandidateSet on a dead shot."""
+def select_candidate(candidates: CandidateSet) -> int:
+    """The lowest surviving index; raises EmptyCandidateSet on a dead shot."""
     if not candidates:
         raise EmptyCandidateSet("no surviving site in this shot")
-    if rule.priority is None:
-        return min(candidates.members)
-    if len(rule.priority) != candidates.k:
-        raise ContractViolation(
-            f"priority over {len(rule.priority)} sites applied to k={candidates.k}"
-        )
-    for i in rule.priority:
-        if i in candidates.members:
-            return i
-    raise AssertionError("unreachable: permutation covers all indices")
+    return min(candidates.members)
 
 
 @dataclass(frozen=True)
@@ -138,23 +107,20 @@ class ShotOutcome:
     indicators: SiteIndicators
     candidates: CandidateSet
     selected: int | None
-    continuation: tuple[int, ...]
     escape_kept: bool | None
 
     def __post_init__(self) -> None:
-        k = self.indicators.k
         if bool(self.candidates) != (self.selected is not None):
             raise ContractViolation("selected site must exist iff candidates do")
         if self.selected is not None and self.selected not in self.candidates.members:
             raise ContractViolation(f"selected site {self.selected} is not a candidate")
         if (self.selected is None) != (self.escape_kept is None):
             raise ContractViolation("escape verdict must exist iff a site was selected")
-        expected = tuple(
-            1 if (self.selected is not None and i == self.selected) else 0
-            for i in range(1, k + 1)
-        )
-        if self.continuation != expected:
-            raise ContractViolation("continuation bits must mark exactly the selected site")
+
+    @property
+    def continuation(self) -> tuple[int, ...]:
+        """One bit per site, set only at the selected site."""
+        return tuple(int(i == self.selected) for i in range(1, self.indicators.k + 1))
 
     @property
     def discarded(self) -> bool:
@@ -163,9 +129,7 @@ class ShotOutcome:
 
 
 def complete_shot(
-    indicators: SiteIndicators,
-    rule: SelectionRule,
-    escape_verdict: bool | None = None,
+    indicators: SiteIndicators, escape_verdict: bool | None = None
 ) -> ShotOutcome:
     """Run one shot end to end from survival bits and an injected verdict.
 
@@ -173,7 +137,6 @@ def complete_shot(
     it for a dead shot (or omitting it for a live one) is a contract error.
     """
     candidates = form_candidate_set(indicators)
-    k = indicators.k
     if not candidates:
         if escape_verdict is not None:
             raise ContractViolation("escape verdict supplied for a discarded shot")
@@ -181,17 +144,13 @@ def complete_shot(
             indicators=indicators,
             candidates=candidates,
             selected=None,
-            continuation=(0,) * k,
             escape_kept=None,
         )
     if escape_verdict is None:
         raise ContractViolation("escape verdict missing for a surviving shot")
-    selected = select_candidate(candidates, rule)
-    continuation = tuple(1 if i == selected else 0 for i in range(1, k + 1))
     return ShotOutcome(
         indicators=indicators,
         candidates=candidates,
-        selected=selected,
-        continuation=continuation,
+        selected=select_candidate(candidates),
         escape_kept=bool(escape_verdict),
     )

@@ -43,7 +43,6 @@ KEYS = {
         "stage_split": "object",
         "stage_split.injection_fail": "list[float]",
         "stage_split.cultivation_fail": "list[float]",
-        "selection_priority": "list[int]",
         "labels": "object",
         "labels.d1": "int",
         "labels.p": "float",
@@ -248,14 +247,9 @@ def test_config_block_and_hash_are_pinned(tmp_path, monkeypatch):
     assert main(["gap-sweep", "--config", "gap.json", "--out", "g"]) == EXIT_OK
     sim_report = json.loads((tmp_path / "s" / "sim_summary.json").read_text())
     gap_report = json.loads((tmp_path / "g" / "gap_report.json").read_text())
-    assert sim_report["config"] == {
-        **sim,
-        "preset": None,
-        "stage_split": None,
-        "selection_priority": None,
-    }
+    assert sim_report["config"] == {**sim, "preset": None, "stage_split": None}
     assert sim_report["provenance"]["config_hash"] == (
-        "6ec5b6336ca419fa015697bd8f938041524ae8c944a9dfd21b78ccca27d9c29b"
+        "e616e681628251076f90ef26f6022f05a84dabe3234bc4c1632b694488ef6884"
     )
     assert gap_report["config"] == {**gap, "tail_window": [0.0, 20.0]}
     assert json.dumps(gap_report["config"]["tail_window"]) == "[0.0, 20.0]"
@@ -266,7 +260,7 @@ def test_config_block_and_hash_are_pinned(tmp_path, monkeypatch):
 
 def test_nulls_are_absent_and_integral_floats_are_integers(tmp_path):
     plain = {"k": 2, "n_shots": 2000, "failure": {"calibrate_discard": 0.5}}
-    loose = {**plain, "n_shots": 2e3, "seed": None, "selection_priority": None}
+    loose = {**plain, "n_shots": 2e3, "seed": None, "stage_split": None}
     reports = []
     for name, cfg in (("plain", plain), ("loose", loose)):
         path = tmp_path / f"{name}.json"
@@ -276,13 +270,53 @@ def test_nulls_are_absent_and_integral_floats_are_integers(tmp_path):
     assert reports[0] == reports[1]
 
 
+def test_selection_priority_is_an_unknown_key(tmp_path, capsys):
+    # the lowest-index survivor is always forwarded; a null stays absent
+    plain = {"k": 4, "n_shots": 2000, "failure": {"calibrate_discard": 0.5}}
+    for name, cfg in (("plain", plain), ("null", {**plain, "selection_priority": None})):
+        (tmp_path / f"{name}.json").write_text(json.dumps(cfg))
+        argv = ["simulate", "--config", str(tmp_path / f"{name}.json")]
+        assert main(argv + ["--out", str(tmp_path / name)]) == EXIT_OK
+    summary = "sim_summary.json"
+    assert (tmp_path / "plain" / summary).read_bytes() == (tmp_path / "null" / summary).read_bytes()
+    capsys.readouterr()
+    (tmp_path / "rule.json").write_text(json.dumps({**plain, "selection_priority": [1, 2, 3, 4]}))
+    argv = ["simulate", "--config", str(tmp_path / "rule.json"), "--out", str(tmp_path / "rule")]
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: unknown simulate config keys: ['selection_priority']"
+    ]
+
+
+@pytest.mark.parametrize(
+    "value", WRONG["list[int]"], ids=[json.dumps(v) for v in WRONG["list[int]"]]
+)
+def test_every_selection_priority_value_is_an_unknown_key(tmp_path, capsys, value):
+    # the key is gone, so its former type errors are unknown-key errors now
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**BASE["simulate"], "selection_priority": value}))
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: unknown simulate config keys: ['selection_priority']"
+    ]
+    assert not (tmp_path / "out").exists()
+
+
+def _tiny_gap_rate(rate: float, records: bool) -> dict:
+    escape = {"kind": "bernoulli", "q": 0.1, "gap_correct": {"rate": rate}}
+    failure = {"calibrate_discard": 0.5}
+    return {"k": 4, "n_shots": 1000, "records": records, "failure": failure, "escape": escape}
+
+
 @pytest.mark.parametrize(
     "cfg",
     [
         {"k": 1, "failure": {"calibrate_discard": 10**400}},
         {"k": 10**30, "failure": {"calibrate_discard": 0.5}},
+        _tiny_gap_rate(1e-320, records=True),
+        _tiny_gap_rate(1e-320, records=False),
     ],
-    ids=["float-key-beyond-double", "k-beyond-index"],
+    ids=["float-key-beyond-double", "k-beyond-index", "gap-overflow-records", "gap-overflow"],
 )
 def test_out_of_range_number_is_one_config_error(tmp_path, capsys, cfg):
     path = tmp_path / "cfg.json"
@@ -290,6 +324,15 @@ def test_out_of_range_number_is_one_config_error(tmp_path, capsys, cfg):
     assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == EXIT_CONFIG
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("config error: ")
+
+
+def test_a_tiny_gap_rate_with_finite_gaps_runs(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_tiny_gap_rate(1e-306, records=True)))
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == EXIT_OK
+    records = gap_analysis.RecordSet.from_jsonl(tmp_path / "records.jsonl")
+    assert records.correct.any()
+    assert np.isfinite(records.gaps).all() and records.gaps.max() > 1e300
 
 
 # a linear grid of finite numbers can still overflow or fail to increase

@@ -25,7 +25,6 @@ from patchmux.montecarlo import (
     sample_shot,
     write_records_jsonl,
 )
-from patchmux.pipeline import SelectionRule
 
 
 def summaries_equal(a, b) -> bool:
@@ -102,6 +101,8 @@ def test_sample_shot_agrees_with_vectorized_run():
     rng = np.random.default_rng(0)
     for idx in rng.integers(0, cfg.n_shots, size=200):
         outcome, record = sample_shot(int(idx), cfg)
+        survival = outcome.indicators.survival
+        assert outcome.selected == (survival.index(1) + 1 if any(survival) else None)
         if record is None:
             assert int(idx) not in kept_by_shot
         else:
@@ -378,15 +379,15 @@ def test_stage_split_requires_independent_sites():
         )
 
 
-def test_selection_rule_feeds_sample_shot():
+def test_sample_shot_forwards_the_lowest_survivor():
+    # site 1 always fails early, sites 2-4 always survive
     cfg = SimConfig(
-        failure_model=FailureModel.identical(0.0, 4),
-        n_shots=10,
-        seed=41,
-        selection_rule=SelectionRule.fixed_priority((3, 1, 2, 4)),
+        failure_model=FailureModel(per_site_fail=(1.0, 0.0, 0.0, 0.0)), n_shots=10, seed=41
     )
-    outcome, _ = sample_shot(0, cfg)
-    assert outcome.selected == 3
+    for idx in range(cfg.n_shots):
+        outcome, _ = sample_shot(idx, cfg)
+        assert outcome.candidates.members == {2, 3, 4}
+        assert outcome.selected == 2 and outcome.continuation == (0, 1, 0, 0)
 
 
 def test_gap_distribution_validation():
@@ -394,6 +395,8 @@ def test_gap_distribution_validation():
         GapDistribution("triangular")
     with pytest.raises(ModelError):
         GapDistribution("exponential", rate=0.0)
+    with pytest.raises(ModelError):  # the gap of the largest draw overflows
+        GapDistribution("discrete_exponential", rate=1e-320)
     with pytest.raises(ModelError):
         EscapeModel(kind="bernoulli", q=1.5)
     with pytest.raises(ModelError):
@@ -406,13 +409,6 @@ def test_config_validation():
         SimConfig(failure_model=model, n_shots=0, seed=1)
     with pytest.raises(ValueError):
         SimConfig(failure_model=model, n_shots=10, seed=-1)
-    with pytest.raises(ValueError):
-        SimConfig(
-            failure_model=model,
-            n_shots=10,
-            seed=1,
-            selection_rule=SelectionRule.fixed_priority((2, 1)),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -513,10 +509,9 @@ def reference_fold(config, u):
         )
         correct = ~erroneous
     else:
-        pool_gaps = np.asarray(esc.pool_gaps, dtype=np.float64)
-        idx = np.minimum((g * pool_gaps.size).astype(np.int64), pool_gaps.size - 1)
-        gaps = pool_gaps[idx]
-        correct = np.asarray(esc.pool_correct, dtype=bool)[idx]
+        idx = np.minimum((g * esc.pool.gaps.size).astype(np.int64), esc.pool.gaps.size - 1)
+        gaps = esc.pool.gaps[idx]
+        correct = esc.pool.correct[idx]
     kept = (sizes > 0) & keep
     histogram = tuple(int(c) for c in np.bincount(sizes, minlength=k + 1))
     return histogram, int((sizes == 0).sum()), np.nonzero(kept)[0], gaps[kept], correct[kept]

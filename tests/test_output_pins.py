@@ -54,11 +54,11 @@ def _gap_sweep(out: str, config: dict) -> None:
 
 PINNED = {
     "sim/records.jsonl": "52b63395989cc5458896394e436ff368f176b371b2cb2bd7191bc3152c732209",
-    "sim/sim_summary.json": "2f23f6f0aae0ffea954abfb7abdfa4445d9d962d6324d70352bca7931ee2b6c9",
+    "sim/sim_summary.json": "09eb5b3f8cda245a47500f218d3e3b3977277d2caf12e3ac9fc59767d1a4dfb2",
     "tail/records_curve.csv": "c163042d0829cadee28fcb6a3aeb9372812d3939b09776408c03ce0d1dff5f34",
     "tail/gap_report.json": "9cabaf3a693cd6e85905af561e939f2beedea2d63e03678de6c1813572f932df",
     "simb/records.jsonl": "7932840fa3d14aa5069c159d717fa6715eadc66923e590a0a5401710c55826bf",
-    "simb/sim_summary.json": "a0062e4de8f26bbb901177efcb5a78f527c760cde1c43cee63f13a2ad71e8015",
+    "simb/sim_summary.json": "d7e6c20ac365a9368474ae1eeb7e2906cfce4bdfffe1cba68ea57a40d33ffce9",
     "pair/1_records_curve.csv": "27c988b3887091484c29a771a74fa020b5ae755828759af914fad4b3d0b4ae56",
     "pair/2_records_curve.csv": "cd4acf782ffbfcc432cbb5e0e8673a7fdfd463b457a41fd463fb0531156ed561",
     "pair/gap_report.json": "d9aa1b7dac8639d037494f30cd600f39fc598939b4702f4721bb6519af7c0842",
@@ -67,11 +67,11 @@ PINNED = {
 # the same files under draw layouts v2 and v1; v1 wrote no layout_version
 V2_PINNED = {
     "sim/records.jsonl": "61fba84d212ec3c06723cc3ae55dda75ca9b251be59809c5afca55e25644e2e3",
-    "sim/sim_summary.json": "6bb8f827a3737a9906a0bacb8a2d57565f77d8e09a9433b89e2e0af0fde2dfe7",
+    "sim/sim_summary.json": "e7d87c3d66ad95bbbe288cc558dfd7e040b4333fee27094d27775b560955a17a",
     "tail/records_curve.csv": "65a6f37e81f0e918f14c39bfc9e134a3dcf666b10ee5fbaef31d9147c86f82d3",
     "tail/gap_report.json": "734888bfead41718813b59900510ab6c70280f401388caa0104f7738bf93117e",
     "simb/records.jsonl": "5e01093dc3eb48456a1125148be4d8dffadae028d8b9c866dcce9ea0f1711c8a",
-    "simb/sim_summary.json": "3f7f3001563e38e7639031b8ad90c70907a1158e6704712d3948f3462df95b9b",
+    "simb/sim_summary.json": "33674bfbc56533dfb3bbe22a8d3bf2bc7ee63d72b0d5b54d562afeecdfd6dc69",
     "pair/1_records_curve.csv": "e21782b8e4bb1b2ca91af2813597a847215e9c2c69d52272ca92f391f748d6c7",
     "pair/2_records_curve.csv": "d000bdb924fb7d5a170da58aeb7c611359ba1e106ea82c1fd97e8ca4756043fc",
     "pair/gap_report.json": "c95ea866f2b1ec2fc48b0ceef83623c327336225bc604ea2252bcbb9be7e3bd8",
@@ -79,11 +79,11 @@ V2_PINNED = {
 
 V1_PINNED = {
     "sim/records.jsonl": "dd6d06c56600fc692b7e21a81f9a74dc2114779ae079eec0541db8fd01d5f2e7",
-    "sim/sim_summary.json": "3e37c802b88b51c7f12d0be79ed6324eccf190dde5564aab6d882bc75dbe8cf5",
+    "sim/sim_summary.json": "450bb89673af937d256292a11b8ab7e7dc557467998b0feb0cce962227a6ddc5",
     "tail/records_curve.csv": "3a8f4ea5b158bc0bd3ddd5bb058cf4ef38fe1615cf5c90b8eac604324e9152e4",
     "tail/gap_report.json": "2802b02d7cfd4df07595f2603eedf1a88e872f5eaf935a4726e85b3a434b6cb8",
     "simb/records.jsonl": "b83aa94fdf3b6e03dbbcf59a501dcc3bcd9d5284f04432e7afcefa09ed1f8f58",
-    "simb/sim_summary.json": "4b445b1fcb0a48fd4a5ef63da7df273054948d6f1f375fca4bf1c1e8d2235432",
+    "simb/sim_summary.json": "1008f8dbcdabfa8bc1ac08237700ecf43701631b660ebbc6660112052c5ac4c7",
     "pair/1_records_curve.csv": "07c93adfa4bdc288f540e1a5be8bc7df3abdd1b13a82d02f378d89a49a21454a",
     "pair/2_records_curve.csv": "1df19aee5930455390a7c9d4787f80c40efe3d7508886a96d74e98f153d3a7b9",
     "pair/gap_report.json": "e5854bac82c06a223fc1f2d17ca4c2881ef69bb4b5a08725640a9d32ed467e19",
@@ -148,9 +148,9 @@ def test_pair_reports_a_crossing(chain_outputs):
 # A records-off simulate of the sampler benchmark's model (k=4, D=0.4903,
 # Bernoulli q=0.05, continuous exponential gaps) on two workers: the path
 # that folds counts only, which the chain pins above do not reach.
-RECORDS_OFF_PIN = "fe74d91e51e2c2977b4ae11934084d07e03a6077f133cbc904484c1db5d6b1f6"
-V2_RECORDS_OFF_PIN = "07e53d4c99240161c3405cd65abbb6bff28b2876d90d29b5fa11d46f7753bb32"
-V1_RECORDS_OFF_PIN = "786d1306a0ac2b082ec6ae39ff16377d1c6572bda7baadbe83d54ee2a3b4193d"
+RECORDS_OFF_PIN = "881265d9df2d2c17cdd610ad25f4f10ede650d0eaebfcf0262089534fa79edb6"
+V2_RECORDS_OFF_PIN = "a89b8c6e91aecb80208c8a58c62944888ccfa35b110302b8bf7af4fcad8b2b0e"
+V1_RECORDS_OFF_PIN = "81051ad7d1f8b32bb49cd5f2637220046f401d3222effb0540797cffc0795366"
 
 
 def _run_records_off() -> None:

@@ -8,7 +8,6 @@ from patchmux.pipeline import (
     ContractViolation,
     EmptyCandidateSet,
     InvalidIndicatorError,
-    SelectionRule,
     SiteIndicators,
     complete_shot,
     form_candidate_set,
@@ -37,26 +36,16 @@ def test_inconsistent_indicators_rejected():
 
 def test_lowest_index_selection():
     candidates = CandidateSet(members=frozenset({2, 4}), k=4)
-    assert select_candidate(candidates, SelectionRule.lowest_index()) == 2
-
-
-def test_singleton_selection_any_rule():
-    candidates = CandidateSet(members=frozenset({3}), k=4)
-    for rule in (SelectionRule.lowest_index(), SelectionRule.fixed_priority((4, 3, 2, 1))):
-        assert select_candidate(candidates, rule) == 3
+    assert select_candidate(candidates) == 2
 
 
 def test_empty_selection_is_a_discard_signal():
     with pytest.raises(EmptyCandidateSet):
-        select_candidate(CandidateSet(members=frozenset(), k=4), SelectionRule.lowest_index())
+        select_candidate(CandidateSet(members=frozenset(), k=4))
 
 
 def test_selection_always_returns_a_member():
-    # exhaustive for k=4: every non-empty subset, lowest-index plus all 24
-    # fixed priorities
-    rules = [SelectionRule.lowest_index()] + [
-        SelectionRule.fixed_priority(perm) for perm in itertools.permutations(range(1, 5))
-    ]
+    # exhaustive for k=4: every non-empty subset selects its lowest index
     subsets = [
         frozenset(c)
         for r in range(1, 5)
@@ -64,27 +53,12 @@ def test_selection_always_returns_a_member():
     ]
     assert len(subsets) == 15
     for members in subsets:
-        candidates = CandidateSet(members=members, k=4)
-        for rule in rules:
-            assert select_candidate(candidates, rule) in members
-
-
-def test_fixed_priority_must_be_permutation():
-    with pytest.raises(ValueError):
-        SelectionRule.fixed_priority((1, 1, 2, 3))
-    with pytest.raises(ValueError):
-        SelectionRule.fixed_priority((2, 3, 4, 5))
-
-
-def test_priority_size_mismatch_is_contract_error():
-    candidates = CandidateSet(members=frozenset({1}), k=4)
-    with pytest.raises(ContractViolation):
-        select_candidate(candidates, SelectionRule.fixed_priority((2, 1)))
+        assert select_candidate(CandidateSet(members=members, k=4)) == min(members)
 
 
 def test_discarded_shot_outcome():
     ind = SiteIndicators.from_survival((0, 0, 0, 0))
-    outcome = complete_shot(ind, SelectionRule.lowest_index())
+    outcome = complete_shot(ind)
     assert outcome.discarded
     assert outcome.selected is None
     assert outcome.continuation == (0, 0, 0, 0)
@@ -93,7 +67,7 @@ def test_discarded_shot_outcome():
 
 def test_full_survival_lowest_index_kept():
     ind = SiteIndicators.from_survival((1, 1, 1, 1))
-    outcome = complete_shot(ind, SelectionRule.lowest_index(), escape_verdict=True)
+    outcome = complete_shot(ind, escape_verdict=True)
     assert outcome.selected == 1
     assert outcome.continuation == (1, 0, 0, 0)
     assert outcome.escape_kept is True
@@ -102,7 +76,7 @@ def test_full_survival_lowest_index_kept():
 def test_hand_traced_partial_survival():
     # injection passes at sites 1-2, cultivation only at site 2; kept fails
     ind = SiteIndicators(inj=(1, 1, 0, 0), cult=(0, 1, 0, 0))
-    outcome = complete_shot(ind, SelectionRule.lowest_index(), escape_verdict=False)
+    outcome = complete_shot(ind, escape_verdict=False)
     assert outcome.candidates.members == {2}
     assert outcome.selected == 2
     assert outcome.escape_kept is False
@@ -117,7 +91,23 @@ def test_directly_built_outcome_must_select_a_candidate():
             indicators=ind,
             candidates=CandidateSet(members=frozenset({2}), k=2),
             selected=1,
-            continuation=(1, 0),
+            escape_kept=True,
+        )
+
+
+def test_continuation_is_derived_from_the_selected_site():
+    from patchmux.pipeline import CandidateSet, ShotOutcome
+
+    ind = SiteIndicators.from_survival((0, 1, 1))
+    candidates = CandidateSet(members=frozenset({2, 3}), k=3)
+    outcome = ShotOutcome(indicators=ind, candidates=candidates, selected=3, escape_kept=True)
+    assert outcome.continuation == (0, 0, 1)
+    with pytest.raises(TypeError):  # no longer a stored field
+        ShotOutcome(
+            indicators=ind,
+            candidates=candidates,
+            selected=2,
+            continuation=(0, 1, 0),
             escape_kept=True,
         )
 
@@ -126,9 +116,9 @@ def test_verdict_contract_enforced():
     dead = SiteIndicators.from_survival((0, 0))
     live = SiteIndicators.from_survival((1, 0))
     with pytest.raises(ContractViolation):
-        complete_shot(dead, SelectionRule.lowest_index(), escape_verdict=True)
+        complete_shot(dead, escape_verdict=True)
     with pytest.raises(ContractViolation):
-        complete_shot(live, SelectionRule.lowest_index())
+        complete_shot(live)
 
 
 def test_exactly_one_continuation_bit():
@@ -138,16 +128,16 @@ def test_exactly_one_continuation_bit():
         bits = tuple(int(b) for b in rng.integers(0, 2, size=k))
         ind = SiteIndicators.from_survival(bits)
         verdict = bool(rng.integers(0, 2)) if any(bits) else None
-        outcome = complete_shot(ind, SelectionRule.lowest_index(), verdict)
+        outcome = complete_shot(ind, verdict)
         assert sum(outcome.continuation) == (1 if any(bits) else 0)
+        if any(bits):
+            assert outcome.continuation[outcome.selected - 1] == 1
         assert len(outcome.candidates) == k - bits.count(0)
 
 
 def test_single_site_degeneration():
     # with k=1 the shot is discarded exactly when the lone site fails
-    dead = complete_shot(SiteIndicators.from_survival((0,)), SelectionRule.lowest_index())
+    dead = complete_shot(SiteIndicators.from_survival((0,)))
     assert dead.discarded
-    live = complete_shot(
-        SiteIndicators.from_survival((1,)), SelectionRule.lowest_index(), escape_verdict=True
-    )
+    live = complete_shot(SiteIndicators.from_survival((1,)), escape_verdict=True)
     assert not live.discarded and live.selected == 1
