@@ -31,7 +31,6 @@ __all__ = [
     "ExplicitJoint",
     "FailureModel",
     "Independent",
-    "StageStats",
     "attempt_reduction",
     "expected_attempts",
     "iid_multiplex_discard",
@@ -50,7 +49,7 @@ __all__ = [
 # Each exported name loads its module on first use (PEP 562), so importing
 # the package, or only the CLI, loads none of the layout modules.
 _EXPORTS = {
-    "analytics": "CommonMode ExplicitJoint FailureModel Independent StageStats attempt_reduction "
+    "analytics": "CommonMode ExplicitJoint FailureModel Independent attempt_reduction "
     "expected_attempts iid_multiplex_discard multiplex_pass_probability",
     "gap_analysis": "RecordSet SweepCurve find_crossing sweep",
     "geometry": "CellSet FootprintSpec PatchLayout Rotation Stage pack_sites rotate_footprint "

@@ -55,23 +55,6 @@ def attempt_reduction(baseline_attempts: float, multiplexed_attempts: float) -> 
     return (1.0 - multiplexed_attempts / baseline_attempts) * 100.0
 
 
-@dataclass(frozen=True)
-class StageStats:
-    """Discard probability with its derived retry cost."""
-
-    discard: float
-    attempts: float
-    kept_fraction: float
-
-    @classmethod
-    def from_discard(cls, discard: float) -> "StageStats":
-        return cls(
-            discard=discard,
-            attempts=expected_attempts(discard),
-            kept_fraction=1.0 - discard,
-        )
-
-
 # ---------------------------------------------------------------------------
 # failure models
 

@@ -51,7 +51,6 @@ from .montecarlo import (
     EscapeModel,
     GapDistribution,
     SimConfig,
-    StageSplit,
     run_simulation,
     write_records_jsonl,
 )
@@ -155,7 +154,6 @@ _SIMULATE_CONFIG = {
         "gap_error": _GAP_CONFIG,
         "pool_path": str,
     },
-    "stage_split": {"injection_fail": [float], "cultivation_fail": [float]},
     "labels": {"d1": int, "p": float, "d2": int, "r1": int, "r2": int},
     "records": bool,
     "out": str,
@@ -511,7 +509,6 @@ def cmd_simulate(args) -> int:
             n_shots=n_shots,
             seed=seed,
             escape_model=_escape_model(cfg.get("escape", {})),
-            stage_split=StageSplit(**cfg["stage_split"]) if "stage_split" in cfg else None,
             collect_records=want_records,
             # d1, p and r1 ride along as written; d2 and r2 as integers
             d1_label=raw_labels.get("d1"),
@@ -530,7 +527,6 @@ def cmd_simulate(args) -> int:
         "seed": seed,
         "failure": raw.get("failure"),
         "escape": raw.get("escape", {}),
-        "stage_split": raw.get("stage_split"),
         "labels": raw_labels,
         "records": want_records,
     }

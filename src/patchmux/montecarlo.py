@@ -14,9 +14,8 @@ Draw slots (k sites, m = ceil(k / 4)):
     1               gap draw, also the empirical-pool index (whole words)
     2               common mode: selector (quarter 0), shared fate (quarter 1)
     3               escape: keep (quarter 0), error class (quarter 1)
-    4 .. 3+m        site j's early-stage test (injection when split):
-                    word 4 + j // 4, quarter j % 4
-    4+m .. 3+2m     site j's cultivation test (two-stage split only), likewise
+    4 .. 3+m        site j's early-stage test: word 4 + j // 4, quarter j % 4
+    4+m .. 3+2m     unused, so that no other slot's number moves
     2**32 + 4s + q  tie stream of quarter q of packed slot s
 
 A slot's number depends only on k, never on the model, and a run generates
@@ -24,7 +23,7 @@ only the streams its model reads: the escape word only when the stage can
 reject or, with records, draws an error class, and the gap stream only for
 records.
 
-Slots 2 .. 3+2m are packed: each word holds four Bernoulli tests, and test
+Slots 2 .. 3+m are packed: each word holds four Bernoulli tests, and test
 q of shot i reads the quarter d = (w >> 16q) & 0xFFFF of word i. A test
 decides ``u >= r`` for the 53-bit uniform u = (d * 2**37 + e) / 2**53,
 exactly, as the integer comparison with t = ceil(r * 2**53): d alone decides
@@ -55,7 +54,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analytics import CommonMode, ExplicitJoint, FailureModel, Independent, ModelError
+from .analytics import CommonMode, ExplicitJoint, FailureModel, ModelError
 from .gap_analysis import RecordSet
 from .pipeline import SiteIndicators, complete_shot
 
@@ -151,24 +150,6 @@ class EscapeModel:
 
 
 @dataclass(frozen=True)
-class StageSplit:
-    """Optional decomposition of the early failure into its two stages.
-
-    ``cultivation_fail`` is conditional on passing injection; the combined
-    rate must reproduce the failure model's per-site rates.
-    """
-
-    injection_fail: tuple[float, ...]
-    cultivation_fail: tuple[float, ...]
-
-    def combined(self) -> tuple[float, ...]:
-        return tuple(
-            di + (1.0 - di) * dc
-            for di, dc in zip(self.injection_fail, self.cultivation_fail)
-        )
-
-
-@dataclass(frozen=True)
 class SimConfig:
     """Everything one simulation run depends on (labels ride along verbatim)."""
 
@@ -176,7 +157,6 @@ class SimConfig:
     n_shots: int
     seed: int
     escape_model: EscapeModel = field(default_factory=EscapeModel.always_keep)
-    stage_split: StageSplit | None = None
     collect_records: bool = True
     d1_label: int | None = None
     p_label: float | None = None
@@ -189,21 +169,6 @@ class SimConfig:
             raise ValueError("n_shots must be at least 1")
         if not (0 <= self.seed <= MAX_SEED):
             raise ValueError("seed must fit in 64 unsigned bits")
-        if self.stage_split is not None:
-            if not isinstance(self.failure_model.correlation, Independent):
-                raise ModelError("stage split is only defined for independent sites")
-            if len(self.stage_split.injection_fail) != self.k or len(
-                self.stage_split.cultivation_fail
-            ) != self.k:
-                raise ModelError("stage split vectors must cover every site")
-            for i, (combined, rate) in enumerate(
-                zip(self.stage_split.combined(), self.failure_model.per_site_fail),
-                start=1,
-            ):
-                if abs(combined - rate) > 1e-9:
-                    raise ModelError(
-                        f"site {i}: split combines to {combined!r}, model says {rate!r}"
-                    )
 
     @property
     def k(self) -> int:
@@ -377,8 +342,7 @@ class _Plan:
     """
 
     config: SimConfig
-    sites: tuple[_Tests, ...]  # site passes (split: injection); empty for a joint model
-    cultivation: tuple[_Tests, ...]  # two-stage split: cultivation passes
+    sites: tuple[_Tests, ...]  # site passes; empty for a joint model
     site_bytes: tuple[np.uint32, ...]  # per site word, the bytes of its sites set to 1
     common: _Tests | None  # c > 0: q0 passes when the sites keep their own fates,
     #                        q1 when the shared fate passes
@@ -391,24 +355,20 @@ def _plan(config: SimConfig, block: int, records: bool) -> _Plan:
     """The plan of folds of up to ``block`` shots; error classes only with ``records``."""
     corr = config.failure_model.correlation
     esc = config.escape_model
-    split = config.stage_split
     k = config.k
     rates = np.asarray(config.failure_model.per_site_fail, dtype=np.float64)
     common = isinstance(corr, CommonMode) and _threshold(corr.c) > 0
     joint = isinstance(corr, ExplicitJoint)
 
     words = (k + 3) // 4
-
-    def packed(first: int, site_rates) -> tuple[_Tests, ...]:
-        t = [_threshold(r) for r in site_rates]
-        return tuple(_tests(first + w, t[4 * w : 4 * w + 4], block) for w in range(words))
-
+    site_t = [_threshold(r) for r in rates]
     reject_at = _UNIT if esc.kind == "always_keep" else _threshold(esc.keep_prob)
     errors = esc.kind == "bernoulli" and records
     return _Plan(
         config=config,
-        sites=() if joint else packed(_SITES, split.injection_fail if split else rates),
-        cultivation=packed(_SITES + words, split.cultivation_fail) if split else (),
+        sites=()
+        if joint
+        else tuple(_tests(_SITES + w, site_t[4 * w : 4 * w + 4], block) for w in range(words)),
         site_bytes=tuple(
             np.array([4 * w + q < k for q in range(4)]).view(np.uint32)[0] for w in range(words)
         ),
@@ -423,11 +383,10 @@ def _plan(config: SimConfig, block: int, records: bool) -> _Plan:
     )
 
 
-def _survival_bits(plan: _Plan, draws: _Draws) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """(injection-pass, cultivation-pass) flat boolean columns, one per site word.
+def _survival_bits(plan: _Plan, draws: _Draws) -> list[np.ndarray]:
+    """Flat boolean columns of surviving sites, one per site word.
 
-    Only the slots the model reads are drawn. Cultivation passing implies
-    injection passing, so the second list alone says which sites survived.
+    Only the slots the model reads are drawn.
     """
     k = plan.config.k
     if plan.joint_cdf is not None:
@@ -436,19 +395,16 @@ def _survival_bits(plan: _Plan, draws: _Draws) -> tuple[list[np.ndarray], list[n
         )
         site = np.arange(4 * len(plan.site_bytes))
         bits = (((outcome[:, None] >> site) & 1) == 0) & (site < k)
-        chi = [bits[:, 4 * w : 4 * w + 4].ravel() for w in range(len(plan.site_bytes))]
-        return chi, chi
-    inj = [draws.passes(tests) for tests in plan.sites]
-    if plan.cultivation:
-        return inj, [passed & draws.passes(t) for passed, t in zip(inj, plan.cultivation)]
-    if plan.common is not None:
-        common = draws.passes(plan.common)
-        shared, fate = ~common[0::4], common[1::4].astype(np.uint32)
-        inj = [
-            np.where(shared, fate * used, passed.view(np.uint32)).view(bool)
-            for passed, used in zip(inj, plan.site_bytes)
-        ]
-    return inj, inj
+        return [bits[:, 4 * w : 4 * w + 4].ravel() for w in range(len(plan.site_bytes))]
+    chi = [draws.passes(tests) for tests in plan.sites]
+    if plan.common is None:
+        return chi
+    common = draws.passes(plan.common)
+    shared, fate = ~common[0::4], common[1::4].astype(np.uint32)
+    return [
+        np.where(shared, fate * used, passed.view(np.uint32)).view(bool)
+        for passed, used in zip(chi, plan.site_bytes)
+    ]
 
 
 def _site_counts(chi: list[np.ndarray]) -> np.ndarray:
@@ -519,21 +475,18 @@ def _merge(folds: list[_Fold]) -> _Fold:
 
 
 def _histogram(sizes: np.ndarray, k: int) -> np.ndarray:
-    """Shots per surviving-site count 0..k.
+    """Shots per surviving-site count 0..k, one counting pass per count.
 
-    Below eight sites a counting pass per size beats np.bincount's cast to
-    intp (a 65,536-shot block, 2-vCPU host: 70 vs 157 us at k=4, even at k=8,
-    131 vs 202 us at k=12).
+    Per 65,536-shot block (numpy 2.4.6, 2-vCPU host) this takes 83, 147 and
+    260 us at k = 4, 8 and 15, against 146, 130 and 127 us for np.bincount,
+    which first casts the sizes to intp: at most ~2 ns a shot more at k = 15.
     """
-    if k < 8:
-        return np.array([np.count_nonzero(sizes == c) for c in range(k + 1)])
-    return np.bincount(sizes, minlength=k + 1)
+    return np.array([np.count_nonzero(sizes == c) for c in range(k + 1)])
 
 
 def _fold_block(plan: _Plan, start: int, count: int) -> _Fold:
     draws = _Draws(plan.config.seed, start, count)
-    _, survived = _survival_bits(plan, draws)
-    sizes = _site_counts(survived)
+    sizes = _site_counts(_survival_bits(plan, draws))
     histogram = _histogram(sizes, plan.config.k)
     kept = _kept(plan, draws, sizes > 0)
     if not plan.config.collect_records:
@@ -617,11 +570,8 @@ def sample_shot(shot_index: int, config: SimConfig):
         raise ValueError(f"shot_index {shot_index} outside 0..{config.n_shots - 1}")
     plan = _plan(config, 1, records=True)
     draws = _Draws(config.seed, shot_index, 1)
-    inj, cult = _survival_bits(plan, draws)
-    indicators = SiteIndicators(
-        inj=tuple(int(inj[j // 4][j % 4]) for j in range(config.k)),
-        cult=tuple(int(cult[j // 4][j % 4]) for j in range(config.k)),
-    )
+    chi = _survival_bits(plan, draws)
+    indicators = SiteIndicators(tuple(int(chi[j // 4][j % 4]) for j in range(config.k)))
     if not any(indicators.survival):
         return complete_shot(indicators), None
     keep = bool(_kept(plan, draws, np.ones(1, dtype=bool))[0])

@@ -1,8 +1,8 @@
 """Deterministic single-shot semantics for site-wise postselection.
 
-One shot runs k local trials in parallel. Each trial carries two survival
-bits (injection, then cultivation); a site survives the early stages iff
-both are 1. Surviving sites form the candidate set, the lowest-index
+One shot runs k local trials in parallel. Each trial carries one survival
+bit: whether its site passed the early stages (injection and cultivation
+together). Surviving sites form the candidate set, the lowest-index
 survivor is the one candidate that continues, and the continuation either
 passes or fails its final acceptance check. Everything here is pure;
 randomness and any notion of a decoder live elsewhere.
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 
 class InvalidIndicatorError(ValueError):
-    """Survival bits are malformed (e.g. cultivation passed without injection)."""
+    """Survival bits are malformed (a bit other than 0 or 1, or no site)."""
 
 
 class EmptyCandidateSet(Exception):
@@ -27,43 +27,20 @@ class ContractViolation(ValueError):
 
 @dataclass(frozen=True)
 class SiteIndicators:
-    """Per-site survival bits for the two early stages."""
+    """Per-site early-stage survival bits, checked on construction."""
 
-    inj: tuple[int, ...]
-    cult: tuple[int, ...]
+    survival: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        self.validate()
-
-    def validate(self) -> None:
-        if len(self.inj) != len(self.cult):
-            raise InvalidIndicatorError(
-                f"stage vectors differ in length: {len(self.inj)} vs {len(self.cult)}"
-            )
-        if not self.inj:
+        if not self.survival:
             raise InvalidIndicatorError("need at least one site")
-        for i, (a, b) in enumerate(zip(self.inj, self.cult), start=1):
-            if a not in (0, 1) or b not in (0, 1):
+        for i, bit in enumerate(self.survival, start=1):
+            if bit not in (0, 1):
                 raise InvalidIndicatorError(f"site {i}: bits must be 0 or 1")
-            if b == 1 and a == 0:
-                raise InvalidIndicatorError(
-                    f"site {i}: cultivation cannot pass after failed injection"
-                )
 
     @property
     def k(self) -> int:
-        return len(self.inj)
-
-    @property
-    def survival(self) -> tuple[int, ...]:
-        """Overall early-stage survival bit per site (inj AND cult)."""
-        return tuple(a & b for a, b in zip(self.inj, self.cult))
-
-    @classmethod
-    def from_survival(cls, bits: tuple[int, ...] | list[int]) -> "SiteIndicators":
-        """Collapse of the two stages into one draw: both bits equal survival."""
-        t = tuple(int(b) for b in bits)
-        return cls(inj=t, cult=t)
+        return len(self.survival)
 
 
 @dataclass(frozen=True)
@@ -85,8 +62,7 @@ class CandidateSet:
 
 
 def form_candidate_set(indicators: SiteIndicators) -> CandidateSet:
-    """Surviving indices: exactly the sites whose both stage bits are 1."""
-    indicators.validate()
+    """Surviving indices: exactly the sites whose survival bit is 1."""
     members = frozenset(
         i for i, bit in enumerate(indicators.survival, start=1) if bit
     )

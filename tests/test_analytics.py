@@ -10,7 +10,6 @@ from patchmux.analytics import (
     ExplicitJoint,
     FailureModel,
     ModelError,
-    StageStats,
     attempt_reduction,
     attempts_interval,
     expected_attempts,
@@ -182,13 +181,6 @@ def test_attempt_reduction_identity():
 def test_attempt_reduction_domain():
     with pytest.raises(ValueError):
         attempt_reduction(0.5, 1.2)
-
-
-def test_stage_stats_from_discard():
-    stats = StageStats.from_discard(0.25)
-    assert stats.attempts == pytest.approx(4.0 / 3.0)
-    assert stats.kept_fraction == 0.75
-    assert StageStats.from_discard(1.0).attempts == math.inf
 
 
 def test_reproduce_early_stage_table():

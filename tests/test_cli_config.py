@@ -40,9 +40,6 @@ KEYS = {
         "escape.gap_error.rate": "float",
         "escape.gap_error.value": "float",
         "escape.pool_path": "str",
-        "stage_split": "object",
-        "stage_split.injection_fail": "list[float]",
-        "stage_split.cultivation_fail": "list[float]",
         "labels": "object",
         "labels.d1": "int",
         "labels.p": "float",
@@ -247,9 +244,9 @@ def test_config_block_and_hash_are_pinned(tmp_path, monkeypatch):
     assert main(["gap-sweep", "--config", "gap.json", "--out", "g"]) == EXIT_OK
     sim_report = json.loads((tmp_path / "s" / "sim_summary.json").read_text())
     gap_report = json.loads((tmp_path / "g" / "gap_report.json").read_text())
-    assert sim_report["config"] == {**sim, "preset": None, "stage_split": None}
+    assert sim_report["config"] == {**sim, "preset": None}
     assert sim_report["provenance"]["config_hash"] == (
-        "e616e681628251076f90ef26f6022f05a84dabe3234bc4c1632b694488ef6884"
+        "a2afe59fcd1fd7707b6598b75ecdf486b22af0e77b67501d0d90b6c0f95c5121"
     )
     assert gap_report["config"] == {**gap, "tail_window": [0.0, 20.0]}
     assert json.dumps(gap_report["config"]["tail_window"]) == "[0.0, 20.0]"
@@ -270,22 +267,33 @@ def test_nulls_are_absent_and_integral_floats_are_integers(tmp_path):
     assert reports[0] == reports[1]
 
 
-def test_selection_priority_is_an_unknown_key(tmp_path, capsys):
-    # the lowest-index survivor is always forwarded; a null stays absent
+def _assert_null_is_absent(tmp_path, key):
+    """A simulate config with ``key`` null writes the report of one without it."""
     plain = {"k": 4, "n_shots": 2000, "failure": {"calibrate_discard": 0.5}}
-    for name, cfg in (("plain", plain), ("null", {**plain, "selection_priority": None})):
+    for name, cfg in (("plain", plain), ("null", {**plain, key: None})):
         (tmp_path / f"{name}.json").write_text(json.dumps(cfg))
         argv = ["simulate", "--config", str(tmp_path / f"{name}.json")]
         assert main(argv + ["--out", str(tmp_path / name)]) == EXIT_OK
     summary = "sim_summary.json"
     assert (tmp_path / "plain" / summary).read_bytes() == (tmp_path / "null" / summary).read_bytes()
+
+
+def _assert_unknown_key(tmp_path, capsys, key, value):
+    """A simulate config that sets ``key`` exits 2 with one line and writes nothing."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**BASE["simulate"], key: value}))
     capsys.readouterr()
-    (tmp_path / "rule.json").write_text(json.dumps({**plain, "selection_priority": [1, 2, 3, 4]}))
-    argv = ["simulate", "--config", str(tmp_path / "rule.json"), "--out", str(tmp_path / "rule")]
-    assert main(argv) == EXIT_CONFIG
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
     assert capsys.readouterr().err.splitlines() == [
-        "config error: unknown simulate config keys: ['selection_priority']"
+        f"config error: unknown simulate config keys: [{key!r}]"
     ]
+    assert not (tmp_path / "out").exists()
+
+
+def test_selection_priority_is_an_unknown_key(tmp_path, capsys):
+    # the lowest-index survivor is always forwarded; a null stays absent
+    _assert_null_is_absent(tmp_path, "selection_priority")
+    _assert_unknown_key(tmp_path, capsys, "selection_priority", [1, 2, 3, 4])
 
 
 @pytest.mark.parametrize(
@@ -293,13 +301,36 @@ def test_selection_priority_is_an_unknown_key(tmp_path, capsys):
 )
 def test_every_selection_priority_value_is_an_unknown_key(tmp_path, capsys, value):
     # the key is gone, so its former type errors are unknown-key errors now
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({**BASE["simulate"], "selection_priority": value}))
-    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
-    assert capsys.readouterr().err.splitlines() == [
-        "config error: unknown simulate config keys: ['selection_priority']"
-    ]
-    assert not (tmp_path / "out").exists()
+    _assert_unknown_key(tmp_path, capsys, "selection_priority", value)
+
+
+def test_stage_split_is_an_unknown_key(tmp_path, capsys):
+    # each site makes one early-stage test, so no key splits it into an
+    # injection and a cultivation test; a null stays absent
+    _assert_null_is_absent(tmp_path, "stage_split")
+    split = {"injection_fail": [0.3, 0.3], "cultivation_fail": [0.2857142857142857] * 2}
+    _assert_unknown_key(tmp_path, capsys, "stage_split", split)
+
+
+STAGE_SPLIT_CASES = [
+    (key, value)
+    for key, kind in (
+        ("stage_split", "object"),
+        ("stage_split.injection_fail", "list[float]"),
+        ("stage_split.cultivation_fail", "list[float]"),
+    )
+    for value in WRONG[kind]
+]
+
+
+@pytest.mark.parametrize(
+    "key,value", STAGE_SPLIT_CASES, ids=[f"{k}-{json.dumps(v)}" for k, v in STAGE_SPLIT_CASES]
+)
+def test_every_stage_split_value_is_an_unknown_key(tmp_path, capsys, key, value):
+    # the key is gone, so its former type errors, nested ones too, are
+    # unknown-key errors now
+    split = _set({}, key, value)["stage_split"]
+    _assert_unknown_key(tmp_path, capsys, "stage_split", split)
 
 
 def _tiny_gap_rate(rate: float, records: bool) -> dict:

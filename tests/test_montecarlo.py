@@ -20,7 +20,6 @@ from patchmux.montecarlo import (
     EscapeModel,
     GapDistribution,
     SimConfig,
-    StageSplit,
     run_simulation,
     sample_shot,
     write_records_jsonl,
@@ -67,6 +66,20 @@ def test_chunking_and_workers_do_not_change_results():
     cfg = SimConfig(failure_model=FailureModel.identical(0.49, 4), n_shots=30_000, seed=5)
     base = run_simulation(cfg, workers=1, chunk_size=30_000)
     for workers, chunk in ((1, 977), (4, 4096), (16, 333)):
+        assert summaries_equal(base, run_simulation(cfg, workers=workers, chunk_size=chunk))
+
+
+def test_a_joint_selector_crosses_worker_boundaries():
+    # the explicit-joint selector reads whole words of slot 0, so chunks and
+    # workers must cut that stream at the same shots as the site words
+    rates = (0.4903,) * 4
+    cfg = SimConfig(
+        failure_model=FailureModel(rates, ExplicitJoint(product_joint_table(rates))),
+        n_shots=30_000,
+        seed=5,
+    )
+    base = run_simulation(cfg, workers=1, chunk_size=30_000)
+    for workers, chunk in ((1, 977), (2, 4096), (4, 333)):
         assert summaries_equal(base, run_simulation(cfg, workers=workers, chunk_size=chunk))
 
 
@@ -350,35 +363,6 @@ def test_record_set_reproduces_empirical_attempts_exactly():
     assert curve.points[0].attempts == summary.empirical_attempts
 
 
-def test_stage_split_must_recombine():
-    model = FailureModel.identical(0.28, 2)
-    with pytest.raises(ModelError):
-        SimConfig(
-            failure_model=model,
-            n_shots=10,
-            seed=1,
-            stage_split=StageSplit((0.1, 0.1), (0.1, 0.1)),
-        )
-    split = StageSplit((0.1, 0.1), (0.2, 0.2))  # 0.1 + 0.9*0.2 = 0.28
-    cfg = SimConfig(failure_model=model, n_shots=100_000, seed=37, stage_split=split)
-    summary = run_simulation(cfg)
-    d_all = 0.28**2
-    assert abs(summary.empirical_discard - d_all) <= 4 * discard_sigma(d_all, 100_000)
-    outcome, _ = sample_shot(11, cfg)
-    # split runs must still produce canonical indicator vectors
-    assert all(c <= i for i, c in zip(outcome.indicators.inj, outcome.indicators.cult))
-
-
-def test_stage_split_requires_independent_sites():
-    with pytest.raises(ModelError):
-        SimConfig(
-            failure_model=FailureModel.identical(0.28, 2, CommonMode(0.5)),
-            n_shots=10,
-            seed=1,
-            stage_split=StageSplit((0.1, 0.1), (0.2, 0.2)),
-        )
-
-
 def test_sample_shot_forwards_the_lowest_survivor():
     # site 1 always fails early, sites 2-4 always survive
     cfg = SimConfig(
@@ -423,18 +407,16 @@ def draw_columns(config):
     """Where each draw column of the float kernel comes from under v3.
 
     Columns are numbered as ``reference_fold`` reads them: 0 selector,
-    1 shared fate, 2..k+1 sites, k+2..2k+1 cultivation, 2k+2 keep, 2k+3 error
-    class, 2k+4 gap. Returns ({column: (packed slot, quarter)}, {column: whole
-    slot}), from the slot table of the montecarlo docstring. Column 0 is the
-    explicit-joint selector (whole words) or the common-mode selector.
+    1 shared fate, 2..k+1 sites, k+2 keep, k+3 error class, k+4 gap. Returns
+    ({column: (packed slot, quarter)}, {column: whole slot}), from the slot
+    table of the montecarlo docstring. Column 0 is the explicit-joint
+    selector (whole words) or the common-mode selector.
     """
     k = config.k
-    m = (k + 3) // 4
-    packed = {1: (2, 1), 2 * k + 2: (3, 0), 2 * k + 3: (3, 1)}
+    packed = {1: (2, 1), k + 2: (3, 0), k + 3: (3, 1)}
     for j in range(k):
         packed[2 + j] = (4 + j // 4, j % 4)
-        packed[k + 2 + j] = (4 + m + j // 4, j % 4)
-    whole = {2 * k + 4: 1}
+    whole = {k + 4: 1}
     if isinstance(config.failure_model.correlation, ExplicitJoint):
         whole[0] = 0
     else:
@@ -463,7 +445,7 @@ def reference_run(config):
     """
     n, seed = config.n_shots, config.seed
     packed, whole = draw_columns(config)
-    u = np.zeros((n, 2 * config.k + 5))
+    u = np.zeros((n, config.k + 5))
     for column, (slot, q) in packed.items():
         d = (stream(seed, slot, n) >> np.uint64(16 * q)) & np.uint64(0xFFFF)
         e = stream(seed, TIES + 4 * slot + q, n) >> np.uint64(27)
@@ -480,10 +462,7 @@ def reference_fold(config, u):
     corr = model.correlation
     rates = np.asarray(model.per_site_fail, dtype=np.float64)
     site_u = u[:, 2 : 2 + k]
-    if config.stage_split is not None:
-        inj = site_u >= np.asarray(config.stage_split.injection_fail)
-        chi = inj & (u[:, 2 + k : 2 + 2 * k] >= np.asarray(config.stage_split.cultivation_fail))
-    elif isinstance(corr, CommonMode):
+    if isinstance(corr, CommonMode):
         shared = u[:, 0] < corr.c
         shared_pass = u[:, 1] >= rates.mean()
         chi = np.where(shared[:, None], shared_pass[:, None], site_u >= rates)
@@ -496,14 +475,14 @@ def reference_fold(config, u):
     sizes = chi.sum(axis=1)
 
     esc = config.escape_model
-    g = u[:, 2 * k + 4]
-    keep = u[:, 2 * k + 2] < esc.keep_prob
+    g = u[:, k + 4]
+    keep = u[:, k + 2] < esc.keep_prob
     if esc.kind == "always_keep":
         keep = np.ones(n, dtype=bool)
         correct = np.ones(n, dtype=bool)
         gaps = reference_gaps(esc.gap_correct, g)
     elif esc.kind == "bernoulli":
-        erroneous = u[:, 2 * k + 3] < esc.q
+        erroneous = u[:, k + 3] < esc.q
         gaps = np.where(
             erroneous, reference_gaps(esc.gap_error, g), reference_gaps(esc.gap_correct, g)
         )
@@ -674,18 +653,15 @@ def test_each_quarter_decides_u_at_least_r_exactly(monkeypatch, seed):
 
 
 FAILURES = {
-    "independent": lambda: (FailureModel(per_site_fail=(0.3, 0.6, 0.8, 0.2)), None),
-    "common_mode": lambda: (FailureModel.identical(0.55, 4, CommonMode(0.37)), None),
-    "explicit_joint": lambda: (
-        FailureModel(
-            per_site_fail=(0.25, 0.5, 0.75),
-            correlation=ExplicitJoint(product_joint_table((0.25, 0.5, 0.75))),
-        ),
-        None,
+    "independent": lambda: FailureModel(per_site_fail=(0.3, 0.6, 0.8, 0.2)),
+    "common_mode": lambda: FailureModel.identical(0.55, 4, CommonMode(0.37)),
+    "explicit_joint": lambda: FailureModel(
+        per_site_fail=(0.25, 0.5, 0.75),
+        correlation=ExplicitJoint(product_joint_table((0.25, 0.5, 0.75))),
     ),
-    "stage_split": lambda: (
-        FailureModel.identical(0.28, 2),
-        StageSplit((0.1, 0.1), (0.2, 0.2)),  # 0.1 + 0.9*0.2 = 0.28
+    # two sites whose fates are correlated: P(both fail) = 0.3, not 0.4 * 0.5
+    "correlated_joint": lambda: FailureModel(
+        per_site_fail=(0.4, 0.5), correlation=ExplicitJoint((0.4, 0.1, 0.2, 0.3))
     ),
 }
 ESCAPES = {
@@ -701,13 +677,11 @@ ESCAPES = {
 
 
 def sim_config(failure_name, escape_name, n_shots, seed, collect_records=True):
-    failure, split = FAILURES[failure_name]()
     return SimConfig(
-        failure_model=failure,
+        failure_model=FAILURES[failure_name](),
         n_shots=n_shots,
         seed=seed,
         escape_model=ESCAPES[escape_name](),
-        stage_split=split,
         collect_records=collect_records,
     )
 
@@ -758,7 +732,7 @@ def tied_words(config, rng, edges, extreme_rows):
     the empirical-pool index clamp and the explicit-joint CDF clamp.
     """
     n = config.n_shots
-    h = rng.integers(0, 2**53, size=(n, 2 * config.k + 5), dtype=np.uint64)
+    h = rng.integers(0, 2**53, size=(n, config.k + 5), dtype=np.uint64)
     for column, t in column_thresholds(config).items():
         near = np.array([v for v in (t - 1, t, t + 1) if 0 <= v < 2**53], dtype=np.uint64)
         h[:, column] = np.where(rng.random(n) < 0.1, rng.choice(near, n), h[:, column])
@@ -774,14 +748,11 @@ def column_thresholds(config):
     k = config.k
     model = config.failure_model
     esc = config.escape_model
-    rates = {1: float(np.mean(model.per_site_fail)), 2 * k + 2: esc.keep_prob, 2 * k + 3: esc.q}
+    rates = {1: float(np.mean(model.per_site_fail)), k + 2: esc.keep_prob, k + 3: esc.q}
     if isinstance(model.correlation, CommonMode):
         rates[0] = model.correlation.c
-    split = config.stage_split
     for j in range(k):
-        rates[2 + j] = split.injection_fail[j] if split else model.per_site_fail[j]
-        if split:
-            rates[k + 2 + j] = split.cultivation_fail[j]
+        rates[2 + j] = model.per_site_fail[j]
     return {column: montecarlo._threshold(r) for column, r in rates.items()}
 
 
@@ -823,7 +794,7 @@ def test_tied_words_at_every_threshold_match_the_float_kernel(
 
 def test_default_blocks_and_chunks_match_the_float_kernel():
     # more shots than one default chunk, so chunks and blocks both split
-    cfg = sim_config("stage_split", "bernoulli", 70_000, seed=99)
+    cfg = sim_config("common_mode", "bernoulli", 70_000, seed=99)
     expected = reference_run(cfg)
     assert_matches_reference(run_simulation(cfg, workers=2), expected)
     off = run_simulation(replace(cfg, collect_records=False), workers=2)
@@ -834,23 +805,23 @@ SIX_SITES = (0.3, 0.6, 0.8, 0.2, 0.5, 0.45)
 
 
 @pytest.mark.parametrize(
-    "failure,split",
+    "failure",
     [
-        (FailureModel(per_site_fail=SIX_SITES), None),
-        (FailureModel(SIX_SITES, CommonMode(0.37)), None),
-        (FailureModel.identical(0.28, 6), StageSplit((0.1,) * 6, (0.2,) * 6)),
+        FailureModel(per_site_fail=SIX_SITES),
+        FailureModel(SIX_SITES, CommonMode(0.37)),
+        FailureModel(SIX_SITES, ExplicitJoint(product_joint_table(SIX_SITES))),
     ],
-    ids=["independent", "common_mode", "stage_split"],
+    ids=["independent", "common_mode", "explicit_joint"],
 )
-def test_more_than_four_sites_span_two_packed_words(monkeypatch, failure, split):
+def test_more_than_four_sites_span_two_packed_words(monkeypatch, failure):
     # sites 5 and 6 sit in quarters 0 and 1 of a second word per role, whose
-    # quarters 2 and 3 belong to no site
+    # quarters 2 and 3 belong to no site; the joint model's 64 outcomes reach
+    # the second site word through its flat columns instead
     cfg = SimConfig(
         failure_model=failure,
         n_shots=3000,
         seed=31,
         escape_model=EscapeModel.bernoulli_error(0.3, keep_prob=0.7),
-        stage_split=split,
     )
     for workers, chunk in ((1, 3000), (2, 977)):
         summary = run_simulation(cfg, workers=workers, chunk_size=chunk)
@@ -886,9 +857,9 @@ def test_a_joint_table_short_of_one_clamps_the_top_uniform(monkeypatch):
         assert_matches_reference(run_simulation(cfg, workers=workers, chunk_size=chunk), expected)
 
 
-@pytest.mark.parametrize("k", [1, 7, 8, 12])
+@pytest.mark.parametrize("k", [1, 4, 7, 8, 12, 15])
 def test_histogram_counts_every_size(k):
-    # counting passes below eight sites, np.bincount from eight on
+    # one counting pass per count, checked against np.bincount
     sizes = np.random.default_rng(k).binomial(k, 0.4, 5000).astype(np.uint32)
     histogram = montecarlo._histogram(sizes, k)
     assert histogram.tolist() == np.bincount(sizes, minlength=k + 1).tolist()
@@ -910,13 +881,12 @@ def test_nine_sites_match_the_float_kernel():
 def test_rates_of_zero_and_one_give_exact_counts(collect):
     n = 3000
 
-    def run(failure, escape=None, split=None):
+    def run(failure, escape=None):
         cfg = SimConfig(
             failure_model=failure,
             n_shots=n,
             seed=57,
             escape_model=escape or EscapeModel.always_keep(),
-            stage_split=split,
             collect_records=collect,
         )
         summary = run_simulation(cfg, workers=2, chunk_size=977)
@@ -928,7 +898,7 @@ def test_rates_of_zero_and_one_give_exact_counts(collect):
     assert (s.site_survival_histogram, s.early_discards, s.kept) == ((0, 0, n, 0, 0), 0, n)
     s = run(FailureModel(per_site_fail=(1.0,) * 4))
     assert (s.site_survival_histogram, s.kept) == ((n, 0, 0, 0, 0), 0)
-    s = run(FailureModel(per_site_fail=(0.0, 1.0)), split=StageSplit((0.0, 1.0), (0.0, 0.5)))
+    s = run(FailureModel(per_site_fail=(0.0, 1.0)))
     assert s.site_survival_histogram == (0, n, 0)
 
     model = FailureModel.identical(0.45, 4)

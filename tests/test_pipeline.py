@@ -16,22 +16,22 @@ from patchmux.pipeline import (
 
 
 def test_candidate_set_from_indicators():
-    ind = SiteIndicators(inj=(1, 0, 1, 1), cult=(1, 0, 0, 1))
+    ind = SiteIndicators((1, 0, 0, 1))
     assert form_candidate_set(ind).members == {1, 4}
 
 
 def test_candidate_set_empty_and_full():
-    assert form_candidate_set(SiteIndicators.from_survival((0, 0, 0, 0))).members == frozenset()
-    assert form_candidate_set(SiteIndicators.from_survival((1, 1, 1, 1))).members == {1, 2, 3, 4}
+    assert form_candidate_set(SiteIndicators((0, 0, 0, 0))).members == frozenset()
+    assert form_candidate_set(SiteIndicators((1, 1, 1, 1))).members == {1, 2, 3, 4}
 
 
 def test_inconsistent_indicators_rejected():
     with pytest.raises(InvalidIndicatorError):
-        SiteIndicators(inj=(0, 1), cult=(1, 1))
+        SiteIndicators((2, 0))
     with pytest.raises(InvalidIndicatorError):
-        SiteIndicators(inj=(2, 0), cult=(0, 0))
+        SiteIndicators((1, -1))
     with pytest.raises(InvalidIndicatorError):
-        SiteIndicators(inj=(1, 1), cult=(1,))
+        SiteIndicators(())
 
 
 def test_lowest_index_selection():
@@ -57,7 +57,7 @@ def test_selection_always_returns_a_member():
 
 
 def test_discarded_shot_outcome():
-    ind = SiteIndicators.from_survival((0, 0, 0, 0))
+    ind = SiteIndicators((0, 0, 0, 0))
     outcome = complete_shot(ind)
     assert outcome.discarded
     assert outcome.selected is None
@@ -66,7 +66,7 @@ def test_discarded_shot_outcome():
 
 
 def test_full_survival_lowest_index_kept():
-    ind = SiteIndicators.from_survival((1, 1, 1, 1))
+    ind = SiteIndicators((1, 1, 1, 1))
     outcome = complete_shot(ind, escape_verdict=True)
     assert outcome.selected == 1
     assert outcome.continuation == (1, 0, 0, 0)
@@ -74,8 +74,8 @@ def test_full_survival_lowest_index_kept():
 
 
 def test_hand_traced_partial_survival():
-    # injection passes at sites 1-2, cultivation only at site 2; kept fails
-    ind = SiteIndicators(inj=(1, 1, 0, 0), cult=(0, 1, 0, 0))
+    # only site 2 survives the early stages; kept fails
+    ind = SiteIndicators((0, 1, 0, 0))
     outcome = complete_shot(ind, escape_verdict=False)
     assert outcome.candidates.members == {2}
     assert outcome.selected == 2
@@ -85,7 +85,7 @@ def test_hand_traced_partial_survival():
 def test_directly_built_outcome_must_select_a_candidate():
     from patchmux.pipeline import CandidateSet, ShotOutcome
 
-    ind = SiteIndicators.from_survival((0, 1))
+    ind = SiteIndicators((0, 1))
     with pytest.raises(ContractViolation):
         ShotOutcome(
             indicators=ind,
@@ -98,7 +98,7 @@ def test_directly_built_outcome_must_select_a_candidate():
 def test_continuation_is_derived_from_the_selected_site():
     from patchmux.pipeline import CandidateSet, ShotOutcome
 
-    ind = SiteIndicators.from_survival((0, 1, 1))
+    ind = SiteIndicators((0, 1, 1))
     candidates = CandidateSet(members=frozenset({2, 3}), k=3)
     outcome = ShotOutcome(indicators=ind, candidates=candidates, selected=3, escape_kept=True)
     assert outcome.continuation == (0, 0, 1)
@@ -113,8 +113,8 @@ def test_continuation_is_derived_from_the_selected_site():
 
 
 def test_verdict_contract_enforced():
-    dead = SiteIndicators.from_survival((0, 0))
-    live = SiteIndicators.from_survival((1, 0))
+    dead = SiteIndicators((0, 0))
+    live = SiteIndicators((1, 0))
     with pytest.raises(ContractViolation):
         complete_shot(dead, escape_verdict=True)
     with pytest.raises(ContractViolation):
@@ -126,7 +126,7 @@ def test_exactly_one_continuation_bit():
     for _ in range(200):
         k = int(rng.integers(1, 7))
         bits = tuple(int(b) for b in rng.integers(0, 2, size=k))
-        ind = SiteIndicators.from_survival(bits)
+        ind = SiteIndicators(bits)
         verdict = bool(rng.integers(0, 2)) if any(bits) else None
         outcome = complete_shot(ind, verdict)
         assert sum(outcome.continuation) == (1 if any(bits) else 0)
@@ -137,7 +137,7 @@ def test_exactly_one_continuation_bit():
 
 def test_single_site_degeneration():
     # with k=1 the shot is discarded exactly when the lone site fails
-    dead = complete_shot(SiteIndicators.from_survival((0,)))
+    dead = complete_shot(SiteIndicators((0,)))
     assert dead.discarded
-    live = complete_shot(SiteIndicators.from_survival((1,)), escape_verdict=True)
+    live = complete_shot(SiteIndicators((1,)), escape_verdict=True)
     assert not live.discarded and live.selected == 1
