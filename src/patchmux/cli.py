@@ -270,9 +270,9 @@ def _read_file(read, path: Path, *args):
         raise InputFormatError(f"{path}: not UTF-8 text") from None
 
 
-def _load_record_set(path: Path, n_attempts: int | None = None) -> RecordSet:
+def _load_record_set(path: Path, n_attempts: int | None = None, merged: bool = False) -> RecordSet:
     read = RecordSet.from_csv if path.suffix.lower() == ".csv" else RecordSet.from_jsonl
-    return _read_file(read, path, n_attempts)
+    return _read_file(read, path, n_attempts, merged)
 
 
 # ---------------------------------------------------------------------------
@@ -606,8 +606,9 @@ def cmd_gap_sweep(args) -> int:
     grid = _threshold_grid(cfg.get("thresholds"))
 
     with _config_errors():
+        # merged: a sweep needs only how many records share each gap and flag
         record_sets = [
-            _load_record_set(path, n_att) for path, n_att in zip(files, per_input)
+            _load_record_set(path, n_att, merged=True) for path, n_att in zip(files, per_input)
         ]
     for path, rs in zip(files, record_sets):
         if rs.attempts_summed:

@@ -29,6 +29,14 @@ record as a line-by-line reader would, so outputs and messages do not depend
 on the split. A leading UTF-8 byte order mark is skipped; one anywhere else is
 a record error.
 
+A sweep needs only the count of each (gap, correct) pair, so a merged read
+(``merged=True``, which ``gap-sweep`` asks for) folds each parsed block into
+one (gap, correct, count) row per distinct pair (``_Pairs``), in no order. A
+range keeps merging while its rows are at most half the records it has read;
+past that (distinct continuous gaps pass it at their first block) it expands
+its rows and keeps one row a record, as an unmerged read does. If any range
+did, the other ranges' rows are expanded too; else they are merged again.
+
 Record sets and curves are written a fixed block of rows at a time, so only
 the numpy columns grow with the file, and on every usable CPU, by one fork
 helper (``_write_in_parts``): this process handles part 0, and each later part
@@ -233,10 +241,79 @@ class _Columns:
         self.correct[self.size : end] = correct
         self.size = end
 
-    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, None]:
+        """Gaps, flags and no counts: one record a row, in order."""
         self.gaps.resize(self.size, refcheck=False)
         self.correct.resize(self.size, refcheck=False)
-        return self.gaps, self.correct
+        return self.gaps, self.correct, None
+
+
+def _pair_keys(gaps: np.ndarray, correct: np.ndarray) -> np.ndarray:
+    """One key per (gap, correct) that sorts by gap, then flag: a non-negative
+    float's bits order as its value. The shift drops the sign bit, so a gap
+    of -0.0 is keyed as 0.0."""
+    return gaps.view(np.uint64) << np.uint64(1) | correct
+
+
+def _distinct(keys: np.ndarray, count: np.ndarray | None = None):
+    """The sorted distinct keys, each with its number of rows (or the sum of
+    their ``count``)."""
+    if count is None:
+        keys, count = np.sort(keys), np.ones(keys.size, np.int64)
+    else:  # a stable sort merges the sorted runs it is given in one pass
+        order = keys.argsort(kind="stable")
+        keys, count = keys[order], count[order]
+    new = np.ones(keys.size, bool)
+    new[1:] = keys[1:] != keys[:-1]
+    starts = np.flatnonzero(new)
+    return keys[starts], np.add.reduceat(count, starts)
+
+
+def _pairs(keys: np.ndarray, count: np.ndarray):
+    """The (gaps, correct, count) rows of distinct pair keys."""
+    return (keys >> np.uint64(1)).view(np.float64), (keys & np.uint64(1)).astype(bool), count
+
+
+class _Pairs:
+    """``_Columns``' interface over merged (gap, correct, count) rows, in key
+    order, folded a block at a time. A merged row costs about 17 bytes and a
+    record row 9, so once the rows held pass half the records appended, they
+    are expanded (merged rows have no order to restore) and later blocks kept
+    as records."""
+
+    def __init__(self) -> None:
+        self.keys = np.empty(0, np.uint64)
+        self.count = np.empty(0, np.int64)
+        self.records = 0
+        self.units: _Columns | None = None
+
+    def append(self, gaps, correct) -> None:
+        # a first block of distinct pairs is told by a set, not a sort, so a
+        # file of continuous gaps never pages in numpy's uint64 sort and
+        # search code (about 0.5 MB of RSS); numpy scalars, one at a time,
+        # not a list of the block
+        first = self.units is None and not self.records
+        if first and 2 * len(set(zip(gaps, correct))) > len(gaps):
+            self.units = _Columns()
+        if self.units is None:
+            keys, count = _distinct(_pair_keys(gaps, correct))
+            at = np.searchsorted(self.keys, keys)
+            if at.size and at[-1] < self.keys.size and np.array_equal(self.keys[at], keys):
+                self.count[at] += count  # no new pair: the common case
+            else:
+                self.keys, self.count = _distinct(
+                    np.concatenate([self.keys, keys]), np.concatenate([self.count, count])
+                )
+            self.records += len(gaps)
+            if 2 * self.keys.size <= self.records:
+                return
+            self.units = _Columns()
+            gaps, correct, count = _pairs(self.keys, self.count)
+            gaps, correct = np.repeat(gaps, count), np.repeat(correct, count)
+        self.units.append(gaps, correct)
+
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        return _pairs(self.keys, self.count) if self.units is None else self.units.arrays()
 
 
 def _check_csv_header(row: list[str] | None) -> None:
@@ -244,11 +321,12 @@ def _check_csv_header(row: list[str] | None) -> None:
         raise RecordFormatError("expected CSV header 'gap,correct'")
 
 
-def _read_checked(path, is_csv: bool) -> tuple[np.ndarray, np.ndarray, int, int]:
+def _read_checked(path, is_csv: bool) -> tuple[np.ndarray, np.ndarray, int, int, None]:
     """Gaps, flags, records with attempts_consumed and their total (two zeros
-    for CSV), read in text mode one record at a time, so an error names the
-    first bad record; the only source of record errors. Records are numbered
-    by line (JSONL) or row (CSV, the header being record 0), blank included.
+    for CSV) and no counts (one record a row, in order), read in text mode one
+    record at a time, so an error names the first bad record; the only source
+    of record errors. Records are numbered by line (JSONL) or row (CSV, the
+    header being record 0), blank included.
     Bytes that are not UTF-8 anywhere raise UnicodeDecodeError before any."""
     with open(path, "rb") as fh:
         for _ in codecs.iterdecode(iter(lambda: fh.read(_BYTE_BLOCK), b""), "utf-8"):
@@ -290,7 +368,8 @@ def _read_checked(path, is_csv: bool) -> tuple[np.ndarray, np.ndarray, int, int]
     if rec_no < 0:  # a CSV without a header
         _check_csv_header(None)
     columns.append(gaps, flags)
-    return *columns.arrays(), with_consumed, consumed
+    gaps, flags, count = columns.arrays()
+    return gaps, flags, with_consumed, consumed, count
 
 
 # Range reading: a range returns its columns or declines (None); any decline
@@ -332,6 +411,12 @@ def _line_marks(raw: bytes, pattern: bytes):
     return data, marks.reshape(lines, len(pattern)).T
 
 
+def _total(counts: np.ndarray) -> int:
+    """The sum of non-negative int64 ``counts`` as a Python int, which cannot wrap."""
+    fits = counts.size == 0 or counts.max() <= _INT64_MAX // counts.size
+    return int(counts.sum()) if fits else sum(counts.tolist())
+
+
 def _digits(data, begin, end, most: int, dtype):
     """The numbers ``data[begin:end]``, one a row, as ``dtype``; None unless each
     is 1 to ``most`` digits. Read from right-aligned digit columns: a column
@@ -369,8 +454,7 @@ def _jsonl_bytes(raw: bytes, consumed: int):
     joins = np.ndarray((data.size - 9,), "V10", raw, 0, (1,))[ends[:-1] - 1].tobytes()
     if keys != _MIDDLE_KEYS.take(flag).tobytes() or joins != (b"}\n" + _GAP_KEY) * (ends.size - 1):
         return None
-    fits = counts.max() <= _INT64_MAX // counts.size  # else sum Python ints, which cannot wrap
-    consumed += int(counts.sum()) if fits else sum(counts.tolist())
+    consumed += _total(counts)
     gaps = None
     if width.max() <= 17:  # room for 15 digits and ".0": maybe integers
         end = first - 2 * ((data[first - 2] == ord(".")) & (data[first - 1] == ord("0")))
@@ -435,11 +519,12 @@ def _text_block(raw: bytes, is_csv: bool, consumed: int):
     return block and (*block, 0, consumed)
 
 
-def _read_range(path, is_csv: bool, start: int, end: int):
-    r"""(gaps, correct, records with attempts_consumed, their total) of one
-    byte range, read about ``_BYTE_BLOCK`` bytes at a time, each block cut
-    just after a ``\n`` where the range goes on; None to decline."""
-    columns = _Columns()
+def _read_range(path, is_csv: bool, start: int, end: int, merged: bool = False):
+    r"""(gaps, correct, records with attempts_consumed, their total, counts)
+    of one byte range, read about ``_BYTE_BLOCK`` bytes at a time, each block
+    cut just after a ``\n`` where the range goes on; None to decline. Merged,
+    the rows are ``_Pairs``', else one a record in order with no counts."""
+    rows = _Pairs() if merged else _Columns()
     with_consumed = consumed = 0
     parse_bytes = _csv_bytes if is_csv else _jsonl_bytes
     with open(path, "rb") as fh:
@@ -451,9 +536,10 @@ def _read_range(path, is_csv: bool, start: int, end: int):
             block = parse_bytes(raw, consumed) or _text_block(raw, is_csv, consumed)
             if block is None:
                 return None
-            columns.append(block[0], block[1])
+            rows.append(block[0], block[1])
             with_consumed, consumed = with_consumed + block[2], block[3]
-    return *columns.arrays(), with_consumed, consumed
+    gaps, correct, count = rows.arrays()
+    return gaps, correct, with_consumed, consumed, count
 
 
 def _usable_cpus() -> int:
@@ -590,28 +676,47 @@ def _byte_ranges(path, start: int) -> list[tuple[int, int]]:
     return [(a, b) for a, b in zip(cuts, cuts[1:]) if a < b] or [(start, end)]
 
 
-def _parse_ranges(path, is_csv: bool, ranges: list[tuple[int, int]]) -> list:
+def _parse_ranges(path, is_csv: bool, ranges: list[tuple[int, int]], merged: bool) -> list:
     """``_read_range`` of each range, range 0 here and the others in forked
     children where ``_write_in_parts`` forks; each result crosses as a pickle."""
     out = io.BytesIO()
     _write_in_parts(
-        out, lambda part: [pickle.dumps(_read_range(path, is_csv, *ranges[part]))], len(ranges)
+        out,
+        lambda part: [pickle.dumps(_read_range(path, is_csv, *ranges[part], merged))],
+        len(ranges),
     )
     out.seek(0)
     return [pickle.load(out) for _ in ranges]
 
 
-def _read_records(path, is_csv: bool) -> tuple[np.ndarray, np.ndarray, int, int]:
+def _read_records(path, is_csv: bool, merged: bool):
     """What ``_read_checked`` returns, read in line-aligned byte ranges; read
-    by ``_read_checked`` instead where the CSV header or a range declines."""
+    by ``_read_checked`` instead where the CSV header or a range declines.
+    Merged, the ranges' rows are merged again, unless a range kept one row a
+    record: then every range's rows are expanded to records."""
     start = _csv_body_start(path) if is_csv else 0
-    parts = None if start is None else _parse_ranges(path, is_csv, _byte_ranges(path, start))
+    ranges = None if start is None else _byte_ranges(path, start)
+    parts = None if ranges is None else _parse_ranges(path, is_csv, ranges, merged)
     if parts is None or None in parts:
         return _read_checked(path, is_csv)
-    gaps, correct, with_consumed, consumed = zip(*parts)
+    gaps, correct, with_consumed, consumed, count = zip(*parts)
     if sum(consumed) > _INT64_MAX:
         return _read_checked(path, is_csv)
-    return np.concatenate(gaps), np.concatenate(correct), sum(with_consumed), sum(consumed)
+    if any(n is None for n in count):
+        gaps = np.concatenate([g if n is None else np.repeat(g, n) for g, n in zip(gaps, count)])
+        correct = np.concatenate(
+            [c if n is None else np.repeat(c, n) for c, n in zip(correct, count)]
+        )
+        count = None
+    else:
+        keys = _pair_keys(np.concatenate(gaps), np.concatenate(correct))
+        gaps, correct, count = _pairs(*_distinct(keys, np.concatenate(count)))
+    return gaps, correct, sum(with_consumed), sum(consumed), count
+
+
+def _records(gaps: np.ndarray, count: np.ndarray | None) -> int:
+    """The records that rows stand for: one a row, or their summed ``count``."""
+    return gaps.size if count is None else _total(count)
 
 
 class RecordSet:
@@ -620,6 +725,12 @@ class RecordSet:
     ``n_attempts`` counts every shot, including the ones discarded before
     producing a record, so A(0) = n_attempts / len(records). ``shot_index``,
     when known, is the attempt number of each kept shot.
+
+    With ``count``, each row stands for that many records of its gap and
+    flag, and the rows have no order: a merged read
+    (``from_jsonl(..., merged=True)``) holds one row per distinct pair, so
+    its memory does not grow with the records. ``len`` is always the number
+    of records, not of rows.
     """
 
     # set by from_jsonl when n_attempts is the sum of attempts_consumed, which
@@ -632,6 +743,7 @@ class RecordSet:
         correct: np.ndarray,
         n_attempts: int,
         shot_index: np.ndarray | None = None,
+        count: np.ndarray | None = None,
     ):
         gaps = np.asarray(gaps, dtype=np.float64)
         correct = np.asarray(correct, dtype=bool)
@@ -639,15 +751,20 @@ class RecordSet:
             raise ValueError("gaps and correct must be 1-D arrays of equal length")
         if gaps.size and not _gaps_in_range(gaps):
             raise ValueError("gaps must be finite and >= 0")
+        if count is not None:
+            count = np.asarray(count, dtype=np.int64)
+            if count.shape != gaps.shape:
+                raise ValueError("count must have one entry per row")
+            if count.size and count.min() < 1:
+                raise ValueError("count must be at least 1 on every row")
         if n_attempts < 1:
             raise ValueError("n_attempts must be at least 1")
-        if gaps.size > n_attempts:
-            raise ValueError(
-                f"{gaps.size} records cannot come from {n_attempts} attempts"
-            )
+        records = _records(gaps, count)
+        if records > n_attempts:
+            raise ValueError(f"{records} records cannot come from {n_attempts} attempts")
         if shot_index is not None:
             shot_index = np.asarray(shot_index, dtype=np.int64)
-            if shot_index.shape != gaps.shape:
+            if count is not None or shot_index.shape != gaps.shape:
                 raise ValueError("shot_index must have one entry per record")
             if shot_index.size and (
                 shot_index[0] < 0
@@ -659,14 +776,18 @@ class RecordSet:
                 )
         self.gaps = gaps
         self.correct = correct
+        self.count = count
         self.n_attempts = int(n_attempts)
         self.shot_index = shot_index
+        self._records = records
 
     def __len__(self) -> int:
-        return int(self.gaps.size)
+        return self._records
 
     @classmethod
-    def from_jsonl(cls, path: str | Path, n_attempts: int | None = None) -> "RecordSet":
+    def from_jsonl(
+        cls, path: str | Path, n_attempts: int | None = None, merged: bool = False
+    ) -> "RecordSet":
         """Read one JSON object per line: {"gap", "correct", "attempts_consumed"}.
 
         ``attempts_consumed`` is optional per record; when present on every
@@ -675,34 +796,44 @@ class RecordSet:
         An ``n_attempts`` below the attempts the records account for is a
         ValueError naming the file. Records are numbered by line, blank lines
         included.
+
+        ``merged`` reads into (gap, correct, count) rows, one per distinct
+        pair, in no order, wherever a range's records repeat pairs enough to
+        save memory (integer gaps do; distinct continuous gaps do not, and
+        are read one row a record).
         """
-        gaps, correct, with_consumed, consumed = _read_records(path, False)
+        gaps, correct, with_consumed, consumed, count = _read_records(path, False, merged)
+        records = _records(gaps, count)
         # a record without attempts_consumed took at least its own attempt
-        least = consumed + gaps.size - with_consumed
+        least = consumed + records - with_consumed
         if with_consumed and n_attempts is not None and n_attempts < least:
             raise ValueError(
                 f"{path}: n_attempts {n_attempts} is below the {least} attempts "
                 "its records consumed"
             )
-        summed = n_attempts is None and 0 < with_consumed == gaps.size
+        summed = n_attempts is None and 0 < with_consumed == records
         if summed:
             n_attempts = consumed
         elif n_attempts is None:
-            n_attempts = max(1, gaps.size)
-        records = RecordSet(gaps, correct, n_attempts)
-        records.attempts_summed = summed
-        return records
+            n_attempts = max(1, records)
+        record_set = RecordSet(gaps, correct, n_attempts, count=count)
+        record_set.attempts_summed = summed
+        return record_set
 
     @classmethod
-    def from_csv(cls, path: str | Path, n_attempts: int | None = None) -> "RecordSet":
+    def from_csv(
+        cls, path: str | Path, n_attempts: int | None = None, merged: bool = False
+    ) -> "RecordSet":
         """Read the CSV variant with header ``gap,correct``.
 
         The CSV form carries kept records only; without ``n_attempts`` the
         attempt total defaults to the record count. Rows of blank cells are
-        skipped but still numbered.
+        skipped but still numbered. ``merged`` is as for ``from_jsonl``.
         """
-        gaps, correct, _, _ = _read_records(path, True)
-        return RecordSet(gaps, correct, max(1, gaps.size) if n_attempts is None else n_attempts)
+        gaps, correct, _, _, count = _read_records(path, True, merged)
+        if n_attempts is None:
+            n_attempts = max(1, _records(gaps, count))
+        return RecordSet(gaps, correct, n_attempts, count=count)
 
     def to_jsonl(self, path: str | Path) -> None:
         """Write one JSON object per record, as ``from_jsonl`` reads them.
@@ -917,17 +1048,26 @@ def linear_thresholds(start: float, stop: float, count: int) -> np.ndarray | Non
 
 
 def sweep(record_set: RecordSet, thresholds: Sequence[float] | None = None) -> SweepCurve:
-    """Exact counts of surviving correct/error records at each threshold."""
+    """Exact counts of surviving correct/error records at each threshold;
+    rows with a ``count`` weigh that many records."""
     if thresholds is None:
         thresholds = default_thresholds(record_set)
     ts = np.asarray(thresholds, dtype=np.float64)
     counts = []
     for keep in (record_set.correct, ~record_set.correct):
         gaps = record_set.gaps[keep]
-        gaps.sort()
         # gap >= G keeps the record; ties at the threshold are kept
         kept = np.empty(ts.shape)
-        np.subtract(gaps.size, np.searchsorted(gaps, ts, side="left"), out=kept)
+        if record_set.count is None:
+            gaps.sort()
+            np.subtract(gaps.size, np.searchsorted(gaps, ts, side="left"), out=kept)
+        else:
+            order = gaps.argsort()
+            # below[i]: the records of the i lowest rows, summed as floats,
+            # which are exact below 2**53 and cannot wrap
+            below = np.cumsum(record_set.count[keep][order], dtype=np.float64)
+            below = np.concatenate(([0.0], below))
+            np.subtract(below[-1], below[np.searchsorted(gaps[order], ts, side="left")], out=kept)
         counts.append(kept)
     return SweepCurve(ts, *counts, n_attempts=record_set.n_attempts)
 

@@ -123,6 +123,9 @@ class EscapeModel:
             raise ModelError(f"keep_prob={self.keep_prob!r} outside [0, 1]")
         if self.kind == "empirical" and (self.pool is None or len(self.pool) == 0):
             raise ModelError("empirical escape model needs a non-empty pool")
+        if self.kind == "empirical" and self.pool.count is not None:
+            # a draw indexes one record a row, in file order
+            raise ModelError("empirical escape model needs one pool row per record, not merged")
 
     @classmethod
     def always_keep(cls, gap: GapDistribution = DEFAULT_CORRECT_GAP) -> "EscapeModel":

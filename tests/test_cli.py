@@ -213,6 +213,28 @@ def test_simulate_nothing_kept_warns_with_exit_code(tmp_path):
     assert report["results"]["warnings"]
 
 
+def test_simulate_draws_from_a_pool_file_of_repeated_records(tmp_path):
+    # a pool that a merged read would fold into two rows; draws index records
+    pool = tmp_path / "pool.jsonl"
+    pool.write_text('{"gap": 3, "correct": true}\n' * 60 + '{"gap": 8, "correct": false}\n' * 40)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(
+        json.dumps(
+            {
+                "k": 4,
+                "n_shots": 2000,
+                "seed": 3,
+                "records": True,
+                "failure": {"kind": "independent", "calibrate_discard": 0.49},
+                "escape": {"kind": "empirical", "pool_path": str(pool)},
+            }
+        )
+    )
+    assert run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "out")) == EXIT_OK
+    records = map(json.loads, (tmp_path / "out" / "records.jsonl").read_text().splitlines())
+    assert {(r["gap"], r["correct"]) for r in records} == {(3.0, True), (8.0, False)}
+
+
 def test_simulate_requires_a_model(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"n_shots": 10}))

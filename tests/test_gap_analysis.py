@@ -59,6 +59,19 @@ def test_record_set_shot_index_validation():
             RecordSet(gaps, correct, n_attempts=5, shot_index=bad)
 
 
+def test_record_set_count_validation():
+    rs = RecordSet([1.0, 2.0], [True, False], n_attempts=5, count=[2, 3])
+    assert len(rs) == 5 and rs.count.dtype == np.int64
+    assert len(RecordSet([], [], n_attempts=1, count=[])) == 0
+    for count in ([0, 3], [2, -1], [2], [[2, 3]]):  # below 1, or not one per row
+        with pytest.raises(ValueError):
+            RecordSet([1.0, 2.0], [True, False], n_attempts=10, count=count)
+    with pytest.raises(ValueError, match="6 records cannot come from 5 attempts"):
+        RecordSet([1.0, 2.0], [True, False], n_attempts=5, count=[3, 3])
+    with pytest.raises(ValueError):  # rows of counted records have no shot
+        RecordSet([1.0, 2.0], [True, False], n_attempts=5, count=[1, 1], shot_index=[0, 1])
+
+
 def test_three_record_example():
     curve = sweep(THREE_RECORDS, [0.0, 7.0])
     at0, at7 = curve.points
@@ -119,6 +132,14 @@ def test_sweep_matches_brute_force_recount():
         ]
         rs = record_set(records, n_attempts=n + int(rng.integers(0, 30)))
         curve = sweep(rs)
+        # the same records as counted rows, in shuffled order, sweep the same
+        pairs, count = np.unique(records, axis=0, return_counts=True)
+        order = rng.permutation(count.size)
+        counted = RecordSet(pairs[order, 0], pairs[order, 1] > 0, rs.n_attempts, count=count[order])
+        assert len(counted) == n
+        counted_curve = sweep(counted, curve.threshold)
+        assert counted_curve.kept_correct.tolist() == curve.kept_correct.tolist()
+        assert counted_curve.kept_error.tolist() == curve.kept_error.tolist()
         prev_attempts = 0.0
         prev_kept = math.inf
         for point in curve.points:

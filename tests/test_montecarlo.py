@@ -377,6 +377,8 @@ def test_sample_shot_forwards_the_lowest_survivor():
 def test_gap_distribution_validation():
     with pytest.raises(ModelError):
         GapDistribution("triangular")
+    with pytest.raises(ModelError):  # a pool draw indexes one record a row
+        EscapeModel.empirical(RecordSet([1.0, 4.0], [True, False], n_attempts=3, count=[1, 2]))
     with pytest.raises(ModelError):
         GapDistribution("exponential", rate=0.0)
     with pytest.raises(ModelError):  # the gap of the largest draw overflows

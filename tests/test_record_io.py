@@ -17,6 +17,7 @@ import shutil
 import subprocess
 import sys
 import threading
+import tracemalloc
 import types
 
 import numpy as np
@@ -30,6 +31,7 @@ from patchmux.gap_analysis import (
     RecordSet,
     SweepCurve,
     TailExtrapolation,
+    sweep,
     write_curve_csv,
 )
 
@@ -346,10 +348,32 @@ def outcome(path):
     return rs.gaps.view(np.uint64).tolist(), rs.correct.tolist(), rs.n_attempts, rs.attempts_summed
 
 
+def merged_outcome(path):
+    """What a merged read gives: each record's (gap bits, flag), sorted, as
+    merged rows have no order and keep a gap of -0.0 as 0.0; ``len``, the
+    totals and the bytes of its default-grid curve; or its exception."""
+    try:
+        rs = reader_for(path)(path, merged=True)
+    except Exception as exc:
+        return type(exc), str(exc)
+    gaps, correct = rs.gaps, rs.correct
+    if rs.count is not None:
+        gaps, correct = np.repeat(gaps, rs.count), np.repeat(correct, rs.count)
+    records = sorted(zip((gaps + 0.0).view(np.uint64).tolist(), correct.tolist()))
+    curve = path.parent / "merged_curve.csv"
+    write_curve_csv(sweep(rs), curve)
+    return records, len(rs), rs.n_attempts, rs.attempts_summed, curve.read_bytes()
+
+
+def read_checked_only(path, is_csv, merged):
+    """``_read_records`` by ``_read_checked`` alone, which reads one row a record."""
+    return gap_analysis._read_checked(path, is_csv)
+
+
 def serial_outcome(path, monkeypatch, read=outcome):
     """``read(path)`` with every record file read by ``_read_checked`` alone."""
     with monkeypatch.context() as patch:
-        patch.setattr(gap_analysis, "_read_records", gap_analysis._read_checked)
+        patch.setattr(gap_analysis, "_read_records", read_checked_only)
         return read(path)
 
 
@@ -363,13 +387,13 @@ def checked_calls(monkeypatch) -> list:
     return calls
 
 
-def split_outcome(path, monkeypatch, cpus):
-    """(outcome, whether the read declined to ``_read_checked``) with the file
-    cut in tiny parts."""
+def split_outcome(path, monkeypatch, cpus, read=outcome):
+    """(``read(path)``, whether the read declined to ``_read_checked``) with
+    the file cut in tiny parts."""
     monkeypatch.setattr(gap_analysis, "_PART_BYTES", TINY_PART)
     monkeypatch.setattr(gap_analysis, "_usable_cpus", lambda: cpus)
     calls = checked_calls(monkeypatch)
-    return outcome(path), bool(calls)
+    return read(path), bool(calls)
 
 
 def assert_split_matches_serial(path, monkeypatch, cpus) -> bool:
@@ -447,6 +471,26 @@ def fixture_files():
     correct = (rng.random(1000) > 0.1).tolist()
     files["agree.jsonl"] = reference_jsonl(gaps, correct, np.cumsum(rng.integers(1, 4, 1000)))
     files["agree.csv"] = lines_text(["gap,correct", *(f"{g!r},{c}" for g, c in zip(gaps, correct))])
+    # few distinct (gap, flag) pairs, which a merged read folds into rows
+    ints = rng.integers(0, 5, 600).astype(float).tolist()
+    flags = (rng.random(600) > 0.2).tolist()
+    files["integers.jsonl"] = reference_jsonl(ints, flags, np.cumsum(rng.integers(1, 4, 600)))
+    int_rows = (f"{g:.0f},{c}" for g, c in zip(ints, flags))
+    files["integers.csv"] = lines_text(["gap,correct", *int_rows])
+    zeros = rng.choice(["0", "-0", "0.0", "-0.0", "1"], 60).tolist()
+    files["zeros.jsonl"] = lines_text(
+        f'{{"gap": {g}, "correct": {str(c).lower()}}}' for g, c in zip(zeros, flags)
+    )
+    files["zeros.csv"] = lines_text(["gap,correct", *(f"{g},{c}" for g, c in zip(zeros, flags))])
+    # integer records first, then distinct gaps from 2.5 on, which the last
+    # ranges (and, on one CPU, the whole read) keep one row a record
+    mixed = ints[:300] + [2.5] + np.round(rng.exponential(20.0, 400) + 3, 6).tolist()
+    files["mixed.jsonl"] = reference_jsonl(mixed, flags + flags[:101], np.arange(701) * 2)
+    # valid, but text after a closing quote fails the strict block parse, so
+    # the read declines to ``_read_checked``
+    files["declined.csv"] = lines_text(
+        ["gap,correct", *["1,true", "2,false"] * 10, '"1" ,true', "3,0"]
+    )
     return files
 
 
@@ -458,6 +502,58 @@ def test_split_read_of_every_fixture_matches_serial(tmp_path, monkeypatch, cpus,
     path = tmp_path / name
     path.write_text(FIXTURE_FILES[name], encoding="utf-8")
     assert_split_matches_serial(path, monkeypatch, cpus)
+
+
+MERGED_FIXTURES = {"integers.jsonl", "integers.csv", "zeros.jsonl", "zeros.csv"}
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_FILES))
+@pytest.mark.parametrize("cpus", [1, 2, 3], ids=lambda n: f"cpus{n}")
+def test_a_merged_read_of_every_fixture_holds_the_serial_records(tmp_path, monkeypatch, cpus, name):
+    # blocks of about 20 lines, so a range folds several
+    monkeypatch.setattr(gap_analysis, "_BYTE_BLOCK", 1024)
+    path = tmp_path / name
+    path.write_text(FIXTURE_FILES[name], encoding="utf-8")
+    expected = serial_outcome(path, monkeypatch, merged_outcome)
+    got, declined = split_outcome(path, monkeypatch, cpus, merged_outcome)
+    assert got == expected
+    assert declined == (name == "declined.csv" or got[0] is RecordFormatError)
+    if not declined:
+        sorts = []  # a first block of distinct pairs turns to records unsorted
+        real = gap_analysis._distinct
+        monkeypatch.setattr(gap_analysis, "_distinct", lambda *a: sorts.append(a) or real(*a))
+        rs = reader_for(path)(path, merged=True)
+        assert name != "agree.jsonl" or sorts == []
+        folded = rs.count is not None and rs.gaps.size > 0  # an empty read holds no rows
+        assert folded == (name in MERGED_FIXTURES)
+        assert not folded or rs.gaps.size < len(rs) / 2
+        assert rs.count is None or not np.signbit(rs.gaps).any()  # -0.0 kept as 0.0
+
+
+def traced_peak(read):
+    """The peak of memory that Python and numpy allocate during ``read()``."""
+    tracemalloc.start()
+    try:
+        read()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_merged_read_of_integer_gaps_does_not_grow_with_the_records(tmp_path, monkeypatch):
+    monkeypatch.setattr(gap_analysis, "_usable_cpus", lambda: 1)
+    rng = np.random.default_rng(16)
+    gaps = np.floor(rng.exponential(20.0, 100_000)).astype(np.int64).tolist()
+    flags = np.where(rng.random(100_000) > 0.1, "true", "false").tolist()
+    text = "".join(
+        f'{{"gap": {g}.0, "correct": {c}, "attempts_consumed": 1}}\n' for g, c in zip(gaps, flags)
+    )
+    small, large = tmp_path / "small.jsonl", tmp_path / "large.jsonl"
+    small.write_text(text)
+    large.write_text(text * 4)
+    bound = 1.25 * traced_peak(lambda: RecordSet.from_jsonl(small, merged=True))
+    # a read of one row a record holds 9 bytes a record: 3.6 MB more here
+    assert traced_peak(lambda: RecordSet.from_jsonl(large, merged=True)) <= bound
 
 
 LINE_ENDS = ["\n", "\r\n", "\r"]
@@ -623,7 +719,7 @@ def test_a_csv_error_names_the_first_bad_row(tmp_path, monkeypatch, capsys, spli
         monkeypatch.setattr(gap_analysis, "_usable_cpus", lambda: 2)
         assert len(gap_analysis._byte_ranges(path, len(b"gap,correct\n"))) == 2
     else:
-        monkeypatch.setattr(gap_analysis, "_read_records", gap_analysis._read_checked)
+        monkeypatch.setattr(gap_analysis, "_read_records", read_checked_only)
     with pytest.raises(RecordFormatError) as info:
         RecordSet.from_csv(path)
     assert str(info.value) == message
@@ -660,11 +756,11 @@ def test_an_attempt_total_past_int64_across_ranges_raises_as_serial(tmp_path, mo
     assert got[0] is RecordFormatError and "attempts_consumed total exceeds" in got[1]
 
 
-def read_range_in_worker(path, is_csv, start, end):
+def read_range_in_worker(path, is_csv, start, end, *args):
     """``_read_range`` that notes the process it ran in."""
     with open(path.parent / "pids", "a") as fh:
         fh.write(f"{os.getpid()}\n")
-    return REAL_READ_RANGE(path, is_csv, start, end)
+    return REAL_READ_RANGE(path, is_csv, start, end, *args)
 
 
 def range_pids(path):
@@ -739,14 +835,18 @@ def stream_short():
 CHILD_FAILURES = [exit_at_once, fail_to_format, fail_but_exit_zero, stream_short]
 
 
+READS = {"unit": outcome, "merged": merged_outcome}
+
+
+@pytest.mark.parametrize("read", sorted(READS))
 @pytest.mark.parametrize("failure", CHILD_FAILURES, ids=lambda f: f.__name__)
-def test_a_failed_child_range_is_read_here(tmp_path, monkeypatch, cpus, failure):
+def test_a_failed_child_range_is_read_here(tmp_path, monkeypatch, cpus, failure, read):
     path = tmp_path / "records.jsonl"
-    path.write_text(FIXTURE_FILES["agree.jsonl"])
-    expected = serial_outcome(path, monkeypatch)
+    path.write_text(FIXTURE_FILES["integers.jsonl" if read == "merged" else "agree.jsonl"])
+    expected = serial_outcome(path, monkeypatch, READS[read])
     monkeypatch.setattr(os, "fork", fork_then(failure))
     monkeypatch.setattr(gap_analysis, "_read_range", read_range_in_worker)
-    assert split_outcome(path, monkeypatch, cpus) == (expected, False)
+    assert split_outcome(path, monkeypatch, cpus, READS[read]) == (expected, False)
     assert range_pids(path).count(str(os.getpid())) == cpus
 
 
@@ -754,13 +854,15 @@ def failing_call(*args, **kwargs):
     raise OSError("cannot start")
 
 
+@pytest.mark.parametrize("read", sorted(READS))
 @pytest.mark.parametrize("call", ["fork", "pipe"])
-def test_a_child_that_cannot_start_leaves_its_range_here(tmp_path, monkeypatch, cpus, call):
+def test_a_child_that_cannot_start_leaves_its_range_here(tmp_path, monkeypatch, cpus, call, read):
     monkeypatch.setattr(os, call, failing_call)
     monkeypatch.setattr(gap_analysis, "_read_range", read_range_in_worker)
     path = tmp_path / "records.jsonl"
-    path.write_text(FIXTURE_FILES["agree.jsonl"])
-    assert split_outcome(path, monkeypatch, cpus) == (serial_outcome(path, monkeypatch), False)
+    path.write_text(FIXTURE_FILES["integers.jsonl" if read == "merged" else "agree.jsonl"])
+    expected = serial_outcome(path, monkeypatch, READS[read])
+    assert split_outcome(path, monkeypatch, cpus, READS[read]) == (expected, False)
     assert range_pids(path) == [str(os.getpid())] * cpus
 
 
@@ -1160,7 +1262,7 @@ def test_a_writer_file_reads_through_the_byte_kernel(tmp_path, monkeypatch):
     got = gap_analysis._read_range(path, False, 0, path.stat().st_size)
     assert calls == []
     assert got[0].tolist() == gaps.tolist() and got[1].tolist() == records.correct.tolist()
-    assert got[2:] == (n, int(records.shot_index[-1]) + 1)
+    assert got[2:] == (n, int(records.shot_index[-1]) + 1, None)
 
 
 def spy_on_text_parser(monkeypatch, suffix) -> list:
