@@ -21,13 +21,13 @@ bytes at a time: a block of the writer's JSONL lines or of plain
 ``number,flag`` CSV rows is checked and parsed from its bytes (counts, flags
 and integer gaps of at most 15 digits, ``N`` or JSONL ``N.0``, from digit
 columns; other gaps by one ``json.loads`` or a ``float`` a row), and any other
-block is decoded and parsed as a batch of lines (CSV strictly, so a quoted
-cell still open at a cut fails). A block that fails any check makes its range
-decline, and any decline reads the whole file again with ``_read_checked``,
-one record at a time. It alone reports record errors, naming the first bad
-record as a line-by-line reader would, so outputs and messages do not depend
-on the split. A leading UTF-8 byte order mark is skipped; one anywhere else is
-a record error.
+block is decoded and parsed as a batch of lines (a CSV block fails where a
+quoted cell is still open at its cut). A block that fails any check makes
+its range decline, and any decline reads the whole file again with
+``_read_checked``, one record at a time. It alone reports record errors,
+naming the first bad record as a line-by-line reader would, so outputs and
+messages do not depend on the split. A leading UTF-8 byte order mark is
+skipped; one anywhere else is a record error.
 
 A sweep needs only the count of each (gap, correct) pair, so a merged read
 (``merged=True``, which ``gap-sweep`` asks for) folds each parsed block into
@@ -507,15 +507,18 @@ def _csv_bytes(raw: bytes, consumed: int):
 def _text_block(raw: bytes, is_csv: bool, consumed: int):
     """A block the byte parsers decline, parsed by the text block functions
     from its lines in ``_read_checked``'s newline mode; None when a check
-    fails. CSV is parsed strictly, so a quoted cell still open at the block's
-    end (one holding a line end, cut) declines."""
+    fails. CSV rows are split as ``_read_checked``'s reader splits them; a
+    quoted cell still open at the block's end (one holding a line end, cut)
+    declines. A line end added after the block tells it: it joins such a
+    cell, and otherwise makes a blank last row."""
     try:
         lines = list(io.StringIO(raw.decode(), newline="" if is_csv else None))
         if not is_csv:
             return _jsonl_block(lines, consumed)
-        block = _csv_block(list(csv.reader(lines, strict=True)))
+        rows = list(csv.reader(lines + ["\n"]))
     except (UnicodeDecodeError, csv.Error):
         return None
+    block = None if rows.pop() else _csv_block(rows)
     return block and (*block, 0, consumed)
 
 

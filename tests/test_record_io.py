@@ -486,10 +486,16 @@ def fixture_files():
     # ranges (and, on one CPU, the whole read) keep one row a record
     mixed = ints[:300] + [2.5] + np.round(rng.exponential(20.0, 400) + 3, 6).tolist()
     files["mixed.jsonl"] = reference_jsonl(mixed, flags + flags[:101], np.arange(701) * 2)
-    # valid, but text after a closing quote fails the strict block parse, so
-    # the read declines to ``_read_checked``
+    # valid, with text after a closing quote, which only a strict csv parse
+    # refuses: its block is split as ``_read_checked`` splits it, so the read
+    # takes ranges and merges
     files["declined.csv"] = lines_text(
         ["gap,correct", *["1,true", "2,false"] * 10, '"1" ,true', "3,0"]
+    )
+    # valid, with a quoted gap cell of 800 line ends that every block and
+    # range cut of the tests here splits, so the read declines
+    files["cut_cell.csv"] = lines_text(
+        ["gap,correct", "1,true", "2,false", '"3' + " \n" * 800 + '",true', "4,0"]
     )
     return files
 
@@ -504,7 +510,7 @@ def test_split_read_of_every_fixture_matches_serial(tmp_path, monkeypatch, cpus,
     assert_split_matches_serial(path, monkeypatch, cpus)
 
 
-MERGED_FIXTURES = {"integers.jsonl", "integers.csv", "zeros.jsonl", "zeros.csv"}
+MERGED_FIXTURES = {"integers.jsonl", "integers.csv", "zeros.jsonl", "zeros.csv", "declined.csv"}
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURE_FILES))
@@ -517,7 +523,7 @@ def test_a_merged_read_of_every_fixture_holds_the_serial_records(tmp_path, monke
     expected = serial_outcome(path, monkeypatch, merged_outcome)
     got, declined = split_outcome(path, monkeypatch, cpus, merged_outcome)
     assert got == expected
-    assert declined == (name == "declined.csv" or got[0] is RecordFormatError)
+    assert declined == (name == "cut_cell.csv" or got[0] is RecordFormatError)
     if not declined:
         sorts = []  # a first block of distinct pairs turns to records unsorted
         real = gap_analysis._distinct
