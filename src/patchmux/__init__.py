@@ -1,10 +1,10 @@
 """patchmux: yield analytics and seeded simulation for multiplexed in-patch
 magic-state cultivation.
 
-Submodules: geometry and layout_io (patch/footprint lattice work), pipeline
-(single-shot postselection semantics), analytics (closed-form retry costs
-and failure models), montecarlo (deterministic shot sampling), gap_analysis
-(threshold sweeps over kept-shot records), cli (batch entry points).
+Submodules: geometry and layout_io (patch/footprint lattice work), analytics
+(closed-form retry costs and failure models), montecarlo (deterministic shot
+sampling), gap_analysis (threshold sweeps over kept-shot records), cli (batch
+entry points).
 """
 
 __version__ = "0.1.0"
@@ -21,12 +21,6 @@ __all__ = [
     "pack_sites",
     "rotate_footprint",
     "validate_layout",
-    "CandidateSet",
-    "ShotOutcome",
-    "SiteIndicators",
-    "complete_shot",
-    "form_candidate_set",
-    "select_candidate",
     "CommonMode",
     "ExplicitJoint",
     "FailureModel",
@@ -39,7 +33,6 @@ __all__ = [
     "SimConfig",
     "SimSummary",
     "run_simulation",
-    "sample_shot",
     "RecordSet",
     "SweepCurve",
     "find_crossing",
@@ -54,9 +47,7 @@ _EXPORTS = {
     "gap_analysis": "RecordSet SweepCurve find_crossing sweep",
     "geometry": "CellSet FootprintSpec PatchLayout Rotation Stage pack_sites rotate_footprint "
     "validate_layout",
-    "montecarlo": "EscapeModel SimConfig SimSummary run_simulation sample_shot",
-    "pipeline": "CandidateSet ShotOutcome SiteIndicators complete_shot form_candidate_set "
-    "select_candidate",
+    "montecarlo": "EscapeModel SimConfig SimSummary run_simulation",
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 

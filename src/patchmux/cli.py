@@ -4,7 +4,7 @@ Four subcommands: ``analytic`` recomputes discard/attempt tables,
 ``simulate`` runs the seeded shot sampler, ``gap-sweep`` turns record files
 into threshold curves (plus a crossing report for two inputs), and
 ``layout`` validates or packs patch layouts. Each imports only the layers it
-runs (``analytic``: analytics; ``simulate``: montecarlo, analytics, pipeline;
+runs (``analytic``: analytics; ``simulate``: montecarlo, analytics;
 ``layout``: geometry, layout_io); ``import patchmux.cli`` loads only
 ``gap_analysis`` and numpy, all that ``gap-sweep`` needs.
 

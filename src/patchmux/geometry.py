@@ -52,10 +52,6 @@ class Stage(Enum):
     CULTIVATION = "cultivation"
 
     @property
-    def distance(self) -> int:
-        return 3 if self is Stage.INJECTION else 5
-
-    @property
     def default_cell_count(self) -> int:
         return 24 if self is Stage.INJECTION else 53
 

@@ -56,7 +56,6 @@ import numpy as np
 
 from .analytics import CommonMode, ExplicitJoint, FailureModel, ModelError
 from .gap_analysis import RecordSet
-from .pipeline import SiteIndicators, complete_shot
 
 MAX_SEED = 2**64 - 1
 DEFAULT_CHUNK = 1 << 16
@@ -561,28 +560,6 @@ def run_simulation(
         warnings=warnings,
         labels=config.labels(),
     )
-
-
-def sample_shot(shot_index: int, config: SimConfig):
-    """Resolve a single shot; a pure function of (seed, shot_index, config).
-
-    Returns (ShotOutcome, (gap, correct) | None); the pair is present exactly
-    when the shot was kept.
-    """
-    if not (0 <= shot_index < config.n_shots):
-        raise ValueError(f"shot_index {shot_index} outside 0..{config.n_shots - 1}")
-    plan = _plan(config, 1, records=True)
-    draws = _Draws(config.seed, shot_index, 1)
-    chi = _survival_bits(plan, draws)
-    indicators = SiteIndicators(tuple(int(chi[j // 4][j % 4]) for j in range(config.k)))
-    if not any(indicators.survival):
-        return complete_shot(indicators), None
-    keep = bool(_kept(plan, draws, np.ones(1, dtype=bool))[0])
-    outcome = complete_shot(indicators, keep)
-    if not outcome.escape_kept:
-        return outcome, None
-    gaps, correct = _escape_draws(plan, draws, np.zeros(1, dtype=np.intp))
-    return outcome, (float(gaps[0]), bool(correct[0]))
 
 
 def write_records_jsonl(summary: SimSummary, path: str | Path) -> int:

@@ -21,7 +21,6 @@ from patchmux.montecarlo import (
     GapDistribution,
     SimConfig,
     run_simulation,
-    sample_shot,
     write_records_jsonl,
 )
 
@@ -83,106 +82,6 @@ def test_a_joint_selector_crosses_worker_boundaries():
         assert summaries_equal(base, run_simulation(cfg, workers=workers, chunk_size=chunk))
 
 
-def test_sample_shot_is_pure():
-    cfg = SimConfig(
-        failure_model=FailureModel.identical(0.4, 4),
-        n_shots=1000,
-        seed=1234,
-        escape_model=EscapeModel.bernoulli_error(0.2),
-    )
-    for idx in (0, 17, 999):
-        a_out, a_rec = sample_shot(idx, cfg)
-        b_out, b_rec = sample_shot(idx, cfg)
-        assert a_out == b_out
-        assert a_rec == b_rec
-
-
-def test_sample_shot_agrees_with_vectorized_run():
-    cfg = SimConfig(
-        failure_model=FailureModel(per_site_fail=(0.2, 0.5, 0.7, 0.35)),
-        n_shots=3000,
-        seed=777,
-        escape_model=EscapeModel.bernoulli_error(0.3, keep_prob=0.9),
-    )
-    summary = run_simulation(cfg, chunk_size=1024)
-    kept_by_shot = {
-        int(i): (float(g), bool(c))
-        for i, g, c in zip(
-            summary.records.shot_index, summary.records.gaps, summary.records.correct
-        )
-    }
-    rng = np.random.default_rng(0)
-    for idx in rng.integers(0, cfg.n_shots, size=200):
-        outcome, record = sample_shot(int(idx), cfg)
-        survival = outcome.indicators.survival
-        assert outcome.selected == (survival.index(1) + 1 if any(survival) else None)
-        if record is None:
-            assert int(idx) not in kept_by_shot
-        else:
-            assert record == kept_by_shot[int(idx)]
-            assert outcome.escape_kept is True
-
-
-def test_sample_shot_agrees_with_the_run_at_every_word_offset():
-    # shot i reads word i of each stream, so shots at i = 0, 1, 2, 3 (mod 4)
-    # start at each position inside Philox's four-word counter step
-    cfg = SimConfig(
-        failure_model=FailureModel(per_site_fail=(0.2, 0.5, 0.7, 0.35)),
-        n_shots=5000,
-        seed=2**64 - 1,
-        escape_model=EscapeModel.bernoulli_error(0.3, keep_prob=0.9),
-    )
-    records = run_simulation(cfg, chunk_size=977).records
-    kept = dict(
-        zip(records.shot_index.tolist(), zip(records.gaps.tolist(), records.correct.tolist()))
-    )
-    off = run_simulation(replace(cfg, collect_records=False), workers=2, chunk_size=977)
-    assert off.kept == len(kept)
-    for base in (0, 4, 1000, 4092):
-        for index in range(base, base + 4):
-            outcome, record = sample_shot(index, cfg)
-            assert record == kept.get(index)
-            assert outcome.escape_kept == (index in kept)
-
-
-@pytest.mark.parametrize(
-    "failure,escape",
-    [
-        (FailureModel.identical(0.5, 4, CommonMode(0.4)), EscapeModel.always_keep()),
-        (
-            FailureModel(
-                per_site_fail=(0.3, 0.6, 0.2),
-                correlation=ExplicitJoint(product_joint_table((0.3, 0.6, 0.2))),
-            ),
-            EscapeModel.bernoulli_error(0.4, keep_prob=0.7),
-        ),
-        (
-            FailureModel(per_site_fail=(0.5, 0.5)),
-            EscapeModel.empirical(RecordSet([1.0, 4.0], [True, False], n_attempts=2)),
-        ),
-    ],
-)
-def test_scalar_and_vector_paths_agree_across_models(failure, escape):
-    cfg = SimConfig(failure_model=failure, n_shots=400, seed=314, escape_model=escape)
-    summary = run_simulation(cfg, chunk_size=64)
-    kept_by_shot = {
-        int(i): (float(g), bool(c))
-        for i, g, c in zip(
-            summary.records.shot_index, summary.records.gaps, summary.records.correct
-        )
-    }
-    discards = 0
-    for idx in range(cfg.n_shots):
-        outcome, record = sample_shot(idx, cfg)
-        if outcome.discarded:
-            discards += 1
-        if record is None:
-            assert idx not in kept_by_shot
-        else:
-            assert record == kept_by_shot[idx]
-    assert discards == summary.early_discards
-
-
 def test_never_failing_model_is_exact():
     cfg = SimConfig(failure_model=FailureModel.identical(0.0, 4), n_shots=5000, seed=3)
     summary = run_simulation(cfg)
@@ -207,9 +106,6 @@ def test_degenerate_rates_pin_the_candidate():
     )
     summary = run_simulation(cfg)
     assert summary.site_survival_histogram == (0, 500, 0, 0, 0)
-    outcome, _ = sample_shot(7, cfg)
-    assert outcome.candidates.members == {4}
-    assert outcome.selected == 4
 
 
 def test_common_mode_fully_correlated_sites_share_fate():
@@ -361,17 +257,6 @@ def test_record_set_reproduces_empirical_attempts_exactly():
     summary = run_simulation(cfg)
     curve = sweep(summary.records, [0.0])
     assert curve.points[0].attempts == summary.empirical_attempts
-
-
-def test_sample_shot_forwards_the_lowest_survivor():
-    # site 1 always fails early, sites 2-4 always survive
-    cfg = SimConfig(
-        failure_model=FailureModel(per_site_fail=(1.0, 0.0, 0.0, 0.0)), n_shots=10, seed=41
-    )
-    for idx in range(cfg.n_shots):
-        outcome, _ = sample_shot(idx, cfg)
-        assert outcome.candidates.members == {2, 3, 4}
-        assert outcome.selected == 2 and outcome.continuation == (0, 1, 0, 0)
 
 
 def test_gap_distribution_validation():
@@ -786,12 +671,6 @@ def test_tied_words_at_every_threshold_match_the_float_kernel(
                     replace(cfg, collect_records=collect), workers=workers, chunk_size=chunk
                 )
                 assert_matches_reference(summary, expected)
-    # sample_shot reads the same words through the same helpers
-    _, kept_index, gaps, correct = expected[1:]
-    kept = dict(zip(kept_index.tolist(), zip(gaps.tolist(), correct.tolist())))
-    for index in edges + list(range(5, n, 97)):
-        _, record = sample_shot(index, cfg)
-        assert record == kept.get(index)
 
 
 def test_default_blocks_and_chunks_match_the_float_kernel():
@@ -801,6 +680,58 @@ def test_default_blocks_and_chunks_match_the_float_kernel():
     assert_matches_reference(run_simulation(cfg, workers=2), expected)
     off = run_simulation(replace(cfg, collect_records=False), workers=2)
     assert_matches_reference(off, expected)
+
+
+@pytest.mark.parametrize(
+    "failure,escape,n_shots,seed,chunk",
+    [
+        (
+            FailureModel(per_site_fail=(0.2, 0.5, 0.7, 0.35)),
+            EscapeModel.bernoulli_error(0.3, keep_prob=0.9),
+            3000,
+            777,
+            1024,
+        ),
+        # shot i reads word i of each stream, so chunks starting at multiples
+        # of 977 (1 mod 4) start at each position inside Philox's four-word
+        # counter step; the largest seed fills the key's low word
+        (
+            FailureModel(per_site_fail=(0.2, 0.5, 0.7, 0.35)),
+            EscapeModel.bernoulli_error(0.3, keep_prob=0.9),
+            5000,
+            2**64 - 1,
+            977,
+        ),
+        (FailureModel.identical(0.5, 4, CommonMode(0.4)), EscapeModel.always_keep(), 400, 314, 64),
+        (
+            FailureModel(
+                per_site_fail=(0.3, 0.6, 0.2),
+                correlation=ExplicitJoint(product_joint_table((0.3, 0.6, 0.2))),
+            ),
+            EscapeModel.bernoulli_error(0.4, keep_prob=0.7),
+            400,
+            314,
+            64,
+        ),
+        (
+            FailureModel(per_site_fail=(0.5, 0.5)),
+            EscapeModel.empirical(RecordSet([1.0, 4.0], [True, False], n_attempts=2)),
+            400,
+            314,
+            64,
+        ),
+    ],
+    ids=["independent", "every_word_offset", "common_mode", "explicit_joint", "empirical_pool"],
+)
+def test_small_models_match_the_float_kernel(failure, escape, n_shots, seed, chunk):
+    # every kept shot's index, gap and class, and the early discards: the
+    # shots the float kernel finds with no surviving site
+    cfg = SimConfig(failure_model=failure, n_shots=n_shots, seed=seed, escape_model=escape)
+    expected = reference_run(cfg)
+    for collect in (True, False):
+        cfg = replace(cfg, collect_records=collect)
+        summary = run_simulation(cfg, workers=2, chunk_size=chunk)
+        assert_matches_reference(summary, expected)
 
 
 SIX_SITES = (0.3, 0.6, 0.8, 0.2, 0.5, 0.45)
@@ -835,9 +766,6 @@ def test_more_than_four_sites_span_two_packed_words(monkeypatch, failure):
     expected = reference_fold(cfg, h * 2.0**-53)
     for workers, chunk in ((1, 3000), (2, 977)):
         assert_matches_reference(run_simulation(cfg, workers=workers, chunk_size=chunk), expected)
-    kept = dict(zip(expected[2].tolist(), zip(expected[3].tolist(), expected[4].tolist())))
-    for index in range(0, cfg.n_shots, 61):
-        assert sample_shot(index, cfg)[1] == kept.get(index)
 
 
 def test_a_joint_table_short_of_one_clamps_the_top_uniform(monkeypatch):
@@ -923,3 +851,36 @@ def test_rates_of_zero_and_one_give_exact_counts(collect):
     for d, histogram in ((0.0, (0, 0, 0, 0, n)), (1.0, (n, 0, 0, 0, 0))):
         s = run(FailureModel.identical(d, 4, CommonMode(1.0)))
         assert s.site_survival_histogram == histogram
+
+
+# every set of surviving sites of four sites, and of a lone site
+SURVIVOR_SETS = [tuple((m >> i) & 1 for i in range(4)) for m in range(16)] + [(0,), (1,)]
+
+
+@pytest.mark.parametrize(
+    "alive", SURVIVOR_SETS, ids=lambda alive: "alive" + "".join(map(str, alive))
+)
+def test_a_shot_is_kept_when_some_site_survives_and_escape_keeps_it(alive):
+    # rate 0 keeps a site and rate 1 kills it on every shot, so every shot's
+    # surviving sites are exactly ``alive``
+    cfg = SimConfig(
+        failure_model=FailureModel(per_site_fail=tuple(1.0 - a for a in alive)),
+        n_shots=400,
+        seed=53,
+        escape_model=EscapeModel.bernoulli_error(0.3, keep_prob=0.7),
+    )
+    n, k, live = cfg.n_shots, len(alive), sum(alive)
+    summary = run_simulation(cfg, workers=2, chunk_size=97)
+    assert_matches_reference(summary, reference_run(cfg))
+    assert summary.site_survival_histogram == tuple(n * (c == live) for c in range(k + 1))
+    assert summary.early_discards == (0 if live else n)
+    if not live:
+        assert summary.kept == 0 and summary.warnings
+        return
+    # the escape stage rejects some shots, and which shots it keeps, with
+    # their gaps and classes, does not depend on which sites survive
+    assert 0 < summary.kept < n
+    every_site = run_simulation(replace(cfg, failure_model=FailureModel.identical(0.0, k)))
+    assert np.array_equal(summary.records.shot_index, every_site.records.shot_index)
+    assert np.array_equal(summary.records.gaps, every_site.records.gaps)
+    assert np.array_equal(summary.records.correct, every_site.records.correct)

@@ -17,7 +17,7 @@ def test_every_exported_name_resolves():
 # What each command loads. A fresh interpreter without a bytecode cache, as
 # the benchmark runs each command, reports the modules of interest it holds.
 
-LAYERS = {"patchmux.montecarlo", "patchmux.analytics", "patchmux.pipeline"}
+LAYERS = {"patchmux.montecarlo", "patchmux.analytics"}
 HASHLIB = {"hashlib", "_hashlib"}
 
 
