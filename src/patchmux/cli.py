@@ -94,8 +94,17 @@ def _canonical_json(obj) -> str:
 
 
 def _config_hash(effective_config: dict) -> str:
-    import hashlib  # loads OpenSSL's libcrypto, about 3.7 MB of RSS, so not at module level
-    return hashlib.sha256(_canonical_json(effective_config).encode("utf-8")).hexdigest()
+    # CPython's built-in SHA-256: hashlib maps OpenSSL's libcrypto, about 3 MB
+    # of RSS that would set the peak of gap-sweep, analytic and layout. Any
+    # SHA-256 gives the same bytes, so the fallback's hash is the same.
+    try:
+        from _sha2 import sha256  # CPython 3.12+
+    except ImportError:
+        try:
+            from _sha256 import sha256  # CPython 3.8-3.11
+        except ImportError:
+            from hashlib import sha256
+    return sha256(_canonical_json(effective_config).encode("utf-8")).hexdigest()
 
 
 def _report(command: str, effective_config: dict, results: dict, seed=None) -> dict:
@@ -488,9 +497,6 @@ def write_records_jsonl(*args, **kwargs):
 
 
 def cmd_simulate(args) -> int:
-    # first, so the traced run_simulation span times neither import: hashlib,
-    # for the report, would else load there, through numpy.random's secrets
-    import hashlib  # noqa: F401
     from .montecarlo import LAYOUT_VERSION, SimConfig
 
     if args.workers < 1:

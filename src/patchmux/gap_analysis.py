@@ -429,7 +429,8 @@ def _digits(data, begin, end, most: int, dtype):
     digits = (data.take(columns, mode="clip") - np.uint8(ord("0"))) * (columns >= begin)
     if digits.max() > 9:
         return None
-    return np.power(10, np.arange(widest - 1, -1, -1), dtype=dtype) @ digits
+    # an integer product calls no BLAS, and at most 18 digits fit in int64
+    return (np.power(10, np.arange(widest - 1, -1, -1), dtype=np.int64) @ digits).astype(dtype)
 
 
 def _jsonl_bytes(raw: bytes, consumed: int):

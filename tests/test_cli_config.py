@@ -1,15 +1,26 @@
 """The CLI's config contract: wrong-typed values are config errors, undecodable
 inputs are one-line errors, and a report's config block reproduces the report."""
 
+import hashlib
+import importlib.util
 import json
 import math
 import os
+import sys
 
 import numpy as np
 import pytest
 
 from patchmux import gap_analysis
-from patchmux.cli import EXIT_CONFIG, EXIT_FORMAT, EXIT_OK, _threshold_grid, main
+from patchmux.cli import (
+    EXIT_CONFIG,
+    EXIT_FORMAT,
+    EXIT_OK,
+    _canonical_json,
+    _config_hash,
+    _threshold_grid,
+    main,
+)
 
 # Every config key of every command, with its JSON type. Written out here on
 # purpose rather than read from the CLI, so a key the CLI stops checking
@@ -253,6 +264,36 @@ def test_config_block_and_hash_are_pinned(tmp_path, monkeypatch):
     assert gap_report["provenance"]["config_hash"] == (
         "f214672dc972a3e86753b3cd926856e4605a57a255ec77ce2df31714efd94680"
     )
+
+
+HASHED = {
+    "simulate": {
+        "k": 4,
+        "n_shots": 2000,
+        "seed": 5,
+        "failure": {"kind": "independent", "calibrate_discard": 0.4903},
+        "escape": {"kind": "bernoulli", "q": 0.05},
+        "records": True,
+    },
+    "gap-sweep": {"records": ["r.jsonl"], "n_attempts": 8, "tail_window": [0.0, 20.0]},
+    "empty": {},
+    "non_ascii_label": {"k": 2, "labels": {"name": "d=3 \u03c8 caf\u00e9 \U0001d53c"}},
+}
+
+
+@pytest.mark.parametrize("digest", ["builtin", "hashlib_fallback"])
+@pytest.mark.parametrize("name", sorted(HASHED))
+def test_config_hash_is_hashlib_sha256_of_the_canonical_json(monkeypatch, name, digest):
+    calls = []
+    real = hashlib.sha256
+    monkeypatch.setattr(hashlib, "sha256", lambda *a: calls.append(a) or real(*a))
+    if digest == "hashlib_fallback":  # neither built-in module can be imported
+        monkeypatch.setitem(sys.modules, "_sha2", None)
+        monkeypatch.setitem(sys.modules, "_sha256", None)
+    builtin = any(importlib.util.find_spec(m) for m in ("_sha2", "_sha256"))
+    cfg = HASHED[name]
+    assert _config_hash(cfg) == real(_canonical_json(cfg).encode("utf-8")).hexdigest()
+    assert len(calls) == (digest == "hashlib_fallback" or not builtin)
 
 
 def test_nulls_are_absent_and_integral_floats_are_integers(tmp_path):

@@ -5,6 +5,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 import patchmux
 
@@ -43,12 +44,25 @@ def test_importing_the_cli_loads_no_sampler_closed_forms_or_openssl():
     assert loaded & HASHLIB <= loaded_after("import numpy")
 
 
-def test_a_gap_sweep_loads_no_sampler_or_closed_forms(tmp_path):
-    records = tmp_path / "r.csv"
-    records.write_text("gap,correct\n1,true\n2,false\n3,true\n")
-    argv = ["gap-sweep", "--records", str(records), "--out", str(tmp_path)]
+@pytest.mark.parametrize("command", ["gap-sweep", "analytic", "layout"])
+def test_a_report_command_loads_no_openssl(tmp_path, command):
+    # integer gaps, as JSONL in the writer's layout and as CSV
+    (tmp_path / "r.jsonl").write_text(
+        '{"gap": 1.0, "correct": true, "attempts_consumed": 1}\n'
+        '{"gap": 2.0, "correct": false, "attempts_consumed": 2}\n'
+    )
+    (tmp_path / "r.csv").write_text("gap,correct\n1,true\n2,false\n3,true\n")
+    argv = {
+        "gap-sweep": ["gap-sweep", "--records", str(tmp_path / "r.jsonl"),
+                      "--records", str(tmp_path / "r.csv")],
+        "analytic": ["analytic", "--preset", "table2"],
+        "layout": ["layout", "--preset", "canonical"],
+    }[command] + ["--out", str(tmp_path / "out")]
     code = f"from patchmux.cli import main\nassert main({argv!r}) == 0"
-    assert loaded_after(code) & LAYERS == set()
+    loaded = loaded_after(code)
+    if command == "gap-sweep":  # the sweep needs neither the sampler nor the closed forms
+        assert loaded & LAYERS == set()
+    assert loaded & HASHLIB <= loaded_after("import numpy")
 
 
 # perfbench's traced run replaces these names in ``vars(patchmux.cli)`` with
