@@ -94,16 +94,20 @@ def _canonical_json(obj) -> str:
 
 
 def _config_hash(effective_config: dict) -> str:
-    # CPython's built-in SHA-256: hashlib maps OpenSSL's libcrypto, about 3 MB
-    # of RSS that would set the peak of gap-sweep, analytic and layout. Any
-    # SHA-256 gives the same bytes, so the fallback's hash is the same.
-    try:
-        from _sha2 import sha256  # CPython 3.12+
-    except ImportError:
+    # hashlib's SHA-256 where hashlib is loaded (numpy.random loads it for
+    # simulate), else CPython's built-in one: importing hashlib maps OpenSSL's
+    # libcrypto, about 3 MB of RSS that would set the peak of gap-sweep,
+    # analytic and layout. Any SHA-256 gives the same bytes.
+    if "hashlib" in sys.modules:
+        sha256 = sys.modules["hashlib"].sha256
+    else:
         try:
-            from _sha256 import sha256  # CPython 3.8-3.11
+            from _sha2 import sha256  # CPython 3.12+
         except ImportError:
-            from hashlib import sha256
+            try:
+                from _sha256 import sha256  # CPython 3.8-3.11
+            except ImportError:
+                from hashlib import sha256
     return sha256(_canonical_json(effective_config).encode("utf-8")).hexdigest()
 
 

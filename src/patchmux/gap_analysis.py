@@ -21,13 +21,13 @@ bytes at a time: a block of the writer's JSONL lines or of plain
 ``number,flag`` CSV rows is checked and parsed from its bytes (counts, flags
 and integer gaps of at most 15 digits, ``N`` or JSONL ``N.0``, from digit
 columns; other gaps by one ``json.loads`` or a ``float`` a row), and any other
-block is decoded and parsed as a batch of lines (a CSV block fails where a
-quoted cell is still open at its cut). A block that fails any check makes
-its range decline, and any decline reads the whole file again with
-``_read_checked``, one record at a time. It alone reports record errors,
-naming the first bad record as a line-by-line reader would, so outputs and
-messages do not depend on the split. A leading UTF-8 byte order mark is
-skipped; one anywhere else is a record error.
+text is checked record by record by ``_read_checked``'s functions after one
+parse per block (a CSV block fails where a quoted cell is still open at its
+cut). A block that fails any check makes its range decline, and any decline
+reads the whole file again with ``_read_checked``, one record at a time. It
+alone reports record errors, naming the first bad record as a line-by-line
+reader would, so outputs and messages do not depend on the split. A leading
+UTF-8 byte order mark is skipped; one anywhere else is a record error.
 
 A sweep needs only the count of each (gap, correct) pair, so a merged read
 (``merged=True``, which ``gap-sweep`` asks for) folds each parsed block into
@@ -107,21 +107,14 @@ def _checked_gap(rec_no: int, gap) -> float:
     return value
 
 
-def _jsonl_record(rec_no: int, line: str) -> tuple[float, bool, int | None]:
-    """Parse and check one non-blank JSONL line: (gap, correct, attempts_consumed).
-
-    Every record error message of the JSONL reader comes from here.
-    """
-    try:
-        obj = json.loads(line)
-    # JSONDecodeError, an integer of too many digits, or nesting past the stack
-    except (ValueError, RecursionError) as exc:
-        raise RecordFormatError(f"record {rec_no}: invalid JSON: {exc}") from None
+def _jsonl_fields(rec_no: int, obj) -> tuple[float, bool, int | None]:
+    """(gap, correct, attempts_consumed) of one parsed JSONL line, or the error
+    naming its record: every check after parsing."""
     if not isinstance(obj, dict):
         raise RecordFormatError(f"record {rec_no}: expected an object")
-    unknown = set(obj) - RECORD_FIELDS
-    if unknown:
-        raise RecordFormatError(f"record {rec_no}: unknown fields {sorted(unknown)}")
+    if not RECORD_FIELDS.issuperset(obj):  # builds no set for a valid record
+        unknown = sorted(set(obj) - RECORD_FIELDS)
+        raise RecordFormatError(f"record {rec_no}: unknown fields {unknown}")
     if "gap" not in obj or "correct" not in obj:
         raise RecordFormatError(f"record {rec_no}: missing 'gap' or 'correct'")
     gap = obj["gap"]
@@ -141,50 +134,6 @@ def _jsonl_record(rec_no: int, line: str) -> tuple[float, bool, int | None]:
     return value, flag, ac
 
 
-def _jsonl_block(lines: list[str], consumed: int):
-    """Parse a block with one ``json.loads``; None when any check fails.
-
-    The block is accepted only if every non-blank line ends in ``}`` and the
-    joined array holds one object per line, every object a flat record whose
-    keys and value types pass. A string running across a join would hold the
-    joining comma, and no record key does, so none does; each line then ends
-    at the close of a top-level object, and with as many objects as lines,
-    each line was exactly one object, as a line-by-line parse would find.
-    """
-    texts = [text for text in map(str.strip, lines) if text]
-    try:
-        objs = json.loads("[" + ",".join(texts) + "]")
-    except (ValueError, RecursionError):  # the array nests each line one level deeper
-        return None
-    if (
-        len(objs) != len(texts)
-        or not all(text[-1] == "}" for text in texts)
-        or not set(map(type, objs)) <= {dict}
-        or not set().union(*objs) <= RECORD_FIELDS
-    ):
-        return None
-    gaps = [obj.get("gap") for obj in objs]
-    flags = [obj.get("correct") for obj in objs]
-    acs = [obj["attempts_consumed"] for obj in objs if "attempts_consumed" in obj]
-    if (
-        not set(map(type, gaps)) <= {int, float}
-        or not set(map(type, flags)) <= {bool}
-        or not set(map(type, acs)) <= {int}
-    ):
-        return None
-    try:
-        gap_column = np.array(gaps, dtype=np.float64)
-        ac_column = np.array(acs, dtype=np.int64)
-    except OverflowError:
-        return None
-    if not _gaps_in_range(gap_column) or not np.all(ac_column >= 1):
-        return None
-    consumed += sum(acs)  # Python ints: a total past int64 is caught, not wrapped
-    if consumed > _INT64_MAX:
-        return None
-    return gap_column, np.array(flags, dtype=bool), len(acs), consumed
-
-
 def _csv_record(rec_no: int, row: list[str]) -> tuple[float, bool]:
     """Check one non-blank CSV row; every CSV record error message comes from here."""
     if len(row) != 2:
@@ -201,26 +150,6 @@ def _csv_record(rec_no: int, row: list[str]) -> tuple[float, bool]:
 
 def _is_blank(row: list[str]) -> bool:
     return not any(map(str.strip, row))
-
-
-def _csv_block(rows: list[list[str]]):
-    """Convert a block column by column; None when any check fails."""
-    rows = [row for row in rows if not _is_blank(row)]
-    if not set(map(len, rows)) <= {2}:
-        return None
-    gap_texts, flag_texts = zip(*rows) if rows else ((), ())
-    try:
-        gaps = np.fromiter(map(float, gap_texts), np.float64, len(rows))
-        flags = np.fromiter(
-            map(_CSV_FLAGS.__getitem__, map(str.lower, map(str.strip, flag_texts))),
-            bool,
-            len(rows),
-        )
-    except (ValueError, KeyError):
-        return None
-    if not _gaps_in_range(gaps):
-        return None
-    return gaps, flags
 
 
 class _Columns:
@@ -350,7 +279,12 @@ def _read_checked(path, is_csv: bool) -> tuple[np.ndarray, np.ndarray, int, int,
                     line = line.strip()
                     if not line:
                         continue
-                    gap, flag, ac = _jsonl_record(rec_no, line)
+                    try:
+                        obj = json.loads(line)
+                    # JSONDecodeError, an integer of too many digits, or nesting past the stack
+                    except (ValueError, RecursionError) as exc:
+                        raise RecordFormatError(f"record {rec_no}: invalid JSON: {exc}") from None
+                    gap, flag, ac = _jsonl_fields(rec_no, obj)
                     if ac is not None:
                         with_consumed += 1
                         consumed += ac
@@ -434,7 +368,7 @@ def _digits(data, begin, end, most: int, dtype):
 
 
 def _jsonl_bytes(raw: bytes, consumed: int):
-    """``_jsonl_block`` of a block of the writer's lines, read from its bytes;
+    """``_text_block`` of a block of the writer's lines, read from its bytes;
     None unless every line has the writer's skeleton and its values pass."""
     whole = raw.startswith(_GAP_KEY) and raw.endswith(b"}\n")  # the first and last line
     lines = whole and raw.isascii() and b"\r" not in raw and _line_marks(raw, b",,\n")
@@ -476,8 +410,8 @@ def _jsonl_bytes(raw: bytes, consumed: int):
 
 
 def _csv_bytes(raw: bytes, consumed: int):
-    """``_csv_block`` of plain ``number,flag`` rows read from their bytes, with
-    ``_jsonl_bytes``' two counts; None for any other block or a bad gap."""
+    """``_text_block`` of plain ``number,flag`` rows, read from their bytes;
+    None for any other block or a bad gap."""
     if b"\r" in raw:
         raw = raw.replace(b"\r\n", b"\n")  # csv.reader ends a row at either
     plain = not raw.translate(None, _PLAIN_BYTES) and csv.field_size_limit() >= _PLAIN_CELL
@@ -506,21 +440,45 @@ def _csv_bytes(raw: bytes, consumed: int):
 
 
 def _text_block(raw: bytes, is_csv: bool, consumed: int):
-    """A block the byte parsers decline, parsed by the text block functions
-    from its lines in ``_read_checked``'s newline mode; None when a check
-    fails. CSV rows are split as ``_read_checked``'s reader splits them; a
-    quoted cell still open at the block's end (one holding a line end, cut)
-    declines. A line end added after the block tells it: it joins such a
-    cell, and otherwise makes a blank last row."""
+    """A block the byte parsers decline, split into lines in ``_read_checked``'s
+    newline mode and checked record by record by ``_read_checked``'s functions
+    after one parse per block; None when a check fails.
+
+    The JSONL parse is one ``json.loads`` of the non-blank lines joined into an
+    array, accepted only if each ends in ``}`` and the array holds one value a
+    line. A string running across a join would hold the joining comma, and
+    ``_jsonl_fields`` admits no unknown key and no string value, so none does;
+    each line then ends at the close of a top-level object, and with as many
+    objects as lines, each line was exactly one object. CSV rows are split as
+    ``_read_checked``'s reader splits them; a quoted cell still open at the
+    block's end (one holding a line end, cut) declines. A line end added after
+    the block tells it: it joins such a cell, and otherwise makes a blank last
+    row."""
     try:
         lines = list(io.StringIO(raw.decode(), newline="" if is_csv else None))
-        if not is_csv:
-            return _jsonl_block(lines, consumed)
-        rows = list(csv.reader(lines + ["\n"]))
-    except (UnicodeDecodeError, csv.Error):
+        if is_csv:
+            rows = list(csv.reader(lines + ["\n"]))
+            if rows.pop():
+                return None
+            records = [_csv_record(0, row) for row in rows if not _is_blank(row)]
+            counts = []
+        else:
+            texts = [text for text in map(str.strip, lines) if text]
+            objs = json.loads("[" + ",".join(texts) + "]")
+            if len(objs) != len(texts) or not all(text[-1] == "}" for text in texts):
+                return None
+            records = [_jsonl_fields(0, obj) for obj in objs]
+            counts = [record[2] for record in records if record[2] is not None]
+    # bad UTF-8, JSON or record (all ValueErrors), an array nesting each line
+    # one level deeper than the stack allows, or a row csv cannot split
+    except (ValueError, RecursionError, csv.Error):
         return None
-    block = None if rows.pop() else _csv_block(rows)
-    return block and (*block, 0, consumed)
+    consumed += sum(counts)  # Python ints: a total past int64 is caught, not wrapped
+    if consumed > _INT64_MAX:
+        return None
+    gaps = np.fromiter((record[0] for record in records), np.float64, len(records))
+    flags = np.fromiter((record[1] for record in records), bool, len(records))
+    return gaps, flags, len(counts), consumed
 
 
 def _read_range(path, is_csv: bool, start: int, end: int, merged: bool = False):
@@ -939,10 +897,10 @@ class TailExtrapolation:
 class SweepCurve:
     """Kept correct and error counts (as floats) on a strictly increasing grid.
 
-    Rows with A(G) and p_L(G) are derived when they are read (``rows``,
-    ``points``). A curve carrying a tail fit reads the error count of every
-    row beyond the fit's anchor from the fit, and flags those rows
-    ``extrapolated``; its count columns are those of the curve it came from.
+    Rows with A(G) and p_L(G) are derived when they are read (``rows``). A
+    curve carrying a tail fit reads the error count of every row beyond the
+    fit's anchor from the fit, and flags those rows ``extrapolated``; its
+    count columns are those of the curve it came from.
     """
 
     threshold: np.ndarray
@@ -964,11 +922,6 @@ class SweepCurve:
         for name, column in columns.items():
             object.__setattr__(self, name, column)
 
-    @property
-    def points(self) -> "_CurveRows":
-        """Every row, as a sequence whose rows are derived when read."""
-        return _CurveRows(self)
-
     def rows(self, start: int = 0, stop: int | None = None) -> np.recarray:
         """Rows ``start`` up to ``stop`` as a ``CURVE_DTYPE`` record array."""
         ts = self.threshold[start:stop]
@@ -982,28 +935,11 @@ class SweepCurve:
             ts, self.kept_correct[start:stop], kept_error, self.n_attempts, extrapolated
         )
 
+    points = property(rows)  # every row; perfbench's tracer counts them with len()
+
     def with_tail(self, tail: TailExtrapolation) -> "SweepCurve":
         """This curve with the rows beyond the fit anchor read from the fit."""
         return replace(self, tail=tail)
-
-
-class _CurveRows:
-    """A curve's rows as a sequence of ``CURVE_DTYPE`` records: its length,
-    a row by index, and iteration a block of rows at a time."""
-
-    def __init__(self, curve: SweepCurve) -> None:
-        self._curve = curve
-
-    def __len__(self) -> int:
-        return self._curve.threshold.size
-
-    def __getitem__(self, index: int):
-        row = range(len(self))[index]  # a negative index counts from the end
-        return self._curve.rows(row, row + 1)[0]
-
-    def __iter__(self):
-        for start in range(0, len(self), _IO_BLOCK):
-            yield from self._curve.rows(start, start + _IO_BLOCK)
 
 
 def default_thresholds(*record_sets: RecordSet) -> np.ndarray:

@@ -149,7 +149,7 @@ def test_criterion_7_sweep_recount_oracle():
         rs = RecordSet(gaps, correct, n_attempts=n_rec + int(rng.integers(1, 20)))
         curve = sweep(rs)
         previous_attempts = 0.0
-        for point in curve.points:
+        for point in curve.rows():
             kc = sum(1 for g, c in records if c and g >= point.threshold)
             ke = sum(1 for g, c in records if not c and g >= point.threshold)
             assert (point.kept_correct, point.kept_error) == (kc, ke)

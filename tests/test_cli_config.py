@@ -281,19 +281,24 @@ HASHED = {
 }
 
 
-@pytest.mark.parametrize("digest", ["builtin", "hashlib_fallback"])
+@pytest.mark.parametrize("digest", ["loaded_hashlib", "builtin", "hashlib_fallback"])
 @pytest.mark.parametrize("name", sorted(HASHED))
 def test_config_hash_is_hashlib_sha256_of_the_canonical_json(monkeypatch, name, digest):
     calls = []
     real = hashlib.sha256
     monkeypatch.setattr(hashlib, "sha256", lambda *a: calls.append(a) or real(*a))
+    if digest != "loaded_hashlib":  # hashlib not loaded yet
+        monkeypatch.delitem(sys.modules, "hashlib")
     if digest == "hashlib_fallback":  # neither built-in module can be imported
         monkeypatch.setitem(sys.modules, "_sha2", None)
         monkeypatch.setitem(sys.modules, "_sha256", None)
     builtin = any(importlib.util.find_spec(m) for m in ("_sha2", "_sha256"))
     cfg = HASHED[name]
     assert _config_hash(cfg) == real(_canonical_json(cfg).encode("utf-8")).hexdigest()
-    assert len(calls) == (digest == "hashlib_fallback" or not builtin)
+    # a loaded hashlib's own SHA-256 is taken; hashlib is imported only where
+    # no built-in SHA-256 can be
+    assert len(calls) == (digest == "loaded_hashlib")
+    assert ("hashlib" in sys.modules) == (digest != "builtin" or not builtin)
 
 
 def test_nulls_are_absent_and_integral_floats_are_integers(tmp_path):

@@ -74,7 +74,7 @@ def test_record_set_count_validation():
 
 def test_three_record_example():
     curve = sweep(THREE_RECORDS, [0.0, 7.0])
-    at0, at7 = curve.points
+    at0, at7 = curve.rows()
     assert (at0.kept_correct, at0.kept_error) == (2, 1)
     assert at0.attempts == 2.0
     assert at0.logical_error == pytest.approx(1 / 3)
@@ -85,14 +85,14 @@ def test_three_record_example():
 
 def test_zero_threshold_keeps_everything():
     curve = sweep(THREE_RECORDS, [0.0])
-    point = curve.points[0]
+    point = curve.rows()[0]
     assert point.kept_correct + point.kept_error == len(THREE_RECORDS)
     assert point.attempts == THREE_RECORDS.n_attempts / len(THREE_RECORDS)
 
 
 def test_threshold_beyond_max_gap_is_undefined_not_zero():
     curve = sweep(THREE_RECORDS, [0.0, 25.0])
-    tail = curve.points[-1]
+    tail = curve.rows()[-1]
     assert tail.kept_correct == 0 and tail.kept_error == 0
     assert math.isnan(tail.attempts)
     assert math.isnan(tail.logical_error)
@@ -100,7 +100,7 @@ def test_threshold_beyond_max_gap_is_undefined_not_zero():
 
 def test_ties_at_threshold_are_kept():
     curve = sweep(THREE_RECORDS, [10.0])
-    assert curve.points[0].kept_correct == 2  # the gap-10 record survives G=10
+    assert curve.rows()[0].kept_correct == 2  # the gap-10 record survives G=10
 
 
 def test_default_thresholds_are_zero_plus_observed():
@@ -112,8 +112,8 @@ def test_default_thresholds_are_zero_plus_observed():
 def test_empty_record_set_sweeps_to_undefined():
     empty = RecordSet([], [], n_attempts=1)
     curve = sweep(empty)
-    assert len(curve.points) == 1
-    assert math.isnan(curve.points[0].logical_error)
+    assert len(curve.rows()) == 1
+    assert math.isnan(curve.rows()[0].logical_error)
 
 
 def test_unsorted_thresholds_rejected():
@@ -142,7 +142,7 @@ def test_sweep_matches_brute_force_recount():
         assert counted_curve.kept_error.tolist() == curve.kept_error.tolist()
         prev_attempts = 0.0
         prev_kept = math.inf
-        for point in curve.points:
+        for point in curve.rows():
             kc, ke = brute_force_counts(records, point.threshold)
             assert (point.kept_correct, point.kept_error) == (kc, ke)
             kept = kc + ke
@@ -319,7 +319,7 @@ def test_tail_fit_flat_when_counts_constant():
     fit = extrapolate_tail(curve, (0.0, 4.0))
     assert fit is not None
     assert fit.slope == pytest.approx(0.0, abs=1e-12)
-    extended = curve.with_tail(fit).points[-1]
+    extended = curve.with_tail(fit).rows()[-1]
     assert extended.extrapolated
     assert extended.kept_error == pytest.approx(8.0, rel=1e-9)
     assert extended.attempts == pytest.approx(1000 / 48, rel=1e-9)

@@ -256,7 +256,7 @@ def test_record_set_reproduces_empirical_attempts_exactly():
     )
     summary = run_simulation(cfg)
     curve = sweep(summary.records, [0.0])
-    assert curve.points[0].attempts == summary.empirical_attempts
+    assert curve.rows()[0].attempts == summary.empirical_attempts
 
 
 def test_gap_distribution_validation():

@@ -22,10 +22,9 @@ LAYERS = {"patchmux.montecarlo", "patchmux.analytics"}
 HASHLIB = {"hashlib", "_hashlib"}
 
 
-def loaded_after(code: str) -> set:
-    """The modules of ``LAYERS | HASHLIB`` loaded after ``code`` runs in a
-    fresh interpreter."""
-    wanted = sorted(LAYERS | HASHLIB)
+def loaded_after(code: str, modules: set = LAYERS | HASHLIB) -> set:
+    """The ``modules`` loaded after ``code`` runs in a fresh interpreter."""
+    wanted = sorted(modules)
     probe = f"{code}\nimport sys\nprint(sorted(set(sys.modules).intersection({wanted!r})))"
     src = os.path.dirname(os.path.dirname(patchmux.__file__))
     env = {**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"}
@@ -63,6 +62,18 @@ def test_a_report_command_loads_no_openssl(tmp_path, command):
     if command == "gap-sweep":  # the sweep needs neither the sampler nor the closed forms
         assert loaded & LAYERS == set()
     assert loaded & HASHLIB <= loaded_after("import numpy")
+
+
+def test_simulate_hashes_its_report_with_the_hashlib_numpy_loaded(tmp_path):
+    # numpy.random imports hashlib for the sampler, so the report's hash maps
+    # no second SHA-256 module
+    (tmp_path / "sim.json").write_text(
+        '{"k": 2, "n_shots": 2000, "seed": 3, "failure": {"kind": "independent",'
+        ' "calibrate_discard": 0.5}, "escape": {"kind": "bernoulli", "q": 0.05}}'
+    )
+    argv = ["simulate", "--config", str(tmp_path / "sim.json"), "--out", str(tmp_path / "out")]
+    code = f"from patchmux.cli import main\nassert main({argv!r}) == 0"
+    assert loaded_after(code, {"hashlib", "_sha2", "_sha256"}) == {"hashlib"}
 
 
 # perfbench's traced run replaces these names in ``vars(patchmux.cli)`` with

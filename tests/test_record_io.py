@@ -1271,6 +1271,41 @@ def test_a_writer_file_reads_through_the_byte_kernel(tmp_path, monkeypatch):
     assert got[2:] == (n, int(records.shot_index[-1]) + 1, None)
 
 
+def rejecting(check, gap: float):
+    """``check`` that also rejects records of ``gap``."""
+
+    def checked(rec_no, record):
+        value, *rest = check(rec_no, record)
+        if value == gap:
+            raise RecordFormatError(f"record {rec_no}: gap {gap!r} rejected")
+        return (value, *rest)
+
+    return checked
+
+
+@pytest.mark.parametrize("suffix", [".jsonl", ".csv"])
+def test_text_blocks_check_records_with_the_serial_checks(tmp_path, monkeypatch, suffix):
+    # sorted keys and ' TRUE ' flags, which the byte kernels leave to the text parser
+    gaps = [1.5, 2.0, 7.25, 3.0]
+    is_csv = suffix == ".csv"
+    path = tmp_path / f"records{suffix}"
+    if is_csv:
+        write_lines(path, ["gap,correct", *(f"{g!r}, TRUE " for g in gaps)])
+    else:
+        records = [{"gap": g, "correct": True, "attempts_consumed": 2} for g in gaps]
+        write_lines(path, [json.dumps(r, sort_keys=True, separators=(",", ":")) for r in records])
+    body = (gap_analysis._csv_body_start(path) if is_csv else 0, path.stat().st_size)
+    calls = count_text_blocks(monkeypatch)
+    assert gap_analysis._read_range(path, is_csv, *body)[0].tolist() == gaps
+    assert len(calls) == 1
+    # a rule added to the serial reader's checks holds in the text blocks too
+    monkeypatch.setattr(gap_analysis, "_jsonl_fields", rejecting(gap_analysis._jsonl_fields, 7.25))
+    monkeypatch.setattr(gap_analysis, "_csv_record", rejecting(gap_analysis._csv_record, 7.25))
+    assert gap_analysis._read_range(path, is_csv, *body) is None
+    with pytest.raises(RecordFormatError, match=r"^record 3: gap 7\.25 rejected$"):
+        gap_analysis._read_checked(path, is_csv)
+
+
 def spy_on_text_parser(monkeypatch, suffix) -> list:
     """Note each call ``gap_analysis`` makes to the gap text parser of the
     format: ``json.loads`` for JSONL, ``float`` for CSV (JSONL code also reads
