@@ -826,7 +826,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--seed", type=int, metavar="N", help="override the config seed")
     p_sim.add_argument(
         "--workers", type=int, default=1, metavar="N",
-        help="worker threads (never changes results)",
+        help="worker processes, at most the usable CPUs (never changes results)",
     )
     p_sim.set_defaults(func=cmd_simulate)
 

@@ -44,7 +44,9 @@ runs in a forked child that sends its bytes back through a pipe; only this
 process writes the output, and it does a failed child's part itself. A record
 set or curve of at least two ``_PART_ROWS`` rows is cut into row ranges, one
 per CPU, each formatted by the writer's one block formatter, so the bytes do
-not depend on the split. Byte ranges are read by the same helper.
+not depend on the split. Byte ranges are read by the same helper, through
+``_map_in_parts``, which returns each part's result (a pickle from a child),
+and so are ``montecarlo``'s shot ranges when a run has several workers.
 """
 
 from __future__ import annotations
@@ -638,17 +640,16 @@ def _byte_ranges(path, start: int) -> list[tuple[int, int]]:
     return [(a, b) for a, b in zip(cuts, cuts[1:]) if a < b] or [(start, end)]
 
 
-def _parse_ranges(path, is_csv: bool, ranges: list[tuple[int, int]], merged: bool) -> list:
-    """``_read_range`` of each range, range 0 here and the others in forked
-    children where ``_write_in_parts`` forks; each result crosses as a pickle."""
+def _map_in_parts(fn, count: int) -> list:
+    """``[fn(0), ..., fn(count - 1)]``: part 0 here and the others in forked
+    children where ``_write_in_parts`` forks. With two or more parts each
+    result crosses as a pickle, whose buffer is freed as this returns."""
+    if count == 1:
+        return [fn(0)]
     out = io.BytesIO()
-    _write_in_parts(
-        out,
-        lambda part: [pickle.dumps(_read_range(path, is_csv, *ranges[part], merged))],
-        len(ranges),
-    )
+    _write_in_parts(out, lambda part: [pickle.dumps(fn(part))], count)
     out.seek(0)
-    return [pickle.load(out) for _ in ranges]
+    return [pickle.load(out) for _ in range(count)]
 
 
 def _read_records(path, is_csv: bool, merged: bool):
@@ -658,7 +659,9 @@ def _read_records(path, is_csv: bool, merged: bool):
     record: then every range's rows are expanded to records."""
     start = _csv_body_start(path) if is_csv else 0
     ranges = None if start is None else _byte_ranges(path, start)
-    parts = None if ranges is None else _parse_ranges(path, is_csv, ranges, merged)
+    parts = None if ranges is None else _map_in_parts(
+        lambda part: _read_range(path, is_csv, *ranges[part], merged), len(ranges)
+    )
     if parts is None or None in parts:
         return _read_checked(path, is_csv)
     gaps, correct, with_consumed, consumed, count = zip(*parts)

@@ -5,7 +5,7 @@ of the table below owns its own counter-based stream of 64-bit words,
 Philox keyed by ``seed + (slot << 64)``, and shot i reads word i of each
 stream (``_slot_words``). The key is injective in (seed, slot) for every
 seed up to ``MAX_SEED``. Results are therefore a pure fold over shots in
-index order, and chunking, block size, thread count or collecting records
+index order, and chunking, block size, worker count or collecting records
 cannot change any output bit.
 
 Draw slots (k sites, m = ceil(k / 4)):
@@ -55,7 +55,7 @@ from pathlib import Path
 import numpy as np
 
 from .analytics import CommonMode, ExplicitJoint, FailureModel, ModelError
-from .gap_analysis import RecordSet
+from .gap_analysis import RecordSet, _map_in_parts, _usable_cpus
 
 MAX_SEED = 2**64 - 1
 DEFAULT_CHUNK = 1 << 16
@@ -221,6 +221,14 @@ _thread_bits = threading.local()
 _WORD = (1 << 64) - 1
 
 
+def _philox() -> np.random.Philox:
+    """This thread's generator, built (and ``numpy.random`` imported) at first use."""
+    bits = getattr(_thread_bits, "philox", None)
+    if bits is None:
+        bits = _thread_bits.philox = np.random.Philox(0)
+    return bits
+
+
 def _slot_words(seed: int, slot: int, start: int, n: int) -> np.ndarray:
     """Words ``start .. start+n-1`` of the stream keyed (seed, slot).
 
@@ -229,9 +237,7 @@ def _slot_words(seed: int, slot: int, start: int, n: int) -> np.ndarray:
     are those of the step that holds word ``start``, and the ones before
     ``start`` are dropped.
     """
-    bits = getattr(_thread_bits, "philox", None)
-    if bits is None:
-        bits = _thread_bits.philox = np.random.Philox(0)
+    bits = _philox()
     key = seed + (slot << 64)
     step = start // 4
     bits.state = {
@@ -511,7 +517,9 @@ def run_simulation(
     """Sample every shot and fold the results in shot-index order.
 
     ``workers`` and ``chunk_size`` are execution knobs only; any combination
-    produces identical output for the same config.
+    produces identical output for the same config. The chunks are cut into
+    ``min(workers, usable CPUs, chunks)`` runs of consecutive chunks, folded
+    by ``_map_in_parts``: the first here, the others in forked processes.
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")
@@ -521,15 +529,14 @@ def run_simulation(
     plan = _plan(config, min(_BLOCK, chunk_size, n), config.collect_records)
     starts = [(s, min(chunk_size, n - s)) for s in range(0, n, chunk_size)]
 
-    if workers == 1 or len(starts) == 1:
-        folds = [_process_chunk(plan, s, m) for s, m in starts]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            folds = list(pool.map(lambda sm: _process_chunk(plan, *sm), starts))
-
-    total = _merge(folds)
+    parts = min(workers, _usable_cpus(), len(starts))
+    cuts = [len(starts) * part // parts for part in range(parts + 1)]
+    _philox()  # before a fork, so that no child imports numpy.random again
+    folds = _map_in_parts(
+        lambda part: [_process_chunk(plan, *sm) for sm in starts[cuts[part] : cuts[part + 1]]],
+        parts,
+    )
+    total = _merge([fold for part in folds for fold in part])
     early_discards = int(total.histogram[0])
     kept = total.kept
 

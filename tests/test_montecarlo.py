@@ -1,12 +1,17 @@
+import io
 import json
 import math
+import os
+import threading
+import types
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from patchmux import montecarlo
+from patchmux import gap_analysis, montecarlo
 from patchmux.analytics import (
     CommonMode,
     ExplicitJoint,
@@ -884,3 +889,185 @@ def test_a_shot_is_kept_when_some_site_survives_and_escape_keeps_it(alive):
     assert np.array_equal(summary.records.shot_index, every_site.records.shot_index)
     assert np.array_equal(summary.records.gaps, every_site.records.gaps)
     assert np.array_equal(summary.records.correct, every_site.records.correct)
+
+
+# Workers. The chunks are cut into runs of consecutive chunks, one per
+# process up to the usable CPUs: the first is folded here and each later one
+# in a forked child (``gap_analysis._map_in_parts``), whose folds come back as
+# a pickle. A child that fails costs only time: its part is folded here.
+
+REAL_FORK = os.fork
+WORKER_SHOTS = 5000
+
+
+def worker_config(collect_records=True):
+    return sim_config(
+        "common_mode", "bernoulli", WORKER_SHOTS, seed=11, collect_records=collect_records
+    )
+
+
+def count_forks(monkeypatch, child_action=None):
+    """Patch ``os.fork`` to note each child this process forks; a child runs
+    ``child_action`` first (and exits 99 if it raises, so that it never
+    returns into the test run)."""
+    children = []
+
+    def fork():
+        pid = REAL_FORK()
+        if pid == 0 and child_action is not None:
+            try:
+                child_action()
+            except BaseException:
+                os._exit(99)
+        if pid:
+            children.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return children
+
+
+def chunks_folded_here(monkeypatch):
+    """Patch ``_process_chunk`` to note the start of each chunk this process folds."""
+    starts = []
+    fold = montecarlo._process_chunk
+
+    def spy(plan, start, count):
+        starts.append(start)
+        return fold(plan, start, count)
+
+    monkeypatch.setattr(montecarlo, "_process_chunk", spy)
+    return starts
+
+
+@pytest.mark.parametrize("workers", [1, 2, 16, 10**6])
+@pytest.mark.parametrize("cpus", [1, 2, 3], ids=lambda n: f"cpus{n}")
+@pytest.mark.parametrize("chunk", [977, 2500, WORKER_SHOTS])  # 6, 2 and 1 chunks
+def test_a_run_forks_a_child_for_each_part_after_the_first(monkeypatch, chunk, cpus, workers):
+    cfg = worker_config()
+    expected = run_simulation(cfg)
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: cpus)
+    children = count_forks(monkeypatch)
+    assert summaries_equal(run_simulation(cfg, workers=workers, chunk_size=chunk), expected)
+    assert len(children) == min(workers, cpus, -(-WORKER_SHOTS // chunk)) - 1
+    assert len(children) < cpus
+
+
+def exit_at_once():
+    os._exit(3)
+
+
+def fail_to_fold():
+    montecarlo._process_chunk = None
+
+
+def fail_but_exit_zero():
+    fail_to_fold()
+    real_exit = os._exit
+    os._exit = lambda status: real_exit(0)
+
+
+class ShortPipe:
+    """A pipe file that passes on only the first half of each write."""
+
+    def __init__(self, fd, mode):
+        self.file = open(fd, mode)
+
+    def write(self, data):
+        return self.file.write(data if len(data) == 8 else data[: len(data) // 2])
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.file.close()
+
+
+def stream_short():
+    gap_analysis.open = ShortPipe
+
+
+@pytest.mark.parametrize("collect", [True, False], ids=["records", "counts"])
+@pytest.mark.parametrize(
+    "failure", [exit_at_once, fail_to_fold, fail_but_exit_zero, stream_short],
+    ids=lambda f: f.__name__,
+)
+def test_a_failed_child_part_is_folded_here(monkeypatch, failure, collect):
+    cfg = worker_config(collect)
+    expected = run_simulation(cfg)
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 3)
+    children = count_forks(monkeypatch, failure)
+    here = chunks_folded_here(monkeypatch)
+    assert summaries_equal(run_simulation(cfg, workers=3, chunk_size=977), expected)
+    assert len(children) == 2
+    assert here == list(range(0, WORKER_SHOTS, 977))
+
+
+def failing_call(*args, **kwargs):
+    raise OSError("cannot start")
+
+
+@pytest.mark.parametrize("collect", [True, False], ids=["records", "counts"])
+@pytest.mark.parametrize("call", ["fork", "pipe"])
+def test_a_child_that_cannot_start_leaves_its_part_here(monkeypatch, call, collect):
+    cfg = worker_config(collect)
+    expected = run_simulation(cfg)
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(os, call, failing_call)
+    here = chunks_folded_here(monkeypatch)
+    assert summaries_equal(run_simulation(cfg, workers=3, chunk_size=977), expected)
+    assert here == list(range(0, WORKER_SHOTS, 977))
+
+
+def forbidden_fork():
+    raise AssertionError("a child was forked")
+
+
+@pytest.mark.parametrize("collect", [True, False], ids=["records", "counts"])
+def test_no_worker_is_forked_while_another_thread_runs(monkeypatch, collect):
+    cfg = worker_config(collect)
+    expected = run_simulation(cfg)
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(os, "fork", forbidden_fork)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert summaries_equal(run_simulation(cfg, workers=3, chunk_size=977), expected)
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+def test_the_pickled_parts_are_freed_before_the_merge(monkeypatch):
+    # the buffer of the children's pickles must not live on while ``_merge``
+    # copies the kept shots' columns, or a records run on two workers peaks
+    # at one more copy of its records
+    buffers = []
+
+    class TrackedBytesIO(io.BytesIO):
+        def __init__(self, *args):
+            super().__init__(*args)
+            buffers.append(weakref.ref(self))
+
+    tracked_io = types.SimpleNamespace(**{**vars(io), "BytesIO": TrackedBytesIO})
+    monkeypatch.setattr(gap_analysis, "io", tracked_io)
+    live_at_merge = []
+    merge = montecarlo._merge
+
+    def spy(folds):
+        live_at_merge.append(sum(ref() is not None for ref in buffers))
+        return merge(folds)
+
+    monkeypatch.setattr(montecarlo, "_merge", spy)
+    monkeypatch.setattr(montecarlo, "_usable_cpus", lambda: 2)
+    cfg = worker_config()
+    expected = run_simulation(cfg)
+    live_at_merge.clear()
+    children = count_forks(monkeypatch)
+    assert summaries_equal(run_simulation(cfg, workers=2, chunk_size=977), expected)
+    assert len(children) == 1 and len(buffers) == 1
+    # part 0's chunks are merged while the buffer takes the children's
+    # pickles; the last merge is the run's own, over every chunk's fold
+    assert live_at_merge[0] == 1 and live_at_merge[-1] == 0

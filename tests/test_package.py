@@ -76,6 +76,21 @@ def test_simulate_hashes_its_report_with_the_hashlib_numpy_loaded(tmp_path):
     assert loaded_after(code, {"hashlib", "_sha2", "_sha256"}) == {"hashlib"}
 
 
+def test_simulate_on_two_workers_loads_no_thread_pool(tmp_path):
+    # three chunks, so the run is split on two usable CPUs and more; its
+    # workers are forked processes, not pool threads
+    (tmp_path / "sim.json").write_text(
+        '{"k": 2, "n_shots": 150000, "seed": 3, "records": false, "failure": {"kind":'
+        ' "independent", "calibrate_discard": 0.5}, "escape": {"kind": "bernoulli", "q": 0.05}}'
+    )
+    argv = ["simulate", "--config", str(tmp_path / "sim.json"), "--workers", "2",
+            "--out", str(tmp_path / "out")]
+    code = f"from patchmux.cli import main\nassert main({argv!r}) == 0"
+    assert loaded_after(code, {"concurrent.futures", "patchmux.montecarlo"}) == {
+        "patchmux.montecarlo"
+    }
+
+
 # perfbench's traced run replaces these names in ``vars(patchmux.cli)`` with
 # timed wrappers; each must stay a module-level function that the commands call.
 TRACED = [
