@@ -248,9 +248,6 @@ class AttemptRowResult:
     attempts_single: float | None
     attempts_multi: float | None
     reduction_pct: float | None
-    attempts_single_delta: float | None
-    attempts_multi_delta: float | None
-    reduction_delta: float | None
     consistent: bool
     # independent-site estimate of the multi-site discard and how far the
     # measured value sits above it (no cause is asserted for the residual)
@@ -261,15 +258,14 @@ class AttemptRowResult:
 
 def _recompute_side(
     discard: float | None, attempts_ref: float | None
-) -> tuple[float | None, float | None, bool]:
-    """(computed attempts, delta vs reference, reference agrees)."""
+) -> tuple[float | None, bool]:
+    """(computed attempts, reference agrees)."""
     if discard is not None:
         computed = expected_attempts(discard)
         if attempts_ref is None:
-            return computed, None, True
-        ok = printed_match(attempts_ref, attempts_interval(discard))
-        return computed, computed - attempts_ref, ok
-    return attempts_ref, None, True
+            return computed, True
+        return computed, printed_match(attempts_ref, attempts_interval(discard))
+    return attempts_ref, True
 
 
 def reproduce_table(rows: list[AttemptRow], k: int = 4) -> list[AttemptRowResult]:
@@ -286,25 +282,23 @@ def reproduce_table(rows: list[AttemptRow], k: int = 4) -> list[AttemptRowResult
     results: list[AttemptRowResult] = []
     for row in rows:
         try:
-            a1, a1_delta, a1_ok = _recompute_side(row.discard_single, row.attempts_single)
-            a4, a4_delta, a4_ok = _recompute_side(row.discard_multi, row.attempts_multi)
+            a1, a1_ok = _recompute_side(row.discard_single, row.attempts_single)
+            a4, a4_ok = _recompute_side(row.discard_multi, row.attempts_multi)
             if a1 is None or a4 is None:
                 raise ValueError("row lacks both discard and attempts on one side")
             if a1 == INF:
                 rho = 100.0 if a4 != INF else math.nan
             else:
                 rho = attempt_reduction(a1, a4)
-            rho_delta = None
             rho_ok = True
             if row.reduction_pct is not None:
-                rho_delta = rho - row.reduction_pct
                 if row.discard_single is not None and row.discard_multi is not None:
                     rho_ok = printed_match(
                         row.reduction_pct,
                         reduction_interval(row.discard_single, row.discard_multi),
                     )
                 else:
-                    rho_ok = abs(rho_delta) <= 0.01
+                    rho_ok = abs(rho - row.reduction_pct) <= 0.01
             estimate = None
             residual = None
             if row.discard_single is not None and row.discard_multi is not None:
@@ -316,9 +310,6 @@ def reproduce_table(rows: list[AttemptRow], k: int = 4) -> list[AttemptRowResult
                     attempts_single=a1,
                     attempts_multi=a4,
                     reduction_pct=rho,
-                    attempts_single_delta=a1_delta,
-                    attempts_multi_delta=a4_delta,
-                    reduction_delta=rho_delta,
                     consistent=a1_ok and a4_ok and rho_ok,
                     multi_discard_estimate=estimate,
                     multi_discard_residual=residual,
@@ -331,9 +322,6 @@ def reproduce_table(rows: list[AttemptRow], k: int = 4) -> list[AttemptRowResult
                     attempts_single=None,
                     attempts_multi=None,
                     reduction_pct=None,
-                    attempts_single_delta=None,
-                    attempts_multi_delta=None,
-                    reduction_delta=None,
                     consistent=False,
                     error=str(exc),
                 )

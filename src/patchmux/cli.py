@@ -488,16 +488,17 @@ def _escape_model(escape: dict) -> EscapeModel:
     return EscapeModel(**fields)
 
 
-# perfbench's traced run wraps these two names in this module, which is all
-# they exist for; ROADMAP item 10 deletes them once perfbench reads a sidecar.
+# perfbench's traced run wraps these two names in this module: the first is
+# a pure forwarder, which ROADMAP item 12 deletes once perfbench reads a sidecar.
 def run_simulation(*args, **kwargs):
     from .montecarlo import run_simulation
     return run_simulation(*args, **kwargs)
 
 
-def write_records_jsonl(*args, **kwargs):
-    from .montecarlo import write_records_jsonl
-    return write_records_jsonl(*args, **kwargs)
+def write_records_jsonl(summary, path) -> int:
+    """One JSON object per kept shot; returns the number of records written."""
+    summary.records.to_jsonl(path)
+    return len(summary.records)
 
 
 def cmd_simulate(args) -> int:
@@ -525,7 +526,6 @@ def cmd_simulate(args) -> int:
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
     n_shots = cfg.get("n_shots", 100_000)
     want_records = cfg.get("records", False)
-    labels = cfg.get("labels", {})
     raw_labels = raw.get("labels", {})
     with _config_errors():
         failure = _failure_model(cfg["failure"], cfg.get("k"))
@@ -535,13 +535,17 @@ def cmd_simulate(args) -> int:
             seed=seed,
             escape_model=_escape_model(cfg.get("escape", {})),
             collect_records=want_records,
-            # d1, p and r1 ride along as written; d2 and r2 as integers
-            d1_label=raw_labels.get("d1"),
-            p_label=raw_labels.get("p"),
-            d2_label=labels.get("d2", 15),
-            r1_label=raw_labels.get("r1"),
-            r2_label=labels.get("r2", 5),
         )
+    # d1, p and r1 ride along as written, an absent or null r1 as d1; d2 and
+    # r2 as integers
+    d1, r1, read = raw_labels.get("d1"), raw_labels.get("r1"), cfg.get("labels", {})
+    labels = {
+        "d1": d1,
+        "d2": read.get("d2", 15),
+        "r1": d1 if r1 is None else r1,
+        "r2": read.get("r2", 5),
+        "p": raw_labels.get("p"),
+    }
 
     out = _out_dir(args, cfg)  # fail on an unwritable target before simulating
     summary = run_simulation(sim_config, workers=args.workers)
@@ -562,7 +566,7 @@ def cmd_simulate(args) -> int:
         "empirical_discard": summary.empirical_discard,
         "empirical_attempts": summary.empirical_attempts,
         "site_survival_histogram": list(summary.site_survival_histogram),
-        "labels": summary.labels,
+        "labels": labels,
         "warnings": list(summary.warnings),
     }
     records_path = None

@@ -536,10 +536,10 @@ class _Child:
                     other.pipe.close()
                 # the whole part first: streaming while this process still
                 # produces part 0 would block the child on a full pipe
-                data = b"".join(produce(part))
+                blocks = list(produce(part))
                 with open(write_fd, "wb") as pipe:
-                    pipe.write(len(data).to_bytes(8, "little"))
-                    pipe.write(data)
+                    pipe.write(sum(map(len, blocks)).to_bytes(8, "little"))
+                    pipe.writelines(blocks)
                 status = 0
             finally:
                 os._exit(status)

@@ -96,7 +96,7 @@ def test_criterion_4_monte_carlo_agreement():
             seed=1000 + i,
             collect_records=False,
         )
-        summary = run_simulation(config, chunk_size=1 << 18)
+        summary = run_simulation(config)
         sigma_d = math.sqrt(d_all * (1 - d_all) / n)
         assert abs(summary.empirical_discard - d_all) <= 4 * sigma_d, row
         sigma_a = math.sqrt(d_all / ((1 - d_all) ** 3 * n))

@@ -151,18 +151,28 @@ def test_missing_config_file_is_config_error(tmp_path):
     assert run_cli("analytic", "--config", str(tmp_path / "absent.json")) == EXIT_CONFIG
 
 
-def test_simulate_preset_and_labels(tmp_path):
-    assert (
-        run_cli(
-            "simulate", "--preset", "d3-p0.002", "--seed", "7", "--out", str(tmp_path)
-        )
-        == EXIT_OK
-    )
-    report = read_json(tmp_path / "sim_summary.json")
+# d1, p and r1 are reported as written, an absent or null r1 as d1; d2 and
+# r2 as integers, 15 and 5 when absent
+@pytest.mark.parametrize(
+    "written,labels",
+    [
+        (None, '{"d1": 3, "d2": 15, "p": 0.002, "r1": 3, "r2": 5}'),
+        ('{"d1": 3, "p": 2e-3, "r1": 4}', '{"d1": 3, "d2": 15, "p": 0.002, "r1": 4, "r2": 5}'),
+        ('{"d1": 5, "p": 0.001, "r1": null}', '{"d1": 5, "d2": 15, "p": 0.001, "r1": 5, "r2": 5}'),
+        ('{"d1": 3.0, "d2": 11.0, "r2": 7}', '{"d1": 3.0, "d2": 11, "p": null, "r1": 3.0, "r2": 7}'),
+    ],
+    ids=["preset", "explicit_r1", "null_r1", "integer_d2_r2"],
+)
+def test_simulate_preset_and_labels(tmp_path, written, labels):
+    argv = ["simulate", "--preset", "d3-p0.002", "--seed", "7", "--out", str(tmp_path / "out")]
+    if written is not None:  # the config's labels replace the preset's
+        (tmp_path / "sim.json").write_text(f'{{"n_shots": 2000, "labels": {written}}}')
+        argv += ["--config", str(tmp_path / "sim.json")]
+    assert run_cli(*argv) == EXIT_OK
+    report = read_json(tmp_path / "out" / "sim_summary.json")
     assert report["provenance"]["seed"] == 7
-    assert report["results"]["labels"]["d1"] == 3
-    assert report["results"]["labels"]["p"] == 0.002
-    assert report["results"]["shots"] == 100000
+    assert json.dumps(report["results"]["labels"]) == labels  # values and their types
+    assert report["results"]["shots"] == (100000 if written is None else 2000)
 
 
 def test_simulate_worker_count_does_not_change_bytes(tmp_path):

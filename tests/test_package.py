@@ -77,7 +77,7 @@ def test_simulate_hashes_its_report_with_the_hashlib_numpy_loaded(tmp_path):
 
 
 def test_simulate_on_two_workers_loads_no_thread_pool(tmp_path):
-    # three chunks, so the run is split on two usable CPUs and more; its
+    # three blocks, so the run is split on two usable CPUs and more; its
     # workers are forked processes, not pool threads
     (tmp_path / "sim.json").write_text(
         '{"k": 2, "n_shots": 150000, "seed": 3, "records": false, "failure": {"kind":'

@@ -827,6 +827,10 @@ class ShortPipe:
     def write(self, data):
         return self.file.write(data if len(data) == 8 else data[: len(data) // 2])
 
+    def writelines(self, blocks):
+        for data in blocks:
+            self.write(data)
+
     def __enter__(self):
         return self
 
