@@ -730,7 +730,7 @@ def _load_layout(path: Path):
 
 def cmd_layout(args) -> int:
     # the layout modules load only for this command, to keep every other one's start short
-    from .geometry import Stage, pack_sites, validate_layout
+    from .geometry import Stage, pack_sites
     from .layout_io import ascii_map, canonical_document, layout_report
 
     raw = _load_config_file(args.config)
@@ -766,10 +766,9 @@ def cmd_layout(args) -> int:
     empty = mode == "pack" and not layout.sites
     if empty:
         print("warning: no feasible placement for this footprint")
+    report_body = layout_report(layout)
     if mode == "pack":
-        report_body = {**layout_report(layout), "placements": len(layout.sites)}
-    else:
-        report_body = layout_report(layout, validate_layout(layout))
+        report_body["placements"] = len(layout.sites)
 
     effective = {
         "preset": preset,

@@ -45,8 +45,9 @@ process writes the output, and it does a failed child's part itself. A record
 set or curve of at least two ``_PART_ROWS`` rows is cut into row ranges, one
 per CPU, each formatted by the writer's one block formatter, so the bytes do
 not depend on the split. Byte ranges are read by the same helper, through
-``_map_in_parts``, which returns each part's result (a pickle from a child),
-and so are ``montecarlo``'s shot ranges when a run has several workers.
+``_map_in_parts``, which keeps part 0's result as it is and takes each later
+part's as a pickle (from a child, or made here where the part runs here), and
+so are ``montecarlo``'s shot ranges when a run has several workers.
 """
 
 from __future__ import annotations
@@ -642,14 +643,21 @@ def _byte_ranges(path, start: int) -> list[tuple[int, int]]:
 
 def _map_in_parts(fn, count: int) -> list:
     """``[fn(0), ..., fn(count - 1)]``: part 0 here and the others in forked
-    children where ``_write_in_parts`` forks. With two or more parts each
-    result crosses as a pickle, whose buffer is freed as this returns."""
-    if count == 1:
-        return [fn(0)]
+    children where ``_write_in_parts`` forks. Part 0's result is kept as it
+    is; each later part's crosses as a pickle, whose buffer is freed as this
+    returns."""
+    first = []
+
+    def produce(part: int) -> list[bytes]:
+        if part:
+            return [pickle.dumps(fn(part))]
+        first.append(fn(0))
+        return []
+
     out = io.BytesIO()
-    _write_in_parts(out, lambda part: [pickle.dumps(fn(part))], count)
+    _write_in_parts(out, produce, count)
     out.seek(0)
-    return [pickle.load(out) for _ in range(count)]
+    return first + [pickle.load(out) for _ in range(count - 1)]
 
 
 def _read_records(path, is_csv: bool, merged: bool):
@@ -767,23 +775,7 @@ class RecordSet:
         save memory (integer gaps do; distinct continuous gaps do not, and
         are read one row a record).
         """
-        gaps, correct, with_consumed, consumed, count = _read_records(path, False, merged)
-        records = _records(gaps, count)
-        # a record without attempts_consumed took at least its own attempt
-        least = consumed + records - with_consumed
-        if with_consumed and n_attempts is not None and n_attempts < least:
-            raise ValueError(
-                f"{path}: n_attempts {n_attempts} is below the {least} attempts "
-                "its records consumed"
-            )
-        summed = n_attempts is None and 0 < with_consumed == records
-        if summed:
-            n_attempts = consumed
-        elif n_attempts is None:
-            n_attempts = max(1, records)
-        record_set = RecordSet(gaps, correct, n_attempts, count=count)
-        record_set.attempts_summed = summed
-        return record_set
+        return _read_record_set(path, False, n_attempts, merged)
 
     @classmethod
     def from_csv(
@@ -795,10 +787,7 @@ class RecordSet:
         attempt total defaults to the record count. Rows of blank cells are
         skipped but still numbered. ``merged`` is as for ``from_jsonl``.
         """
-        gaps, correct, _, _, count = _read_records(path, True, merged)
-        if n_attempts is None:
-            n_attempts = max(1, _records(gaps, count))
-        return RecordSet(gaps, correct, n_attempts, count=count)
+        return _read_record_set(path, True, n_attempts, merged)
 
     def to_jsonl(self, path: str | Path) -> None:
         """Write one JSON object per record, as ``from_jsonl`` reads them.
@@ -827,6 +816,28 @@ class RecordSet:
                 ).encode()
 
         _write_rows(path, b"", text, len(self))
+
+
+def _read_record_set(path, is_csv: bool, n_attempts: int | None, merged: bool) -> RecordSet:
+    """The body of ``RecordSet.from_jsonl`` and ``from_csv``. A CSV record
+    carries no ``attempts_consumed``, so its total defaults to the records."""
+    gaps, correct, with_consumed, consumed, count = _read_records(path, is_csv, merged)
+    records = _records(gaps, count)
+    # a record without attempts_consumed took at least its own attempt
+    least = consumed + records - with_consumed
+    if with_consumed and n_attempts is not None and n_attempts < least:
+        raise ValueError(
+            f"{path}: n_attempts {n_attempts} is below the {least} attempts "
+            "its records consumed"
+        )
+    summed = n_attempts is None and 0 < with_consumed == records
+    if summed:
+        n_attempts = consumed
+    elif n_attempts is None:
+        n_attempts = max(1, records)
+    record_set = RecordSet(gaps, correct, n_attempts, count=count)
+    record_set.attempts_summed = summed
+    return record_set
 
 
 CURVE_DTYPE = np.dtype(
@@ -860,8 +871,8 @@ def curve_rows(threshold, kept_correct, kept_error, n_attempts: int, extrapolate
 class TailExtrapolation:
     """Log-linear fit ln(kept_error) = intercept + slope * G of the error counts.
 
-    The decay rate and its band come from this fit alone; they are an
-    estimate produced by the sweep tooling, not an observed count. A curve
+    The decay rate and its standard error come from this fit alone; they are
+    an estimate produced by the sweep tooling, not an observed count. A curve
     carrying the fit (``SweepCurve.with_tail``) reads its error count beyond
     ``anchor_threshold``, the last fitted threshold, from ``error_at``.
     """
@@ -886,14 +897,6 @@ class TailExtrapolation:
         # math.exp, not np.exp: numpy's SIMD exp can differ from libm in the last
         # bit, and the fit is written out at ten significant digits
         return np.fromiter(map(math.exp, logs.tolist()), np.float64, logs.size)
-
-    def band(self, thresholds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(low, high): the fit with its slope moved by one standard error
-        either way, from the anchor on."""
-        dg = np.asarray(thresholds, dtype=np.float64) - self.anchor_threshold
-        low = np.exp(self.anchor_log + (self.slope - self.slope_stderr) * dg)
-        high = np.exp(self.anchor_log + (self.slope + self.slope_stderr) * dg)
-        return np.minimum(low, high), np.maximum(low, high)
 
 
 @dataclass(frozen=True, eq=False)
@@ -1075,7 +1078,7 @@ def extrapolate_tail(
     Needs at least three window points with a surviving error count;
     otherwise returns None. The fit is anchored at the last fitted threshold
     and extends the curve at its own thresholds beyond it (``with_tail``);
-    its band comes from the slope's standard error.
+    the slope's standard error comes with it.
     """
     lo, hi = fit_window
     ts = curve.threshold

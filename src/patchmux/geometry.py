@@ -21,10 +21,6 @@ from typing import Iterable, Iterator
 Cell = tuple[int, int]
 
 
-class InvalidPivotError(ValueError):
-    """Raised when a rotation pivot cannot produce integer cell coordinates."""
-
-
 class Rotation(Enum):
     """Quarter-turn rotations, counterclockwise."""
 
@@ -116,43 +112,18 @@ class CellSet:
         return CellSet(self.cells - other.cells)
 
 
-def _validate_pivot(pivot: tuple[float, float]) -> None:
-    # Any pivot on the half-integer grid keeps quarter turns on the lattice
-    # (up to the uniform half-cell shift absorbed by re-anchoring).
-    px, py = pivot
-    if not (float(2 * px).is_integer() and float(2 * py).is_integer()):
-        raise InvalidPivotError(
-            f"pivot {pivot!r} is not on the half-integer grid; "
-            "rotated cells would leave the integer lattice"
-        )
-
-
-def rotate_footprint(
-    shape: CellSet,
-    rotation: Rotation,
-    pivot: tuple[float, float] | None = None,
-) -> CellSet:
+def rotate_footprint(shape: CellSet, rotation: Rotation) -> CellSet:
     """Rotate a footprint by a quarter turn and re-anchor it at the origin.
 
     The identity rotation returns the shape unchanged. For the other three
-    turns the result is translated back so its bounding box starts at
-    non-negative (0, 0); since pivots only contribute a translation, every
-    valid pivot yields the same cell set. The default pivot is the
-    bounding-box centre. A pivot off the half-integer grid cannot produce
-    integer cells and raises :class:`InvalidPivotError`.
+    turns the shape is moved to start at (0, 0) and rotated inside its own
+    bounding box (:func:`rotate_in_frame`), so the result's bounding box
+    starts at (0, 0) too.
     """
-    if pivot is not None:
-        _validate_pivot(pivot)
     if rotation is Rotation.R0:
         return shape
-    x0, y0, x1, y1 = shape.bounding_box()
-    if rotation is Rotation.R90:
-        rotated = ((y1 - y, x - x0) for x, y in shape.cells)
-    elif rotation is Rotation.R180:
-        rotated = ((x1 - x, y1 - y) for x, y in shape.cells)
-    else:
-        rotated = ((y - y0, x1 - x) for x, y in shape.cells)
-    return CellSet(frozenset(rotated))
+    x0, y0, _, _ = shape.bounding_box()
+    return rotate_in_frame(shape.translate(-x0, -y0), rotation, shape.width, shape.height)
 
 
 def rotate_in_frame(

@@ -29,7 +29,6 @@ from .geometry import (
     PlacedSite,
     Rotation,
     Stage,
-    ValidationReport,
     rotate_in_frame,
     validate_layout,
 )
@@ -255,10 +254,9 @@ def ascii_map(layout: PatchLayout) -> str:
     return "\n".join(lines)
 
 
-def layout_report(layout: PatchLayout, report: ValidationReport | None = None) -> dict:
-    """JSON-ready description of a layout and its validation result."""
-    if report is None and layout.sites:
-        report = validate_layout(layout)
+def layout_report(layout: PatchLayout) -> dict:
+    """JSON-ready description of a layout and, if it has sites, its validation result."""
+    report = validate_layout(layout) if layout.sites else None
     doc: dict = {
         "stage": layout.stage.value,
         "patch_cells": len(layout.patch),

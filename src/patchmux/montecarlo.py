@@ -89,9 +89,6 @@ class GapDistribution:
 DEFAULT_CORRECT_GAP = GapDistribution("discrete_exponential", rate=0.05)
 DEFAULT_ERROR_GAP = GapDistribution("discrete_exponential", rate=0.25)
 
-ESCAPE_KINDS = ("always_keep", "bernoulli", "empirical")
-
-
 @dataclass(frozen=True)
 class EscapeModel:
     """Stand-in for the out-of-scope escape circuit and decoder.
@@ -111,7 +108,7 @@ class EscapeModel:
     pool: RecordSet | None = None  # empirical only; its constructor checked the columns
 
     def __post_init__(self) -> None:
-        if self.kind not in ESCAPE_KINDS:
+        if self.kind not in ("always_keep", "bernoulli", "empirical"):
             raise ModelError(f"unknown escape model {self.kind!r}")
         if not (0.0 <= self.q <= 1.0):
             raise ModelError(f"error probability q={self.q!r} outside [0, 1]")
@@ -123,30 +120,6 @@ class EscapeModel:
             # a draw indexes one record a row, in file order
             raise ModelError("empirical escape model needs one pool row per record, not merged")
 
-    @classmethod
-    def always_keep(cls, gap: GapDistribution = DEFAULT_CORRECT_GAP) -> "EscapeModel":
-        return cls(kind="always_keep", gap_correct=gap)
-
-    @classmethod
-    def bernoulli_error(
-        cls,
-        q: float,
-        keep_prob: float = 1.0,
-        gap_correct: GapDistribution = DEFAULT_CORRECT_GAP,
-        gap_error: GapDistribution = DEFAULT_ERROR_GAP,
-    ) -> "EscapeModel":
-        return cls(
-            kind="bernoulli",
-            q=q,
-            keep_prob=keep_prob,
-            gap_correct=gap_correct,
-            gap_error=gap_error,
-        )
-
-    @classmethod
-    def empirical(cls, records: RecordSet, keep_prob: float = 1.0) -> "EscapeModel":
-        return cls(kind="empirical", keep_prob=keep_prob, pool=records)
-
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -155,7 +128,7 @@ class SimConfig:
     failure_model: FailureModel
     n_shots: int
     seed: int
-    escape_model: EscapeModel = field(default_factory=EscapeModel.always_keep)
+    escape_model: EscapeModel = field(default_factory=EscapeModel)
     collect_records: bool = True
 
     def __post_init__(self) -> None:

@@ -4,7 +4,6 @@ import pytest
 from patchmux.geometry import (
     CellSet,
     FootprintSpec,
-    InvalidPivotError,
     PatchLayout,
     PlacedSite,
     Rotation,
@@ -62,15 +61,17 @@ def test_rotation_preserves_canonical_footprint_cardinality():
     assert len(rotate_footprint(cult.shape, Rotation.R180)) == 53
 
 
-def test_rotation_pivot_validation():
-    shape = CellSet.of([(0, 0), (1, 0), (2, 1)])
-    with pytest.raises(InvalidPivotError):
-        rotate_footprint(shape, Rotation.R90, pivot=(0.25, 0.0))
-    # every half-grid pivot gives the same re-anchored result
-    a = rotate_footprint(shape, Rotation.R90, pivot=(0.5, 0.5))
-    b = rotate_footprint(shape, Rotation.R90, pivot=(3.0, 7.0))
-    c = rotate_footprint(shape, Rotation.R90)
-    assert a == b == c
+def test_rotation_turns_counterclockwise_and_re_anchors():
+    # the group properties above hold for a clockwise turn too; these cells do not
+    expected = {
+        Rotation.R90: {(1, 0), (1, 1), (0, 2)},
+        Rotation.R180: {(0, 0), (1, 1), (2, 1)},
+        Rotation.R270: {(1, 0), (0, 1), (0, 2)},
+    }
+    for dx, dy in ((0, 0), (5, -3)):
+        shape = CellSet.of([(0, 0), (1, 0), (2, 1)]).translate(dx, dy)
+        for rotation, cells in expected.items():
+            assert rotate_footprint(shape, rotation).cells == cells
 
 
 def test_canonical_counts_and_nesting():

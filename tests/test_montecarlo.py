@@ -195,7 +195,7 @@ def test_bernoulli_escape_error_fraction():
         failure_model=FailureModel.identical(0.2, 4),
         n_shots=100_000,
         seed=13,
-        escape_model=EscapeModel.bernoulli_error(q),
+        escape_model=EscapeModel("bernoulli", q=q),
     )
     summary = run_simulation(cfg)
     errors = int((~summary.records.correct).sum())
@@ -209,7 +209,7 @@ def test_keep_probability_rejects_shots_after_selection():
         failure_model=FailureModel.identical(0.0, 2),
         n_shots=50_000,
         seed=17,
-        escape_model=EscapeModel.bernoulli_error(0.0, keep_prob=0.8),
+        escape_model=EscapeModel("bernoulli", q=0.0, keep_prob=0.8),
     )
     summary = run_simulation(cfg)
     assert summary.early_discards == 0
@@ -222,7 +222,7 @@ def test_empirical_escape_resamples_pool_values():
         failure_model=FailureModel.identical(0.1, 4),
         n_shots=5000,
         seed=19,
-        escape_model=EscapeModel.empirical(pool),
+        escape_model=EscapeModel("empirical", pool=pool),
     )
     summary = run_simulation(cfg)
     assert set(np.unique(summary.records.gaps)) <= {2.0, 5.0, 11.0}
@@ -236,7 +236,7 @@ def test_records_jsonl_round_trip(tmp_path):
         failure_model=FailureModel.identical(0.45, 4),
         n_shots=20_000,
         seed=23,
-        escape_model=EscapeModel.bernoulli_error(0.25),
+        escape_model=EscapeModel("bernoulli", q=0.25),
     )
     summary = run_simulation(cfg)
     path = tmp_path / "records.jsonl"
@@ -258,7 +258,7 @@ def test_record_set_reproduces_empirical_attempts_exactly():
         failure_model=FailureModel.identical(0.55, 4),
         n_shots=30_000,
         seed=29,
-        escape_model=EscapeModel.bernoulli_error(0.2),
+        escape_model=EscapeModel("bernoulli", q=0.2),
     )
     summary = run_simulation(cfg)
     curve = sweep(summary.records, [0.0])
@@ -269,7 +269,9 @@ def test_gap_distribution_validation():
     with pytest.raises(ModelError):
         GapDistribution("triangular")
     with pytest.raises(ModelError):  # a pool draw indexes one record a row
-        EscapeModel.empirical(RecordSet([1.0, 4.0], [True, False], n_attempts=3, count=[1, 2]))
+        EscapeModel(
+            "empirical", pool=RecordSet([1.0, 4.0], [True, False], n_attempts=3, count=[1, 2])
+        )
     with pytest.raises(ModelError):
         GapDistribution("exponential", rate=0.0)
     with pytest.raises(ModelError):  # the gap of the largest draw overflows
@@ -470,7 +472,7 @@ def test_a_run_generates_only_the_slots_its_model_reads(monkeypatch):
     monkeypatch.setattr(montecarlo, "_slot_words", spy)
     n, seed = 300_000, 3
     model = FailureModel.identical(0.49, 4)
-    escape = EscapeModel.bernoulli_error(0.05)  # keep_prob 1 reads no keep quarter
+    escape = EscapeModel("bernoulli", q=0.05)  # keep_prob 1 reads no keep quarter
     cfg = SimConfig(failure_model=model, n_shots=n, seed=seed, escape_model=escape)
     site_ties = expected_ties(seed, 4, [montecarlo._threshold(0.49)] * 4, n)
     assert len(site_ties) > 5  # about 18 at this shot count
@@ -485,7 +487,7 @@ def test_a_run_generates_only_the_slots_its_model_reads(monkeypatch):
     # an escape that can reject reads the keep quarter, also without records
     keep_ties = expected_ties(seed, 3, [montecarlo._threshold(0.7), 2**53], n)
     assert keep_ties
-    rejecting = replace(cfg, escape_model=EscapeModel.bernoulli_error(0.05, keep_prob=0.7))
+    rejecting = replace(cfg, escape_model=EscapeModel("bernoulli", q=0.05, keep_prob=0.7))
     run_simulation(replace(rejecting, collect_records=False))
     assert read() == ({3, 4}, site_ties | keep_ties)
     run_simulation(rejecting)
@@ -558,13 +560,14 @@ FAILURES = {
     ),
 }
 ESCAPES = {
-    "always_keep": lambda: EscapeModel.always_keep(GapDistribution("exponential", rate=0.1)),
-    "bernoulli": lambda: EscapeModel.bernoulli_error(
-        0.3, keep_prob=0.7, gap_error=GapDistribution("constant", value=1.5)
+    "always_keep": lambda: EscapeModel(gap_correct=GapDistribution("exponential", rate=0.1)),
+    "bernoulli": lambda: EscapeModel(
+        "bernoulli", q=0.3, keep_prob=0.7, gap_error=GapDistribution("constant", value=1.5)
     ),
-    "empirical": lambda: EscapeModel.empirical(
-        RecordSet([2.0, 5.0, 11.0, 0.25], [True, False, True, False], n_attempts=4),
+    "empirical": lambda: EscapeModel(
+        "empirical",
         keep_prob=0.9,
+        pool=RecordSet([2.0, 5.0, 11.0, 0.25], [True, False, True, False], n_attempts=4),
     ),
 }
 
@@ -687,7 +690,7 @@ def test_default_blocks_match_the_float_kernel():
     [
         (
             FailureModel(per_site_fail=(0.2, 0.5, 0.7, 0.35)),
-            EscapeModel.bernoulli_error(0.3, keep_prob=0.9),
+            EscapeModel("bernoulli", q=0.3, keep_prob=0.9),
             3000,
             777,
             1024,
@@ -697,25 +700,25 @@ def test_default_blocks_match_the_float_kernel():
         # counter step; the largest seed fills the key's low word
         (
             FailureModel(per_site_fail=(0.2, 0.5, 0.7, 0.35)),
-            EscapeModel.bernoulli_error(0.3, keep_prob=0.9),
+            EscapeModel("bernoulli", q=0.3, keep_prob=0.9),
             5000,
             2**64 - 1,
             977,
         ),
-        (FailureModel.identical(0.5, 4, CommonMode(0.4)), EscapeModel.always_keep(), 400, 314, 64),
+        (FailureModel.identical(0.5, 4, CommonMode(0.4)), EscapeModel(), 400, 314, 64),
         (
             FailureModel(
                 per_site_fail=(0.3, 0.6, 0.2),
                 correlation=ExplicitJoint(product_joint_table((0.3, 0.6, 0.2))),
             ),
-            EscapeModel.bernoulli_error(0.4, keep_prob=0.7),
+            EscapeModel("bernoulli", q=0.4, keep_prob=0.7),
             400,
             314,
             64,
         ),
         (
             FailureModel(per_site_fail=(0.5, 0.5)),
-            EscapeModel.empirical(RecordSet([1.0, 4.0], [True, False], n_attempts=2)),
+            EscapeModel("empirical", pool=RecordSet([1.0, 4.0], [True, False], n_attempts=2)),
             400,
             314,
             64,
@@ -756,7 +759,7 @@ def test_more_than_four_sites_span_two_packed_words(monkeypatch, failure):
         failure_model=failure,
         n_shots=3000,
         seed=31,
-        escape_model=EscapeModel.bernoulli_error(0.3, keep_prob=0.7),
+        escape_model=EscapeModel("bernoulli", q=0.3, keep_prob=0.7),
     )
     for workers, block in ((1, DEFAULT_BLOCK), (2, 977)):
         summary = run_in_blocks(monkeypatch, cfg, workers, block)
@@ -779,7 +782,7 @@ def test_a_joint_table_short_of_one_clamps_the_top_uniform(monkeypatch):
         failure_model=FailureModel((0.25, 0.5, 0.75), ExplicitJoint(tuple(table))),
         n_shots=3000,
         seed=33,
-        escape_model=EscapeModel.always_keep(GapDistribution("exponential", rate=0.1)),
+        escape_model=EscapeModel(gap_correct=GapDistribution("exponential", rate=0.1)),
     )
     h = tied_words(cfg, np.random.default_rng(9), [], [0, 976, 977, 2999])
     assert (h[:, 0] == 2**53 - 1).sum() > 10
@@ -802,7 +805,7 @@ def test_nine_sites_match_the_float_kernel(monkeypatch):
         failure_model=FailureModel(per_site_fail=SIX_SITES + (0.1, 0.9, 0.35)),
         n_shots=3000,
         seed=32,
-        escape_model=EscapeModel.bernoulli_error(0.3, keep_prob=0.7),
+        escape_model=EscapeModel("bernoulli", q=0.3, keep_prob=0.7),
     )
     expected = reference_run(cfg)
     for workers, block in ((1, DEFAULT_BLOCK), (2, 977)):
@@ -818,7 +821,7 @@ def test_rates_of_zero_and_one_give_exact_counts(monkeypatch, collect):
             failure_model=failure,
             n_shots=n,
             seed=57,
-            escape_model=escape or EscapeModel.always_keep(),
+            escape_model=escape or EscapeModel(),
             collect_records=collect,
         )
         summary = run_in_blocks(monkeypatch, cfg, 2, 977)
@@ -834,11 +837,11 @@ def test_rates_of_zero_and_one_give_exact_counts(monkeypatch, collect):
     assert s.site_survival_histogram == (0, n, 0)
 
     model = FailureModel.identical(0.45, 4)
-    assert run(model, EscapeModel.bernoulli_error(0.2, keep_prob=0.0)).kept == 0
-    s = run(model, EscapeModel.bernoulli_error(0.2, keep_prob=1.0))
+    assert run(model, EscapeModel("bernoulli", q=0.2, keep_prob=0.0)).kept == 0
+    s = run(model, EscapeModel("bernoulli", q=0.2, keep_prob=1.0))
     assert s.kept == n - s.early_discards
     for q in (0.0, 1.0):
-        s = run(model, EscapeModel.bernoulli_error(q))
+        s = run(model, EscapeModel("bernoulli", q=q))
         assert s.kept == n - s.early_discards
         if collect:
             assert s.records.correct.tolist() == [q == 0.0] * s.kept
@@ -869,7 +872,7 @@ def test_a_shot_is_kept_when_some_site_survives_and_escape_keeps_it(monkeypatch,
         failure_model=FailureModel(per_site_fail=tuple(1.0 - a for a in alive)),
         n_shots=400,
         seed=53,
-        escape_model=EscapeModel.bernoulli_error(0.3, keep_prob=0.7),
+        escape_model=EscapeModel("bernoulli", q=0.3, keep_prob=0.7),
     )
     n, k, live = cfg.n_shots, len(alive), sum(alive)
     summary = run_in_blocks(monkeypatch, cfg, 2, 97)
@@ -1066,6 +1069,7 @@ def test_the_pickled_parts_are_freed_before_the_merge(monkeypatch):
     cfg = worker_config()
     expected = run_simulation(cfg)
     live_at_merge.clear()
+    buffers.clear()
     children = count_forks(monkeypatch)
     assert summaries_equal(run_in_blocks(monkeypatch, cfg, 2, 977), expected)
     assert len(children) == 1 and len(buffers) == 1

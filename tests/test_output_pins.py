@@ -1,4 +1,4 @@
-"""Byte pins of the simulate -> gap-sweep chain.
+"""Byte pins of the simulate -> gap-sweep chain, and of the layout command.
 
 The sha256 of every file these runs write is fixed, so a refactor of the
 record or curve types cannot change an output byte unnoticed. Paths are
@@ -258,3 +258,29 @@ def test_v2_and_v1_words_repacked_reproduce_every_v2_and_v1_pin(
     got = {name: _sha_as_layout(tmp_path / name, version) for name in pinned}
     assert got == pinned
     assert _sha_as_layout(tmp_path / "off" / "sim_summary.json", version) == records_off
+
+
+# The canonical layout, validated as shipped and packed afresh (k_max 4), at
+# both growth stages: the reports and the maps.
+LAYOUT_PINNED = {
+    "validate_cultivation/layout_report.json": "5013a7bf77c75e95809cbf9f4f7e1ab5dff2a78907db3d1f03b1d021b7951d41",
+    "validate_cultivation/layout_map.txt": "bc7b4d909a2d795ee8f81077c41830c069606d121fc605c09aff4282876d858b",
+    "validate_injection/layout_report.json": "7e8fac9e0008d815ca19385c9c777f9aed9c6e1b94ea77a94915a3579f4af4c0",
+    "validate_injection/layout_map.txt": "61ea1d2b84a0de20656da5fc1616b0146409b28b077e68bf5434421eace6c217",
+    "pack_cultivation/layout_report.json": "c3bb8a6ae0b8d784254189818bbb85f2272ab23ce09f413db3732c657491aad7",
+    "pack_cultivation/layout_map.txt": "b176a7d5e190cb0c2338d7381833d916a469204e89df6592dde820ee987d8332",
+    "pack_injection/layout_report.json": "15a007008f745435b527d926dd2b968e1eecc255cdadfbf35d222e11b0d714ad",
+    "pack_injection/layout_map.txt": "2f705ac1db45586b970dd6435f1b9ad931909c3104f42cebb3eabe80f20e50c0",
+}
+
+
+def test_layout_output_bytes_are_pinned(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for mode in ("validate", "pack"):
+        for stage in ("cultivation", "injection"):
+            out = f"{mode}_{stage}"
+            cfg = {"mode": mode, "stage": stage, **({"k_max": 4} if mode == "pack" else {})}
+            Path(f"{out}.json").write_text(json.dumps(cfg))
+            assert main(["layout", "--config", f"{out}.json", "--out", out]) == EXIT_OK
+    got = {name: _sha(tmp_path / name) for name in LAYOUT_PINNED}
+    assert got == LAYOUT_PINNED

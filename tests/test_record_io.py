@@ -12,6 +12,7 @@ import csv
 import json
 import math
 import os
+import pickle
 import re
 import shutil
 import subprocess
@@ -905,6 +906,55 @@ def test_no_fork_where_the_platform_cannot(tmp_path, monkeypatch):
     monkeypatch.delattr(os, "fork")
     assert split_outcome(path, monkeypatch, 2) == (serial_outcome(path, monkeypatch), False)
     assert split_writes(tmp_path, monkeypatch, 23, 2) == written
+
+
+@pytest.mark.parametrize(
+    "parts,child,pickled_here",
+    [(1, None, 0), (2, None, 0), (2, exit_at_once, 1)],
+    ids=["one part", "two parts", "a failed child"],
+)
+def test_only_later_parts_are_pickled_here(monkeypatch, parts, child, pickled_here):
+    # part 0's result is kept as it is; a later part is pickled in its child,
+    # or here when its child failed and the part is done again here
+    pickled = []
+    real_dumps = pickle.dumps
+
+    def dumps(obj, *args, **kwargs):
+        pickled.append(obj)
+        return real_dumps(obj, *args, **kwargs)
+
+    forked = []
+    real_fork = fork_then(child) if child else REAL_FORK
+
+    def fork():
+        pid = real_fork()
+        forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(pickle, "dumps", dumps)
+    monkeypatch.setattr(os, "fork", fork)
+    got = gap_analysis._map_in_parts(lambda part: np.arange(3 * part, 3 * part + 3), parts)
+    assert [a.tolist() for a in got] == [[3 * p, 3 * p + 1, 3 * p + 2] for p in range(parts)]
+    assert len(forked) == parts - 1
+    assert [a.tolist() for a in pickled] == [[3, 4, 5]] * pickled_here
+
+
+def test_each_reader_calls_only_itself(tmp_path, monkeypatch):
+    # perfbench times each reader as a span of its own: a CSV read must not
+    # count as a JSONL read, nor the other way round
+    calls = []
+    for name in ("from_jsonl", "from_csv"):
+
+        def spy(cls, *args, _name=name, _read=getattr(RecordSet, name).__func__, **kwargs):
+            calls.append(_name)
+            return _read(cls, *args, **kwargs)
+
+        monkeypatch.setattr(RecordSet, name, classmethod(spy))
+    (tmp_path / "r.csv").write_text("gap,correct\n1.0,true\n")
+    (tmp_path / "r.jsonl").write_text('{"gap": 1.0, "correct": true}\n')
+    assert len(RecordSet.from_csv(tmp_path / "r.csv")) == 1
+    assert len(RecordSet.from_jsonl(tmp_path / "r.jsonl")) == 1
+    assert calls == ["from_csv", "from_jsonl"]
 
 
 # A UTF-8 byte order mark (Excel's "CSV UTF-8") may start a record file; one
