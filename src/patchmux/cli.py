@@ -302,7 +302,7 @@ def _analytic_column(name: str) -> str:
 def _read_analytic_csv(path: Path) -> list[AttemptRow]:
     from .analytics import AttemptRow
     rows: list[AttemptRow] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:  # a leading BOM is skipped
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:

@@ -20,22 +20,21 @@ at least two ``_PART_BYTES``, else one. A range is read about ``_BYTE_BLOCK``
 bytes at a time: a block of the writer's JSONL lines or of plain
 ``number,flag`` CSV rows is checked and parsed from its bytes (counts, flags
 and integer gaps of at most 15 digits, ``N`` or JSONL ``N.0``, from digit
-columns; other gaps by one ``json.loads`` or a ``float`` a row), and any other
-text is checked record by record by ``_read_checked``'s functions after one
-parse per block (a CSV block fails where a quoted cell is still open at its
-cut). A block that fails any check makes its range decline, and any decline
-reads the whole file again with ``_read_checked``, one record at a time. It
-alone reports record errors, naming the first bad record as a line-by-line
-reader would, so outputs and messages do not depend on the split. A leading
-UTF-8 byte order mark is skipped; one anywhere else is a record error.
+columns; other gaps by one ``json.loads`` or a ``float`` a row). Any other
+block, valid or not, makes its range decline, and any decline reads the
+whole file again with ``_read_checked``, one record at a time. It alone
+reports record errors, naming the first bad record as a line-by-line reader
+would, so outputs and messages do not depend on the split. A leading UTF-8
+byte order mark is skipped; one anywhere else is a record error.
 
 A sweep needs only the count of each (gap, correct) pair, so a merged read
 (``merged=True``, which ``gap-sweep`` asks for) folds each parsed block into
-one (gap, correct, count) row per distinct pair (``_Pairs``), in no order. A
-range keeps merging while its rows are at most half the records it has read;
-past that (distinct continuous gaps pass it at their first block) it expands
-its rows and keeps one row a record, as an unmerged read does. If any range
-did, the other ranges' rows are expanded too; else they are merged again.
+one (gap, correct, count) row per distinct pair (``_Pairs``), in no order;
+``_read_checked`` folds its blocks of records the same way. A range keeps
+merging while its rows are at most half the records it has read; past that
+(distinct continuous gaps pass it at their first block) it expands its rows
+and keeps one row a record, as an unmerged read does. If any range did, the
+other ranges' rows are expanded too; else they are merged again.
 
 Record sets and curves are written a fixed block of rows at a time, so only
 the numpy columns grow with the file, and on every usable CPU, by one fork
@@ -253,17 +252,18 @@ def _check_csv_header(row: list[str] | None) -> None:
         raise RecordFormatError("expected CSV header 'gap,correct'")
 
 
-def _read_checked(path, is_csv: bool) -> tuple[np.ndarray, np.ndarray, int, int, None]:
+def _read_checked(path, is_csv: bool, merged: bool = False):
     """Gaps, flags, records with attempts_consumed and their total (two zeros
-    for CSV) and no counts (one record a row, in order), read in text mode one
-    record at a time, so an error names the first bad record; the only source
-    of record errors. Records are numbered by line (JSONL) or row (CSV, the
-    header being record 0), blank included.
+    for CSV) and counts, read in text mode one record at a time, so an error
+    names the first bad record; the only source of record errors. Merged, the
+    rows are ``_Pairs``', else one a record in order with no counts. Records
+    are numbered by line (JSONL) or row (CSV, the header being record 0),
+    blank included.
     Bytes that are not UTF-8 anywhere raise UnicodeDecodeError before any."""
     with open(path, "rb") as fh:
         for _ in codecs.iterdecode(iter(lambda: fh.read(_BYTE_BLOCK), b""), "utf-8"):
             pass
-    columns = _Columns()
+    rows = _Pairs() if merged else _Columns()
     gaps: list[float] = []
     flags: list[bool] = []
     with_consumed = consumed = 0
@@ -297,15 +297,15 @@ def _read_checked(path, is_csv: bool) -> tuple[np.ndarray, np.ndarray, int, int,
                             )
                 gaps.append(gap)
                 flags.append(flag)
-                if len(gaps) == _IO_BLOCK:
-                    columns.append(gaps, flags)
+                if len(gaps) == _IO_BLOCK:  # arrays: _Pairs views the gaps as uint64
+                    rows.append(np.array(gaps, np.float64), np.array(flags, bool))
                     gaps, flags = [], []
     except csv.Error as exc:  # a row the csv module cannot split: a cell past its field limit, say
         raise RecordFormatError(f"{path}: record {rec_no + 1}: {exc}") from None
     if rec_no < 0:  # a CSV without a header
         _check_csv_header(None)
-    columns.append(gaps, flags)
-    gaps, flags, count = columns.arrays()
+    rows.append(np.array(gaps, np.float64), np.array(flags, bool))
+    gaps, flags, count = rows.arrays()
     return gaps, flags, with_consumed, consumed, count
 
 
@@ -371,8 +371,9 @@ def _digits(data, begin, end, most: int, dtype):
 
 
 def _jsonl_bytes(raw: bytes, consumed: int):
-    """``_text_block`` of a block of the writer's lines, read from its bytes;
-    None unless every line has the writer's skeleton and its values pass."""
+    """(gaps, flags, records with attempts_consumed, the attempt total with
+    ``consumed``) of a block of the writer's lines, read from its bytes; None
+    unless every line has the writer's skeleton and its values pass."""
     whole = raw.startswith(_GAP_KEY) and raw.endswith(b"}\n")  # the first and last line
     lines = whole and raw.isascii() and b"\r" not in raw and _line_marks(raw, b",,\n")
     if not lines:
@@ -413,8 +414,8 @@ def _jsonl_bytes(raw: bytes, consumed: int):
 
 
 def _csv_bytes(raw: bytes, consumed: int):
-    """``_text_block`` of plain ``number,flag`` rows, read from their bytes;
-    None for any other block or a bad gap."""
+    """``_jsonl_bytes``' tuple for a block of plain ``number,flag`` rows, read
+    from their bytes; None for any other block or a bad gap."""
     if b"\r" in raw:
         raw = raw.replace(b"\r\n", b"\n")  # csv.reader ends a row at either
     plain = not raw.translate(None, _PLAIN_BYTES) and csv.field_size_limit() >= _PLAIN_CELL
@@ -442,53 +443,12 @@ def _csv_bytes(raw: bytes, consumed: int):
     return gaps, (flags == ord("t")) | (flags == ord("1")), 0, consumed
 
 
-def _text_block(raw: bytes, is_csv: bool, consumed: int):
-    """A block the byte parsers decline, split into lines in ``_read_checked``'s
-    newline mode and checked record by record by ``_read_checked``'s functions
-    after one parse per block; None when a check fails.
-
-    The JSONL parse is one ``json.loads`` of the non-blank lines joined into an
-    array, accepted only if each ends in ``}`` and the array holds one value a
-    line. A string running across a join would hold the joining comma, and
-    ``_jsonl_fields`` admits no unknown key and no string value, so none does;
-    each line then ends at the close of a top-level object, and with as many
-    objects as lines, each line was exactly one object. CSV rows are split as
-    ``_read_checked``'s reader splits them; a quoted cell still open at the
-    block's end (one holding a line end, cut) declines. A line end added after
-    the block tells it: it joins such a cell, and otherwise makes a blank last
-    row."""
-    try:
-        lines = list(io.StringIO(raw.decode(), newline="" if is_csv else None))
-        if is_csv:
-            rows = list(csv.reader(lines + ["\n"]))
-            if rows.pop():
-                return None
-            records = [_csv_record(0, row) for row in rows if not _is_blank(row)]
-            counts = []
-        else:
-            texts = [text for text in map(str.strip, lines) if text]
-            objs = json.loads("[" + ",".join(texts) + "]")
-            if len(objs) != len(texts) or not all(text[-1] == "}" for text in texts):
-                return None
-            records = [_jsonl_fields(0, obj) for obj in objs]
-            counts = [record[2] for record in records if record[2] is not None]
-    # bad UTF-8, JSON or record (all ValueErrors), an array nesting each line
-    # one level deeper than the stack allows, or a row csv cannot split
-    except (ValueError, RecursionError, csv.Error):
-        return None
-    consumed += sum(counts)  # Python ints: a total past int64 is caught, not wrapped
-    if consumed > _INT64_MAX:
-        return None
-    gaps = np.fromiter((record[0] for record in records), np.float64, len(records))
-    flags = np.fromiter((record[1] for record in records), bool, len(records))
-    return gaps, flags, len(counts), consumed
-
-
 def _read_range(path, is_csv: bool, start: int, end: int, merged: bool = False):
     r"""(gaps, correct, records with attempts_consumed, their total, counts)
     of one byte range, read about ``_BYTE_BLOCK`` bytes at a time, each block
-    cut just after a ``\n`` where the range goes on; None to decline. Merged,
-    the rows are ``_Pairs``', else one a record in order with no counts."""
+    cut just after a ``\n`` (one is added after a last line without it) and
+    parsed by a byte kernel; None to decline where a kernel does. Merged, the
+    rows are ``_Pairs``', else one a record in order with no counts."""
     rows = _Pairs() if merged else _Columns()
     with_consumed = consumed = 0
     parse_bytes = _csv_bytes if is_csv else _jsonl_bytes
@@ -498,7 +458,9 @@ def _read_range(path, is_csv: bool, start: int, end: int, merged: bool = False):
         while (left := end - fh.tell()) > 0 and (raw := fh.read(min(_BYTE_BLOCK, left))):
             if not raw.endswith(b"\n"):
                 raw += fh.readline(left - len(raw))
-            block = parse_bytes(raw, consumed) or _text_block(raw, is_csv, consumed)
+            if not raw.endswith(b"\n"):  # the file's last line, without its line end
+                raw += b"\n"
+            block = parse_bytes(raw, consumed)
             if block is None:
                 return None
             rows.append(block[0], block[1])
@@ -671,10 +633,10 @@ def _read_records(path, is_csv: bool, merged: bool):
         lambda part: _read_range(path, is_csv, *ranges[part], merged), len(ranges)
     )
     if parts is None or None in parts:
-        return _read_checked(path, is_csv)
+        return _read_checked(path, is_csv, merged)
     gaps, correct, with_consumed, consumed, count = zip(*parts)
     if sum(consumed) > _INT64_MAX:
-        return _read_checked(path, is_csv)
+        return _read_checked(path, is_csv, merged)
     if any(n is None for n in count):
         gaps = np.concatenate([g if n is None else np.repeat(g, n) for g, n in zip(gaps, count)])
         correct = np.concatenate(

@@ -149,16 +149,10 @@ class FootprintSpec:
 
     stage: Stage
     shape: CellSet
-    declared_count: int
 
     def __post_init__(self) -> None:
-        if self.declared_count <= 0:
-            raise ValueError("declared_count must be positive")
-        if len(self.shape) != self.declared_count:
-            raise ValueError(
-                f"{self.stage.value} footprint has {len(self.shape)} cells, "
-                f"declared {self.declared_count}"
-            )
+        if not len(self.shape):
+            raise ValueError(f"{self.stage.value} footprint has no cells")
 
 
 @dataclass(frozen=True)

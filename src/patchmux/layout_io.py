@@ -54,8 +54,7 @@ class LayoutDocument:
     def footprint_spec(self, stage: Stage) -> FootprintSpec:
         if stage not in self.footprints:
             raise ValueError(f"document defines no {stage.value} footprint")
-        shape = self.footprints[stage]
-        return FootprintSpec(stage, shape, len(shape))
+        return FootprintSpec(stage, self.footprints[stage])
 
     def to_layout(self, stage: Stage | None = None) -> PatchLayout:
         """Build the placed layout at the requested stage."""
@@ -169,7 +168,7 @@ def parse_layout_text(text: str) -> LayoutDocument:
 
 
 def load_layout_file(path: str | Path) -> LayoutDocument:
-    return parse_layout_text(Path(path).read_text(encoding="utf-8"))
+    return parse_layout_text(Path(path).read_text(encoding="utf-8-sig"))  # a leading BOM is skipped
 
 
 def write_layout_text(doc: LayoutDocument) -> str:

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -542,6 +543,37 @@ def test_layout_pack_infeasible_is_empty_result(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"file": str(layout_file), "mode": "pack", "k_max": 2}))
     assert run_cli("layout", "--config", str(cfg), "--out", str(tmp_path)) == EXIT_EMPTY
+
+
+def test_an_empty_footprint_stanza_is_a_config_error(tmp_path, capsys):
+    layout_file = tmp_path / "empty.txt"
+    layout_file.write_text("[patch]\n0 0\n1 0\n\n[footprint cultivation]\n\n[site R0 0 0]\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"file": str(layout_file)}))
+    assert run_cli("layout", "--config", str(cfg), "--out", str(tmp_path)) == EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: cultivation footprint has no cells\n"
+
+
+@pytest.mark.parametrize("command", ["analytic", "layout"])
+def test_an_input_file_may_start_with_a_bom(tmp_path, command):
+    # as Excel's "CSV UTF-8" export writes: the same results and table or map
+    if command == "analytic":
+        key, text, artifact = "input_csv", "d1,p,D1,D4\n3,0.002,0.5,0.2\n", "analytic_table.csv"
+    else:
+        key, artifact = "file", "layout_map.txt"
+        text = (Path(patchmux.__file__).parent / "data" / "canonical_layout.txt").read_text()
+    outputs = []
+    for name, prefix in (("plain", ""), ("marked", "\ufeff")):
+        run = tmp_path / name
+        run.mkdir()
+        (run / "input").write_text(prefix + text, encoding="utf-8")
+        (run / "cfg.json").write_text(json.dumps({key: str(run / "input")}))
+        argv = ["--config", str(run / "cfg.json"), "--out", str(run / "out")]
+        assert run_cli(command, *argv) == EXIT_OK
+        results = read_json(run / "out" / f"{command}_report.json")["results"]
+        assert results.pop("source") == str(run / "input")
+        outputs.append((results, (run / "out" / artifact).read_bytes()))
+    assert outputs[1] == outputs[0]
 
 
 def test_out_dir_env_override(tmp_path, monkeypatch):

@@ -132,7 +132,7 @@ def test_self_collision_reported():
 
 def test_containment_violation_lists_outside_cells():
     patch = CellSet.of((x, y) for x in range(4) for y in range(4))
-    foot = FootprintSpec(Stage.INJECTION, CellSet.of([(0, 0), (1, 0), (2, 0)]), 3)
+    foot = FootprintSpec(Stage.INJECTION, CellSet.of([(0, 0), (1, 0), (2, 0)]))
     layout = PatchLayout(patch, (PlacedSite((2, 0), Rotation.R0, foot),), Stage.INJECTION)
     report = validate_layout(layout)
     assert not report.containment_ok
@@ -172,7 +172,7 @@ def test_pack_results_always_validate():
     for _ in range(25):
         patch = random_shape(rng, max_dim=16)
         shape = random_shape(rng, max_dim=5)
-        foot = FootprintSpec(Stage.INJECTION, shape, len(shape))
+        foot = FootprintSpec(Stage.INJECTION, shape)
         layout = pack_sites(patch, foot, int(rng.integers(1, 6)))
         if layout.sites:
             report = validate_layout(layout)
@@ -180,7 +180,3 @@ def test_pack_results_always_validate():
             placed = sum(len(s.cells()) for s in layout.sites)
             assert report.idle_count + placed == len(patch)
 
-
-def test_footprint_spec_count_mismatch():
-    with pytest.raises(ValueError):
-        FootprintSpec(Stage.INJECTION, CellSet.of([(0, 0)]), 24)

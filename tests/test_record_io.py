@@ -383,9 +383,38 @@ def checked_calls(monkeypatch) -> list:
     calls = []
     real = gap_analysis._read_checked
     monkeypatch.setattr(
-        gap_analysis, "_read_checked", lambda path, is_csv: calls.append(path) or real(path, is_csv)
+        gap_analysis, "_read_checked", lambda path, *args: calls.append(path) or real(path, *args)
     )
     return calls
+
+
+# The byte kernels' layouts, line by line: the JSONL writer's (any gap text
+# without a comma, whose value the kernel checks) and a plain CSV row.
+WRITER_LINE = re.compile(
+    rb'\{"gap": [^,\r\n]+, "correct": (?:true|false), "attempts_consumed": [1-9][0-9]{0,17}\}'
+)
+PLAIN_ROW = re.compile(rb"[0-9.eE+-]{1,64},(?:true|false|1|0)")
+
+
+def kernel_layout(path) -> bool:
+    """Whether every line of the file's body is in its format's kernel layout,
+    after a line end is added to a last line without one: a JSONL writer's
+    line ending in ``\\n``, or a plain CSV row ending in ``\\n`` or
+    ``\\r\\n`` (after a header the range reader takes). Valid text in a
+    kernel layout is parsed from its bytes; any other text declines."""
+    data = path.read_bytes()
+    if path.suffix == ".csv":
+        start = gap_analysis._csv_body_start(path)
+        if start is None:
+            return False
+        body, line = data[start:], PLAIN_ROW
+    else:
+        body, line = data.removeprefix(codecs.BOM_UTF8), WRITER_LINE
+    if body and not body.endswith(b"\n"):
+        body += b"\n"
+    if line is PLAIN_ROW:
+        body = body.replace(b"\r\n", b"\n")
+    return all(map(line.fullmatch, body.split(b"\n")[:-1]))
 
 
 def split_outcome(path, monkeypatch, cpus, read=outcome):
@@ -472,6 +501,8 @@ def fixture_files():
     correct = (rng.random(1000) > 0.1).tolist()
     files["agree.jsonl"] = reference_jsonl(gaps, correct, np.cumsum(rng.integers(1, 4, 1000)))
     files["agree.csv"] = lines_text(["gap,correct", *(f"{g!r},{c}" for g, c in zip(gaps, correct))])
+    # the same rows with the flags in lower case, a plain CSV that the byte kernel reads
+    files["plain.csv"] = files["agree.csv"].replace("True", "true").replace("False", "false")
     # few distinct (gap, flag) pairs, which a merged read folds into rows
     ints = rng.integers(0, 5, 600).astype(float).tolist()
     flags = (rng.random(600) > 0.2).tolist()
@@ -524,8 +555,9 @@ def test_a_merged_read_of_every_fixture_holds_the_serial_records(tmp_path, monke
     expected = serial_outcome(path, monkeypatch, merged_outcome)
     got, declined = split_outcome(path, monkeypatch, cpus, merged_outcome)
     assert got == expected
-    assert declined == (name == "cut_cell.csv" or got[0] is RecordFormatError)
-    if not declined:
+    raises = got[0] is RecordFormatError
+    assert declined == (raises or not kernel_layout(path))
+    if not raises:  # a declined read folds as a range does
         sorts = []  # a first block of distinct pairs turns to records unsorted
         real = gap_analysis._distinct
         monkeypatch.setattr(gap_analysis, "_distinct", lambda *a: sorts.append(a) or real(*a))
@@ -601,22 +633,12 @@ def valid_csv(rng) -> str:
     return "".join(row + str(rng.choice(LINE_ENDS)) for row in rows)
 
 
-def cuts_a_quoted_cell(path) -> bool:
-    """Whether a cut between the split read's ranges falls inside a quoted
-    cell, which then holds a line end, as every cut follows a \\n byte."""
-    data = path.read_bytes()
-    cuts = [a for a, _ in gap_analysis._byte_ranges(path, gap_analysis._csv_body_start(path))]
-    cells = [cell.span() for cell in re.finditer(rb'"[^"]*"', data)]
-    return any(a < cut < b for a, b in cells for cut in cuts)
-
-
 @pytest.mark.parametrize("suffix", [".jsonl", ".csv"])
 def test_split_read_of_generated_valid_files_matches_serial(tmp_path, monkeypatch, suffix):
     # valid files only: a bad record makes the split read decline, which
     # would hide a range that parsed wrongly
     rng = np.random.default_rng(20)
     make = valid_csv if suffix == ".csv" else valid_jsonl
-    quoted_reads = []
     for i in range(40):
         text = make(rng)
         if rng.random() < 0.3:
@@ -626,11 +648,7 @@ def test_split_read_of_generated_valid_files_matches_serial(tmp_path, monkeypatc
         path = tmp_path / f"valid{i}{suffix}"
         path.write_text(text, encoding="utf-8", newline="")
         declined = assert_split_matches_serial(path, monkeypatch, cpus=2 + i % 2)
-        # only a quoted cell open at a range's end declines, not any quote
-        assert declined == (suffix == ".csv" and cuts_a_quoted_cell(path)), text
-        if '"' in text:
-            quoted_reads.append(declined)
-    assert suffix == ".jsonl" or False in quoted_reads  # some quoted files read split
+        assert declined == (not kernel_layout(path)), text
 
 
 def test_a_header_ending_in_a_lone_cr_keeps_the_first_record(tmp_path, monkeypatch, cpus):
@@ -701,7 +719,7 @@ def test_a_small_valid_file_is_read_in_ranges(tmp_path, monkeypatch, cpus, name)
     monkeypatch.setattr(gap_analysis, "_usable_cpus", lambda: cpus)
     calls = checked_calls(monkeypatch)
     assert outcome(path) == expected
-    assert calls == []
+    assert calls == ([] if kernel_layout(path) else [path])
 
 
 def test_a_header_spanning_lines_reads_through_read_checked(tmp_path, monkeypatch):
@@ -746,18 +764,17 @@ def test_a_bad_byte_in_the_last_range_raises_as_serial(tmp_path, monkeypatch, cp
 
 
 def test_an_attempt_total_past_int64_across_ranges_raises_as_serial(tmp_path, monkeypatch, cpus):
-    big = f'{{"gap": 1.0, "correct": true, "attempts_consumed": {2**62}}}'
+    big = '{"gap": 1.0, "correct": true, "attempts_consumed": %s}' % ("9" * 18)
     small = '{"gap": 1.0, "correct": true, "attempts_consumed": 1}'
-    # one large record per range: each range's total fits in int64, the sum does not
-    lines = [big] + [small] * 3
-    lines = (lines + [""]) * (cpus - 1) + lines
+    # five of the largest counts the byte kernel reads per range: each range's
+    # total fits in int64, the sum of two does not
     path = tmp_path / "records.jsonl"
-    write_lines(path, lines)
+    write_lines(path, ([big] * 5 + [small] * 3) * cpus)
     monkeypatch.setattr(gap_analysis, "_PART_BYTES", TINY_PART)
     monkeypatch.setattr(gap_analysis, "_usable_cpus", lambda: cpus)
     ranges = gap_analysis._byte_ranges(path, 0)
     assert len(ranges) == cpus
-    assert all(REAL_READ_RANGE(path, False, a, b)[3] == 2**62 + 3 for a, b in ranges)
+    assert all(REAL_READ_RANGE(path, False, a, b)[3] == 5 * (10**18 - 1) + 3 for a, b in ranges)
     got = split_outcome(path, monkeypatch, cpus)[0]
     assert got == serial_outcome(path, monkeypatch)
     assert got[0] is RecordFormatError and "attempts_consumed total exceeds" in got[1]
@@ -776,7 +793,7 @@ def range_pids(path):
 
 def test_ranges_are_parsed_here_and_in_forked_children(tmp_path, monkeypatch, cpus):
     path = tmp_path / "records.csv"
-    path.write_text(FIXTURE_FILES["agree.csv"])
+    path.write_text(FIXTURE_FILES["plain.csv"])
     monkeypatch.setattr(gap_analysis, "_read_range", read_range_in_worker)
     expected = serial_outcome(path, monkeypatch)
     assert split_outcome(path, monkeypatch, cpus) == (expected, False)
@@ -883,7 +900,7 @@ def forbidden_fork():
 
 def test_no_fork_while_another_thread_runs(tmp_path, monkeypatch):
     path = tmp_path / "records.csv"
-    path.write_text(FIXTURE_FILES["agree.csv"])
+    path.write_text(FIXTURE_FILES["plain.csv"])
     expected = serial_outcome(path, monkeypatch)
     written = serial_writes(tmp_path, monkeypatch, 23)
     monkeypatch.setattr(os, "fork", forbidden_fork)
@@ -961,7 +978,10 @@ def test_each_reader_calls_only_itself(tmp_path, monkeypatch):
 # anywhere else stays an error.
 
 BOM_FILES = {
-    "records.jsonl": [f'{{"gap": {i}, "correct": {"true" if i % 3 else "false"}}}' for i in range(20)],
+    "records.jsonl": [
+        f'{{"gap": {i}.0, "correct": {"true" if i % 3 else "false"}, "attempts_consumed": 1}}'
+        for i in range(20)
+    ],
     "records.csv": ["gap,correct"] + [f"{i},{'true' if i % 3 else 'false'}" for i in range(20)],
 }
 
@@ -1031,9 +1051,10 @@ def test_a_lowered_field_limit_holds_for_plain_rows(tmp_path, monkeypatch, cpus)
 
 # Byte kernels. A range is read a block of bytes at a time: a block of the
 # writer's JSONL lines or of plain "number,flag" CSV rows is parsed from its
-# bytes, any other block by the text block functions. Each case below is read
-# by ``_read_checked`` and by the range reader, which must agree: the same
-# columns and totals, or a decline where ``_read_checked`` raises. With blocks
+# bytes, and any other block declines. Each case below is read by
+# ``_read_checked`` and by the range reader, which must agree: the same
+# columns and totals, or a decline where ``_read_checked`` raises or the text
+# is in no kernel layout. With blocks
 # of KERNEL_BLOCK bytes the changed line sits mid-range, with whole blocks of
 # canonical lines before and after it.
 
@@ -1075,19 +1096,15 @@ def columns_of(read):
 
 def assert_range_agrees_with_serial(path):
     """The range reader over the whole body gives ``_read_checked``'s columns
-    and totals, or declines where ``_read_checked`` raises; a CSV body with a
-    quote may also decline."""
+    and totals, and declines exactly where ``_read_checked`` raises or the
+    text is not in a kernel layout."""
     is_csv = path.suffix == ".csv"
     serial = columns_of(lambda: gap_analysis._read_checked(path, is_csv))
     start = gap_analysis._csv_body_start(path) if is_csv else 0
     size = path.stat().st_size
     got = columns_of(lambda: gap_analysis._read_range(path, is_csv, start, size))
-    if serial == "raises":
-        assert got is None
-    elif got is None:
-        assert is_csv and b'"' in path.read_bytes()
-    else:
-        assert got == serial
+    assert (got is None) == (serial == "raises" or not kernel_layout(path))
+    assert got is None or got == serial
 
 
 MUTATIONS = [bytes([c]) for c in b'09.e-+ \t,"}{\rtfn\x80\0'] + [codecs.BOM_UTF8]
@@ -1278,35 +1295,32 @@ def test_named_cases_through_the_cli_match_serial(
         assert gap_sweep_outcome(path, capsys) == expected
 
 
-def count_text_blocks(monkeypatch):
-    calls = []
-    real = gap_analysis._text_block
-    monkeypatch.setattr(
-        gap_analysis, "_text_block", lambda *args: calls.append(args[0]) or real(*args)
-    )
-    return calls
+def kernel_parses(monkeypatch) -> list:
+    """Spy on both byte kernels: whether each block they were given parsed."""
+    parsed = []
+    for name in ("_jsonl_bytes", "_csv_bytes"):
+
+        def spy(*args, _real=getattr(gap_analysis, name)):
+            block = _real(*args)
+            parsed.append(block is not None)
+            return block
+
+        monkeypatch.setattr(gap_analysis, name, spy)
+    return parsed
 
 
+@pytest.mark.parametrize("last_end", [True, False], ids=["ended", "unended"])
 @pytest.mark.parametrize("suffix, end", [(".jsonl", "\n"), (".csv", "\n"), (".csv", "\r\n")])
 def test_canonical_blocks_are_read_from_their_bytes(
-    tmp_path, small_blocks, monkeypatch, suffix, end
+    tmp_path, small_blocks, monkeypatch, suffix, end, last_end
 ):
+    # a last line without its line end is parsed by the kernel too
     path = tmp_path / f"records{suffix}"
-    path.write_bytes(with_line_ends(suffix, end))
-    calls = count_text_blocks(monkeypatch)
+    text = with_line_ends(suffix, end)
+    path.write_bytes(text if last_end else text.removesuffix(end.encode()))
+    parsed = kernel_parses(monkeypatch)
     assert_range_agrees_with_serial(path)
-    assert calls == []
-
-
-def test_reordered_keys_take_the_text_parser_and_do_not_decline(
-    tmp_path, small_blocks, monkeypatch
-):
-    path = tmp_path / "records.jsonl"
-    path.write_bytes(JSONL_CASES["reordered keys"])
-    calls = count_text_blocks(monkeypatch)
-    got = gap_analysis._read_range(path, False, 0, path.stat().st_size)
-    assert got is not None and len(calls) > 1
-    assert got[3] == RecordSet.from_jsonl(path).n_attempts
+    assert len(parsed) > 1 and all(parsed)
 
 
 def test_a_writer_file_reads_through_the_byte_kernel(tmp_path, monkeypatch):
@@ -1318,9 +1332,9 @@ def test_a_writer_file_reads_through_the_byte_kernel(tmp_path, monkeypatch):
     records = RecordSet(gaps, rng.random(n) > 0.1, 5 * n, np.cumsum(rng.integers(1, 6, n)) - 1)
     path = tmp_path / "records.jsonl"
     records.to_jsonl(path)
-    calls = count_text_blocks(monkeypatch)
+    parsed = kernel_parses(monkeypatch)
     got = gap_analysis._read_range(path, False, 0, path.stat().st_size)
-    assert calls == []
+    assert len(parsed) > 1 and all(parsed)
     assert got[0].tolist() == gaps.tolist() and got[1].tolist() == records.correct.tolist()
     assert got[2:] == (n, int(records.shot_index[-1]) + 1, None)
 
@@ -1338,8 +1352,8 @@ def rejecting(check, gap: float):
 
 
 @pytest.mark.parametrize("suffix", [".jsonl", ".csv"])
-def test_text_blocks_check_records_with_the_serial_checks(tmp_path, monkeypatch, suffix):
-    # sorted keys and ' TRUE ' flags, which the byte kernels leave to the text parser
+def test_a_rule_added_to_the_serial_checks_names_its_record(tmp_path, monkeypatch, suffix):
+    # sorted keys and ' TRUE ' flags, which the byte kernels decline
     gaps = [1.5, 2.0, 7.25, 3.0]
     is_csv = suffix == ".csv"
     path = tmp_path / f"records{suffix}"
@@ -1348,14 +1362,8 @@ def test_text_blocks_check_records_with_the_serial_checks(tmp_path, monkeypatch,
     else:
         records = [{"gap": g, "correct": True, "attempts_consumed": 2} for g in gaps]
         write_lines(path, [json.dumps(r, sort_keys=True, separators=(",", ":")) for r in records])
-    body = (gap_analysis._csv_body_start(path) if is_csv else 0, path.stat().st_size)
-    calls = count_text_blocks(monkeypatch)
-    assert gap_analysis._read_range(path, is_csv, *body)[0].tolist() == gaps
-    assert len(calls) == 1
-    # a rule added to the serial reader's checks holds in the text blocks too
     monkeypatch.setattr(gap_analysis, "_jsonl_fields", rejecting(gap_analysis._jsonl_fields, 7.25))
     monkeypatch.setattr(gap_analysis, "_csv_record", rejecting(gap_analysis._csv_record, 7.25))
-    assert gap_analysis._read_range(path, is_csv, *body) is None
     with pytest.raises(RecordFormatError, match=r"^record 3: gap 7\.25 rejected$"):
         gap_analysis._read_checked(path, is_csv)
 
