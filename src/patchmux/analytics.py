@@ -245,10 +245,10 @@ class AttemptRow:
 @dataclass(frozen=True)
 class AttemptRowResult:
     row: AttemptRow
-    attempts_single: float | None
-    attempts_multi: float | None
-    reduction_pct: float | None
     consistent: bool
+    attempts_single: float | None = None
+    attempts_multi: float | None = None
+    reduction_pct: float | None = None
     # independent-site estimate of the multi-site discard and how far the
     # measured value sits above it (no cause is asserted for the residual)
     multi_discard_estimate: float | None = None
@@ -316,14 +316,5 @@ def reproduce_table(rows: list[AttemptRow], k: int = 4) -> list[AttemptRowResult
                 )
             )
         except (ValueError, ModelError) as exc:
-            results.append(
-                AttemptRowResult(
-                    row=row,
-                    attempts_single=None,
-                    attempts_multi=None,
-                    reduction_pct=None,
-                    consistent=False,
-                    error=str(exc),
-                )
-            )
+            results.append(AttemptRowResult(row=row, consistent=False, error=str(exc)))
     return results

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import os
@@ -59,10 +60,7 @@ class ConfigError(Exception):
 
 
 class InputFormatError(Exception):
-    """An input file the library readers do not cover is malformed."""
-
-
-_FORMAT_ERRORS = (RecordFormatError, InputFormatError)
+    """An input file is malformed."""
 
 
 # ---------------------------------------------------------------------------
@@ -224,8 +222,6 @@ def _config_errors():
     """Report the library's rejection of a config value as a config error."""
     try:
         yield
-    except _FORMAT_ERRORS:
-        raise
     except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(str(exc)) from None
 
@@ -279,14 +275,36 @@ def _read_file(read, path: Path, *args):
 
 def _load_record_set(path: Path, n_attempts: int | None = None, merged: bool = False) -> RecordSet:
     read = RecordSet.from_csv if path.suffix.lower() == ".csv" else RecordSet.from_jsonl
-    return _read_file(read, path, n_attempts, merged)
+    try:
+        return _read_file(read, path, n_attempts, merged)
+    except RecordFormatError as exc:
+        raise InputFormatError(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
 # analytic
 
 
-_ROW_COLUMNS = ("d1", "p", "D1", "D4", "A1", "A4", "rho")
+# The table's columns in order, each mapped to the field it reads: first the
+# input CSV's (an AttemptRow field each), then the results (AttemptRowResult).
+_ROW_COLUMNS = {
+    "d1": "d1",
+    "p": "p",
+    "D1": "discard_single",
+    "D4": "discard_multi",
+    "A1": "attempts_single",
+    "A4": "attempts_multi",
+    "rho": "reduction_pct",
+}
+_RESULT_COLUMNS = {
+    "A1_calc": "attempts_single",
+    "A4_calc": "attempts_multi",
+    "rho_calc": "reduction_pct",
+    "D4_estimate": "multi_discard_estimate",
+    "D4_residual": "multi_discard_residual",
+    "consistent": "consistent",
+    "error": "error",
+}
 
 
 def _analytic_column(name: str) -> str:
@@ -319,66 +337,48 @@ def _read_analytic_csv(path: Path) -> list[AttemptRow]:
                 raise InputFormatError(
                     f"line {line_no}: expected {len(names)} cells, got {len(cells)}"
                 )
-            values: dict[str, float | None] = {}
+            fields: dict[str, float] = {}  # an empty cell leaves its field None
             for name, column, cell in zip(names, columns, cells):
                 cell = cell.strip()
                 if not cell:
-                    values[column] = None
                     continue
                 try:
-                    values[column] = float(cell)
+                    value = float(cell)
                 except ValueError:
                     raise InputFormatError(
                         f"line {line_no}: non-numeric cell {cell!r} in column {name}"
                     ) from None
-            d1 = values.get("d1")
-            if d1 is not None and not d1.is_integer():
-                raise InputFormatError(f"line {line_no}: d1 must be an integer, got {d1!r}")
-            rows.append(
-                AttemptRow(
-                    d1=int(d1) if d1 is not None else None,
-                    p=values.get("p"),
-                    discard_single=values.get("D1"),
-                    discard_multi=values.get("D4"),
-                    attempts_single=values.get("A1"),
-                    attempts_multi=values.get("A4"),
-                    reduction_pct=values.get("rho"),
-                )
-            )
+                if column != "d1" and not math.isfinite(value):
+                    raise InputFormatError(
+                        f"line {line_no}: non-finite cell {cell!r} in column {name}"
+                    )
+                fields[_ROW_COLUMNS[column]] = value
+            d1 = fields.get("d1")
+            if d1 is not None:
+                if not d1.is_integer():
+                    raise InputFormatError(f"line {line_no}: d1 must be an integer, got {d1!r}")
+                fields["d1"] = int(d1)
+            rows.append(AttemptRow(**fields))
     return rows
 
 
+def _table_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return value if isinstance(value, str) else fmt6(value)
+
+
 def _analytic_csv_text(results) -> str:
-    lines = [
-        "d1,p,D1,D4,A1,A4,rho,A1_calc,A4_calc,rho_calc,D4_estimate,D4_residual,consistent,error"
-    ]
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow([*_ROW_COLUMNS, *_RESULT_COLUMNS])
     for res in results:
-        row = res.row
-
-        def cell(v):
-            return "" if v is None else fmt6(v)
-
-        lines.append(
-            ",".join(
-                [
-                    cell(row.d1),
-                    cell(row.p),
-                    cell(row.discard_single),
-                    cell(row.discard_multi),
-                    cell(row.attempts_single),
-                    cell(row.attempts_multi),
-                    cell(row.reduction_pct),
-                    cell(res.attempts_single),
-                    cell(res.attempts_multi),
-                    cell(res.reduction_pct),
-                    cell(res.multi_discard_estimate),
-                    cell(res.multi_discard_residual),
-                    "true" if res.consistent else "false",
-                    res.error or "",
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+        values = [getattr(res.row, field) for field in _ROW_COLUMNS.values()]
+        values += [getattr(res, field) for field in _RESULT_COLUMNS.values()]
+        writer.writerow(map(_table_cell, values))
+    return text.getvalue()
 
 
 def cmd_analytic(args) -> int:
@@ -413,13 +413,7 @@ def cmd_analytic(args) -> int:
                 {
                     "d1": r.row.d1,
                     "p": r.row.p,
-                    "attempts_single": r.attempts_single,
-                    "attempts_multi": r.attempts_multi,
-                    "reduction_pct": r.reduction_pct,
-                    "multi_discard_estimate": r.multi_discard_estimate,
-                    "multi_discard_residual": r.multi_discard_residual,
-                    "consistent": r.consistent,
-                    "error": r.error,
+                    **{field: getattr(r, field) for field in _RESULT_COLUMNS.values()},
                 }
                 for r in results
             ],
@@ -489,7 +483,7 @@ def _escape_model(escape: dict) -> EscapeModel:
 
 
 # perfbench's traced run wraps these two names in this module: the first is
-# a pure forwarder, which ROADMAP item 12 deletes once perfbench reads a sidecar.
+# a pure forwarder, which ROADMAP item 14 deletes once perfbench reads a sidecar.
 def run_simulation(*args, **kwargs):
     from .montecarlo import run_simulation
     return run_simulation(*args, **kwargs)
@@ -859,7 +853,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except _FORMAT_ERRORS as exc:
+    except InputFormatError as exc:
         print(f"input format error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
     except OSError as exc:

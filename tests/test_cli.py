@@ -80,6 +80,12 @@ def test_analytic_row_error_does_not_stop_table(tmp_path):
     rows = read_json(tmp_path / "analytic_report.json")["results"]["rows"]
     assert rows[0]["error"] is not None
     assert rows[1]["error"] is None
+    # the error holds a comma, so its cell is quoted and every row keeps 14 cells
+    with open(tmp_path / "analytic_table.csv", newline="") as fh:
+        table = list(csv.reader(fh))
+    assert [len(cells) for cells in table] == [14, 14, 14]
+    assert table[1][-1] == rows[0]["error"] and "," in rows[0]["error"]
+    assert table[2][-1] == ""
 
 
 def test_analytic_malformed_csv_is_format_error(tmp_path, capsys):
@@ -128,6 +134,12 @@ def test_analytic_csv_reads_d1_and_D1_as_two_columns(tmp_path):
         ("D1,d4,D4\n0.5,0.1,0.1\n", "line 1: column 'D4' is named twice"),
         ("d1,D1\n3.5,0.5\n", "line 2: d1 must be an integer"),
         ("d1,D1\nnan,0.5\n", "line 2: d1 must be an integer"),
+        ("d1,D1\ninf,0.5\n", "line 2: d1 must be an integer"),
+        ("d1,p,A1,A4\n3,0.001,nan,1.2\n", "line 2: non-finite cell 'nan' in column A1"),
+        ("D1,D4\n0.5,0.1\n-Infinity,0.1\n", "line 3: non-finite cell '-Infinity' in column D1"),
+        ("p,d4,D1\n0.002,inf,0.5\n", "line 2: non-finite cell 'inf' in column d4"),
+        ("rho,A1,A4\n NaN ,1.5,1.1\n", "line 2: non-finite cell 'NaN' in column rho"),
+        ("p,D1,D4\n1e999,0.5,0.1\n", "line 2: non-finite cell '1e999' in column p"),
     ],
 )
 def test_analytic_csv_column_errors_are_one_line(tmp_path, capsys, text, message):

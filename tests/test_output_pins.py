@@ -1,4 +1,5 @@
-"""Byte pins of the simulate -> gap-sweep chain, and of the layout command.
+"""Byte pins of the simulate -> gap-sweep chain, and of the layout and analytic
+commands.
 
 The sha256 of every file these runs write is fixed, so a refactor of the
 record or curve types cannot change an output byte unnoticed. Paths are
@@ -284,3 +285,19 @@ def test_layout_output_bytes_are_pinned(tmp_path, monkeypatch):
             assert main(["layout", "--config", f"{out}.json", "--out", out]) == EXIT_OK
     got = {name: _sha(tmp_path / name) for name in LAYOUT_PINNED}
     assert got == LAYOUT_PINNED
+
+
+# Both printed tables through ``analytic``: the report and the table CSV.
+ANALYTIC_PINNED = {
+    "table2/analytic_report.json": "2325bbe30053d810659a590bf9bd17a98472bdaaffc32047610d35c94f16897a",
+    "table2/analytic_table.csv": "d05d9c854180116a224920952145278ee179d72ad1185df30cd922b12b0f9932",
+    "table3/analytic_report.json": "f0a33b58e42b9bf0587cb979086c841c3a89bc82cae98c35b661669a849ea653",
+    "table3/analytic_table.csv": "deda4467b38a364c14c0d3603073ef8cbe8aa3c41d1efbe74253f4f97dbb2d22",
+}
+
+
+def test_analytic_output_bytes_are_pinned(tmp_path):
+    for preset in ("table2", "table3"):
+        assert main(["analytic", "--preset", preset, "--out", str(tmp_path / preset)]) == EXIT_OK
+    got = {name: _sha(tmp_path / name) for name in ANALYTIC_PINNED}
+    assert got == ANALYTIC_PINNED

@@ -633,22 +633,53 @@ def valid_csv(rng) -> str:
     return "".join(row + str(rng.choice(LINE_ENDS)) for row in rows)
 
 
+def writer_jsonl(rng) -> str:
+    """Records in the JSONL writer's layout, which the byte kernel parses."""
+    lines = []
+    while len(lines) < 12 or sum(map(len, lines)) < 200:
+        gap = rng.choice(["0", "-0", "3", "2.5", "1e-3", "7E2", "0.1", "123456.789", "1e22"])
+        flag, consumed = rng.choice(["true", "false"]), rng.integers(1, 5)
+        lines.append(f'{{"gap": {gap}, "correct": {flag}, "attempts_consumed": {consumed}}}')
+    return "".join(line + "\n" for line in lines)
+
+
+def plain_csv(rng) -> str:
+    """Plain ``number,flag`` rows under a plain header, which the byte kernel parses."""
+    end = str(rng.choice(["\n", "\r\n"]))
+    rows = ["gap,correct"]
+    while len(rows) < 12 or sum(map(len, rows)) < 120:
+        gap = rng.choice(["0", "3", "2.5", "1e-3", "-0", "7E2", "0.25", "1e22"])
+        rows.append(f"{gap},{rng.choice(['true', 'false', '1', '0'])}")
+    return "".join(row + end for row in rows)
+
+
+# (seed, generator) by format: the mixed files decline to _read_checked, the
+# kernel-layout files are parsed in ranges
+GENERATED = {
+    ".jsonl": [(20, valid_jsonl), (21, writer_jsonl)],
+    ".csv": [(20, valid_csv), (21, plain_csv)],
+}
+
+
 @pytest.mark.parametrize("suffix", [".jsonl", ".csv"])
 def test_split_read_of_generated_valid_files_matches_serial(tmp_path, monkeypatch, suffix):
     # valid files only: a bad record makes the split read decline, which
     # would hide a range that parsed wrongly
-    rng = np.random.default_rng(20)
-    make = valid_csv if suffix == ".csv" else valid_jsonl
-    for i in range(40):
-        text = make(rng)
-        if rng.random() < 0.3:
-            text = text.rstrip("\r\n")  # no line end after the last record
-        if rng.random() < 0.2:
-            text = "\ufeff" + text
-        path = tmp_path / f"valid{i}{suffix}"
-        path.write_text(text, encoding="utf-8", newline="")
-        declined = assert_split_matches_serial(path, monkeypatch, cpus=2 + i % 2)
-        assert declined == (not kernel_layout(path)), text
+    ranged = 0
+    for seed, make in GENERATED[suffix]:
+        rng = np.random.default_rng(seed)
+        for i in range(40):
+            text = make(rng)
+            if rng.random() < 0.3:
+                text = text.rstrip("\r\n")  # no line end after the last record
+            if rng.random() < 0.2:
+                text = "\ufeff" + text
+            path = tmp_path / f"{make.__name__}{i}{suffix}"
+            path.write_text(text, encoding="utf-8", newline="")
+            declined = assert_split_matches_serial(path, monkeypatch, cpus=2 + i % 2)
+            assert declined == (not kernel_layout(path)), text
+            ranged += not declined
+    assert ranged > 0  # some file was parsed in ranges, not only by _read_checked
 
 
 def test_a_header_ending_in_a_lone_cr_keeps_the_first_record(tmp_path, monkeypatch, cpus):
