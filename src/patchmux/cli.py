@@ -452,7 +452,10 @@ def _failure_model(failure: dict, k: int | None) -> FailureModel:
     elif "calibrate_discard" in failure:
         if k is None:
             raise ConfigError("calibrate_discard needs an explicit k")
-        rates = (failure["calibrate_discard"],) * k
+        try:  # a k past the index range raises OverflowError, a config error too
+            rates = (failure["calibrate_discard"],) * k
+        except MemoryError:
+            raise ConfigError(f"k={k} sites are too many to allocate") from None
     else:
         raise ConfigError("failure needs per_site_fail or calibrate_discard")
     kind = failure.get("kind", "independent")
@@ -656,7 +659,7 @@ def cmd_gap_sweep(args) -> int:
         curve = sweep(rs, grid)
         tail = extrapolate_tail(curve, tail_window) if tail_window else None
         curve_path = out / curve_name
-        write_curve_csv(curve if tail is None else curve.with_tail(tail), curve_path)
+        write_curve_csv(curve, curve_path, tail)
         curves.append(curve)
         zero = curve.rows(0, 1)[0]
         entry = {

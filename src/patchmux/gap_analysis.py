@@ -10,9 +10,9 @@ A(G) = n_attempts / kept and the error fraction among kept shots p_L(G),
 derived a block of rows at a time where they are read (the curve CSV
 writer, ``find_crossing``). Both are NaN-sentinelled when nothing survives
 a threshold; an empty kept set never reports a zero error rate. A tail fit
-is a few numbers; a curve carrying it (``with_tail``) shares the count
-columns and reads the error count of each row past the fit's anchor from
-the fit, flagging the row ``extrapolated``.
+is a few numbers, passed where rows are derived (``SweepCurve.rows``,
+``write_curve_csv``): each row past the fit's anchor reads its error count
+from the fit and is flagged ``extrapolated``; the curve's columns stay observed.
 
 Record files (JSONL, or CSV for ingestion) are read in byte ranges that each
 end just after a ``\n`` byte: one range per usable CPU where the body holds
@@ -59,7 +59,7 @@ import math
 import os
 import pickle
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -814,29 +814,15 @@ CURVE_DTYPE = np.dtype(
 )
 
 
-def curve_rows(threshold, kept_correct, kept_error, n_attempts: int, extrapolated=False):
-    """Curve rows with A(G) and p_L(G) derived from the (possibly fitted) counts."""
-    rows = np.recarray(np.shape(threshold), dtype=CURVE_DTYPE)
-    rows.threshold = threshold
-    rows.kept_correct = kept_correct
-    rows.kept_error = kept_error
-    kept = rows.kept_correct + rows.kept_error
-    # a fitted count can be so small that A(G) overflows to inf
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        rows.attempts = np.where(kept > 0, n_attempts / kept, UNDEFINED)
-        rows.logical_error = np.where(kept > 0, rows.kept_error / kept, UNDEFINED)
-    rows.extrapolated = extrapolated
-    return rows
-
-
 @dataclass(frozen=True)
 class TailExtrapolation:
     """Log-linear fit ln(kept_error) = intercept + slope * G of the error counts.
 
     The decay rate and its standard error come from this fit alone; they are
-    an estimate produced by the sweep tooling, not an observed count. A curve
-    carrying the fit (``SweepCurve.with_tail``) reads its error count beyond
-    ``anchor_threshold``, the last fitted threshold, from ``error_at``.
+    an estimate produced by the sweep tooling, not an observed count. Rows
+    derived with the fit (``SweepCurve.rows(tail=...)``) read their error
+    count beyond ``anchor_threshold``, the last fitted threshold, from
+    ``error_at``.
     """
 
     slope: float
@@ -849,13 +835,10 @@ class TailExtrapolation:
         """Exponential decay rate of the error tail (−slope)."""
         return -self.slope
 
-    @property
-    def anchor_log(self) -> float:
-        return self.intercept + self.slope * self.anchor_threshold
-
     def error_at(self, thresholds: np.ndarray) -> np.ndarray:
         """The fitted error count at each threshold."""
-        logs = self.anchor_log + self.slope * (thresholds - self.anchor_threshold)
+        anchor = self.anchor_threshold
+        logs = self.intercept + self.slope * anchor + self.slope * (thresholds - anchor)
         # math.exp, not np.exp: numpy's SIMD exp can differ from libm in the last
         # bit, and the fit is written out at ten significant digits
         return np.fromiter(map(math.exp, logs.tolist()), np.float64, logs.size)
@@ -865,17 +848,15 @@ class TailExtrapolation:
 class SweepCurve:
     """Kept correct and error counts (as floats) on a strictly increasing grid.
 
-    Rows with A(G) and p_L(G) are derived when they are read (``rows``). A
-    curve carrying a tail fit reads the error count of every row beyond the
-    fit's anchor from the fit, and flags those rows ``extrapolated``; its
-    count columns are those of the curve it came from.
+    Rows with A(G) and p_L(G) are derived when they are read (``rows``),
+    optionally with a tail fit that replaces the error count of every row
+    beyond its anchor; the columns themselves are always the observed counts.
     """
 
     threshold: np.ndarray
     kept_correct: np.ndarray
-    kept_error: np.ndarray  # observed, also where a tail fit replaces it
+    kept_error: np.ndarray
     n_attempts: int
-    tail: TailExtrapolation | None = None
 
     def __post_init__(self) -> None:
         columns = {
@@ -890,24 +871,30 @@ class SweepCurve:
         for name, column in columns.items():
             object.__setattr__(self, name, column)
 
-    def rows(self, start: int = 0, stop: int | None = None) -> np.recarray:
-        """Rows ``start`` up to ``stop`` as a ``CURVE_DTYPE`` record array."""
+    def rows(
+        self, start: int = 0, stop: int | None = None, tail: TailExtrapolation | None = None
+    ) -> np.recarray:
+        """Rows ``start`` up to ``stop`` as a ``CURVE_DTYPE`` record array,
+        with A(G) and p_L(G) from the counts. With ``tail``, each row beyond
+        its anchor carries the fitted error count and is flagged ``extrapolated``."""
         ts = self.threshold[start:stop]
-        kept_error = self.kept_error[start:stop]
-        extrapolated = np.zeros(ts.size, dtype=bool)
-        if self.tail is not None:
-            fitted = int(np.searchsorted(ts, self.tail.anchor_threshold, side="right"))
-            extrapolated[fitted:] = True
-            kept_error = np.concatenate([kept_error[:fitted], self.tail.error_at(ts[fitted:])])
-        return curve_rows(
-            ts, self.kept_correct[start:stop], kept_error, self.n_attempts, extrapolated
-        )
+        rows = np.recarray(ts.shape, dtype=CURVE_DTYPE)
+        rows.threshold = ts
+        rows.kept_correct = self.kept_correct[start:stop]
+        rows.kept_error = self.kept_error[start:stop]
+        rows.extrapolated = False
+        if tail is not None:
+            fitted = int(np.searchsorted(ts, tail.anchor_threshold, side="right"))
+            rows.extrapolated[fitted:] = True
+            rows.kept_error[fitted:] = tail.error_at(ts[fitted:])
+        kept = rows.kept_correct + rows.kept_error
+        # a fitted count can be so small that A(G) overflows to inf
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            rows.attempts = np.where(kept > 0, self.n_attempts / kept, UNDEFINED)
+            rows.logical_error = np.where(kept > 0, rows.kept_error / kept, UNDEFINED)
+        return rows
 
     points = property(rows)  # every row; perfbench's tracer counts them with len()
-
-    def with_tail(self, tail: TailExtrapolation) -> "SweepCurve":
-        """This curve with the rows beyond the fit anchor read from the fit."""
-        return replace(self, tail=tail)
 
 
 def default_thresholds(*record_sets: RecordSet) -> np.ndarray:
@@ -1039,14 +1026,12 @@ def extrapolate_tail(
 
     Needs at least three window points with a surviving error count;
     otherwise returns None. The fit is anchored at the last fitted threshold
-    and extends the curve at its own thresholds beyond it (``with_tail``);
-    the slope's standard error comes with it.
+    and extends the curve at its own thresholds beyond it (``SweepCurve.rows``'s
+    ``tail``); the slope's standard error comes with it.
     """
     lo, hi = fit_window
     ts = curve.threshold
     in_fit = (lo <= ts) & (ts <= hi) & (curve.kept_error >= 1)
-    if curve.tail is not None:  # rows that are already extrapolated are not data
-        in_fit &= ts <= curve.tail.anchor_threshold
     if np.count_nonzero(in_fit) < 3:
         return None
     xs = ts[in_fit]
@@ -1073,13 +1058,15 @@ CURVE_CSV_HEADER = ["G", "kept_correct", "kept_error", "attempts", "logical_erro
 _CURVE_CSV_ROW = "%.10g,%.10g,%.10g,%.10g,%.10g,%s\r\n"
 
 
-def write_curve_csv(curve: SweepCurve, path: str | Path) -> None:
-    """Emit the plot-data CSV; extrapolated rows carry the fitted error count
-    and are flagged in the last column."""
+def write_curve_csv(
+    curve: SweepCurve, path: str | Path, tail: TailExtrapolation | None = None
+) -> None:
+    """Emit the plot-data CSV of ``curve.rows(tail=tail)``: extrapolated rows
+    carry the fitted error count and are flagged in the last column."""
 
     def text(start: int, stop: int):
         for block in range(start, stop, _IO_BLOCK):
-            p = curve.rows(block, min(block + _IO_BLOCK, stop))
+            p = curve.rows(block, min(block + _IO_BLOCK, stop), tail)
             columns = [p[name].tolist() for name in CURVE_DTYPE.names[:-1]]
             flags = ["true" if flag else "false" for flag in p.extrapolated.tolist()]
             yield "".join([_CURVE_CSV_ROW % row for row in zip(*columns, flags)]).encode()

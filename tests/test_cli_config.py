@@ -390,10 +390,18 @@ def _tiny_gap_rate(rate: float, records: bool) -> dict:
     [
         {"k": 1, "failure": {"calibrate_discard": 10**400}},
         {"k": 10**30, "failure": {"calibrate_discard": 0.5}},
+        # 8 * 10**14 bytes of site rates: refused at once, before memory is touched
+        {"k": 10**14, "failure": {"kind": "independent", "calibrate_discard": 0.5}, "n_shots": 10},
         _tiny_gap_rate(1e-320, records=True),
         _tiny_gap_rate(1e-320, records=False),
     ],
-    ids=["float-key-beyond-double", "k-beyond-index", "gap-overflow-records", "gap-overflow"],
+    ids=[
+        "float-key-beyond-double",
+        "k-beyond-index",
+        "k-beyond-memory",
+        "gap-overflow-records",
+        "gap-overflow",
+    ],
 )
 def test_out_of_range_number_is_one_config_error(tmp_path, capsys, cfg):
     path = tmp_path / "cfg.json"

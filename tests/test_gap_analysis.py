@@ -12,7 +12,7 @@ from patchmux.gap_analysis import (
     RecordFormatError,
     RecordSet,
     SweepCurve,
-    curve_rows,
+    TailExtrapolation,
     default_thresholds,
     extrapolate_tail,
     find_crossing,
@@ -294,7 +294,7 @@ def test_tail_fit_recovers_exponential_rate():
     fit = extrapolate_tail(curve, (0.0, 12.0))
     assert fit is not None
     assert fit.rate == pytest.approx(rate, rel=0.02)
-    beyond = curve.with_tail(fit).rows()
+    beyond = curve.rows(tail=fit)
     beyond = beyond[beyond.extrapolated]
     assert len(beyond)  # extends beyond the window
     assert np.all(beyond.threshold > fit.anchor_threshold)
@@ -316,41 +316,51 @@ def test_tail_fit_flat_when_counts_constant():
     fit = extrapolate_tail(curve, (0.0, 4.0))
     assert fit is not None
     assert fit.slope == pytest.approx(0.0, abs=1e-12)
-    extended = curve.with_tail(fit).rows()[-1]
+    extended = curve.rows(tail=fit)[-1]
     assert extended.extrapolated
     assert extended.kept_error == pytest.approx(8.0, rel=1e-9)
     assert extended.attempts == pytest.approx(1000 / 48, rel=1e-9)
 
 
-def test_with_tail_merges_fit_into_curve():
+def test_rows_with_a_tail_read_the_fit_past_its_anchor():
     rng = np.random.default_rng(79)
     gaps = rng.exponential(5.0, size=20_000)
     rs = RecordSet(gaps, np.zeros(20_000, dtype=bool), n_attempts=20_000)
     grid = [float(g) for g in range(0, 40, 2)]
     curve = sweep(rs, grid)
     fit = extrapolate_tail(curve, (0.0, 20.0))
-    merged = curve.with_tail(fit)
-    assert merged.tail is fit and fit.anchor_threshold == 20.0
-    # the observed columns are shared, not copied
-    for name in ("threshold", "kept_correct", "kept_error"):
-        assert getattr(merged, name) is getattr(curve, name)
-    rows, observed = merged.rows(), curve.rows()
+    assert fit.anchor_threshold == 20.0
+    observed_error = curve.kept_error.copy()
+    rows, observed = curve.rows(tail=fit), curve.rows()
+    # the fit changes the rows, not the curve's own columns
+    assert np.array_equal(curve.kept_error, observed_error)
     assert np.array_equal(rows.threshold, observed.threshold)
     assert np.array_equal(rows.extrapolated, rows.threshold > 20.0)
     assert np.array_equal(rows[:11], observed[:11])
     beyond = rows[rows.extrapolated]
-    fitted = [math.exp(fit.anchor_log + fit.slope * (g - 20.0)) for g in beyond.threshold]
+    fitted = [
+        math.exp(fit.intercept + fit.slope * 20.0 + fit.slope * (g - 20.0))
+        for g in beyond.threshold
+    ]
     assert beyond.kept_error.tolist() == fitted
     assert np.array_equal(beyond.kept_correct, observed.kept_correct[-len(beyond):])
+    # a block of rows reads the same fit as the whole curve
+    assert np.array_equal(curve.rows(9, 14, fit), rows[9:14])
 
 
 def test_fitted_rows_with_no_observed_count_stay_defined():
     # a fitted error count far below one must still give finite rows
-    rows = curve_rows(np.array([50.0]), np.array([0.0]), np.array([2e-104]), 46_000, True)
+    curve = SweepCurve([50.0], [0.0], [0.0], n_attempts=46_000)
+    fit = TailExtrapolation(
+        slope=0.0, slope_stderr=0.0, intercept=math.log(2e-104), anchor_threshold=0.0
+    )
+    rows = curve.rows(tail=fit)
+    assert rows.extrapolated[0] and rows.kept_error[0] == pytest.approx(2e-104, rel=1e-12)
     assert rows.attempts[0] == pytest.approx(2.3e108, rel=1e-12)
     assert rows.logical_error[0] == 1.0
-    # only an exact zero leaves the row undefined
-    rows = curve_rows(np.array([50.0]), np.array([0.0]), np.array([0.0]), 46_000, True)
+    # only an exact zero leaves the row undefined: e**-800 underflows to it
+    rows = curve.rows(tail=TailExtrapolation(0.0, 0.0, -800.0, 0.0))
+    assert rows.extrapolated[0] and rows.kept_error[0] == 0.0
     assert math.isnan(rows.attempts[0]) and math.isnan(rows.logical_error[0])
 
 
@@ -359,7 +369,7 @@ def test_curve_csv_writes_the_merged_tail(tmp_path):
     curve = sweep(rs, [0.0, 1.0, 2.0, 4.0, 12.0])
     fit = extrapolate_tail(curve, (0.0, 2.0))
     path = tmp_path / "curve.csv"
-    write_curve_csv(curve.with_tail(fit), path)
+    write_curve_csv(curve, path, fit)
     with open(path) as fh:
         rows = list(csv.DictReader(fh))
     assert [r["extrapolated"] for r in rows] == ["false"] * 3 + ["true"] * 2
@@ -455,7 +465,7 @@ def test_curve_path_keeps_each_column_once(tmp_path):
         grid = default_thresholds(records)
         curve = sweep(records, grid)
         tail = extrapolate_tail(curve, (2, 20))
-        write_curve_csv(curve.with_tail(tail), tmp_path / "curve.csv")
+        write_curve_csv(curve, tmp_path / "curve.csv", tail)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -140,6 +140,43 @@ def test_candidate_size_histogram_is_binomial():
     assert statistic < stats.chi2.ppf(1 - 1e-3, df=4)
 
 
+COVERAGE_D1 = 0.4903
+COVERAGE_MODELS = {
+    "independent": FailureModel.identical(COVERAGE_D1, 4),
+    "common_mode": FailureModel.identical(COVERAGE_D1, 4, CommonMode(0.0181)),
+    "explicit_joint": FailureModel.identical(
+        COVERAGE_D1, 4, ExplicitJoint(product_joint_table((COVERAGE_D1,) * 4))
+    ),
+}
+
+
+def share_beyond_two_sigma(observed: np.ndarray, expected: float, n: int) -> float:
+    """The share of runs whose binomial rate lies more than two standard
+    errors from ``expected``."""
+    z = (observed - expected) / math.sqrt(expected * (1 - expected) / n)
+    return float(np.mean(np.abs(z) > 2))
+
+
+@pytest.mark.parametrize("name", COVERAGE_MODELS)
+def test_seeded_runs_cover_the_closed_form(name):
+    # each seed's discard and kept fraction are binomial rates, so |z| > 2
+    # for 4.55% of seeds; the share over 200 seeds stays within binomial
+    # limits of that, and leaves them when the closed form is 5% off
+    model, seeds, n, keep_prob = COVERAGE_MODELS[name], 200, 20_000, 0.7
+    escape = EscapeModel(kind="bernoulli", q=0.05, keep_prob=keep_prob)
+    discard, kept = np.empty(seeds), np.empty(seeds)
+    for seed in range(seeds):
+        config = SimConfig(model, n, seed, escape_model=escape, collect_records=False)
+        summary = run_simulation(config)
+        discard[seed], kept[seed] = summary.empirical_discard, summary.kept / n
+    nominal = 2 * stats.norm.sf(2.0)
+    low, high = (bound / seeds for bound in stats.binom.interval(0.999, seeds, nominal))
+    d_all = joint_all_fail_probability(model)
+    for observed, expected in ((discard, d_all), (kept, (1 - d_all) * keep_prob)):
+        assert low <= share_beyond_two_sigma(observed, expected, n) <= high
+        assert share_beyond_two_sigma(observed, 1.05 * expected, n) > high
+
+
 @pytest.mark.parametrize(
     "model",
     [

@@ -57,7 +57,7 @@ def reference_jsonl(gaps, correct, shot_index) -> str:
     )
 
 
-def reference_curve_csv(curve, path) -> None:
+def reference_curve_csv(curve, path, tail=None) -> None:
     def num(value):
         if math.isnan(value):
             return "nan"
@@ -68,7 +68,7 @@ def reference_curve_csv(curve, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CURVE_CSV_HEADER)
-        for row in curve.rows().tolist():
+        for row in curve.rows(tail=tail).tolist():
             writer.writerow([*map(num, row[:-1]), "true" if row[-1] else "false"])
 
 
@@ -301,14 +301,15 @@ def test_curve_writer_matches_csv_writer(tmp_path, block):
     kept_error = [2.0, 1.0, 1.0, 1.0, 0.0, 0.0]
     # fitted from G=2 on: about 8.5e-321 there, so A(G) is inf, then 0 and 0
     fit = TailExtrapolation(slope=-737.0, slope_stderr=0.0, intercept=737.0, anchor_threshold=1.0)
-    curve = SweepCurve(thresholds, kept_correct, kept_error, n_attempts=9, tail=fit)
-    rows = curve.rows()
+    curve = SweepCurve(thresholds, kept_correct, kept_error, n_attempts=9)
+    rows = curve.rows(tail=fit)
     assert rows.extrapolated.tolist() == [False] * 3 + [True] * 3
     assert 0 < rows.kept_error[3] < 1e-320 and math.isinf(rows.attempts[3])
     assert math.isnan(rows.attempts[4]) and math.isnan(rows.attempts[5])
+    assert curve.kept_error.tolist() == kept_error  # the curve keeps the observed counts
     path, reference = tmp_path / "curve.csv", tmp_path / "reference.csv"
-    write_curve_csv(curve, path)
-    reference_curve_csv(curve, reference)
+    write_curve_csv(curve, path, fit)
+    reference_curve_csv(curve, reference, fit)
     assert path.read_bytes() == reference.read_bytes()
     header = b"G,kept_correct,kept_error,attempts,logical_error,extrapolated\r\n"
     assert path.read_bytes().startswith(header + b"-0,")
@@ -1478,8 +1479,8 @@ WRITE_GAPS = [0.0, 5e-324, 1e308, 3.0, 7.0, 0.1, 2.5e-7, 123456.789, 1e22, 40.0,
 
 
 def sets_to_write(rows):
-    """A record set and a curve of ``rows`` rows: edge gaps, integral gaps,
-    curve rows with NaN and inf, and extrapolated rows."""
+    """A record set, a curve of ``rows`` rows and a tail fit for it: edge
+    gaps, integral gaps, curve rows with NaN and inf, and extrapolated rows."""
     pick = np.arange(rows) % len(WRITE_GAPS)
     records = RecordSet(
         np.array(WRITE_GAPS)[pick],
@@ -1492,16 +1493,14 @@ def sets_to_write(rows):
     fit = TailExtrapolation(
         slope=-1.5, slope_stderr=0.1, intercept=2.0, anchor_threshold=(2 * rows // 3 - 1) * 0.5
     )
-    curve = SweepCurve(
-        np.arange(rows) * 0.5, np.arange(rows) % 3 * 1.0, kept_error, n_attempts=9, tail=fit
-    )
-    return records, curve
+    curve = SweepCurve(np.arange(rows) * 0.5, np.arange(rows) % 3 * 1.0, kept_error, n_attempts=9)
+    return records, curve, fit
 
 
 def written_bytes(tmp_path, rows):
-    records, curve = sets_to_write(rows)
+    records, curve, fit = sets_to_write(rows)
     records.to_jsonl(tmp_path / "out.jsonl")
-    write_curve_csv(curve, tmp_path / "out.csv")
+    write_curve_csv(curve, tmp_path / "out.csv", fit)
     return (tmp_path / "out.jsonl").read_bytes(), (tmp_path / "out.csv").read_bytes()
 
 
@@ -1533,9 +1532,9 @@ def count_forks(monkeypatch, fork=os.fork):
 @pytest.mark.parametrize("rows", [0, 1, 3, 11, 23])
 @pytest.mark.parametrize("cpus", [1, 2, 3], ids=lambda n: f"cpus{n}")
 def test_split_writes_match_serial(tmp_path, monkeypatch, block, cpus, rows):
-    records, curve = sets_to_write(rows)
+    records, curve, fit = sets_to_write(rows)
     reference = tmp_path / "reference.csv"
-    reference_curve_csv(curve, reference)
+    reference_curve_csv(curve, reference, fit)
     gaps, correct = records.gaps.tolist(), records.correct.tolist()
     expected = serial_writes(tmp_path, monkeypatch, rows)
     assert expected == (
