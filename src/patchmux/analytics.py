@@ -193,6 +193,21 @@ def multiplex_pass_probability(model: FailureModel) -> float:
     return 1.0 - joint_all_fail_probability(model)
 
 
+Z_95 = 1.959963984540054  # the two-sided 95% quantile of the standard normal
+
+
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """95% Wilson score interval of the binomial rate successes / trials; an
+    end the count reaches (none or every trial) is exactly 0 or 1."""
+    z, p = Z_95, successes / trials
+    scale = 1.0 + z * z / trials
+    centre = (p + z * z / (2 * trials)) / scale
+    half = z * math.sqrt(p * (1.0 - p) / trials + z * z / (4 * trials * trials)) / scale
+    low = 0.0 if successes == 0 else centre - half
+    high = 1.0 if successes == trials else centre + half
+    return low, high
+
+
 # ---------------------------------------------------------------------------
 # printed-table reproduction
 

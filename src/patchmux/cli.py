@@ -273,10 +273,10 @@ def _read_file(read, path: Path, *args):
         raise InputFormatError(f"{path}: not UTF-8 text") from None
 
 
-def _load_record_set(path: Path, n_attempts: int | None = None, merged: bool = False) -> RecordSet:
+def _load_record_set(path: Path, n_attempts: int | None = None) -> RecordSet:
     read = RecordSet.from_csv if path.suffix.lower() == ".csv" else RecordSet.from_jsonl
     try:
-        return _read_file(read, path, n_attempts, merged)
+        return _read_file(read, path, n_attempts)
     except RecordFormatError as exc:
         raise InputFormatError(str(exc)) from None
 
@@ -498,6 +498,38 @@ def write_records_jsonl(summary, path) -> int:
     return len(summary.records)
 
 
+def _inverse(value: float) -> float:
+    return 1.0 / value if value else math.inf
+
+
+def _closed_form_results(config: SimConfig, summary) -> dict:
+    """The configured model's closed form, and the run's distance from it:
+    the binomial standard error and z of the observed discard and kept
+    fraction (z null where the error is 0), and the attempts' 95% interval,
+    Wilson's on the kept fraction, inverted."""
+    from .analytics import joint_all_fail_probability, wilson_interval
+
+    escape = config.escape_model
+    discard = joint_all_fail_probability(config.failure_model)
+    kept_fraction = (1.0 - discard) * (1.0 if escape.kind == "always_keep" else escape.keep_prob)
+    n = summary.shots
+    results = {
+        "closed_form_discard": discard,
+        "closed_form_kept_fraction": kept_fraction,
+        "closed_form_attempts": _inverse(kept_fraction),
+    }
+    for name, rate, count in (
+        ("discard", discard, summary.early_discards),
+        ("kept_fraction", kept_fraction, summary.kept),
+    ):
+        stderr = math.sqrt(rate * (1.0 - rate) / n)
+        results[f"{name}_stderr"] = stderr
+        results[f"{name}_z"] = (count / n - rate) / stderr if stderr else None
+    low, high = wilson_interval(summary.kept, n)
+    results["attempts_interval_95"] = [_inverse(high), _inverse(low)]
+    return results
+
+
 def cmd_simulate(args) -> int:
     from .montecarlo import LAYOUT_VERSION, SimConfig
 
@@ -565,6 +597,7 @@ def cmd_simulate(args) -> int:
         "site_survival_histogram": list(summary.site_survival_histogram),
         "labels": labels,
         "warnings": list(summary.warnings),
+        **_closed_form_results(sim_config, summary),
     }
     records_path = None
     if want_records:
@@ -578,6 +611,13 @@ def cmd_simulate(args) -> int:
         f"shots={summary.shots} early_discards={summary.early_discards} "
         f"kept={summary.kept} empirical_discard={fmt6(summary.empirical_discard)} "
         f"empirical_attempts={fmt6(summary.empirical_attempts)}"
+    )
+    z = results["discard_z"]
+    print(
+        f"closed_form_discard={fmt6(results['closed_form_discard'])} "
+        f"discard_z={'null' if z is None else fmt6(z)} closed_form_attempts="
+        f"{fmt6(results['closed_form_attempts'])} attempts_interval_95="
+        f"[{', '.join(map(fmt6, results['attempts_interval_95']))}]"
     )
     for warning in summary.warnings:
         print(f"warning: {warning}")
@@ -632,10 +672,7 @@ def cmd_gap_sweep(args) -> int:
     grid = _threshold_grid(cfg.get("thresholds"))
 
     with _config_errors():
-        # merged: a sweep needs only how many records share each gap and flag
-        record_sets = [
-            _load_record_set(path, n_att, merged=True) for path, n_att in zip(files, per_input)
-        ]
+        record_sets = [_load_record_set(path, n_att) for path, n_att in zip(files, per_input)]
     for path, rs in zip(files, record_sets):
         if rs.attempts_summed:
             print(

@@ -27,14 +27,14 @@ reports record errors, naming the first bad record as a line-by-line reader
 would, so outputs and messages do not depend on the split. A leading UTF-8
 byte order mark is skipped; one anywhere else is a record error.
 
-A sweep needs only the count of each (gap, correct) pair, so a merged read
-(``merged=True``, which ``gap-sweep`` asks for) folds each parsed block into
-one (gap, correct, count) row per distinct pair (``_Pairs``), in no order;
-``_read_checked`` folds its blocks of records the same way. A range keeps
-merging while its rows are at most half the records it has read; past that
-(distinct continuous gaps pass it at their first block) it expands its rows
-and keeps one row a record, as an unmerged read does. If any range did, the
-other ranges' rows are expanded too; else they are merged again.
+A sweep, and an empirical escape pool, need only the count of each (gap,
+correct) pair, so every read folds each parsed block into one (gap, correct,
+count) row per distinct pair (``_Pairs``), in key order; ``_read_checked``
+folds its blocks of records the same way. A range keeps merging while its
+rows are at most half the records it has read; past that (distinct
+continuous gaps pass it at their first block) it expands its rows and keeps
+one row a record, in no order. If any range did, the other ranges' rows are
+expanded too; else they are merged again.
 
 Record sets and curves are written a fixed block of rows at a time, so only
 the numpy columns grow with the file, and on every usable CPU, by one fork
@@ -154,31 +154,6 @@ def _is_blank(row: list[str]) -> bool:
     return not any(map(str.strip, row))
 
 
-class _Columns:
-    """Gap and flag columns that grow by doubling as blocks are appended."""
-
-    def __init__(self) -> None:
-        self.gaps = np.empty(0, dtype=np.float64)
-        self.correct = np.empty(0, dtype=bool)
-        self.size = 0
-
-    def append(self, gaps, correct) -> None:
-        end = self.size + len(gaps)
-        if end > self.gaps.size:
-            capacity = max(end, 2 * self.gaps.size)
-            self.gaps.resize(capacity, refcheck=False)
-            self.correct.resize(capacity, refcheck=False)
-        self.gaps[self.size : end] = gaps
-        self.correct[self.size : end] = correct
-        self.size = end
-
-    def arrays(self) -> tuple[np.ndarray, np.ndarray, None]:
-        """Gaps, flags and no counts: one record a row, in order."""
-        self.gaps.resize(self.size, refcheck=False)
-        self.correct.resize(self.size, refcheck=False)
-        return self.gaps, self.correct, None
-
-
 def _pair_keys(gaps: np.ndarray, correct: np.ndarray) -> np.ndarray:
     """One key per (gap, correct) that sorts by gap, then flag: a non-negative
     float's bits order as its value. The shift drops the sign bit, so a gap
@@ -206,45 +181,66 @@ def _pairs(keys: np.ndarray, count: np.ndarray):
 
 
 class _Pairs:
-    """``_Columns``' interface over merged (gap, correct, count) rows, in key
-    order, folded a block at a time. A merged row costs about 17 bytes and a
-    record row 9, so once the rows held pass half the records appended, they
-    are expanded (merged rows have no order to restore) and later blocks kept
-    as records."""
+    """A read's rows, folded a block at a time: merged (gap, correct, count)
+    rows, one per distinct pair in key order, while they are at most half the
+    records appended (a merged row costs about 17 bytes and a record row 9).
+    Past that, or from a first block of distinct pairs, it holds one row a
+    record: the merged rows expanded in key order, then each later block as
+    appended, joined once in ``arrays``."""
 
     def __init__(self) -> None:
         self.keys = np.empty(0, np.uint64)
         self.count = np.empty(0, np.int64)
         self.records = 0
-        self.units: _Columns | None = None
+        self.blocks: list[tuple[np.ndarray, np.ndarray]] | None = None
 
     def append(self, gaps, correct) -> None:
         # a first block of distinct pairs is told by a set, not a sort, so a
         # file of continuous gaps never pages in numpy's uint64 sort and
         # search code (about 0.5 MB of RSS); numpy scalars, one at a time,
         # not a list of the block
-        first = self.units is None and not self.records
+        first = self.blocks is None and not self.records
         if first and 2 * len(set(zip(gaps, correct))) > len(gaps):
-            self.units = _Columns()
-        if self.units is None:
-            keys, count = _distinct(_pair_keys(gaps, correct))
-            at = np.searchsorted(self.keys, keys)
-            if at.size and at[-1] < self.keys.size and np.array_equal(self.keys[at], keys):
-                self.count[at] += count  # no new pair: the common case
-            else:
-                self.keys, self.count = _distinct(
-                    np.concatenate([self.keys, keys]), np.concatenate([self.count, count])
-                )
-            self.records += len(gaps)
-            if 2 * self.keys.size <= self.records:
-                return
-            self.units = _Columns()
-            gaps, correct, count = _pairs(self.keys, self.count)
-            gaps, correct = np.repeat(gaps, count), np.repeat(correct, count)
-        self.units.append(gaps, correct)
+            self.blocks = []
+        if self.blocks is not None:
+            self.blocks.append((gaps, correct))
+            return
+        self._merge(*_distinct(_pair_keys(gaps, correct)), len(gaps))
+        if 2 * self.keys.size > self.records:
+            self.blocks = self._record_blocks()
+
+    def _merge(self, keys: np.ndarray, count: np.ndarray, records: int) -> None:
+        """Add sorted distinct ``keys`` with their ``count``, ``records`` in all."""
+        at = np.searchsorted(self.keys, keys)
+        if at.size and at[-1] < self.keys.size and np.array_equal(self.keys[at], keys):
+            self.count[at] += count  # no new pair: the common case
+        else:
+            self.keys, self.count = _distinct(
+                np.concatenate([self.keys, keys]), np.concatenate([self.count, count])
+            )
+        self.records += records
+
+    def _record_blocks(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The rows as blocks of records; merged rows expand in key order."""
+        if self.blocks is not None:
+            return self.blocks
+        gaps, correct, count = _pairs(self.keys, self.count)
+        return [(np.repeat(gaps, count), np.repeat(correct, count))]
+
+    def join(self, other: "_Pairs") -> None:
+        """Fold in the rows of a later part: merged again where both parts
+        are merged, else both as records."""
+        if self.blocks is None and other.blocks is None:
+            self._merge(other.keys, other.count, other.records)
+        else:
+            self.blocks = self._record_blocks() + other._record_blocks()
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-        return _pairs(self.keys, self.count) if self.units is None else self.units.arrays()
+        """Gaps, flags and counts: the merged rows, or one row a record and no counts."""
+        if self.blocks is None:
+            return _pairs(self.keys, self.count)
+        gaps, correct = map(np.concatenate, zip(*self.blocks))
+        return gaps, correct, None
 
 
 def _check_csv_header(row: list[str] | None) -> None:
@@ -252,18 +248,17 @@ def _check_csv_header(row: list[str] | None) -> None:
         raise RecordFormatError("expected CSV header 'gap,correct'")
 
 
-def _read_checked(path, is_csv: bool, merged: bool = False):
-    """Gaps, flags, records with attempts_consumed and their total (two zeros
-    for CSV) and counts, read in text mode one record at a time, so an error
-    names the first bad record; the only source of record errors. Merged, the
-    rows are ``_Pairs``', else one a record in order with no counts. Records
-    are numbered by line (JSONL) or row (CSV, the header being record 0),
-    blank included.
+def _read_checked(path, is_csv: bool):
+    """The rows (``_Pairs``), the records with attempts_consumed and their
+    total (two zeros for CSV), read in text mode one record at a time, so an
+    error names the first bad record; the only source of record errors.
+    Records are numbered by line (JSONL) or row (CSV, the header being record
+    0), blank included.
     Bytes that are not UTF-8 anywhere raise UnicodeDecodeError before any."""
     with open(path, "rb") as fh:
         for _ in codecs.iterdecode(iter(lambda: fh.read(_BYTE_BLOCK), b""), "utf-8"):
             pass
-    rows = _Pairs() if merged else _Columns()
+    rows = _Pairs()
     gaps: list[float] = []
     flags: list[bool] = []
     with_consumed = consumed = 0
@@ -305,11 +300,10 @@ def _read_checked(path, is_csv: bool, merged: bool = False):
     if rec_no < 0:  # a CSV without a header
         _check_csv_header(None)
     rows.append(np.array(gaps, np.float64), np.array(flags, bool))
-    gaps, flags, count = rows.arrays()
-    return gaps, flags, with_consumed, consumed, count
+    return rows, with_consumed, consumed
 
 
-# Range reading: a range returns its columns or declines (None); any decline
+# Range reading: a range returns its rows or declines (None); any decline
 # makes the caller read the whole file with ``_read_checked``, so record
 # errors and their numbers always come from it.
 
@@ -443,13 +437,12 @@ def _csv_bytes(raw: bytes, consumed: int):
     return gaps, (flags == ord("t")) | (flags == ord("1")), 0, consumed
 
 
-def _read_range(path, is_csv: bool, start: int, end: int, merged: bool = False):
-    r"""(gaps, correct, records with attempts_consumed, their total, counts)
-    of one byte range, read about ``_BYTE_BLOCK`` bytes at a time, each block
-    cut just after a ``\n`` (one is added after a last line without it) and
-    parsed by a byte kernel; None to decline where a kernel does. Merged, the
-    rows are ``_Pairs``', else one a record in order with no counts."""
-    rows = _Pairs() if merged else _Columns()
+def _read_range(path, is_csv: bool, start: int, end: int):
+    r"""What ``_read_checked`` returns, of one byte range, read about
+    ``_BYTE_BLOCK`` bytes at a time, each block cut just after a ``\n`` (one
+    is added after a last line without it) and parsed by a byte kernel; None
+    to decline where a kernel does."""
+    rows = _Pairs()
     with_consumed = consumed = 0
     parse_bytes = _csv_bytes if is_csv else _jsonl_bytes
     with open(path, "rb") as fh:
@@ -465,8 +458,7 @@ def _read_range(path, is_csv: bool, start: int, end: int, merged: bool = False):
                 return None
             rows.append(block[0], block[1])
             with_consumed, consumed = with_consumed + block[2], block[3]
-    gaps, correct, count = rows.arrays()
-    return gaps, correct, with_consumed, consumed, count
+    return rows, with_consumed, consumed
 
 
 def _usable_cpus() -> int:
@@ -622,31 +614,23 @@ def _map_in_parts(fn, count: int) -> list:
     return first + [pickle.load(out) for _ in range(count - 1)]
 
 
-def _read_records(path, is_csv: bool, merged: bool):
-    """What ``_read_checked`` returns, read in line-aligned byte ranges; read
-    by ``_read_checked`` instead where the CSV header or a range declines.
-    Merged, the ranges' rows are merged again, unless a range kept one row a
-    record: then every range's rows are expanded to records."""
+def _read_records(path, is_csv: bool):
+    """What ``_read_checked`` returns, read in line-aligned byte ranges, whose
+    rows are joined in order; read by ``_read_checked`` instead where the CSV
+    header or a range declines."""
     start = _csv_body_start(path) if is_csv else 0
     ranges = None if start is None else _byte_ranges(path, start)
     parts = None if ranges is None else _map_in_parts(
-        lambda part: _read_range(path, is_csv, *ranges[part], merged), len(ranges)
+        lambda part: _read_range(path, is_csv, *ranges[part]), len(ranges)
     )
     if parts is None or None in parts:
-        return _read_checked(path, is_csv, merged)
-    gaps, correct, with_consumed, consumed, count = zip(*parts)
+        return _read_checked(path, is_csv)
+    rows, with_consumed, consumed = zip(*parts)
     if sum(consumed) > _INT64_MAX:
-        return _read_checked(path, is_csv, merged)
-    if any(n is None for n in count):
-        gaps = np.concatenate([g if n is None else np.repeat(g, n) for g, n in zip(gaps, count)])
-        correct = np.concatenate(
-            [c if n is None else np.repeat(c, n) for c, n in zip(correct, count)]
-        )
-        count = None
-    else:
-        keys = _pair_keys(np.concatenate(gaps), np.concatenate(correct))
-        gaps, correct, count = _pairs(*_distinct(keys, np.concatenate(count)))
-    return gaps, correct, sum(with_consumed), sum(consumed), count
+        return _read_checked(path, is_csv)
+    for later in rows[1:]:
+        rows[0].join(later)
+    return rows[0], sum(with_consumed), sum(consumed)
 
 
 def _records(gaps: np.ndarray, count: np.ndarray | None) -> int:
@@ -662,10 +646,10 @@ class RecordSet:
     when known, is the attempt number of each kept shot.
 
     With ``count``, each row stands for that many records of its gap and
-    flag, and the rows have no order: a merged read
-    (``from_jsonl(..., merged=True)``) holds one row per distinct pair, so
-    its memory does not grow with the records. ``len`` is always the number
-    of records, not of rows.
+    flag: a read of records that repeat pairs (integer gaps do) holds one row
+    per distinct pair, so its memory does not grow with the records. A read
+    keeps no record order, with counts or without. ``len`` is always the
+    number of records, not of rows.
     """
 
     # set by from_jsonl when n_attempts is the sum of attempts_consumed, which
@@ -720,9 +704,7 @@ class RecordSet:
         return self._records
 
     @classmethod
-    def from_jsonl(
-        cls, path: str | Path, n_attempts: int | None = None, merged: bool = False
-    ) -> "RecordSet":
+    def from_jsonl(cls, path: str | Path, n_attempts: int | None = None) -> "RecordSet":
         """Read one JSON object per line: {"gap", "correct", "attempts_consumed"}.
 
         ``attempts_consumed`` is optional per record; when present on every
@@ -732,24 +714,22 @@ class RecordSet:
         ValueError naming the file. Records are numbered by line, blank lines
         included.
 
-        ``merged`` reads into (gap, correct, count) rows, one per distinct
-        pair, in no order, wherever a range's records repeat pairs enough to
-        save memory (integer gaps do; distinct continuous gaps do not, and
-        are read one row a record).
+        The rows are (gap, correct, count) rows, one per distinct pair,
+        wherever the records repeat pairs enough to save memory (integer gaps
+        do); else, as for distinct continuous gaps, one row a record, with no
+        ``count``. Either way they keep no record order.
         """
-        return _read_record_set(path, False, n_attempts, merged)
+        return _read_record_set(path, False, n_attempts)
 
     @classmethod
-    def from_csv(
-        cls, path: str | Path, n_attempts: int | None = None, merged: bool = False
-    ) -> "RecordSet":
+    def from_csv(cls, path: str | Path, n_attempts: int | None = None) -> "RecordSet":
         """Read the CSV variant with header ``gap,correct``.
 
         The CSV form carries kept records only; without ``n_attempts`` the
         attempt total defaults to the record count. Rows of blank cells are
-        skipped but still numbered. ``merged`` is as for ``from_jsonl``.
+        skipped but still numbered. Rows are as for ``from_jsonl``.
         """
-        return _read_record_set(path, True, n_attempts, merged)
+        return _read_record_set(path, True, n_attempts)
 
     def to_jsonl(self, path: str | Path) -> None:
         """Write one JSON object per record, as ``from_jsonl`` reads them.
@@ -780,10 +760,11 @@ class RecordSet:
         _write_rows(path, b"", text, len(self))
 
 
-def _read_record_set(path, is_csv: bool, n_attempts: int | None, merged: bool) -> RecordSet:
+def _read_record_set(path, is_csv: bool, n_attempts: int | None) -> RecordSet:
     """The body of ``RecordSet.from_jsonl`` and ``from_csv``. A CSV record
     carries no ``attempts_consumed``, so its total defaults to the records."""
-    gaps, correct, with_consumed, consumed, count = _read_records(path, is_csv, merged)
+    rows, with_consumed, consumed = _read_records(path, is_csv)
+    gaps, correct, count = rows.arrays()
     records = _records(gaps, count)
     # a record without attempts_consumed took at least its own attempt
     least = consumed + records - with_consumed

@@ -11,7 +11,7 @@ change any output bit.
 Draw slots (k sites, m = ceil(k / 4)):
 
     0               explicit-joint selector (whole words)
-    1               gap draw, also the empirical-pool index (whole words)
+    1               gap draw, also the empirical-pool rank (whole words)
     2               common mode: selector (quarter 0), shared fate (quarter 1)
     3               escape: keep (quarter 0), error class (quarter 1)
     4 .. 3+m        site j's early-stage test: word 4 + j // 4, quarter j % 4
@@ -32,12 +32,15 @@ then is e read, the top 37 bits of word i of that test's own tie stream,
 compared with the low 37 bits of t (``_passes``). ``u < r`` is its negation.
 Whole words stand for u = (w >> 11) * 2**-53, the double ``Generator.random``
 makes from the same word, and are made into floats only where a model reads
-one: the gap and the empirical-pool index, for kept shots only, and the
-explicit-joint selector. Fed the words of layout v2 repacked (the top 16 of
-its 53 bits into a test's quarter, the low 37 into its tie stream) the
-kernel writes v2's outputs bit for bit. A run is folded in blocks of
-``_BLOCK`` shots, and a run without records keeps only counts, so it holds
-O(block) memory whatever its shot count.
+one: the gap and the empirical-pool rank, for kept shots only, and the
+explicit-joint selector. A pool draw takes the record of rank
+min(floor(u N), N - 1) of the pool's N records in (gap, flag) order, a gap
+of -0.0 counting as 0.0, so its draws depend on the pool's records and not
+on their order in a file or a read. Fed the words of layout v2 repacked
+(the top 16 of its 53 bits into a test's quarter, the low 37 into its tie
+stream) the kernel writes v2's outputs bit for bit. A run is folded in
+blocks of ``_BLOCK`` shots, and a run without records keeps only counts, so
+it holds O(block) memory whatever its shot count.
 
 Kept shots come back as one ``gap_analysis.RecordSet`` whose attempt total
 is the shot count and whose ``shot_index`` column gives each kept shot's
@@ -53,11 +56,22 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .analytics import CommonMode, ExplicitJoint, FailureModel, ModelError
-from .gap_analysis import RecordSet, _map_in_parts, _usable_cpus
+from .gap_analysis import (
+    RecordSet,
+    _distinct,
+    _map_in_parts,
+    _pair_keys,
+    _pairs,
+    _physical_memory,
+    _usable_cpus,
+)
 
 MAX_SEED = 2**64 - 1
 LAYOUT_VERSION = 3  # the draw layout of the module docstring; simulate reports carry it
 _LARGEST_EXPONENTIAL = -math.log1p(-(1.0 - 2.0**-53))  # e at the largest uniform a draw makes
+# bytes a shot of the shot index, gap and flag columns that a run with
+# records sizes for every shot (``_fold_run``)
+_RECORD_BYTES = 8 + 8 + 1
 
 
 @dataclass(frozen=True)
@@ -116,9 +130,6 @@ class EscapeModel:
             raise ModelError(f"keep_prob={self.keep_prob!r} outside [0, 1]")
         if self.kind == "empirical" and (self.pool is None or len(self.pool) == 0):
             raise ModelError("empirical escape model needs a non-empty pool")
-        if self.kind == "empirical" and self.pool.count is not None:
-            # a draw indexes one record a row, in file order
-            raise ModelError("empirical escape model needs one pool row per record, not merged")
 
 
 @dataclass(frozen=True)
@@ -136,6 +147,9 @@ class SimConfig:
             raise ValueError("n_shots must be at least 1")
         if not (0 <= self.seed <= MAX_SEED):
             raise ValueError("seed must fit in 64 unsigned bits")
+        # an overcommitting host grants such columns, then fails to fill them
+        if self.collect_records and 0 < _physical_memory() < self.n_shots * _RECORD_BYTES:
+            raise ValueError(f"n_shots={self.n_shots} with records exceeds physical memory")
 
     @property
     def k(self) -> int:
@@ -312,6 +326,8 @@ class _Plan:
     escape: _Tests | None  # q0 passes when the stage rejects, q1 when an output is correct
     rejects: bool  # whether the escape stage can reject a candidate
     joint_cdf: np.ndarray | None  # explicit joint: cumulative outcome table
+    pool: tuple[np.ndarray, ...] | None  # empirical: gaps, flags and cumulative counts
+    #                                      of the pool's distinct pairs, in (gap, flag) order
 
 
 def _plan(config: SimConfig, block: int) -> _Plan:
@@ -327,6 +343,10 @@ def _plan(config: SimConfig, block: int) -> _Plan:
     site_t = [_threshold(r) for r in rates]
     reject_at = _UNIT if esc.kind == "always_keep" else _threshold(esc.keep_prob)
     errors = esc.kind == "bernoulli" and config.collect_records
+    pool = None
+    if esc.kind == "empirical":
+        keys, count = _distinct(_pair_keys(esc.pool.gaps, esc.pool.correct), esc.pool.count)
+        pool = (*_pairs(keys, count)[:2], np.cumsum(count))
     return _Plan(
         config=config,
         sites=()
@@ -343,6 +363,7 @@ def _plan(config: SimConfig, block: int) -> _Plan:
         else None,
         rejects=reject_at < _UNIT,
         joint_cdf=np.cumsum(np.asarray(corr.table, dtype=np.float64)) if joint else None,
+        pool=pool,
     )
 
 
@@ -396,10 +417,12 @@ def _escape_draws(plan: _Plan, draws: _Draws, rows: np.ndarray) -> tuple[np.ndar
     """(gap, correct) of the given shots; floats are made for these shots only."""
     esc = plan.config.escape_model
     u = draws.floats(_GAP, rows)
-    if esc.kind == "empirical":
+    if esc.kind == "empirical":  # the rank-th record in (gap, flag) order
         size = len(esc.pool)
-        idx = np.minimum((u * size).astype(np.int64), size - 1)
-        return esc.pool.gaps[idx], esc.pool.correct[idx]
+        rank = np.minimum((u * size).astype(np.int64), size - 1)
+        gaps, correct, ends = plan.pool
+        row = np.searchsorted(ends, rank, side="right")
+        return gaps[row], correct[row]
     e = -np.log1p(-u)  # one unit-exponential variate per shot, shared by both classes
     if esc.kind == "always_keep":
         return esc.gap_correct.from_exponential(e), np.ones(rows.size, dtype=bool)

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from patchmux.analytics import (
     AttemptRow,
@@ -21,6 +22,7 @@ from patchmux.analytics import (
     product_joint_table,
     reduction_interval,
     reproduce_table,
+    wilson_interval,
 )
 from patchmux.presets import EARLY_STAGE_TABLE, FULL_CYCLE_TABLE
 
@@ -249,3 +251,11 @@ def test_reproduce_table_row_errors_do_not_stop_the_table():
     assert results[0].error is not None
     assert results[1].error is None and results[1].consistent
     assert results[2].error is not None
+
+
+@pytest.mark.parametrize("kept, shots", [(0, 1), (1, 1), (0, 10), (3, 10), (10, 10), (5, 7), (94151, 10**5)])
+def test_wilson_interval_matches_scipy(kept, shots):
+    expected = stats.binomtest(kept, shots).proportion_ci(0.95, "wilson")
+    low, high = wilson_interval(kept, shots)
+    assert (low, high) == pytest.approx((expected.low, expected.high), rel=1e-12, abs=1e-15)
+    assert (low == 0.0) == (kept == 0) and (high == 1.0) == (kept == shots)

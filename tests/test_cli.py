@@ -1,14 +1,17 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import patchmux
-from patchmux.cli import EXIT_CONFIG, EXIT_EMPTY, EXIT_FORMAT, EXIT_OK, main
+from patchmux import gap_analysis
+from patchmux.cli import EXIT_CONFIG, EXIT_EMPTY, EXIT_FORMAT, EXIT_OK, fmt6, main
 
 
 def run_cli(*argv):
@@ -234,10 +237,55 @@ def test_simulate_nothing_kept_warns_with_exit_code(tmp_path):
     report = read_json(tmp_path / "sim_summary.json")
     assert report["results"]["empirical_attempts"] == "inf"
     assert report["results"]["warnings"]
+    # every site fails: no kept fraction to retry toward, and no spread to divide by
+    results = report["results"]
+    assert results["closed_form_discard"] == 1.0 and results["closed_form_attempts"] == "inf"
+    assert results["discard_stderr"] == 0.0 and results["discard_z"] is None
+    assert results["kept_fraction_stderr"] == 0.0 and results["kept_fraction_z"] is None
+    low, high = results["attempts_interval_95"]
+    assert 1 < low < math.inf and high == "inf"
+
+
+def test_simulate_reports_z_against_its_closed_form(tmp_path):
+    # keep_prob below 1, so the kept fraction is not one minus the discard
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(
+        json.dumps(
+            {
+                "k": 4,
+                "n_shots": 20000,
+                "seed": 11,
+                "failure": {"kind": "independent", "calibrate_discard": 0.4903},
+                "escape": {"kind": "bernoulli", "q": 0.05, "keep_prob": 0.8},
+            }
+        )
+    )
+    assert run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path)) == EXIT_OK
+    results = read_json(tmp_path / "sim_summary.json")["results"]
+    shots, kept = results["shots"], results["kept"]
+    discard = 0.4903**4
+    kept_fraction = (1 - discard) * 0.8
+    assert results["closed_form_discard"] == float(fmt6(discard))
+    assert results["closed_form_kept_fraction"] == float(fmt6(kept_fraction))
+    assert results["closed_form_attempts"] == float(fmt6(1 / kept_fraction))
+    for name, rate, count in (
+        ("discard", discard, results["early_discards"]),
+        ("kept_fraction", kept_fraction, kept),
+    ):
+        stderr = math.sqrt(rate * (1 - rate) / shots)
+        assert results[f"{name}_stderr"] == float(fmt6(stderr))
+        assert results[f"{name}_z"] == float(fmt6((count / shots - rate) / stderr))
+    # Wilson's interval on kept / shots, inverted, holds the observed attempts
+    low, high = results["attempts_interval_95"]
+    assert low < shots / kept < high
+    p, z = kept / shots, 1.959963984540054
+    centre = (p + z * z / (2 * shots)) / (1 + z * z / shots)
+    half = z * math.sqrt(p * (1 - p) / shots + z * z / (4 * shots * shots)) / (1 + z * z / shots)
+    assert [low, high] == [float(fmt6(1 / (centre + half))), float(fmt6(1 / (centre - half)))]
 
 
 def test_simulate_draws_from_a_pool_file_of_repeated_records(tmp_path):
-    # a pool that a merged read would fold into two rows; draws index records
+    # a pool that a read folds into two rows; draws take records by rank
     pool = tmp_path / "pool.jsonl"
     pool.write_text('{"gap": 3, "correct": true}\n' * 60 + '{"gap": 8, "correct": false}\n' * 40)
     cfg = tmp_path / "cfg.json"
@@ -256,6 +304,67 @@ def test_simulate_draws_from_a_pool_file_of_repeated_records(tmp_path):
     assert run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / "out")) == EXIT_OK
     records = map(json.loads, (tmp_path / "out" / "records.jsonl").read_text().splitlines())
     assert {(r["gap"], r["correct"]) for r in records} == {(3.0, True), (8.0, False)}
+
+
+def pool_lines(seed: int = 4) -> list[str]:
+    """Writer-layout pool lines: repeated integer pairs out of (gap, flag)
+    order, then distinct continuous gaps, so a read merges its first blocks
+    and then expands them to records."""
+    rng = np.random.default_rng(seed)
+    gaps = rng.integers(0, 6, 300).astype(float).tolist() + (rng.random(300) * 50).tolist()
+    flags = (rng.random(600) < 0.7).tolist()
+    return [
+        f'{{"gap": {g!r}, "correct": {"true" if c else "false"}, "attempts_consumed": {i % 3 + 1}}}\n'
+        for i, (g, c) in enumerate(zip(gaps, flags))
+    ]
+
+
+def simulate_from_pool(tmp_path, pool: Path, name: str) -> bytes:
+    """The records.jsonl of a records-on simulate drawing from ``pool``."""
+    cfg = tmp_path / f"{name}.json"
+    cfg.write_text(
+        json.dumps(
+            {
+                "k": 4,
+                "n_shots": 3000,
+                "seed": 5,
+                "records": True,
+                "failure": {"kind": "independent", "calibrate_discard": 0.49},
+                "escape": {"kind": "empirical", "pool_path": str(pool), "keep_prob": 0.9},
+            }
+        )
+    )
+    assert run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path / name)) == EXIT_OK
+    return (tmp_path / name / "records.jsonl").read_bytes()
+
+
+def test_a_shuffled_pool_file_writes_the_same_records(tmp_path):
+    lines = pool_lines()
+    pool, shuffled = tmp_path / "pool.jsonl", tmp_path / "shuffled.jsonl"
+    pool.write_text("".join(lines))
+    order = np.random.default_rng(9).permutation(len(lines))
+    shuffled.write_text("".join(lines[i] for i in order))
+    expected = simulate_from_pool(tmp_path, pool, "pool")
+    assert simulate_from_pool(tmp_path, shuffled, "shuffled") == expected
+    # draws are records of the pool, a gap of -0.0 counted as 0.0
+    drawn = {(r["gap"], r["correct"]) for r in map(json.loads, expected.decode().splitlines())}
+    assert drawn <= {(json.loads(x)["gap"] + 0.0, json.loads(x)["correct"]) for x in lines}
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3], ids=lambda n: f"cpus{n}")
+def test_a_pool_read_in_any_split_writes_the_same_records(tmp_path, monkeypatch, cpus):
+    # blocks of about 16 lines and parts of 40 bytes: the ranges of repeated
+    # pairs merge and the later ones keep records, so the rows a read returns
+    # come in an order set by the cuts
+    pool = tmp_path / "pool.jsonl"
+    pool.write_text("".join(pool_lines()))
+    expected = simulate_from_pool(tmp_path, pool, "serial")
+    monkeypatch.setattr(gap_analysis, "_BYTE_BLOCK", 1024)
+    monkeypatch.setattr(gap_analysis, "_PART_BYTES", 40)
+    monkeypatch.setattr(gap_analysis, "_usable_cpus", lambda: cpus)
+    read = gap_analysis.RecordSet.from_jsonl(pool)
+    assert read.count is None and len(read) == 600  # merged, then expanded to records
+    assert simulate_from_pool(tmp_path, pool, f"cpus{cpus}") == expected
 
 
 def test_simulate_requires_a_model(tmp_path):

@@ -394,6 +394,8 @@ def _tiny_gap_rate(rate: float, records: bool) -> dict:
         {"k": 10**14, "failure": {"kind": "independent", "calibrate_discard": 0.5}, "n_shots": 10},
         _tiny_gap_rate(1e-320, records=True),
         _tiny_gap_rate(1e-320, records=False),
+        # 17 bytes a shot of record columns, 1.7 * 10**16 in all: refused at once
+        {"k": 4, "n_shots": 10**15, "records": True, "failure": {"calibrate_discard": 0.4903}},
     ],
     ids=[
         "float-key-beyond-double",
@@ -401,14 +403,17 @@ def _tiny_gap_rate(rate: float, records: bool) -> dict:
         "k-beyond-memory",
         "gap-overflow-records",
         "gap-overflow",
+        "records-beyond-memory",
     ],
 )
 def test_out_of_range_number_is_one_config_error(tmp_path, capsys, cfg):
-    path = tmp_path / "cfg.json"
+    path, out = tmp_path / "cfg.json", tmp_path / "out"
     path.write_text(json.dumps(cfg))
-    assert main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("config error: ")
+    assert not out.exists()  # refused before the output directory is made
+    assert cfg.get("n_shots", 0) < 10**15 or "n_shots=1000000000000000" in lines[0]
 
 
 def test_a_tiny_gap_rate_with_finite_gaps_runs(tmp_path):

@@ -268,6 +268,45 @@ def test_empirical_escape_resamples_pool_values():
         assert correct == (gap != 5.0)
 
 
+def pool_run(pool):
+    """Shot indices, gap bits and flags of the records a run draws from ``pool``."""
+    cfg = SimConfig(
+        failure_model=FailureModel.identical(0.3, 2),
+        n_shots=3000,
+        seed=19,
+        escape_model=EscapeModel("empirical", pool=pool),
+    )
+    records = run_simulation(cfg).records
+    return records.shot_index.tolist(), records.gaps.view(np.uint64).tolist(), records.correct.tolist()
+
+
+def test_a_counted_pool_draws_as_its_records_in_gap_and_flag_order():
+    # a draw takes the record of its rank in (gap, flag) order, -0.0 as 0.0,
+    # so a pool's rows, their counts and their order do not matter
+    counted = RecordSet(
+        [4.0, 1.0, 4.0, 0.0, -0.0], [False, True, True, True, False], n_attempts=12,
+        count=[3, 1, 2, 4, 2],
+    )
+    pairs = [(0.0, False)] * 2 + [(0.0, True)] * 4 + [(1.0, True)] + [(4.0, False)] * 3
+    pairs += [(4.0, True)] * 2
+    expanded = RecordSet(*zip(*pairs), n_attempts=12)
+    expected = pool_run(expanded)
+    assert pool_run(counted) == expected
+    # the same records shuffled, with the (0.0, false) ones written as -0.0
+    order = np.random.default_rng(2).permutation(len(pairs))
+    shuffled = [(-0.0 if pairs[i] == (0.0, False) else pairs[i][0], pairs[i][1]) for i in order]
+    assert pool_run(RecordSet(*zip(*shuffled), n_attempts=12)) == expected
+    gaps = np.array(expected[1], np.uint64).view(np.float64)
+    assert set(zip(gaps.tolist(), expected[2])) == set(pairs) and not np.signbit(gaps).any()
+
+
+def record_pairs(record_set):
+    """Each record's (gap, correct), sorted: a read keeps no record order."""
+    count = 1 if record_set.count is None else record_set.count
+    gaps, correct = np.repeat(record_set.gaps, count), np.repeat(record_set.correct, count)
+    return sorted(zip(gaps.tolist(), correct.tolist()))
+
+
 def test_records_jsonl_round_trip(tmp_path):
     cfg = SimConfig(
         failure_model=FailureModel.identical(0.45, 4),
@@ -281,8 +320,8 @@ def test_records_jsonl_round_trip(tmp_path):
     assert written == summary.kept
     loaded = RecordSet.from_jsonl(path)
     assert len(loaded) == summary.kept
-    assert np.array_equal(loaded.gaps, summary.records.gaps)
-    assert np.array_equal(loaded.correct, summary.records.correct)
+    assert loaded.count is not None  # integer gaps read as merged rows
+    assert record_pairs(loaded) == record_pairs(summary.records)
     # attempt bookkeeping: consumed counts cover everything up to the last keep
     assert summary.records.n_attempts == summary.shots
     assert loaded.n_attempts == summary.records.shot_index[-1] + 1 <= summary.shots
@@ -305,10 +344,6 @@ def test_record_set_reproduces_empirical_attempts_exactly():
 def test_gap_distribution_validation():
     with pytest.raises(ModelError):
         GapDistribution("triangular")
-    with pytest.raises(ModelError):  # a pool draw indexes one record a row
-        EscapeModel(
-            "empirical", pool=RecordSet([1.0, 4.0], [True, False], n_attempts=3, count=[1, 2])
-        )
     with pytest.raises(ModelError):
         GapDistribution("exponential", rate=0.0)
     with pytest.raises(ModelError):  # the gap of the largest draw overflows
@@ -420,9 +455,15 @@ def reference_fold(config, u):
         )
         correct = ~erroneous
     else:
-        idx = np.minimum((g * esc.pool.gaps.size).astype(np.int64), esc.pool.gaps.size - 1)
-        gaps = esc.pool.gaps[idx]
-        correct = esc.pool.correct[idx]
+        # the pool's records sorted by Python over (gap, correct), -0.0 as 0.0,
+        # each row expanded to its count here: no kernel code orders them
+        pool = esc.pool
+        count = [1] * pool.gaps.size if pool.count is None else pool.count.tolist()
+        rows = zip((pool.gaps + 0.0).tolist(), pool.correct.tolist(), count)
+        records = sorted((gap, flag) for gap, flag, n in rows for _ in range(n))
+        idx = np.minimum((g * len(records)).astype(np.int64), len(records) - 1)
+        gaps = np.array([gap for gap, _ in records])[idx]
+        correct = np.array([flag for _, flag in records])[idx]
     kept = (sizes > 0) & keep
     histogram = tuple(int(c) for c in np.bincount(sizes, minlength=k + 1))
     return histogram, int((sizes == 0).sum()), np.nonzero(kept)[0], gaps[kept], correct[kept]
@@ -760,8 +801,25 @@ def test_default_blocks_match_the_float_kernel():
             314,
             64,
         ),
+        (
+            FailureModel(per_site_fail=(0.5, 0.5)),
+            EscapeModel(
+                "empirical",
+                pool=RecordSet([4.0, 1.0, -0.0], [True, False, True], n_attempts=6, count=[3, 2, 1]),
+            ),
+            400,
+            314,
+            64,
+        ),
     ],
-    ids=["independent", "every_word_offset", "common_mode", "explicit_joint", "empirical_pool"],
+    ids=[
+        "independent",
+        "every_word_offset",
+        "common_mode",
+        "explicit_joint",
+        "empirical_pool",
+        "counted_pool",
+    ],
 )
 def test_small_models_match_the_float_kernel(
     monkeypatch, failure, escape, n_shots, seed, block

@@ -55,11 +55,11 @@ def _gap_sweep(out: str, config: dict) -> None:
 
 PINNED = {
     "sim/records.jsonl": "52b63395989cc5458896394e436ff368f176b371b2cb2bd7191bc3152c732209",
-    "sim/sim_summary.json": "8ff54119890cb77fcd3c526da33d6fbeb073289526c939071e4c1c3b3b328e5e",
+    "sim/sim_summary.json": "071416f9914ee8d712c80b9519413472cc9c3ed9e6041b99d9654ba1a375581e",
     "tail/records_curve.csv": "c163042d0829cadee28fcb6a3aeb9372812d3939b09776408c03ce0d1dff5f34",
     "tail/gap_report.json": "9cabaf3a693cd6e85905af561e939f2beedea2d63e03678de6c1813572f932df",
     "simb/records.jsonl": "7932840fa3d14aa5069c159d717fa6715eadc66923e590a0a5401710c55826bf",
-    "simb/sim_summary.json": "8ed901689244eb9772bc19392f64e6f0d8410001f4b76b4d82f362021be8279d",
+    "simb/sim_summary.json": "6c0b35846c0e67c8ea9792b8fa7f0bf5d06a7c7d62484adcb97b1695c51441df",
     "pair/1_records_curve.csv": "27c988b3887091484c29a771a74fa020b5ae755828759af914fad4b3d0b4ae56",
     "pair/2_records_curve.csv": "cd4acf782ffbfcc432cbb5e0e8673a7fdfd463b457a41fd463fb0531156ed561",
     "pair/gap_report.json": "d9aa1b7dac8639d037494f30cd600f39fc598939b4702f4721bb6519af7c0842",
@@ -68,11 +68,11 @@ PINNED = {
 # the same files under draw layouts v2 and v1; v1 wrote no layout_version
 V2_PINNED = {
     "sim/records.jsonl": "61fba84d212ec3c06723cc3ae55dda75ca9b251be59809c5afca55e25644e2e3",
-    "sim/sim_summary.json": "036442673687ee9d3aa40f4191ec0348494991f2c94eda2cbab57b3be3494da2",
+    "sim/sim_summary.json": "4792e0aea919c181b8687298c053df619482c904097792584d4a08065e851681",
     "tail/records_curve.csv": "65a6f37e81f0e918f14c39bfc9e134a3dcf666b10ee5fbaef31d9147c86f82d3",
     "tail/gap_report.json": "734888bfead41718813b59900510ab6c70280f401388caa0104f7738bf93117e",
     "simb/records.jsonl": "5e01093dc3eb48456a1125148be4d8dffadae028d8b9c866dcce9ea0f1711c8a",
-    "simb/sim_summary.json": "45b67876890195ef18918f1b07d1602a03175b2fb99f57b359411c94c8666a70",
+    "simb/sim_summary.json": "37e5871da41cae48d580c0d494b1d2abdf7f2542e6f91e36264d4afb237fec6e",
     "pair/1_records_curve.csv": "e21782b8e4bb1b2ca91af2813597a847215e9c2c69d52272ca92f391f748d6c7",
     "pair/2_records_curve.csv": "d000bdb924fb7d5a170da58aeb7c611359ba1e106ea82c1fd97e8ca4756043fc",
     "pair/gap_report.json": "c95ea866f2b1ec2fc48b0ceef83623c327336225bc604ea2252bcbb9be7e3bd8",
@@ -80,11 +80,11 @@ V2_PINNED = {
 
 V1_PINNED = {
     "sim/records.jsonl": "dd6d06c56600fc692b7e21a81f9a74dc2114779ae079eec0541db8fd01d5f2e7",
-    "sim/sim_summary.json": "df847d9b5dfa6d8b61067213054b57937d987cd78cee170abcc71ca34d2697ea",
+    "sim/sim_summary.json": "529d0596be3e1111022bd30a0fe20001c926dbca2460afe3df70d973323989f4",
     "tail/records_curve.csv": "3a8f4ea5b158bc0bd3ddd5bb058cf4ef38fe1615cf5c90b8eac604324e9152e4",
     "tail/gap_report.json": "2802b02d7cfd4df07595f2603eedf1a88e872f5eaf935a4726e85b3a434b6cb8",
     "simb/records.jsonl": "b83aa94fdf3b6e03dbbcf59a501dcc3bcd9d5284f04432e7afcefa09ed1f8f58",
-    "simb/sim_summary.json": "326ea0a75a093a3e9feb599ebe1a16eef392633760ea9ad68ab01052bb5df815",
+    "simb/sim_summary.json": "f9f10424ecb0405a6ae6fb5cd6a2772773fc80037d1ce0870df04ef64bab61d1",
     "pair/1_records_curve.csv": "07c93adfa4bdc288f540e1a5be8bc7df3abdd1b13a82d02f378d89a49a21454a",
     "pair/2_records_curve.csv": "1df19aee5930455390a7c9d4787f80c40efe3d7508886a96d74e98f153d3a7b9",
     "pair/gap_report.json": "e5854bac82c06a223fc1f2d17ca4c2881ef69bb4b5a08725640a9d32ed467e19",
@@ -149,9 +149,9 @@ def test_pair_reports_a_crossing(chain_outputs):
 # A records-off simulate of the sampler benchmark's model (k=4, D=0.4903,
 # Bernoulli q=0.05, continuous exponential gaps) on two workers: the path
 # that folds counts only, which the chain pins above do not reach.
-RECORDS_OFF_PIN = "419e752f6434aa9a9bc965371cfc6df394032b26675d907dcd96ee31a5145a64"
-V2_RECORDS_OFF_PIN = "217bf4bf2af854dad7cf790d9f2acdf2fe63f7bd0e557add059002c85cd72788"
-V1_RECORDS_OFF_PIN = "05ad0e2372f71f3866451ebfc40a6d73d035de04d0d14614a38fc7d150282419"
+RECORDS_OFF_PIN = "4bb78ee33af1760010a45cce5dfec8764e9b131d510eef09ed2149fdf88538f7"
+V2_RECORDS_OFF_PIN = "f5e7fc52a5d3a595a716bfbfad3937101732650471954966819ed1d4d1c21482"
+V1_RECORDS_OFF_PIN = "5ca64198b61d40b7922e9e0b23ea1d3a57d579b246cf060d65df77734cf569fc"
 
 
 def _run_records_off() -> None:

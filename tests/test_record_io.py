@@ -341,34 +341,29 @@ def reader_for(path):
     return RecordSet.from_csv if path.suffix == ".csv" else RecordSet.from_jsonl
 
 
+def pairs_of(gaps, correct, count=None) -> list:
+    """Each record's (gap, flag), sorted, as a read keeps no record order and
+    a merged row keeps a gap of -0.0 as 0.0."""
+    if count is not None:
+        gaps, correct = np.repeat(gaps, count), np.repeat(correct, count)
+    return sorted(zip((np.asarray(gaps, np.float64) + 0.0).tolist(), np.asarray(correct).tolist()))
+
+
 def outcome(path):
-    """The record columns and totals a read gives, or its exception."""
+    """What a read gives: its records (``pairs_of``), ``len``, the totals and
+    the bytes of its default-grid curve; or its exception."""
     try:
         rs = reader_for(path)(path)
     except Exception as exc:
         return type(exc), str(exc)
-    return rs.gaps.view(np.uint64).tolist(), rs.correct.tolist(), rs.n_attempts, rs.attempts_summed
-
-
-def merged_outcome(path):
-    """What a merged read gives: each record's (gap bits, flag), sorted, as
-    merged rows have no order and keep a gap of -0.0 as 0.0; ``len``, the
-    totals and the bytes of its default-grid curve; or its exception."""
-    try:
-        rs = reader_for(path)(path, merged=True)
-    except Exception as exc:
-        return type(exc), str(exc)
-    gaps, correct = rs.gaps, rs.correct
-    if rs.count is not None:
-        gaps, correct = np.repeat(gaps, rs.count), np.repeat(correct, rs.count)
-    records = sorted(zip((gaps + 0.0).view(np.uint64).tolist(), correct.tolist()))
-    curve = path.parent / "merged_curve.csv"
+    curve = path.parent / "outcome_curve.csv"
     write_curve_csv(sweep(rs), curve)
+    records = pairs_of(rs.gaps, rs.correct, rs.count)
     return records, len(rs), rs.n_attempts, rs.attempts_summed, curve.read_bytes()
 
 
-def read_checked_only(path, is_csv, merged):
-    """``_read_records`` by ``_read_checked`` alone, which reads one row a record."""
+def read_checked_only(path, is_csv):
+    """``_read_records`` by ``_read_checked`` alone."""
     return gap_analysis._read_checked(path, is_csv)
 
 
@@ -504,7 +499,7 @@ def fixture_files():
     files["agree.csv"] = lines_text(["gap,correct", *(f"{g!r},{c}" for g, c in zip(gaps, correct))])
     # the same rows with the flags in lower case, a plain CSV that the byte kernel reads
     files["plain.csv"] = files["agree.csv"].replace("True", "true").replace("False", "false")
-    # few distinct (gap, flag) pairs, which a merged read folds into rows
+    # few distinct (gap, flag) pairs, which a read folds into merged rows
     ints = rng.integers(0, 5, 600).astype(float).tolist()
     flags = (rng.random(600) > 0.2).tolist()
     files["integers.jsonl"] = reference_jsonl(ints, flags, np.cumsum(rng.integers(1, 4, 600)))
@@ -548,13 +543,15 @@ MERGED_FIXTURES = {"integers.jsonl", "integers.csv", "zeros.jsonl", "zeros.csv",
 
 @pytest.mark.parametrize("name", sorted(FIXTURE_FILES))
 @pytest.mark.parametrize("cpus", [1, 2, 3], ids=lambda n: f"cpus{n}")
-def test_a_merged_read_of_every_fixture_holds_the_serial_records(tmp_path, monkeypatch, cpus, name):
+def test_every_fixture_read_in_small_blocks_holds_the_serial_records(
+    tmp_path, monkeypatch, cpus, name
+):
     # blocks of about 20 lines, so a range folds several
     monkeypatch.setattr(gap_analysis, "_BYTE_BLOCK", 1024)
     path = tmp_path / name
     path.write_text(FIXTURE_FILES[name], encoding="utf-8")
-    expected = serial_outcome(path, monkeypatch, merged_outcome)
-    got, declined = split_outcome(path, monkeypatch, cpus, merged_outcome)
+    expected = serial_outcome(path, monkeypatch)
+    got, declined = split_outcome(path, monkeypatch, cpus)
     assert got == expected
     raises = got[0] is RecordFormatError
     assert declined == (raises or not kernel_layout(path))
@@ -562,7 +559,7 @@ def test_a_merged_read_of_every_fixture_holds_the_serial_records(tmp_path, monke
         sorts = []  # a first block of distinct pairs turns to records unsorted
         real = gap_analysis._distinct
         monkeypatch.setattr(gap_analysis, "_distinct", lambda *a: sorts.append(a) or real(*a))
-        rs = reader_for(path)(path, merged=True)
+        rs = reader_for(path)(path)
         assert name != "agree.jsonl" or sorts == []
         folded = rs.count is not None and rs.gaps.size > 0  # an empty read holds no rows
         assert folded == (name in MERGED_FIXTURES)
@@ -580,7 +577,7 @@ def traced_peak(read):
         tracemalloc.stop()
 
 
-def test_a_merged_read_of_integer_gaps_does_not_grow_with_the_records(tmp_path, monkeypatch):
+def test_a_read_of_integer_gaps_does_not_grow_with_the_records(tmp_path, monkeypatch):
     monkeypatch.setattr(gap_analysis, "_usable_cpus", lambda: 1)
     rng = np.random.default_rng(16)
     gaps = np.floor(rng.exponential(20.0, 100_000)).astype(np.int64).tolist()
@@ -591,9 +588,10 @@ def test_a_merged_read_of_integer_gaps_does_not_grow_with_the_records(tmp_path, 
     small, large = tmp_path / "small.jsonl", tmp_path / "large.jsonl"
     small.write_text(text)
     large.write_text(text * 4)
-    bound = 1.25 * traced_peak(lambda: RecordSet.from_jsonl(small, merged=True))
+    assert RecordSet.from_jsonl(large).count is not None
+    bound = 1.25 * traced_peak(lambda: RecordSet.from_jsonl(small))
     # a read of one row a record holds 9 bytes a record: 3.6 MB more here
-    assert traced_peak(lambda: RecordSet.from_jsonl(large, merged=True)) <= bound
+    assert traced_peak(lambda: RecordSet.from_jsonl(large)) <= bound
 
 
 LINE_ENDS = ["\n", "\r\n", "\r"]
@@ -709,7 +707,10 @@ def test_a_quoted_newline_across_a_cut_declines(tmp_path, monkeypatch):
     cut = gap_analysis._byte_ranges(path, len(b"gap,correct\n"))[1][0]
     assert text.index(b'"') < cut < text.rindex(b'"')  # the cut splits the quoted cell
     assert assert_split_matches_serial(path, monkeypatch, cpus=2)
-    assert RecordSet.from_csv(path).gaps.tolist() == [1.0] * 6 + [2.0] + [3.0] * 6
+    rs = RecordSet.from_csv(path)
+    assert pairs_of(rs.gaps, rs.correct, rs.count) == pairs_of(
+        [1.0] * 6 + [2.0] + [3.0] * 6, [True] * 6 + [False] * 7
+    )
 
 
 SMALL_LAYOUTS = ["writer.jsonl", "sorted.jsonl", "plain.csv", "spaced.csv", "quote_all.csv"]
@@ -806,7 +807,7 @@ def test_an_attempt_total_past_int64_across_ranges_raises_as_serial(tmp_path, mo
     monkeypatch.setattr(gap_analysis, "_usable_cpus", lambda: cpus)
     ranges = gap_analysis._byte_ranges(path, 0)
     assert len(ranges) == cpus
-    assert all(REAL_READ_RANGE(path, False, a, b)[3] == 5 * (10**18 - 1) + 3 for a, b in ranges)
+    assert all(REAL_READ_RANGE(path, False, a, b)[2] == 5 * (10**18 - 1) + 3 for a, b in ranges)
     got = split_outcome(path, monkeypatch, cpus)[0]
     assert got == serial_outcome(path, monkeypatch)
     assert got[0] is RecordFormatError and "attempts_consumed total exceeds" in got[1]
@@ -895,18 +896,20 @@ def stream_short():
 CHILD_FAILURES = [exit_at_once, fail_to_format, fail_but_exit_zero, stream_short]
 
 
-READS = {"unit": outcome, "merged": merged_outcome}
+# distinct continuous gaps, read one row a record, and integer gaps, read as
+# merged rows
+FORK_FIXTURES = ["agree.jsonl", "integers.jsonl"]
 
 
-@pytest.mark.parametrize("read", sorted(READS))
+@pytest.mark.parametrize("name", FORK_FIXTURES)
 @pytest.mark.parametrize("failure", CHILD_FAILURES, ids=lambda f: f.__name__)
-def test_a_failed_child_range_is_read_here(tmp_path, monkeypatch, cpus, failure, read):
+def test_a_failed_child_range_is_read_here(tmp_path, monkeypatch, cpus, failure, name):
     path = tmp_path / "records.jsonl"
-    path.write_text(FIXTURE_FILES["integers.jsonl" if read == "merged" else "agree.jsonl"])
-    expected = serial_outcome(path, monkeypatch, READS[read])
+    path.write_text(FIXTURE_FILES[name])
+    expected = serial_outcome(path, monkeypatch)
     monkeypatch.setattr(os, "fork", fork_then(failure))
     monkeypatch.setattr(gap_analysis, "_read_range", read_range_in_worker)
-    assert split_outcome(path, monkeypatch, cpus, READS[read]) == (expected, False)
+    assert split_outcome(path, monkeypatch, cpus) == (expected, False)
     assert range_pids(path).count(str(os.getpid())) == cpus
 
 
@@ -914,15 +917,15 @@ def failing_call(*args, **kwargs):
     raise OSError("cannot start")
 
 
-@pytest.mark.parametrize("read", sorted(READS))
+@pytest.mark.parametrize("name", FORK_FIXTURES)
 @pytest.mark.parametrize("call", ["fork", "pipe"])
-def test_a_child_that_cannot_start_leaves_its_range_here(tmp_path, monkeypatch, cpus, call, read):
+def test_a_child_that_cannot_start_leaves_its_range_here(tmp_path, monkeypatch, cpus, call, name):
     monkeypatch.setattr(os, call, failing_call)
     monkeypatch.setattr(gap_analysis, "_read_range", read_range_in_worker)
     path = tmp_path / "records.jsonl"
-    path.write_text(FIXTURE_FILES["integers.jsonl" if read == "merged" else "agree.jsonl"])
-    expected = serial_outcome(path, monkeypatch, READS[read])
-    assert split_outcome(path, monkeypatch, cpus, READS[read]) == (expected, False)
+    path.write_text(FIXTURE_FILES[name])
+    expected = serial_outcome(path, monkeypatch)
+    assert split_outcome(path, monkeypatch, cpus) == (expected, False)
     assert range_pids(path) == [str(os.getpid())] * cpus
 
 
@@ -1119,11 +1122,18 @@ def canonical_lines(suffix, integer=False) -> list[bytes]:
 
 
 def columns_of(read):
+    """The records (``pairs_of``) and totals a reader returns, None where it
+    declines, or "raises"."""
     try:
         got = read()
     except (RecordFormatError, UnicodeDecodeError):
         return "raises"
-    return None if got is None else (got[0].view(np.uint64).tolist(), got[1].tolist(), *got[2:])
+    if got is None:
+        return None
+    # a block kept as records owns its columns: a view would keep the
+    # block's parse temporaries, or its raw bytes, alive until the join
+    assert all(column.base is None for block in got[0].blocks or () for column in block)
+    return pairs_of(*got[0].arrays()), *got[1:]
 
 
 def assert_range_agrees_with_serial(path):
@@ -1365,10 +1375,11 @@ def test_a_writer_file_reads_through_the_byte_kernel(tmp_path, monkeypatch):
     path = tmp_path / "records.jsonl"
     records.to_jsonl(path)
     parsed = kernel_parses(monkeypatch)
-    got = gap_analysis._read_range(path, False, 0, path.stat().st_size)
+    rows, with_consumed, consumed = gap_analysis._read_range(path, False, 0, path.stat().st_size)
     assert len(parsed) > 1 and all(parsed)
+    got = rows.arrays()  # distinct pairs at the first block: one row a record, as parsed
     assert got[0].tolist() == gaps.tolist() and got[1].tolist() == records.correct.tolist()
-    assert got[2:] == (n, int(records.shot_index[-1]) + 1, None)
+    assert (got[2], with_consumed, consumed) == (None, n, int(records.shot_index[-1]) + 1)
 
 
 def rejecting(check, gap: float):
