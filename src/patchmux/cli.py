@@ -443,8 +443,43 @@ def cmd_analytic(args) -> int:
 # simulate
 
 
+# The keys each kind of a config object reads besides ``kind``, keyed by the
+# object's name in messages; the first kind is the default. A key that its
+# kind does not read is a config error, never silently dropped.
+_KIND_READS = {
+    "failure kind": {"independent": (), "common_mode": ("c",), "explicit_joint": ("table",)},
+    "escape model": {
+        "always_keep": ("gap_correct",),
+        "bernoulli": ("q", "keep_prob", "gap_correct", "gap_error"),
+        "empirical": ("keep_prob", "pool_path"),
+    },
+    "gap distribution": {
+        "discrete_exponential": ("rate",),
+        "exponential": ("rate",),
+        "constant": ("value",),
+    },
+}
+
+
+def _kind(obj: dict, name: str, key: str, also: tuple[str, ...] = ()) -> str:
+    """The kind of the config object at ``key``, once it sets only keys that
+    kind reads (and ``also``)."""
+    kinds = _KIND_READS[name]
+    kind = obj.get("kind", next(iter(kinds)))
+    if kind not in kinds:
+        raise ConfigError(f"unknown {name} {kind!r}")
+    unread = sorted(set(obj) - {"kind", *kinds[kind], *also})
+    if unread:
+        with_also = "".join(f" with {k}" for k in also)
+        dotted = ", ".join(f"{key}.{k}" for k in unread)
+        raise ConfigError(f"{key} kind {kind!r}{with_also} does not read {dotted}")
+    return kind
+
+
 def _failure_model(failure: dict, k: int | None) -> FailureModel:
     from .analytics import CommonMode, ExplicitJoint, FailureModel
+    rates_key = "per_site_fail" if "per_site_fail" in failure else "calibrate_discard"
+    kind = _kind(failure, "failure kind", "failure", (rates_key,))
     if "per_site_fail" in failure:
         rates = failure["per_site_fail"]
         if k is not None and len(rates) != k:
@@ -458,27 +493,26 @@ def _failure_model(failure: dict, k: int | None) -> FailureModel:
             raise ConfigError(f"k={k} sites are too many to allocate") from None
     else:
         raise ConfigError("failure needs per_site_fail or calibrate_discard")
-    kind = failure.get("kind", "independent")
     if kind == "independent":
         return FailureModel(per_site_fail=rates)
     if kind == "common_mode":
         if "c" not in failure:
             raise ConfigError("common_mode failure needs c")
         return FailureModel(per_site_fail=rates, correlation=CommonMode(failure["c"]))
-    if kind == "explicit_joint":
-        if "table" not in failure:
-            raise ConfigError("explicit_joint failure needs table")
-        return FailureModel(per_site_fail=rates, correlation=ExplicitJoint(failure["table"]))
-    raise ConfigError(f"unknown failure kind {kind!r}")
+    if "table" not in failure:
+        raise ConfigError("explicit_joint failure needs table")
+    return FailureModel(per_site_fail=rates, correlation=ExplicitJoint(failure["table"]))
 
 
 def _escape_model(escape: dict) -> EscapeModel:
     from .montecarlo import EscapeModel, GapDistribution
-    fields = {key: value for key, value in escape.items() if key != "pool_path"}
+    kind = _kind(escape, "escape model", "escape")
+    fields = {key: value for key, value in escape.items() if key not in ("kind", "pool_path")}
     for key in ("gap_correct", "gap_error"):
         if key in escape:
-            fields[key] = GapDistribution(**{"kind": "discrete_exponential", **escape[key]})
-    if fields.get("kind") == "empirical":
+            gap_kind = _kind(escape[key], "gap distribution", f"escape.{key}")
+            fields[key] = GapDistribution(**{**escape[key], "kind": gap_kind})
+    if kind == "empirical":
         if "pool_path" not in escape:
             raise ConfigError("empirical escape model needs pool_path")
         fields["pool"] = _load_record_set(_require_file(escape["pool_path"], "escape pool"))
@@ -509,9 +543,8 @@ def _closed_form_results(config: SimConfig, summary) -> dict:
     Wilson's on the kept fraction, inverted."""
     from .analytics import joint_all_fail_probability, wilson_interval
 
-    escape = config.escape_model
     discard = joint_all_fail_probability(config.failure_model)
-    kept_fraction = (1.0 - discard) * (1.0 if escape.kind == "always_keep" else escape.keep_prob)
+    kept_fraction = (1.0 - discard) * config.escape_model.keep_prob
     n = summary.shots
     results = {
         "closed_form_discard": discard,

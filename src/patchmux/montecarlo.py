@@ -20,8 +20,8 @@ Draw slots (k sites, m = ceil(k / 4)):
 
 A slot's number depends only on k, never on the model, and a run generates
 only the streams its model reads: the escape word only when the stage can
-reject or, with records, draws an error class, and the gap stream only for
-records.
+reject (``keep_prob`` < 1) or, with records, draws an error class (no pool
+and ``q`` > 0), and the gap stream only for records.
 
 Slots 2 .. 3+m are packed: each word holds four Bernoulli tests, and test
 q of shot i reads the quarter d = (w >> 16q) & 0xFFFF of word i. A test
@@ -55,15 +55,23 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analytics import CommonMode, ExplicitJoint, FailureModel, ModelError
+from .analytics import (
+    CommonMode,
+    ExplicitJoint,
+    FailureModel,
+    ModelError,
+    joint_all_fail_probability,
+)
 from .gap_analysis import (
     RecordSet,
+    SweepCurve,
     _distinct,
     _map_in_parts,
     _pair_keys,
     _pairs,
     _physical_memory,
     _usable_cpus,
+    sweep,
 )
 
 MAX_SEED = 2**64 - 1
@@ -99,37 +107,53 @@ class GapDistribution:
         x = e / self.rate
         return np.floor(x) if self.kind == "discrete_exponential" else x
 
+    def survival(self, g) -> np.ndarray:
+        """P(gap >= g) at each threshold g, for the gaps ``from_exponential``
+        makes of e ~ Exp(1): a gap e / rate is >= g exactly when e >= rate * g,
+        a floored one when e >= rate * ceil(g), and every gap is >= a g <= 0."""
+        g = np.asarray(g, dtype=np.float64)
+        if self.kind == "constant":
+            return (self.value >= g).astype(np.float64)
+        if self.kind == "discrete_exponential":
+            g = np.ceil(g)
+        return np.exp(-self.rate * np.maximum(g, 0.0))
+
 
 DEFAULT_CORRECT_GAP = GapDistribution("discrete_exponential", rate=0.05)
 DEFAULT_ERROR_GAP = GapDistribution("discrete_exponential", rate=0.25)
 
 @dataclass(frozen=True)
 class EscapeModel:
-    """Stand-in for the out-of-scope escape circuit and decoder.
+    """The escape stage, a stand-in for the out-of-scope circuit and decoder.
 
-    ``always_keep`` accepts every forwarded candidate as correct (isolates
-    the early-stage statistics); ``bernoulli`` keeps with probability
-    ``keep_prob`` and marks kept outputs erroneous with probability ``q``,
-    drawing gaps from per-class distributions; ``empirical`` resamples
-    (gap, correct) pairs from a provided pool.
+    It keeps a forwarded candidate with probability ``keep_prob``. Without a
+    ``pool``, a kept output is erroneous with probability ``q`` and draws its
+    gap from its class's law (``gap_correct`` or ``gap_error``). With one, it
+    is a (gap, correct) record drawn from the pool, so ``q`` and the gap laws
+    stay at their defaults. The defaults keep every candidate as correct,
+    which isolates the early-stage statistics. A config's ``escape.kind``
+    names three settings of these fields (``cli._escape_model``):
+    ``always_keep`` sets at most ``gap_correct``; ``bernoulli`` sets ``q``,
+    ``keep_prob`` and the gap laws; ``empirical`` sets a pool and ``keep_prob``.
     """
 
-    kind: str = "always_keep"
     q: float = 0.0
     keep_prob: float = 1.0
     gap_correct: GapDistribution = DEFAULT_CORRECT_GAP
     gap_error: GapDistribution = DEFAULT_ERROR_GAP
-    pool: RecordSet | None = None  # empirical only; its constructor checked the columns
+    pool: RecordSet | None = None  # its constructor checked the columns
 
     def __post_init__(self) -> None:
-        if self.kind not in ("always_keep", "bernoulli", "empirical"):
-            raise ModelError(f"unknown escape model {self.kind!r}")
         if not (0.0 <= self.q <= 1.0):
             raise ModelError(f"error probability q={self.q!r} outside [0, 1]")
         if not (0.0 <= self.keep_prob <= 1.0):
             raise ModelError(f"keep_prob={self.keep_prob!r} outside [0, 1]")
-        if self.kind == "empirical" and (self.pool is None or len(self.pool) == 0):
-            raise ModelError("empirical escape model needs a non-empty pool")
+        if self.pool is None:
+            return
+        if len(self.pool) == 0:
+            raise ModelError("an escape pool must be non-empty")
+        if self.q or (self.gap_correct, self.gap_error) != (DEFAULT_CORRECT_GAP, DEFAULT_ERROR_GAP):
+            raise ModelError("a pool gives each output's gap and class: set no q or gap law")
 
 
 @dataclass(frozen=True)
@@ -324,9 +348,8 @@ class _Plan:
     common: _Tests | None  # c > 0: q0 passes when the sites keep their own fates,
     #                        q1 when the shared fate passes
     escape: _Tests | None  # q0 passes when the stage rejects, q1 when an output is correct
-    rejects: bool  # whether the escape stage can reject a candidate
     joint_cdf: np.ndarray | None  # explicit joint: cumulative outcome table
-    pool: tuple[np.ndarray, ...] | None  # empirical: gaps, flags and cumulative counts
+    pool: tuple[np.ndarray, ...] | None  # a pool's gaps, flags and cumulative counts
     #                                      of the pool's distinct pairs, in (gap, flag) order
 
 
@@ -341,10 +364,10 @@ def _plan(config: SimConfig, block: int) -> _Plan:
 
     words = (k + 3) // 4
     site_t = [_threshold(r) for r in rates]
-    reject_at = _UNIT if esc.kind == "always_keep" else _threshold(esc.keep_prob)
-    errors = esc.kind == "bernoulli" and config.collect_records
+    reject_at = _threshold(esc.keep_prob)
+    errors = esc.pool is None and esc.q > 0 and config.collect_records
     pool = None
-    if esc.kind == "empirical":
+    if esc.pool is not None:
         keys, count = _distinct(_pair_keys(esc.pool.gaps, esc.pool.correct), esc.pool.count)
         pool = (*_pairs(keys, count)[:2], np.cumsum(count))
     return _Plan(
@@ -361,7 +384,6 @@ def _plan(config: SimConfig, block: int) -> _Plan:
         escape=_tests(_ESCAPE, [reject_at, _threshold(esc.q) if errors else _UNIT], block)
         if reject_at < _UNIT or errors
         else None,
-        rejects=reject_at < _UNIT,
         joint_cdf=np.cumsum(np.asarray(corr.table, dtype=np.float64)) if joint else None,
         pool=pool,
     )
@@ -405,10 +427,10 @@ def _site_counts(chi: list[np.ndarray]) -> np.ndarray:
 def _kept(plan: _Plan, draws: _Draws, candidate: np.ndarray) -> np.ndarray:
     """Shots with a candidate that the escape stage keeps.
 
-    A stage that keeps every candidate (``always_keep``, or ``keep_prob`` 1)
-    reads no escape words for it.
+    A stage that keeps every candidate (``keep_prob`` 1) reads no escape
+    words for it.
     """
-    if not plan.rejects:
+    if plan.config.escape_model.keep_prob == 1:
         return candidate
     return candidate & ~draws.passes(plan.escape)[0::4]
 
@@ -417,14 +439,14 @@ def _escape_draws(plan: _Plan, draws: _Draws, rows: np.ndarray) -> tuple[np.ndar
     """(gap, correct) of the given shots; floats are made for these shots only."""
     esc = plan.config.escape_model
     u = draws.floats(_GAP, rows)
-    if esc.kind == "empirical":  # the rank-th record in (gap, flag) order
+    if plan.pool is not None:  # the rank-th record in (gap, flag) order
         size = len(esc.pool)
         rank = np.minimum((u * size).astype(np.int64), size - 1)
         gaps, correct, ends = plan.pool
         row = np.searchsorted(ends, rank, side="right")
         return gaps[row], correct[row]
     e = -np.log1p(-u)  # one unit-exponential variate per shot, shared by both classes
-    if esc.kind == "always_keep":
+    if esc.q == 0:
         return esc.gap_correct.from_exponential(e), np.ones(rows.size, dtype=bool)
     correct = draws.passes(plan.escape)[1::4][rows]
     gaps = np.where(
@@ -549,3 +571,25 @@ def run_simulation(config: SimConfig, workers: int = 1) -> SimSummary:
         records=records,
         warnings=warnings,
     )
+
+
+def expected_curve(config: SimConfig, thresholds) -> SweepCurve:
+    """The curve that ``sweep(run_simulation(config).records, thresholds)``
+    has in expectation, its counts as floats.
+
+    Each of the N shots is kept with P = (1 - D) ``keep_prob``, D the
+    closed-form discard. A kept output is correct with a gap >= G with
+    probability (1 - q) S_c(G), and erroneous with one with q S_e(G), S being
+    each class's ``GapDistribution.survival``. A pool's outputs are its
+    records drawn evenly, so its curve is the pool's own sweep times
+    N P / |pool|.
+    """
+    esc, n = config.escape_model, config.n_shots
+    kept = n * (1.0 - joint_all_fail_probability(config.failure_model)) * esc.keep_prob
+    ts = np.asarray(thresholds, dtype=np.float64)
+    if esc.pool is not None:
+        pool = sweep(esc.pool, ts)
+        scale = kept / len(esc.pool)
+        return SweepCurve(ts, pool.kept_correct * scale, pool.kept_error * scale, n)
+    correct = kept * (1.0 - esc.q) * esc.gap_correct.survival(ts)
+    return SweepCurve(ts, correct, kept * esc.q * esc.gap_error.survival(ts), n)

@@ -571,3 +571,103 @@ def test_workers_below_one_is_one_config_error(tmp_path, capsys, workers):
     assert code == EXIT_CONFIG
     assert capsys.readouterr().err.splitlines() == ["config error: workers must be at least 1"]
     assert not (tmp_path / "out").exists()
+
+
+RATES = {"calibrate_discard": 0.5}
+UNREAD = {  # a simulate config part -> the one line it exits 2 with
+    "always_keep-fields-of-other-kinds": (
+        {
+            "escape": {
+                "kind": "always_keep",
+                "keep_prob": 0.1,
+                "q": 0.5,
+                "pool_path": "/nonexistent.jsonl",
+            }
+        },
+        "escape kind 'always_keep' does not read escape.keep_prob, escape.pool_path, escape.q",
+    ),
+    "default-kind-keep_prob": (
+        {"escape": {"keep_prob": 0.5}},
+        "escape kind 'always_keep' does not read escape.keep_prob",
+    ),
+    "always_keep-gap_error": (
+        {"escape": {"kind": "always_keep", "gap_error": {"rate": 0.1}}},
+        "escape kind 'always_keep' does not read escape.gap_error",
+    ),
+    "bernoulli-pool_path": (
+        {"escape": {"kind": "bernoulli", "q": 0.1, "pool_path": "pool.jsonl"}},
+        "escape kind 'bernoulli' does not read escape.pool_path",
+    ),
+    "empirical-q-and-gaps": (
+        {"escape": {"kind": "empirical", "pool_path": "p.jsonl", "q": 0.1, "gap_correct": {}}},
+        "escape kind 'empirical' does not read escape.gap_correct, escape.q",
+    ),
+    "independent-c": (
+        {"failure": {"kind": "independent", "c": 0.1, **RATES}},
+        "failure kind 'independent' with calibrate_discard does not read failure.c",
+    ),
+    "independent-table": (
+        {"failure": {"table": [0.5, 0.5], **RATES}},
+        "failure kind 'independent' with calibrate_discard does not read failure.table",
+    ),
+    "common_mode-table": (
+        {"failure": {"kind": "common_mode", "c": 0.1, "table": [0.5, 0.5], **RATES}},
+        "failure kind 'common_mode' with calibrate_discard does not read failure.table",
+    ),
+    "explicit_joint-c": (
+        {"failure": {"kind": "explicit_joint", "c": 0.1, "table": [0.25] * 4, **RATES}},
+        "failure kind 'explicit_joint' with calibrate_discard does not read failure.c",
+    ),
+    "per_site_fail-and-calibrate_discard": (
+        {"k": 4, "failure": {"per_site_fail": [0.1] * 4, "calibrate_discard": 0.9}},
+        "failure kind 'independent' with per_site_fail does not read failure.calibrate_discard",
+    ),
+    "constant-gap-rate": (
+        {"escape": {"kind": "bernoulli", "gap_correct": {"kind": "constant", "rate": 0.1}}},
+        "escape.gap_correct kind 'constant' does not read escape.gap_correct.rate",
+    ),
+    "exponential-gap-value": (
+        {"escape": {"kind": "bernoulli", "gap_error": {"kind": "exponential", "value": 1.0}}},
+        "escape.gap_error kind 'exponential' does not read escape.gap_error.value",
+    ),
+    "discrete_exponential-gap-value": (
+        {"escape": {"gap_correct": {"value": 1.0, "rate": 0.1}}},
+        "escape.gap_correct kind 'discrete_exponential' does not read escape.gap_correct.value",
+    ),
+    "unknown-escape-kind": ({"escape": {"kind": "sometimes"}}, "unknown escape model 'sometimes'"),
+    "unknown-failure-kind": (
+        {"failure": {"kind": "pairwise", **RATES}},
+        "unknown failure kind 'pairwise'",
+    ),
+    "unknown-gap-kind": (
+        {"escape": {"gap_correct": {"kind": "triangular"}}},
+        "unknown gap distribution 'triangular'",
+    ),
+}
+
+
+@pytest.mark.parametrize("part,line", UNREAD.values(), ids=list(UNREAD))
+def test_a_key_its_kind_does_not_read_is_one_config_error(tmp_path, capsys, part, line):
+    # no value is silently dropped: a key of the failure, escape or gap
+    # object that its kind does not read exits 2 before anything is made
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**BASE["simulate"], **part}))
+    capsys.readouterr()
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert capsys.readouterr().err.splitlines() == [f"config error: {line}"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_null_key_its_kind_does_not_read_stays_absent(tmp_path):
+    # the kind check reads the config as read, where null means absent
+    base = {"k": 4, "n_shots": 2000, "records": True, "failure": {"calibrate_discard": 0.5}}
+    nulls = {"keep_prob": None, "q": None, "gap_error": None, "pool_path": None}
+    outputs = []
+    for name, escape in (("plain", {}), ("null", nulls)):
+        escape = {"kind": "always_keep", **escape}
+        (tmp_path / f"{name}.json").write_text(json.dumps({**base, "escape": escape}))
+        argv = ["simulate", "--config", str(tmp_path / f"{name}.json")]
+        assert main(argv + ["--out", str(tmp_path / name)]) == EXIT_OK
+        report = json.loads((tmp_path / name / "sim_summary.json").read_text())
+        outputs.append((report["results"], (tmp_path / name / "records.jsonl").read_bytes()))
+    assert outputs[0] == outputs[1]

@@ -150,11 +150,17 @@ COVERAGE_MODELS = {
 }
 
 
-def share_beyond_two_sigma(observed: np.ndarray, expected: float, n: int) -> float:
+def share_beyond_two_sigma(observed: np.ndarray, expected, n: int) -> float:
     """The share of runs whose binomial rate lies more than two standard
-    errors from ``expected``."""
-    z = (observed - expected) / math.sqrt(expected * (1 - expected) / n)
+    errors from ``expected`` (a rate, or one rate per column)."""
+    z = (observed - expected) / np.sqrt(expected * (1 - expected) / n)
     return float(np.mean(np.abs(z) > 2))
+
+
+def two_sigma_limits(trials: int) -> tuple[float, float]:
+    """The 99.9% binomial limits on the share of ``trials`` normal z with |z| > 2."""
+    nominal = 2 * stats.norm.sf(2.0)
+    return tuple(bound / trials for bound in stats.binom.interval(0.999, trials, nominal))
 
 
 @pytest.mark.parametrize("name", COVERAGE_MODELS)
@@ -163,18 +169,84 @@ def test_seeded_runs_cover_the_closed_form(name):
     # for 4.55% of seeds; the share over 200 seeds stays within binomial
     # limits of that, and leaves them when the closed form is 5% off
     model, seeds, n, keep_prob = COVERAGE_MODELS[name], 200, 20_000, 0.7
-    escape = EscapeModel(kind="bernoulli", q=0.05, keep_prob=keep_prob)
+    escape = EscapeModel(q=0.05, keep_prob=keep_prob)
     discard, kept = np.empty(seeds), np.empty(seeds)
     for seed in range(seeds):
         config = SimConfig(model, n, seed, escape_model=escape, collect_records=False)
         summary = run_simulation(config)
         discard[seed], kept[seed] = summary.empirical_discard, summary.kept / n
-    nominal = 2 * stats.norm.sf(2.0)
-    low, high = (bound / seeds for bound in stats.binom.interval(0.999, seeds, nominal))
+    low, high = two_sigma_limits(seeds)
     d_all = joint_all_fail_probability(model)
     for observed, expected in ((discard, d_all), (kept, (1 - d_all) * keep_prob)):
         assert low <= share_beyond_two_sigma(observed, expected, n) <= high
         assert share_beyond_two_sigma(observed, 1.05 * expected, n) > high
+
+
+CURVE_THRESHOLDS = [0.0, 2.5, 6.0, 12.0, 20.0]
+CURVE_ESCAPES = {
+    kind: EscapeModel(
+        q=0.2,
+        keep_prob=0.7,
+        gap_correct=GapDistribution(kind, rate=0.1, value=7.0),
+        gap_error=GapDistribution(kind, rate=0.2, value=2.5),  # a constant gap at a threshold
+    )
+    for kind in ("exponential", "discrete_exponential", "constant")
+}
+CURVE_ESCAPES["pool"] = EscapeModel(
+    keep_prob=0.7,
+    pool=RecordSet(
+        [0.0, 1.0, 2.5, 4.0, 6.0, 9.0, 15.0, 30.0],
+        [True, False, True, False, True, True, False, True],
+        n_attempts=40,
+        count=[3, 4, 2, 5, 6, 1, 3, 4],
+    ),
+)
+
+
+def curve_cells(curve) -> np.ndarray:
+    """Records of each class in [G_j, G_j+1) and in [G_last, inf): a curve's
+    column increments, which given N are cells of one multinomial."""
+    return np.concatenate([-np.diff(c, append=0.0) for c in (curve.kept_correct, curve.kept_error)])
+
+
+@pytest.mark.parametrize("kind", ["exponential", "discrete_exponential", "constant"])
+def test_gap_survival_is_the_tail_of_the_inverse_cdf(kind):
+    # P(gap >= g) against the share of gaps >= g that the inverse CDF makes
+    # of 10**5 evenly spaced uniforms, at and between integer thresholds
+    dist = GapDistribution(kind, rate=0.3, value=2.0)
+    u = (np.arange(100_000) + 0.5) / 100_000
+    gaps = dist.from_exponential(-np.log1p(-u))
+    g = np.array([-1.0, 0.0, 0.5, 1.0, 2.0, 2.5, 7.0, 15.0])
+    share = (gaps[:, None] >= g).mean(axis=0)
+    assert np.allclose(dist.survival(g), share, rtol=0, atol=1e-5)
+
+
+@pytest.mark.parametrize("name", CURVE_ESCAPES)
+def test_seeded_curves_cover_the_expected_curve(name):
+    # each seed's records between consecutive thresholds are binomial cells
+    # of its N shots, so |z| > 2 for 4.55% of cells; the share over seeds
+    # and cells stays within binomial limits of that, and leaves them when
+    # the gap rates are 5% off
+    escape, seeds, n = CURVE_ESCAPES[name], 100, 20_000
+    model = COVERAGE_MODELS["independent"]
+    runs = (run_simulation(SimConfig(model, n, seed, escape)) for seed in range(seeds))
+    observed = np.array([curve_cells(sweep(run.records, CURVE_THRESHOLDS)) for run in runs])
+    config = SimConfig(model, n, 0, escape, collect_records=False)
+    expected = curve_cells(montecarlo.expected_curve(config, CURVE_THRESHOLDS)) / n
+    empty = expected == 0  # cells no gap reaches (constant gaps) stay empty
+    assert not observed[:, empty].any()
+    low, high = two_sigma_limits(seeds * int((~empty).sum()))
+    rates = observed[:, ~empty] / n
+    assert low <= share_beyond_two_sigma(rates, expected[~empty], n) <= high
+    if name in ("exponential", "discrete_exponential"):
+        off = replace(
+            escape,
+            gap_correct=replace(escape.gap_correct, rate=1.05 * escape.gap_correct.rate),
+            gap_error=replace(escape.gap_error, rate=1.05 * escape.gap_error.rate),
+        )
+        off_curve = montecarlo.expected_curve(replace(config, escape_model=off), CURVE_THRESHOLDS)
+        expected_off = curve_cells(off_curve) / n
+        assert share_beyond_two_sigma(rates, expected_off[~empty], n) > high
 
 
 @pytest.mark.parametrize(
@@ -232,7 +304,7 @@ def test_bernoulli_escape_error_fraction():
         failure_model=FailureModel.identical(0.2, 4),
         n_shots=100_000,
         seed=13,
-        escape_model=EscapeModel("bernoulli", q=q),
+        escape_model=EscapeModel(q=q),
     )
     summary = run_simulation(cfg)
     errors = int((~summary.records.correct).sum())
@@ -246,7 +318,7 @@ def test_keep_probability_rejects_shots_after_selection():
         failure_model=FailureModel.identical(0.0, 2),
         n_shots=50_000,
         seed=17,
-        escape_model=EscapeModel("bernoulli", q=0.0, keep_prob=0.8),
+        escape_model=EscapeModel(q=0.0, keep_prob=0.8),
     )
     summary = run_simulation(cfg)
     assert summary.early_discards == 0
@@ -259,7 +331,7 @@ def test_empirical_escape_resamples_pool_values():
         failure_model=FailureModel.identical(0.1, 4),
         n_shots=5000,
         seed=19,
-        escape_model=EscapeModel("empirical", pool=pool),
+        escape_model=EscapeModel(pool=pool),
     )
     summary = run_simulation(cfg)
     assert set(np.unique(summary.records.gaps)) <= {2.0, 5.0, 11.0}
@@ -274,7 +346,7 @@ def pool_run(pool):
         failure_model=FailureModel.identical(0.3, 2),
         n_shots=3000,
         seed=19,
-        escape_model=EscapeModel("empirical", pool=pool),
+        escape_model=EscapeModel(pool=pool),
     )
     records = run_simulation(cfg).records
     return records.shot_index.tolist(), records.gaps.view(np.uint64).tolist(), records.correct.tolist()
@@ -312,7 +384,7 @@ def test_records_jsonl_round_trip(tmp_path):
         failure_model=FailureModel.identical(0.45, 4),
         n_shots=20_000,
         seed=23,
-        escape_model=EscapeModel("bernoulli", q=0.25),
+        escape_model=EscapeModel(q=0.25),
     )
     summary = run_simulation(cfg)
     path = tmp_path / "records.jsonl"
@@ -334,7 +406,7 @@ def test_record_set_reproduces_empirical_attempts_exactly():
         failure_model=FailureModel.identical(0.55, 4),
         n_shots=30_000,
         seed=29,
-        escape_model=EscapeModel("bernoulli", q=0.2),
+        escape_model=EscapeModel(q=0.2),
     )
     summary = run_simulation(cfg)
     curve = sweep(summary.records, [0.0])
@@ -349,9 +421,15 @@ def test_gap_distribution_validation():
     with pytest.raises(ModelError):  # the gap of the largest draw overflows
         GapDistribution("discrete_exponential", rate=1e-320)
     with pytest.raises(ModelError):
-        EscapeModel(kind="bernoulli", q=1.5)
+        EscapeModel(q=1.5)
     with pytest.raises(ModelError):
-        EscapeModel(kind="empirical")
+        EscapeModel(pool=RecordSet([], [], n_attempts=1))
+    # a pool gives each output's gap and class, so it takes no q or gap law
+    pool = RecordSet([1.0], [True], n_attempts=1)
+    for fields in ({"q": 0.1}, {"gap_correct": GapDistribution("exponential", rate=0.05)}):
+        with pytest.raises(ModelError):
+            EscapeModel(pool=pool, **fields)
+    EscapeModel(pool=pool, keep_prob=0.5, gap_error=montecarlo.DEFAULT_ERROR_GAP)
 
 
 def test_config_validation():
@@ -444,11 +522,7 @@ def reference_fold(config, u):
     esc = config.escape_model
     g = u[:, k + 4]
     keep = u[:, k + 2] < esc.keep_prob
-    if esc.kind == "always_keep":
-        keep = np.ones(n, dtype=bool)
-        correct = np.ones(n, dtype=bool)
-        gaps = reference_gaps(esc.gap_correct, g)
-    elif esc.kind == "bernoulli":
+    if esc.pool is None:
         erroneous = u[:, k + 3] < esc.q
         gaps = np.where(
             erroneous, reference_gaps(esc.gap_error, g), reference_gaps(esc.gap_correct, g)
@@ -550,7 +624,7 @@ def test_a_run_generates_only_the_slots_its_model_reads(monkeypatch):
     monkeypatch.setattr(montecarlo, "_slot_words", spy)
     n, seed = 300_000, 3
     model = FailureModel.identical(0.49, 4)
-    escape = EscapeModel("bernoulli", q=0.05)  # keep_prob 1 reads no keep quarter
+    escape = EscapeModel(q=0.05)  # keep_prob 1 reads no keep quarter
     cfg = SimConfig(failure_model=model, n_shots=n, seed=seed, escape_model=escape)
     site_ties = expected_ties(seed, 4, [montecarlo._threshold(0.49)] * 4, n)
     assert len(site_ties) > 5  # about 18 at this shot count
@@ -562,10 +636,14 @@ def test_a_run_generates_only_the_slots_its_model_reads(monkeypatch):
     error_ties = expected_ties(seed, 3, [2**53, montecarlo._threshold(0.05)], n)
     run_simulation(cfg)
     assert read() == ({1, 3, 4}, site_ties | error_ties)
+    # with q = 0 every output is correct, so no error class is drawn, and
+    # keep_prob 1 rejects nothing: no escape word is read
+    run_simulation(replace(cfg, escape_model=EscapeModel(q=0.0, keep_prob=1.0)))
+    assert read() == ({1, 4}, site_ties)
     # an escape that can reject reads the keep quarter, also without records
     keep_ties = expected_ties(seed, 3, [montecarlo._threshold(0.7), 2**53], n)
     assert keep_ties
-    rejecting = replace(cfg, escape_model=EscapeModel("bernoulli", q=0.05, keep_prob=0.7))
+    rejecting = replace(cfg, escape_model=EscapeModel(q=0.05, keep_prob=0.7))
     run_simulation(replace(rejecting, collect_records=False))
     assert read() == ({3, 4}, site_ties | keep_ties)
     run_simulation(rejecting)
@@ -640,10 +718,9 @@ FAILURES = {
 ESCAPES = {
     "always_keep": lambda: EscapeModel(gap_correct=GapDistribution("exponential", rate=0.1)),
     "bernoulli": lambda: EscapeModel(
-        "bernoulli", q=0.3, keep_prob=0.7, gap_error=GapDistribution("constant", value=1.5)
+        q=0.3, keep_prob=0.7, gap_error=GapDistribution("constant", value=1.5)
     ),
     "empirical": lambda: EscapeModel(
-        "empirical",
         keep_prob=0.9,
         pool=RecordSet([2.0, 5.0, 11.0, 0.25], [True, False, True, False], n_attempts=4),
     ),
@@ -768,7 +845,7 @@ def test_default_blocks_match_the_float_kernel():
     [
         (
             FailureModel(per_site_fail=(0.2, 0.5, 0.7, 0.35)),
-            EscapeModel("bernoulli", q=0.3, keep_prob=0.9),
+            EscapeModel(q=0.3, keep_prob=0.9),
             3000,
             777,
             1024,
@@ -778,7 +855,7 @@ def test_default_blocks_match_the_float_kernel():
         # counter step; the largest seed fills the key's low word
         (
             FailureModel(per_site_fail=(0.2, 0.5, 0.7, 0.35)),
-            EscapeModel("bernoulli", q=0.3, keep_prob=0.9),
+            EscapeModel(q=0.3, keep_prob=0.9),
             5000,
             2**64 - 1,
             977,
@@ -789,14 +866,14 @@ def test_default_blocks_match_the_float_kernel():
                 per_site_fail=(0.3, 0.6, 0.2),
                 correlation=ExplicitJoint(product_joint_table((0.3, 0.6, 0.2))),
             ),
-            EscapeModel("bernoulli", q=0.4, keep_prob=0.7),
+            EscapeModel(q=0.4, keep_prob=0.7),
             400,
             314,
             64,
         ),
         (
             FailureModel(per_site_fail=(0.5, 0.5)),
-            EscapeModel("empirical", pool=RecordSet([1.0, 4.0], [True, False], n_attempts=2)),
+            EscapeModel(pool=RecordSet([1.0, 4.0], [True, False], n_attempts=2)),
             400,
             314,
             64,
@@ -804,7 +881,6 @@ def test_default_blocks_match_the_float_kernel():
         (
             FailureModel(per_site_fail=(0.5, 0.5)),
             EscapeModel(
-                "empirical",
                 pool=RecordSet([4.0, 1.0, -0.0], [True, False, True], n_attempts=6, count=[3, 2, 1]),
             ),
             400,
@@ -854,7 +930,7 @@ def test_more_than_four_sites_span_two_packed_words(monkeypatch, failure):
         failure_model=failure,
         n_shots=3000,
         seed=31,
-        escape_model=EscapeModel("bernoulli", q=0.3, keep_prob=0.7),
+        escape_model=EscapeModel(q=0.3, keep_prob=0.7),
     )
     for workers, block in ((1, DEFAULT_BLOCK), (2, 977)):
         summary = run_in_blocks(monkeypatch, cfg, workers, block)
@@ -900,7 +976,7 @@ def test_nine_sites_match_the_float_kernel(monkeypatch):
         failure_model=FailureModel(per_site_fail=SIX_SITES + (0.1, 0.9, 0.35)),
         n_shots=3000,
         seed=32,
-        escape_model=EscapeModel("bernoulli", q=0.3, keep_prob=0.7),
+        escape_model=EscapeModel(q=0.3, keep_prob=0.7),
     )
     expected = reference_run(cfg)
     for workers, block in ((1, DEFAULT_BLOCK), (2, 977)):
@@ -932,11 +1008,11 @@ def test_rates_of_zero_and_one_give_exact_counts(monkeypatch, collect):
     assert s.site_survival_histogram == (0, n, 0)
 
     model = FailureModel.identical(0.45, 4)
-    assert run(model, EscapeModel("bernoulli", q=0.2, keep_prob=0.0)).kept == 0
-    s = run(model, EscapeModel("bernoulli", q=0.2, keep_prob=1.0))
+    assert run(model, EscapeModel(q=0.2, keep_prob=0.0)).kept == 0
+    s = run(model, EscapeModel(q=0.2, keep_prob=1.0))
     assert s.kept == n - s.early_discards
     for q in (0.0, 1.0):
-        s = run(model, EscapeModel("bernoulli", q=q))
+        s = run(model, EscapeModel(q=q))
         assert s.kept == n - s.early_discards
         if collect:
             assert s.records.correct.tolist() == [q == 0.0] * s.kept
@@ -967,7 +1043,7 @@ def test_a_shot_is_kept_when_some_site_survives_and_escape_keeps_it(monkeypatch,
         failure_model=FailureModel(per_site_fail=tuple(1.0 - a for a in alive)),
         n_shots=400,
         seed=53,
-        escape_model=EscapeModel("bernoulli", q=0.3, keep_prob=0.7),
+        escape_model=EscapeModel(q=0.3, keep_prob=0.7),
     )
     n, k, live = cfg.n_shots, len(alive), sum(alive)
     summary = run_in_blocks(monkeypatch, cfg, 2, 97)

@@ -261,6 +261,45 @@ def test_v2_and_v1_words_repacked_reproduce_every_v2_and_v1_pin(
     assert _sha_as_layout(tmp_path / "off" / "sim_summary.json", version) == records_off
 
 
+# Records-on runs of the escape kinds the chain does not reach: always_keep
+# with exponential gaps, an empirical pool with keep_prob 0.9, and bernoulli
+# with q = 0, which draws no error class. Taken before ``EscapeModel`` lost its
+# ``kind`` field, so they hold each kind's outputs across that change.
+ESCAPE_RUNS = {
+    "keep": ({"kind": "always_keep", "gap_correct": {"kind": "exponential", "rate": 0.1}}, 11),
+    "pool": ({"kind": "empirical", "pool_path": "pool.jsonl", "keep_prob": 0.9}, 12),
+    "noerr": ({"kind": "bernoulli", "q": 0.0, "keep_prob": 0.8}, 13),
+}
+ESCAPE_PINNED = {
+    "keep/records.jsonl": "ec66fe888130ba80a7aa8e95d2e1aab78c739ec95890089bd81b2ce7b0dd69a6",
+    "keep/sim_summary.json": "99c4d79d991f66acc9b3569e632e95c51f6ce2d12d7a410ea6e2411573c16b6e",
+    "pool/records.jsonl": "def0df85a3a0f5d3c9d366ac36fef959bf45b09f7216dab699ace7d7f7c657cc",
+    "pool/sim_summary.json": "fa3accf92f783d9c57afdee2bc934f6514de5569af0441d096797132b8ca7ea9",
+    "noerr/records.jsonl": "1bf2f0ef6b5ec1f13e51c69b73e207b0a90dd3dd6af306dbd5af7b65a29c1ee6",
+    "noerr/sim_summary.json": "2e3eb7c0fcd53d91606a202eccb2ca06f0a8f10ff894e3c83d0c7095a0dc4bfa",
+}
+
+
+def test_escape_kind_output_bytes_are_pinned(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    pool = (json.dumps({"gap": 0.5 * i * i, "correct": i % 3 != 0}) + "\n" for i in range(8))
+    Path("pool.jsonl").write_text("".join(pool))
+    for out, (escape, seed) in ESCAPE_RUNS.items():
+        cfg = {
+            "k": 4,
+            "n_shots": 20000,
+            "seed": seed,
+            "failure": {"kind": "independent", "calibrate_discard": 0.4903},
+            "escape": escape,
+            "records": True,
+        }
+        Path(f"{out}.json").write_text(json.dumps(cfg))
+        argv = ["simulate", "--config", f"{out}.json", "--out", out, "--workers", "2"]
+        assert main(argv) == EXIT_OK
+    got = {name: _sha(tmp_path / name) for name in ESCAPE_PINNED}
+    assert got == ESCAPE_PINNED
+
+
 # The canonical layout, validated as shipped and packed afresh (k_max 4), at
 # both growth stages: the reports and the maps.
 LAYOUT_PINNED = {

@@ -117,7 +117,7 @@ def test_the_cli_run_simulation_forwards_to_the_sampler():
         failure_model=FailureModel(per_site_fail=(0.5,) * 4),
         n_shots=2000,
         seed=3,
-        escape_model=montecarlo.EscapeModel(kind="bernoulli", q=0.05),
+        escape_model=montecarlo.EscapeModel(q=0.05),
     )
     got = cli.run_simulation(config, workers=2)
     want = montecarlo.run_simulation(config, workers=2)
