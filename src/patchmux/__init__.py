@@ -3,8 +3,8 @@ magic-state cultivation.
 
 Submodules: geometry and layout_io (patch/footprint lattice work), analytics
 (closed-form retry costs and failure models), montecarlo (deterministic shot
-sampling), gap_analysis (threshold sweeps over kept-shot records), cli (batch
-entry points).
+sampling), gap_analysis (threshold sweeps over kept-shot records), parts (the
+fork helper both of those split their work with), cli (batch entry points).
 """
 
 __version__ = "0.1.0"

@@ -37,16 +37,12 @@ one row a record, in no order. If any range did, the other ranges' rows are
 expanded too; else they are merged again.
 
 Record sets and curves are written a fixed block of rows at a time, so only
-the numpy columns grow with the file, and on every usable CPU, by one fork
-helper (``_write_in_parts``): this process handles part 0, and each later part
-runs in a forked child that sends its bytes back through a pipe; only this
-process writes the output, and it does a failed child's part itself. A record
-set or curve of at least two ``_PART_ROWS`` rows is cut into row ranges, one
-per CPU, each formatted by the writer's one block formatter, so the bytes do
-not depend on the split. Byte ranges are read by the same helper, through
-``_map_in_parts``, which keeps part 0's result as it is and takes each later
-part's as a pickle (from a child, or made here where the part runs here), and
-so are ``montecarlo``'s shot ranges when a run has several workers.
+the numpy columns grow with the file, and on every usable CPU, by the fork
+helper of ``parts`` (``_write_in_parts``), which ``montecarlo``'s workers
+share. A record set or curve of at least two ``_PART_ROWS`` rows is cut into
+row ranges, one per CPU, each formatted by the writer's one block formatter,
+so the bytes do not depend on the split. Byte ranges are read by the same
+helper, through ``_map_in_parts``.
 """
 
 from __future__ import annotations
@@ -56,14 +52,13 @@ import csv
 import io
 import json
 import math
-import os
-import pickle
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+
+from .parts import _map_in_parts, _physical_memory, _usable_cpus, _write_in_parts
 
 UNDEFINED = math.nan
 
@@ -80,10 +75,6 @@ _PART_BYTES = 1 << 19
 # Record and curve sets of at least two parts of this many rows are written
 # in parts, one per usable CPU.
 _PART_ROWS = 1 << 14
-
-# A forked part's bytes are copied from its pipe this many at a time, so the
-# writing process never holds a whole part.
-_PIPE_CHUNK = 1 << 16
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
@@ -461,94 +452,6 @@ def _read_range(path, is_csv: bool, start: int, end: int):
     return rows, with_consumed, consumed
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-# Work split by usable CPU. Part 0 runs in this process and every later part
-# in a forked child, which sends its bytes back through a pipe; only this
-# process writes the output. Fork, not spawn: a spawned child imports numpy
-# and patchmux again (~0.25 s, more than a part takes).
-class _Child:
-    """A forked process producing the bytes of one part, and its pipe."""
-
-    def __init__(self, produce, part: int, others: list["_Child"]) -> None:
-        read_fd, write_fd = os.pipe()
-        try:
-            self.pid = os.fork()
-        except OSError:
-            os.close(read_fd)
-            os.close(write_fd)
-            raise
-        if self.pid == 0:
-            status = 1
-            try:  # never returns: a child must not run the CLI's rest or atexit
-                os.close(read_fd)
-                for other in others:
-                    other.pipe.close()
-                # the whole part first: streaming while this process still
-                # produces part 0 would block the child on a full pipe
-                blocks = list(produce(part))
-                with open(write_fd, "wb") as pipe:
-                    pipe.write(sum(map(len, blocks)).to_bytes(8, "little"))
-                    pipe.writelines(blocks)
-                status = 0
-            finally:
-                os._exit(status)
-        os.close(write_fd)
-        self.pipe = open(read_fd, "rb")
-        self.status: int | None = None
-
-    def copy_to(self, out) -> bool:
-        """Copy the part into ``out`` in ``_PIPE_CHUNK`` pieces; whether it
-        arrived whole from a child that exited 0."""
-        size = self.pipe.read(8)
-        left = int.from_bytes(size, "little")
-        while left and (chunk := self.pipe.read(min(left, _PIPE_CHUNK))):
-            out.write(chunk)
-            left -= len(chunk)
-        return self.wait() == 0 and len(size) == 8 and left == 0
-
-    def wait(self) -> int:
-        self.pipe.close()  # a child still writing then fails, and exits
-        if self.status is None:
-            self.status = os.waitpid(self.pid, 0)[1]
-        return self.status
-
-
-def _write_in_parts(out, produce, count: int) -> None:
-    """Write the bytes of ``produce(0)``, ..., ``produce(count - 1)`` to the
-    binary stream ``out``, in order.
-
-    With two or more parts, where the platform can fork and this process runs
-    one thread (a fork copies no other thread, and would copy the locks they
-    hold), parts 1 on are produced in forked children while this process
-    produces part 0. A child that cannot start, exits non-zero or sends a
-    short stream costs only time: ``out`` is cut back to where its part began
-    and the part is produced here.
-    """
-    children: list[_Child] = []
-    if count >= 2 and hasattr(os, "fork") and threading.active_count() == 1:
-        try:
-            for part in range(1, count):
-                children.append(_Child(produce, part, children))
-        except OSError:  # no pipe or process to be had: the rest run here
-            pass
-    try:
-        for part in range(count):
-            start = out.tell()
-            if not (0 < part <= len(children) and children[part - 1].copy_to(out)):
-                out.seek(start)
-                out.truncate()
-                out.writelines(produce(part))
-    finally:
-        for child in children:
-            child.wait()
-
-
 def _write_rows(path, head: bytes, text, rows: int) -> None:
     """Write ``head``, then ``text(start, stop)`` (bytes, a block of rows at a
     time) for rows 0 to ``rows``: in parts, one per usable CPU, when they
@@ -593,25 +496,6 @@ def _byte_ranges(path, start: int) -> list[tuple[int, int]]:
             cuts.append(fh.tell())
     cuts.append(end)
     return [(a, b) for a, b in zip(cuts, cuts[1:]) if a < b] or [(start, end)]
-
-
-def _map_in_parts(fn, count: int) -> list:
-    """``[fn(0), ..., fn(count - 1)]``: part 0 here and the others in forked
-    children where ``_write_in_parts`` forks. Part 0's result is kept as it
-    is; each later part's crosses as a pickle, whose buffer is freed as this
-    returns."""
-    first = []
-
-    def produce(part: int) -> list[bytes]:
-        if part:
-            return [pickle.dumps(fn(part))]
-        first.append(fn(0))
-        return []
-
-    out = io.BytesIO()
-    _write_in_parts(out, produce, count)
-    out.seek(0)
-    return first + [pickle.load(out) for _ in range(count - 1)]
 
 
 def _read_records(path, is_csv: bool):
@@ -891,14 +775,6 @@ def default_thresholds(*record_sets: RecordSet) -> np.ndarray:
         values.sort()
         grid = values[np.insert(values[1:] != values[:-1], 0, True)]
     return grid
-
-
-def _physical_memory() -> int:
-    """Bytes of physical memory, or 0 where the platform does not say."""
-    try:
-        return max(0, os.sysconf("SC_PHYS_PAGES")) * max(0, os.sysconf("SC_PAGE_SIZE"))
-    except (AttributeError, ValueError, OSError):  # no sysconf, or not these names
-        return 0
 
 
 def linear_thresholds(start: float, stop: float, count: int) -> np.ndarray | None:

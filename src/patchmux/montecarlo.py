@@ -45,6 +45,8 @@ it holds O(block) memory whatever its shot count.
 Kept shots come back as one ``gap_analysis.RecordSet`` whose attempt total
 is the shot count and whose ``shot_index`` column gives each kept shot's
 index, so the sweep tools read a run's records without conversion.
+``gap_analysis`` is imported only where a run collects records or draws from
+a pool, and by ``expected_curve``: a run without them loads no record layer.
 """
 
 from __future__ import annotations
@@ -62,17 +64,7 @@ from .analytics import (
     ModelError,
     joint_all_fail_probability,
 )
-from .gap_analysis import (
-    RecordSet,
-    SweepCurve,
-    _distinct,
-    _map_in_parts,
-    _pair_keys,
-    _pairs,
-    _physical_memory,
-    _usable_cpus,
-    sweep,
-)
+from .parts import _map_in_parts, _physical_memory, _usable_cpus
 
 MAX_SEED = 2**64 - 1
 LAYOUT_VERSION = 3  # the draw layout of the module docstring; simulate reports carry it
@@ -368,6 +360,7 @@ def _plan(config: SimConfig, block: int) -> _Plan:
     errors = esc.pool is None and esc.q > 0 and config.collect_records
     pool = None
     if esc.pool is not None:
+        from .gap_analysis import _distinct, _pair_keys, _pairs
         keys, count = _distinct(_pair_keys(esc.pool.gaps, esc.pool.correct), esc.pool.count)
         pool = (*_pairs(keys, count)[:2], np.cumsum(count))
     return _Plan(
@@ -558,6 +551,7 @@ def run_simulation(config: SimConfig, workers: int = 1) -> SimSummary:
 
     records = None
     if config.collect_records:
+        from .gap_analysis import RecordSet
         shot_index, gaps, correct = total.columns
         records = RecordSet(gaps=gaps, correct=correct, n_attempts=n, shot_index=shot_index)
 
@@ -584,6 +578,7 @@ def expected_curve(config: SimConfig, thresholds) -> SweepCurve:
     records drawn evenly, so its curve is the pool's own sweep times
     N P / |pool|.
     """
+    from .gap_analysis import SweepCurve, sweep
     esc, n = config.escape_model, config.n_shots
     kept = n * (1.0 - joint_all_fail_probability(config.failure_model)) * esc.keep_prob
     ts = np.asarray(thresholds, dtype=np.float64)

@@ -671,3 +671,32 @@ def test_a_null_key_its_kind_does_not_read_stays_absent(tmp_path):
         report = json.loads((tmp_path / name / "sim_summary.json").read_text())
         outputs.append((report["results"], (tmp_path / name / "records.jsonl").read_bytes()))
     assert outputs[0] == outputs[1]
+
+
+BERNOULLI = {"kind": "bernoulli", "q": 0.05}
+NESTED_NULLS = {  # (config, the same config with null entries)
+    "failure and escape": (
+        {"failure": {"calibrate_discard": 0.5}, "escape": {"kind": "always_keep"}},
+        {
+            "failure": {"calibrate_discard": 0.5, "c": None},
+            "escape": {"kind": "always_keep", "q": None},
+        },
+    ),
+    "gap object": (
+        {"escape": {**BERNOULLI, "gap_error": {"kind": "exponential"}}},
+        {"escape": {**BERNOULLI, "gap_error": {"kind": "exponential", "value": None}}},
+    ),
+}
+
+
+@pytest.mark.parametrize("plain,nulls", NESTED_NULLS.values(), ids=list(NESTED_NULLS))
+def test_a_nested_null_is_absent_from_the_report(tmp_path, plain, nulls):
+    # null means absent at any depth, so the report's config block and its
+    # hash are those of the config without the null entries
+    base = {"k": 4, "n_shots": 2000, "failure": {"calibrate_discard": 0.5}}
+    for name, part in (("plain", plain), ("null", nulls)):
+        (tmp_path / f"{name}.json").write_text(json.dumps({**base, **part}))
+        argv = ["simulate", "--config", str(tmp_path / f"{name}.json")]
+        assert main(argv + ["--out", str(tmp_path / name)]) == EXIT_OK
+    summary = "sim_summary.json"
+    assert (tmp_path / "plain" / summary).read_bytes() == (tmp_path / "null" / summary).read_bytes()

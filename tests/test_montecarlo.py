@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from patchmux import gap_analysis, montecarlo
+from patchmux import montecarlo, parts
 from patchmux.analytics import (
     CommonMode,
     ExplicitJoint,
@@ -1064,7 +1064,7 @@ def test_a_shot_is_kept_when_some_site_survives_and_escape_keeps_it(monkeypatch,
 
 # Workers. The blocks are cut into runs of consecutive blocks, one per
 # process up to the usable CPUs: the first is folded here and each later one
-# in a forked child (``gap_analysis._map_in_parts``), whose folds come back as
+# in a forked child (``parts._map_in_parts``), whose folds come back as
 # a pickle. A child that fails costs only time: its part is folded here.
 
 REAL_FORK = os.fork
@@ -1159,7 +1159,7 @@ class ShortPipe:
 
 
 def stream_short():
-    gap_analysis.open = ShortPipe
+    parts.open = ShortPipe
 
 
 @pytest.mark.parametrize("collect", [True, False], ids=["records", "counts"])
@@ -1227,7 +1227,7 @@ def test_the_pickled_parts_are_freed_before_the_merge(monkeypatch):
             buffers.append(weakref.ref(self))
 
     tracked_io = types.SimpleNamespace(**{**vars(io), "BytesIO": TrackedBytesIO})
-    monkeypatch.setattr(gap_analysis, "io", tracked_io)
+    monkeypatch.setattr(parts, "io", tracked_io)
     live_at_merge = []
     merge = montecarlo._merge
 

@@ -36,11 +36,7 @@ def loaded_after(code: str, modules: set = LAYERS | HASHLIB) -> set:
 
 
 def test_importing_the_cli_loads_no_sampler_closed_forms_or_openssl():
-    loaded = loaded_after("import patchmux.cli")
-    assert loaded & LAYERS == set()
-    # numpy < 2 loads hashlib itself (numpy.random -> secrets), so only what
-    # the CLI adds to a bare numpy import counts
-    assert loaded & HASHLIB <= loaded_after("import numpy")
+    assert loaded_after("import patchmux.cli") == set()
 
 
 @pytest.mark.parametrize("command", ["gap-sweep", "analytic", "layout"])
@@ -62,6 +58,57 @@ def test_a_report_command_loads_no_openssl(tmp_path, command):
     if command == "gap-sweep":  # the sweep needs neither the sampler nor the closed forms
         assert loaded & LAYERS == set()
     assert loaded & HASHLIB <= loaded_after("import numpy")
+
+
+def main_exits(argv: list, code: int = 0, err: str = "") -> str:
+    """Probe code that runs ``main(argv)`` and checks its exit code and stderr."""
+    return (
+        "import contextlib, io\nfrom patchmux.cli import main\nerr = io.StringIO()\n"
+        f"with contextlib.redirect_stderr(err):\n    got = main({argv!r})\n"
+        f"assert (got, err.getvalue()) == {(code, err)!r}, (got, err.getvalue())"
+    )
+
+
+@pytest.mark.parametrize(
+    "run",
+    ["import", "help", "analytic", "layout", "gap-sweep config error", "missing record file"],
+)
+def test_a_command_that_reads_no_records_loads_no_numpy(tmp_path, run):
+    # gap_analysis, and so numpy, loads only where records are read or swept
+    (tmp_path / "r.jsonl").write_text('{"gap": 1.0, "correct": true}\n')
+    (tmp_path / "grid.json").write_text('{"thresholds": {"start": 0, "stop": 1, "count": 1}}')
+    out = ["--out", str(tmp_path / "out")]
+    sweep = ["gap-sweep", "--records"]
+    code = {
+        "import": "import patchmux.cli",
+        "help": "from patchmux.cli import main\ntry:\n    main(['--help'])\n"
+        "except SystemExit as exc:\n    code = exc.code\nassert code == 0",
+        "analytic": main_exits(["analytic", "--preset", "table2", *out]),
+        "layout": main_exits(["layout", "--preset", "canonical", *out]),
+        "gap-sweep config error": main_exits(
+            [*sweep, str(tmp_path / "r.jsonl"), "--config", str(tmp_path / "grid.json"), *out],
+            2,
+            "config error: thresholds need stop > start and count >= 2\n",
+        ),
+        "missing record file": main_exits(
+            [*sweep, str(tmp_path / "absent.jsonl"), *out],
+            2,
+            f"config error: record file not found: {tmp_path / 'absent.jsonl'}\n",
+        ),
+    }[run]
+    assert loaded_after(code, {"numpy", "patchmux.gap_analysis"}) == set()
+
+
+@pytest.mark.parametrize("records", [False, True], ids=["records off", "records on"])
+def test_simulate_loads_the_record_layer_only_for_records(tmp_path, records):
+    (tmp_path / "sim.json").write_text(
+        f'{{"k": 2, "n_shots": 2000, "seed": 3, "records": {str(records).lower()}, "failure":'
+        ' {"kind": "independent", "calibrate_discard": 0.5}, "escape": {"kind": "bernoulli",'
+        ' "q": 0.05}}'
+    )
+    argv = ["simulate", "--config", str(tmp_path / "sim.json"), "--out", str(tmp_path / "out")]
+    loaded = loaded_after(main_exits(argv), {"numpy", "patchmux.gap_analysis"})
+    assert loaded == ({"numpy", "patchmux.gap_analysis"} if records else {"numpy"})
 
 
 def test_simulate_hashes_its_report_with_the_hashlib_numpy_loaded(tmp_path):

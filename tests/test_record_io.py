@@ -24,7 +24,7 @@ import types
 import numpy as np
 import pytest
 
-from patchmux import gap_analysis
+from patchmux import gap_analysis, parts
 from patchmux.cli import main
 from patchmux.gap_analysis import (
     CURVE_CSV_HEADER,
@@ -890,7 +890,7 @@ class ShortPipe:
 
 
 def stream_short():
-    gap_analysis.open = ShortPipe
+    parts.open = ShortPipe
 
 
 CHILD_FAILURES = [exit_at_once, fail_to_format, fail_but_exit_zero, stream_short]
