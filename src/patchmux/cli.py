@@ -83,9 +83,10 @@ def _canonical_json(obj) -> str:
 
 def _config_hash(effective_config: dict) -> str:
     # hashlib's SHA-256 where hashlib is loaded (numpy.random loads it for
-    # simulate), else CPython's built-in one: importing hashlib maps OpenSSL's
-    # libcrypto, about 3 MB of RSS that would set the peak of gap-sweep,
-    # analytic and layout. Any SHA-256 gives the same bytes.
+    # simulate, without OpenSSL: see _import_numpy_random), else CPython's
+    # built-in one: importing hashlib maps OpenSSL's libcrypto, about 3 MB of
+    # RSS that would set the peak of gap-sweep, analytic and layout. Any
+    # SHA-256 gives the same bytes.
     if "hashlib" in sys.modules:
         sha256 = sys.modules["hashlib"].sha256
     else:
@@ -518,6 +519,25 @@ def _escape_model(escape: dict) -> EscapeModel:
     return EscapeModel(**fields)
 
 
+def _import_numpy_random() -> None:
+    """Import ``numpy.random`` with OpenSSL's ``_hashlib`` hidden.
+
+    numpy.random imports ``secrets``, which imports ``hmac`` and ``hashlib``:
+    with ``_hashlib`` unimportable they fall back to CPython's built-in
+    digests, and OpenSSL's libcrypto, about 3 MB of RSS, is never mapped.
+    Nothing in simulate needs OpenSSL. Skipped where either module is
+    already loaded; the mask lasts for this one import, so a later
+    ``import _hashlib`` works.
+    """
+    if "_hashlib" in sys.modules or "numpy.random" in sys.modules:
+        return
+    sys.modules["_hashlib"] = None
+    try:
+        import numpy.random  # noqa: F401
+    finally:
+        del sys.modules["_hashlib"]
+
+
 # perfbench's traced run wraps these two names in this module: the first is
 # a pure forwarder, which ROADMAP item 14 deletes once perfbench reads a sidecar.
 def run_simulation(*args, **kwargs):
@@ -609,6 +629,7 @@ def cmd_simulate(args) -> int:
     }
 
     out = _out_dir(args, cfg)  # fail on an unwritable target before simulating
+    _import_numpy_random()
     summary = run_simulation(sim_config, workers=args.workers)
     effective = {
         "preset": preset_name,

@@ -572,7 +572,7 @@ class RecordSet:
             if shot_index.size and (
                 shot_index[0] < 0
                 or shot_index[-1] >= n_attempts
-                or np.any(np.diff(shot_index) <= 0)
+                or np.any(shot_index[1:] <= shot_index[:-1])  # a byte a record
             ):
                 raise ValueError(
                     f"shot_index must be strictly increasing within 0..{n_attempts - 1}"
@@ -619,16 +619,19 @@ class RecordSet:
         """Write one JSON object per record, as ``from_jsonl`` reads them.
 
         ``attempts_consumed`` counts the shots since the previous kept shot,
-        this one included, so the set needs its ``shot_index``. The text is
-        what ``json.dumps`` gives: a finite float prints as its ``repr``.
+        this one included, so the set needs its ``shot_index``; it is taken
+        a block of records at a time, from the block's indices and the one
+        before it. The text is what ``json.dumps`` gives: a finite float
+        prints as its ``repr``.
         """
-        if self.shot_index is None:
+        shot_index = self.shot_index
+        if shot_index is None:
             raise ValueError("attempts_consumed needs the records' shot_index")
-        consumed = np.diff(self.shot_index, prepend=-1)
 
         def text(start: int, stop: int):
             for block in range(start, stop, _IO_BLOCK):
                 rows = slice(block, min(block + _IO_BLOCK, stop))
+                before = shot_index[block - 1] if block else -1
                 yield "".join(
                     [
                         f'{{"gap": {g!r}, "correct": {"true" if c else "false"}, '
@@ -636,7 +639,7 @@ class RecordSet:
                         for g, c, a in zip(
                             self.gaps[rows].tolist(),
                             self.correct[rows].tolist(),
-                            consumed[rows].tolist(),
+                            np.diff(shot_index[rows], prepend=before).tolist(),
                         )
                     ]
                 ).encode()

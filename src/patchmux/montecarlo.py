@@ -207,7 +207,12 @@ _WORD = (1 << 64) - 1
 
 
 def _philox() -> np.random.Philox:
-    """This thread's generator, built (and ``numpy.random`` imported) at first use."""
+    """This thread's generator, built (and ``numpy.random`` imported) at first use.
+
+    The CLI's ``simulate`` has imported ``numpy.random`` by then, with
+    OpenSSL hidden (``cli._import_numpy_random``); a library caller imports
+    it here the ordinary way, which maps libcrypto where hashlib has it.
+    """
     bits = getattr(_thread_bits, "philox", None)
     if bits is None:
         bits = _thread_bits.philox = np.random.Philox(0)

@@ -1,4 +1,5 @@
 import ast
+import importlib.util
 import inspect
 import os
 import subprocess
@@ -111,16 +112,93 @@ def test_simulate_loads_the_record_layer_only_for_records(tmp_path, records):
     assert loaded == ({"numpy", "patchmux.gap_analysis"} if records else {"numpy"})
 
 
-def test_simulate_hashes_its_report_with_the_hashlib_numpy_loaded(tmp_path):
-    # numpy.random imports hashlib for the sampler, so the report's hash maps
-    # no second SHA-256 module
-    (tmp_path / "sim.json").write_text(
-        '{"k": 2, "n_shots": 2000, "seed": 3, "failure": {"kind": "independent",'
-        ' "calibrate_discard": 0.5}, "escape": {"kind": "bernoulli", "q": 0.05}}'
+SIM_CONFIG = (
+    '{"k": 2, "n_shots": 2000, "seed": 3, "failure": {"kind": "independent",'
+    ' "calibrate_discard": 0.5}, "escape": {"kind": "bernoulli", "q": 0.05}}'
+)
+SHA256 = {"_sha2", "_sha256"}
+HAS_OPENSSL = importlib.util.find_spec("_hashlib") is not None
+
+
+def simulate_probe(tmp_path, out: str, before: str = "") -> str:
+    """Probe code that runs ``before``, a small records-off ``simulate`` into
+    ``out``, and checks the report's hash against the loaded hashlib's."""
+    (tmp_path / "sim.json").write_text(SIM_CONFIG)
+    argv = ["simulate", "--config", str(tmp_path / "sim.json"), "--out", str(tmp_path / out)]
+    return (
+        f"{before}\n{main_exits(argv)}\nimport sys\nloaded = set(sys.modules)\n"
+        "import hashlib, json\nfrom patchmux.cli import _canonical_json\n"
+        f"report = json.loads(open({str(tmp_path / out / 'sim_summary.json')!r}).read())\n"
+        "digest = hashlib.sha256(_canonical_json(report['config']).encode()).hexdigest()\n"
+        "assert 'hashlib' in loaded and report['provenance']['config_hash'] == digest"
     )
-    argv = ["simulate", "--config", str(tmp_path / "sim.json"), "--out", str(tmp_path / "out")]
-    code = f"from patchmux.cli import main\nassert main({argv!r}) == 0"
-    assert loaded_after(code, {"hashlib", "_sha2", "_sha256"}) == {"hashlib"}
+
+
+def test_simulate_hashes_its_report_with_the_hashlib_numpy_loaded(tmp_path):
+    # numpy.random imports hashlib for the sampler with OpenSSL hidden, so the
+    # report's hash maps no libcrypto and no SHA-256 module of its own. numpy
+    # < 2 imports numpy.random, and so OpenSSL, with numpy itself.
+    openssl = loaded_after("import numpy", {"_hashlib"})
+    loaded = loaded_after(simulate_probe(tmp_path, "out"), {"_hashlib", *SHA256})
+    builtin = loaded_after("import sys\nsys.modules['_hashlib'] = None\nimport hashlib", SHA256)
+    assert loaded == openssl | (set() if openssl else builtin)
+
+
+@pytest.mark.skipif(not HAS_OPENSSL, reason="this Python has no OpenSSL hashlib")
+def test_simulate_after_openssl_is_loaded_hashes_its_report_with_it(tmp_path):
+    # with _hashlib imported before main, numpy.random imports hashlib the
+    # ordinary way, and the report is the same bytes
+    loaded_after(simulate_probe(tmp_path, "masked"))
+    loaded = loaded_after(
+        simulate_probe(tmp_path, "openssl", "import _hashlib")
+        + "\nassert hashlib.sha256 is sys.modules['_hashlib'].openssl_sha256",
+        {"_hashlib"},
+    )
+    assert loaded == {"_hashlib"}
+    masked, openssl = (tmp_path / out / "sim_summary.json" for out in ("masked", "openssl"))
+    assert openssl.read_bytes() == masked.read_bytes()
+
+
+@pytest.mark.parametrize("module", ["patchmux.montecarlo", "patchmux.cli"])
+def test_run_simulation_as_a_library_imports_numpy_random_the_ordinary_way(module):
+    code = (
+        f"from {module} import run_simulation\nfrom patchmux.montecarlo import SimConfig\n"
+        "from patchmux.analytics import FailureModel\n"
+        "failure = FailureModel(per_site_fail=[0.5, 0.5])\n"
+        "config = SimConfig(failure_model=failure, n_shots=2000, seed=3)\n"
+        "assert run_simulation(config).shots == 2000"
+    )
+    assert loaded_after(code, {"_hashlib"}) == ({"_hashlib"} if HAS_OPENSSL else set())
+
+
+def test_openssl_imports_after_a_cli_simulate(tmp_path):
+    code = simulate_probe(tmp_path, "out") + (
+        "\nabc = 'ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad'"
+        "\nassert hashlib.new('sha256', b'abc').hexdigest() == abc"
+    )
+    if HAS_OPENSSL:
+        code += "\nimport _hashlib\nassert _hashlib.new('sha256', b'abc').hexdigest() == abc"
+    assert loaded_after(code, {"_hashlib"}) == ({"_hashlib"} if HAS_OPENSSL else set())
+
+
+def test_a_failed_numpy_random_import_leaves_openssl_importable(monkeypatch):
+    from patchmux import cli
+
+    seen = []
+
+    class Refuse:
+        def find_spec(self, name, path=None, target=None):
+            if name == "numpy.random":
+                seen.append(sys.modules.get("_hashlib", "absent"))
+                raise RuntimeError("refused")
+
+    monkeypatch.delitem(sys.modules, "_hashlib", raising=False)
+    monkeypatch.delitem(sys.modules, "numpy.random", raising=False)
+    monkeypatch.setattr(sys, "meta_path", [Refuse(), *sys.meta_path])
+    with pytest.raises(RuntimeError, match="refused"):
+        cli._import_numpy_random()
+    assert seen == [None]  # masked while numpy.random imported
+    assert "_hashlib" not in sys.modules
 
 
 def test_simulate_on_two_workers_loads_no_thread_pool(tmp_path):
