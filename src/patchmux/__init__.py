@@ -3,8 +3,9 @@ magic-state cultivation.
 
 Submodules: geometry and layout_io (patch/footprint lattice work), analytics
 (closed-form retry costs and failure models), montecarlo (deterministic shot
-sampling), gap_analysis (threshold sweeps over kept-shot records), parts (the
-fork helper both of those split their work with), cli (batch entry points).
+sampling), gap_analysis (kept-shot records and their files), curves (threshold
+sweeps over records), parts (the fork helper the sampler and the record files
+split their work with), cli (batch entry points, one cli_* module a command).
 """
 
 __version__ = "0.1.0"
@@ -44,7 +45,8 @@ __all__ = [
 _EXPORTS = {
     "analytics": "CommonMode ExplicitJoint FailureModel Independent attempt_reduction "
     "expected_attempts iid_multiplex_discard multiplex_pass_probability",
-    "gap_analysis": "RecordSet SweepCurve find_crossing sweep",
+    "curves": "SweepCurve find_crossing sweep",
+    "gap_analysis": "RecordSet",
     "geometry": "CellSet FootprintSpec PatchLayout Rotation Stage pack_sites rotate_footprint "
     "validate_layout",
     "montecarlo": "EscapeModel SimConfig SimSummary run_simulation",

@@ -46,7 +46,8 @@ Kept shots come back as one ``gap_analysis.RecordSet`` whose attempt total
 is the shot count and whose ``shot_index`` column gives each kept shot's
 index, so the sweep tools read a run's records without conversion.
 ``gap_analysis`` is imported only where a run collects records or draws from
-a pool, and by ``expected_curve``: a run without them loads no record layer.
+a pool, and ``curves`` by ``expected_curve``: a run without them loads no
+record layer.
 """
 
 from __future__ import annotations
@@ -124,7 +125,7 @@ class EscapeModel:
     is a (gap, correct) record drawn from the pool, so ``q`` and the gap laws
     stay at their defaults. The defaults keep every candidate as correct,
     which isolates the early-stage statistics. A config's ``escape.kind``
-    names three settings of these fields (``cli._escape_model``):
+    names three settings of these fields (``cli_simulate._escape_model``):
     ``always_keep`` sets at most ``gap_correct``; ``bernoulli`` sets ``q``,
     ``keep_prob`` and the gap laws; ``empirical`` sets a pool and ``keep_prob``.
     """
@@ -210,8 +211,8 @@ def _philox() -> np.random.Philox:
     """This thread's generator, built (and ``numpy.random`` imported) at first use.
 
     The CLI's ``simulate`` has imported ``numpy.random`` by then, with
-    OpenSSL hidden (``cli._import_numpy_random``); a library caller imports
-    it here the ordinary way, which maps libcrypto where hashlib has it.
+    OpenSSL hidden (``cli_simulate._import_numpy_random``); a library caller
+    imports it here the ordinary way, which maps libcrypto where hashlib has it.
     """
     bits = getattr(_thread_bits, "philox", None)
     if bits is None:
@@ -583,7 +584,7 @@ def expected_curve(config: SimConfig, thresholds) -> SweepCurve:
     records drawn evenly, so its curve is the pool's own sweep times
     N P / |pool|.
     """
-    from .gap_analysis import SweepCurve, sweep
+    from .curves import SweepCurve, sweep
     esc, n = config.escape_model, config.n_shots
     kept = n * (1.0 - joint_all_fail_probability(config.failure_model)) * esc.keep_prob
     ts = np.asarray(thresholds, dtype=np.float64)

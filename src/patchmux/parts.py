@@ -1,13 +1,14 @@
 """Work split by usable CPU: the fork helper of the record I/O and the sampler.
 
 ``_write_in_parts`` writes the bytes of parts 0 .. n-1 in order: this process
-produces part 0, and each later part runs in a forked child that sends its
-bytes back through a pipe; only this process writes the output, and it does a
-failed child's part itself. ``_map_in_parts`` maps a function over parts the
-same way, keeping part 0's result as it is and taking each later part's as a
-pickle. ``gap_analysis`` reads and writes record and curve files through them,
-and ``montecarlo`` folds a run's shot ranges. The module loads no numpy, so
-neither layer needs the other to split its work.
+produces part 0, and each later part runs in a forked child that spools its
+bytes to an unlinked temporary file and then sends them back through a pipe;
+only this process writes the output, and it does a failed child's part
+itself. ``_map_in_parts`` maps a function over parts the same way, keeping
+part 0's result as it is and taking each later part's as a pickle.
+``gap_analysis`` reads and writes record files through them, ``curves``
+writes curve files, and ``montecarlo`` folds a run's shot ranges. The module
+loads no numpy, so no layer needs another to split its work.
 """
 
 from __future__ import annotations
@@ -15,10 +16,12 @@ from __future__ import annotations
 import io
 import os
 import pickle
+import shutil
+import tempfile
 import threading
 
-# A forked part's bytes are copied from its pipe this many at a time, so the
-# writing process never holds a whole part.
+# A forked part's bytes are copied to and from its pipe this many at a time,
+# so neither process holds a whole part.
 _PIPE_CHUNK = 1 << 16
 
 
@@ -56,12 +59,13 @@ class _Child:
                 os.close(read_fd)
                 for other in others:
                     other.pipe.close()
-                # the whole part first: streaming while this process still
-                # produces part 0 would block the child on a full pipe
-                blocks = list(produce(part))
-                with open(write_fd, "wb") as pipe:
-                    pipe.write(sum(map(len, blocks)).to_bytes(8, "little"))
-                    pipe.writelines(blocks)
+                # the whole part first, to a file: streaming while this process
+                # still produces part 0 would block the child on a full pipe
+                with tempfile.TemporaryFile() as spool, open(write_fd, "wb") as pipe:
+                    spool.writelines(produce(part))
+                    pipe.write(spool.tell().to_bytes(8, "little"))
+                    spool.seek(0)
+                    shutil.copyfileobj(spool, pipe, _PIPE_CHUNK)
                 status = 0
             finally:
                 os._exit(status)

@@ -26,7 +26,8 @@ from patchmux.analytics import (
     reduction_interval,
 )
 from patchmux.cli import main as cli_main
-from patchmux.gap_analysis import RecordSet, SweepCurve, find_crossing, sweep
+from patchmux.curves import SweepCurve, find_crossing, sweep
+from patchmux.gap_analysis import RecordSet
 from patchmux.geometry import PatchLayout, Rotation, Stage, rotate_footprint, validate_layout
 from patchmux.layout_io import canonical_layout
 from patchmux.montecarlo import SimConfig, run_simulation

@@ -11,7 +11,8 @@ import pytest
 
 import patchmux
 from patchmux import gap_analysis
-from patchmux.cli import EXIT_CONFIG, EXIT_EMPTY, EXIT_FORMAT, EXIT_OK, fmt6, main
+from patchmux.cli import EXIT_CONFIG, EXIT_EMPTY, EXIT_FORMAT, EXIT_OK, main
+from patchmux.cli_common import fmt6
 
 
 def run_cli(*argv):
@@ -787,3 +788,16 @@ def test_cli_import_loads_no_layout_or_process_pool_modules():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("command", ["analytic", "simulate", "gap-sweep", "layout"])
+def test_a_config_error_exits_2_when_run_as_a_module(tmp_path, command):
+    # ``python -m patchmux.cli`` runs the CLI as __main__; a command's config
+    # error is still caught and reported
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(patchmux.__file__))}
+    absent = tmp_path / "absent.json"
+    out = subprocess.run(
+        [sys.executable, "-m", "patchmux.cli", command, "--config", str(absent)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert (out.returncode, out.stderr) == (2, f"config error: config file not found: {absent}\n")

@@ -11,16 +11,10 @@ import sys
 import numpy as np
 import pytest
 
-from patchmux import gap_analysis
-from patchmux.cli import (
-    EXIT_CONFIG,
-    EXIT_FORMAT,
-    EXIT_OK,
-    _canonical_json,
-    _config_hash,
-    _threshold_grid,
-    main,
-)
+from patchmux import curves, gap_analysis, parts
+from patchmux.cli import EXIT_CONFIG, EXIT_FORMAT, EXIT_OK, main
+from patchmux.cli_common import _canonical_json, _config_hash
+from patchmux.cli_gap_sweep import _threshold_grid
 
 # Every config key of every command, with its JSON type. Written out here on
 # purpose rather than read from the CLI, so a key the CLI stops checking
@@ -481,7 +475,7 @@ def refuse_to_allocate(*args, **kwargs):
 def test_a_grid_past_physical_memory_is_one_config_error_before_it_is_built(
     tmp_path, capsys, monkeypatch, memory, count
 ):
-    monkeypatch.setattr(gap_analysis, "_physical_memory", lambda: memory)
+    monkeypatch.setattr(curves, "_physical_memory", lambda: memory)
     monkeypatch.setattr(np, "arange", refuse_to_allocate)
     records = tmp_path / "r.jsonl"
     records.write_text("not a record\n")  # reading it would exit 3
@@ -500,14 +494,14 @@ def test_a_grid_past_physical_memory_is_one_config_error_before_it_is_built(
 def test_a_grid_within_physical_memory_is_built(monkeypatch, memory):
     # 1000 floats fill 8000 bytes exactly; a host that does not say how much
     # memory it has bounds nothing
-    monkeypatch.setattr(gap_analysis, "_physical_memory", lambda: memory)
+    monkeypatch.setattr(curves, "_physical_memory", lambda: memory)
     assert _threshold_grid({"start": 0.0, "stop": 999.0, "count": 1000}).tolist() == list(
         map(float, range(1000))
     )
 
 
 def test_physical_memory_is_read_where_the_platform_says():
-    memory = gap_analysis._physical_memory()
+    memory = parts._physical_memory()
     if hasattr(os, "sysconf") and "SC_PHYS_PAGES" in os.sysconf_names:
         assert memory > 0
     else:

@@ -6,11 +6,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from patchmux import gap_analysis
-from patchmux.gap_analysis import (
+from patchmux import curves
+from patchmux.curves import (
     Crossing,
-    RecordFormatError,
-    RecordSet,
     SweepCurve,
     TailExtrapolation,
     default_thresholds,
@@ -19,6 +17,7 @@ from patchmux.gap_analysis import (
     sweep,
     write_curve_csv,
 )
+from patchmux.gap_analysis import RecordFormatError, RecordSet
 
 THREE_RECORDS = RecordSet([10.0, 5.0, 20.0], [True, False, True], n_attempts=6)
 
@@ -261,7 +260,7 @@ def random_count_curve(rng, grid, runs):
 
 @pytest.mark.parametrize("block", [1, 2, 7, 4096], ids=lambda b: f"block{b}")
 def test_crossing_matches_the_grid_walk_on_random_curves(monkeypatch, block):
-    monkeypatch.setattr(gap_analysis, "_IO_BLOCK", block)
+    monkeypatch.setattr(curves, "_IO_BLOCK", block)
     rng = np.random.default_rng(block)
     found = {"interpolated": 0, "tie": 0, "none": 0}
     for trial in range(300):

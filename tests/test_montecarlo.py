@@ -21,7 +21,8 @@ from patchmux.analytics import (
     product_joint_table,
 )
 from patchmux.cli import write_records_jsonl
-from patchmux.gap_analysis import RecordSet, sweep
+from patchmux.curves import sweep
+from patchmux.gap_analysis import RecordSet
 from patchmux.montecarlo import EscapeModel, GapDistribution, SimConfig, run_simulation
 
 

@@ -23,7 +23,8 @@ import numpy as np
 import pytest
 
 from patchmux import montecarlo
-from patchmux.cli import EXIT_OK, _write_json, main
+from patchmux.cli import EXIT_OK, main
+from patchmux.cli_common import _write_json
 
 
 def _sha(path) -> str:

@@ -16,6 +16,17 @@ def test_every_exported_name_resolves():
     assert len(set(patchmux.__all__)) == len(patchmux.__all__)
 
 
+def test_every_exported_name_loads_from_the_module_that_defines_it():
+    # a name whose module re-imports it from its new home would still resolve
+    assert set(patchmux.__all__) - {"__version__"} == set(patchmux._SOURCE)
+    wrong = {
+        name: getattr(patchmux, name).__module__
+        for name, module in patchmux._SOURCE.items()
+        if getattr(patchmux, name).__module__ != f"patchmux.{module}"
+    }
+    assert wrong == {}
+
+
 # What each command loads. A fresh interpreter without a bytecode cache, as
 # the benchmark runs each command, reports the modules of interest it holds.
 
@@ -38,6 +49,41 @@ def loaded_after(code: str, modules: set = LAYERS | HASHLIB) -> set:
 
 def test_importing_the_cli_loads_no_sampler_closed_forms_or_openssl():
     assert loaded_after("import patchmux.cli") == set()
+
+
+COMMANDS = {f"patchmux.cli_{name}" for name in ("analytic", "simulate", "gap_sweep", "layout")}
+SHARED = "patchmux.cli_common"
+RECORD_LAYERS = {"patchmux.gap_analysis", "patchmux.curves"}
+
+
+def test_importing_the_cli_compiles_no_command_and_no_record_layer():
+    assert loaded_after("import patchmux.cli", COMMANDS | {SHARED} | RECORD_LAYERS) == set()
+
+
+@pytest.mark.parametrize(
+    "run, layers",
+    [
+        ("analytic", set()),
+        ("layout", set()),
+        ("simulate", set()),
+        ("simulate records", {"patchmux.gap_analysis"}),
+        ("gap-sweep", RECORD_LAYERS),
+    ],
+)
+def test_a_command_loads_its_own_module_and_the_record_layers_it_runs(tmp_path, run, layers):
+    command = run.split()[0]
+    (tmp_path / "sim.json").write_text(
+        SIM_CONFIG[:-1] + f', "records": {str(run == "simulate records").lower()}}}'
+    )
+    (tmp_path / "r.jsonl").write_text('{"gap": 1.0, "correct": true}\n')
+    argv = [command, "--out", str(tmp_path / "out")] + {
+        "analytic": ["--preset", "table2"],
+        "layout": ["--preset", "canonical"],
+        "simulate": ["--config", str(tmp_path / "sim.json")],
+        "gap-sweep": ["--records", str(tmp_path / "r.jsonl")],
+    }[command]
+    loaded = loaded_after(main_exits(argv), COMMANDS | {SHARED} | RECORD_LAYERS)
+    assert loaded == {f"patchmux.cli_{command.replace('-', '_')}", SHARED} | layers
 
 
 @pytest.mark.parametrize("command", ["gap-sweep", "analytic", "layout"])
@@ -127,7 +173,7 @@ def simulate_probe(tmp_path, out: str, before: str = "") -> str:
     argv = ["simulate", "--config", str(tmp_path / "sim.json"), "--out", str(tmp_path / out)]
     return (
         f"{before}\n{main_exits(argv)}\nimport sys\nloaded = set(sys.modules)\n"
-        "import hashlib, json\nfrom patchmux.cli import _canonical_json\n"
+        "import hashlib, json\nfrom patchmux.cli_common import _canonical_json\n"
         f"report = json.loads(open({str(tmp_path / out / 'sim_summary.json')!r}).read())\n"
         "digest = hashlib.sha256(_canonical_json(report['config']).encode()).hexdigest()\n"
         "assert 'hashlib' in loaded and report['provenance']['config_hash'] == digest"
@@ -182,7 +228,7 @@ def test_openssl_imports_after_a_cli_simulate(tmp_path):
 
 
 def test_a_failed_numpy_random_import_leaves_openssl_importable(monkeypatch):
-    from patchmux import cli
+    from patchmux import cli_simulate
 
     seen = []
 
@@ -196,7 +242,7 @@ def test_a_failed_numpy_random_import_leaves_openssl_importable(monkeypatch):
     monkeypatch.delitem(sys.modules, "numpy.random", raising=False)
     monkeypatch.setattr(sys, "meta_path", [Refuse(), *sys.meta_path])
     with pytest.raises(RuntimeError, match="refused"):
-        cli._import_numpy_random()
+        cli_simulate._import_numpy_random()
     assert seen == [None]  # masked while numpy.random imported
     assert "_hashlib" not in sys.modules
 

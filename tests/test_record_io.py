@@ -24,17 +24,16 @@ import types
 import numpy as np
 import pytest
 
-from patchmux import gap_analysis, parts
+from patchmux import curves, gap_analysis, parts
 from patchmux.cli import main
-from patchmux.gap_analysis import (
+from patchmux.curves import (
     CURVE_CSV_HEADER,
-    RecordFormatError,
-    RecordSet,
     SweepCurve,
     TailExtrapolation,
     sweep,
     write_curve_csv,
 )
+from patchmux.gap_analysis import RecordFormatError, RecordSet
 
 DEFAULT_BLOCK = gap_analysis._IO_BLOCK
 
@@ -46,6 +45,7 @@ SHOT_INDEX = [0, 1, 4, 5, 9, 10, 11, 20, 21, 22, 30]
 @pytest.fixture(params=[1, 3, DEFAULT_BLOCK], ids=lambda n: f"block{n}")
 def block(request, monkeypatch):
     monkeypatch.setattr(gap_analysis, "_IO_BLOCK", request.param)
+    monkeypatch.setattr(curves, "_IO_BLOCK", request.param)
     return request.param
 
 
@@ -860,6 +860,7 @@ def exit_at_once():
 def fail_to_format():
     # the child's text blocks, and its range reads, then raise
     gap_analysis._IO_BLOCK = 0
+    curves._IO_BLOCK = 0
     gap_analysis._read_range = None
 
 
@@ -893,7 +894,11 @@ def stream_short():
     parts.open = ShortPipe
 
 
-CHILD_FAILURES = [exit_at_once, fail_to_format, fail_but_exit_zero, stream_short]
+def fail_to_spool():
+    parts.tempfile = types.SimpleNamespace(TemporaryFile=failing_call)
+
+
+CHILD_FAILURES = [exit_at_once, fail_to_format, fail_but_exit_zero, stream_short, fail_to_spool]
 
 
 # distinct continuous gaps, read one row a record, and integer gaps, read as
