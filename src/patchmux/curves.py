@@ -26,8 +26,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .gap_analysis import _IO_BLOCK, RecordSet, _write_rows
+from .gap_analysis import RecordSet, _write_rows
 from .parts import _physical_memory
+
+# Curve rows are derived, compared and written this many at a time, so the
+# Python objects alive at once do not grow with the grid.
+_IO_BLOCK = 4096
 
 UNDEFINED = math.nan
 

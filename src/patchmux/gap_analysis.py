@@ -52,8 +52,8 @@ from .parts import _map_in_parts, _usable_cpus, _write_in_parts
 
 RECORD_FIELDS = {"gap", "correct", "attempts_consumed"}
 
-# Record and curve files are read and written this many lines (or CSV rows)
-# at a time, so the Python objects alive at once do not grow with the file.
+# Record files are read and written this many lines at a time, so the Python
+# objects alive at once do not grow with the file.
 _IO_BLOCK = 4096
 
 # A file whose body holds at least two parts of this many bytes is read in

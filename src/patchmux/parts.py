@@ -5,7 +5,8 @@ produces part 0, and each later part runs in a forked child that spools its
 bytes to an unlinked temporary file and then sends them back through a pipe;
 only this process writes the output, and it does a failed child's part
 itself. ``_map_in_parts`` maps a function over parts the same way, keeping
-part 0's result as it is and taking each later part's as a pickle.
+part 0's result as it is and taking each later part's as a pickle, which its
+child holds in memory: the pickle is one block already made.
 ``gap_analysis`` reads and writes record files through them, ``curves``
 writes curve files, and ``montecarlo`` folds a run's shot ranges. The module
 loads no numpy, so no layer needs another to split its work.
@@ -45,7 +46,7 @@ def _physical_memory() -> int:
 class _Child:
     """A forked process producing the bytes of one part, and its pipe."""
 
-    def __init__(self, produce, part: int, others: list["_Child"]) -> None:
+    def __init__(self, produce, part: int, others: list["_Child"], spool: bool) -> None:
         read_fd, write_fd = os.pipe()
         try:
             self.pid = os.fork()
@@ -59,13 +60,19 @@ class _Child:
                 os.close(read_fd)
                 for other in others:
                     other.pipe.close()
-                # the whole part first, to a file: streaming while this process
-                # still produces part 0 would block the child on a full pipe
-                with tempfile.TemporaryFile() as spool, open(write_fd, "wb") as pipe:
-                    spool.writelines(produce(part))
-                    pipe.write(spool.tell().to_bytes(8, "little"))
-                    spool.seek(0)
-                    shutil.copyfileobj(spool, pipe, _PIPE_CHUNK)
+                # the whole part first: streaming while this process still
+                # produces part 0 would block the child on a full pipe
+                with open(write_fd, "wb") as pipe:
+                    if spool:
+                        with tempfile.TemporaryFile() as held:
+                            held.writelines(produce(part))
+                            pipe.write(held.tell().to_bytes(8, "little"))
+                            held.seek(0)
+                            shutil.copyfileobj(held, pipe, _PIPE_CHUNK)
+                    else:
+                        blocks = list(produce(part))
+                        pipe.write(sum(map(len, blocks)).to_bytes(8, "little"))
+                        pipe.writelines(blocks)
                 status = 0
             finally:
                 os._exit(status)
@@ -90,22 +97,23 @@ class _Child:
         return self.status
 
 
-def _write_in_parts(out, produce, count: int) -> None:
+def _write_in_parts(out, produce, count: int, spool: bool = True) -> None:
     """Write the bytes of ``produce(0)``, ..., ``produce(count - 1)`` to the
     binary stream ``out``, in order.
 
     With two or more parts, where the platform can fork and this process runs
     one thread (a fork copies no other thread, and would copy the locks they
     hold), parts 1 on are produced in forked children while this process
-    produces part 0. A child that cannot start, exits non-zero or sends a
-    short stream costs only time: ``out`` is cut back to where its part began
-    and the part is produced here.
+    produces part 0. A child spools its part's blocks to a temporary file, or
+    holds them in memory where ``spool`` is false. A child that cannot start,
+    cannot spool, exits non-zero or sends a short stream costs only time:
+    ``out`` is cut back to where its part began and the part is produced here.
     """
     children: list[_Child] = []
     if count >= 2 and hasattr(os, "fork") and threading.active_count() == 1:
         try:
             for part in range(1, count):
-                children.append(_Child(produce, part, children))
+                children.append(_Child(produce, part, children, spool))
         except OSError:  # no pipe or process to be had: the rest run here
             pass
     try:
@@ -134,6 +142,6 @@ def _map_in_parts(fn, count: int) -> list:
         return []
 
     out = io.BytesIO()
-    _write_in_parts(out, produce, count)
+    _write_in_parts(out, produce, count, spool=False)
     out.seek(0)
     return first + [pickle.load(out) for _ in range(count - 1)]

@@ -898,7 +898,9 @@ def fail_to_spool():
     parts.tempfile = types.SimpleNamespace(TemporaryFile=failing_call)
 
 
-CHILD_FAILURES = [exit_at_once, fail_to_format, fail_but_exit_zero, stream_short, fail_to_spool]
+CHILD_FAILURES = [exit_at_once, fail_to_format, fail_but_exit_zero, stream_short]
+# only a writer's child spools its part; a mapped part is one pickle, held
+WRITER_FAILURES = CHILD_FAILURES + [fail_to_spool]
 
 
 # distinct continuous gaps, read one row a record, and integer gaps, read as
@@ -994,6 +996,13 @@ def test_only_later_parts_are_pickled_here(monkeypatch, parts, child, pickled_he
     assert [a.tolist() for a in got] == [[3 * p, 3 * p + 1, 3 * p + 2] for p in range(parts)]
     assert len(forked) == parts - 1
     assert [a.tolist() for a in pickled] == [[3, 4, 5]] * pickled_here
+
+
+def test_a_mapped_part_is_not_spooled(monkeypatch):
+    # its pickle is one block already in memory; a child that spooled it here
+    # would fail, and its part would be done again in this process
+    monkeypatch.setattr(parts, "tempfile", types.SimpleNamespace(TemporaryFile=failing_call))
+    assert parts._map_in_parts(lambda part: os.getpid(), 2)[1] != os.getpid()
 
 
 def test_each_reader_calls_only_itself(tmp_path, monkeypatch):
@@ -1562,7 +1571,7 @@ def test_split_writes_match_serial(tmp_path, monkeypatch, block, cpus, rows):
     assert len(children) == 2 * (max(1, min(cpus, rows // 2)) - 1)
 
 
-@pytest.mark.parametrize("failure", CHILD_FAILURES, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("failure", WRITER_FAILURES, ids=lambda f: f.__name__)
 def test_a_failed_child_part_is_written_here(tmp_path, monkeypatch, cpus, failure):
     expected = serial_writes(tmp_path, monkeypatch, 23)
     children = count_forks(monkeypatch, fork_then(failure))
