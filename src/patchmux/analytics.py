@@ -3,9 +3,10 @@
 The primitives: a trial is discarded with probability D, retries are
 geometric so the expected number of attempts per accepted output is
 1/(1 - D), and running k sites in parallel turns the per-shot discard into
-the probability that every site fails at once. For independent sites that
-joint probability is the plain product; a common-mode mixture and an
-explicit joint table cover correlated failures.
+the probability that every site fails at once. Each failure model's closed
+form is the law of its surviving-site count (``expected_histogram``),
+whose cell 0 is that probability: the plain product for independent sites;
+a common-mode mixture and an explicit joint table cover correlated failures.
 
 Printed reference values are reproduced with an interval check that
 propagates the rounding of their fixed-precision inputs, so a table row is
@@ -152,16 +153,44 @@ def product_joint_table(per_site_fail: tuple[float, ...] | list[float]) -> tuple
     return tuple(table)
 
 
-def joint_all_fail_probability(model: FailureModel) -> float:
-    """Probability that every site fails in the same shot."""
-    product = math.prod(model.per_site_fail)
-    corr = model.correlation
-    if isinstance(corr, Independent):
-        return product
+def expected_histogram(model: FailureModel) -> tuple[float, ...]:
+    """P(s sites survive a shot) for s = 0..k: the model's survival-count law.
+
+    Independent sites give a Poisson-binomial law, built site by site, or in
+    O(k) the binomial pmf when every rate is the same. Common mode mixes in,
+    with weight c, the shared draw, which puts mass ``mean`` at 0 and
+    1 - ``mean`` at k. An explicit joint table is folded by popcount. Cell 0
+    is the all-fail probability: the product of the rates, c * mean +
+    (1 - c) * product, or the table's last entry.
+    """
+    rates, k, corr = model.per_site_fail, model.k, model.correlation
+    if isinstance(corr, ExplicitJoint):
+        law = [0.0] * (k + 1)
+        for m, p in enumerate(corr.table):
+            law[k - bin(m).count("1")] += p
+        return tuple(law)
+    d = rates[0]
+    if rates.count(d) < k:  # P(s) <- P(s) d + P(s - 1) (1 - d), one site at a time
+        law = [1.0]
+        for d in rates:
+            law = [a * d + b * (1.0 - d) for a, b in zip(law + [0.0], [0.0] + law)]
+    elif 0.0 < d < 1.0:  # the binomial pmf, in logs so that no term overflows
+        a, b, lg = math.log1p(-d), math.log(d), [math.lgamma(s + 1) for s in range(k + 1)]
+        law = [math.exp(lg[k] - lg[s] - lg[k - s] + s * a + (k - s) * b) for s in range(k + 1)]
+    else:  # d is 0, so every site survives, or 1, so none does (cell 0 below)
+        law = [0.0] * k + [1.0 - d]
+    law[0] = math.prod(rates)  # not d**k, which can differ in the last bit
     if isinstance(corr, CommonMode):
-        mean = math.fsum(model.per_site_fail) / model.k
-        return corr.c * mean + (1.0 - corr.c) * product
-    return corr.table[2**model.k - 1]
+        mean = math.fsum(rates) / k
+        shared = [mean] + [0.0] * (k - 1) + [1.0 - mean]
+        law = [corr.c * s + (1.0 - corr.c) * p for s, p in zip(shared, law)]
+    return tuple(law)
+
+
+def joint_all_fail_probability(model: FailureModel) -> float:
+    """Probability that every site fails in the same shot: cell 0 of
+    ``expected_histogram``."""
+    return expected_histogram(model)[0]
 
 
 def fit_common_mode_weight(

@@ -6,13 +6,7 @@ import math
 import sys
 
 from . import cli
-from .analytics import (
-    CommonMode,
-    ExplicitJoint,
-    FailureModel,
-    joint_all_fail_probability,
-    wilson_interval,
-)
+from .analytics import CommonMode, ExplicitJoint, FailureModel, wilson_interval
 from .cli import EXIT_EMPTY, EXIT_OK, ConfigError
 from .cli_common import (
     _config_errors,
@@ -25,7 +19,7 @@ from .cli_common import (
     _write_json,
     fmt6,
 )
-from .montecarlo import LAYOUT_VERSION, EscapeModel, GapDistribution, SimConfig
+from .montecarlo import LAYOUT_VERSION, EscapeModel, GapDistribution, SimConfig, expected
 
 _GAP_CONFIG = {"kind": str, "rate": float, "value": float}
 
@@ -151,31 +145,6 @@ def _inverse(value: float) -> float:
     return 1.0 / value if value else math.inf
 
 
-def _closed_form_results(config: SimConfig, summary) -> dict:
-    """The configured model's closed form, and the run's distance from it:
-    the binomial standard error and z of the observed discard and kept
-    fraction (z null where the error is 0), and the attempts' 95% interval,
-    Wilson's on the kept fraction, inverted."""
-    discard = joint_all_fail_probability(config.failure_model)
-    kept_fraction = (1.0 - discard) * config.escape_model.keep_prob
-    n = summary.shots
-    results = {
-        "closed_form_discard": discard,
-        "closed_form_kept_fraction": kept_fraction,
-        "closed_form_attempts": _inverse(kept_fraction),
-    }
-    for name, rate, count in (
-        ("discard", discard, summary.early_discards),
-        ("kept_fraction", kept_fraction, summary.kept),
-    ):
-        stderr = math.sqrt(rate * (1.0 - rate) / n)
-        results[f"{name}_stderr"] = stderr
-        results[f"{name}_z"] = (count / n - rate) / stderr if stderr else None
-    low, high = wilson_interval(summary.kept, n)
-    results["attempts_interval_95"] = [_inverse(high), _inverse(low)]
-    return results
-
-
 def cmd_simulate(args) -> int:
     if args.workers < 1:
         raise ConfigError("workers must be at least 1")
@@ -242,8 +211,28 @@ def cmd_simulate(args) -> int:
         "site_survival_histogram": list(summary.site_survival_histogram),
         "labels": labels,
         "warnings": list(summary.warnings),
-        **_closed_form_results(sim_config, summary),
     }
+    # the closed form of each count and the run's distance from it: the
+    # binomial standard error and z (null where the error is 0), the
+    # histogram's Pearson chi-square over the cells it can reach, and the
+    # attempts' 95% interval, Wilson's on the kept fraction, inverted
+    rates, n = expected(sim_config), summary.shots
+    for name, count, rate in (
+        ("discard", summary.early_discards, rates["early_discards"]),
+        ("kept_fraction", summary.kept, rates["kept"]),
+    ):
+        stderr = math.sqrt(rate * (1.0 - rate) / n)
+        results[f"closed_form_{name}"] = rate
+        results[f"{name}_stderr"] = stderr
+        results[f"{name}_z"] = (count / n - rate) / stderr if stderr else None
+    law = rates["site_survival_histogram"]
+    cells = [(c, n * p) for c, p in zip(summary.site_survival_histogram, law) if p > 0]
+    results["closed_form_site_survival_histogram"] = list(law)
+    results["site_survival_chi2"] = sum((c - e) ** 2 / e for c, e in cells)
+    results["site_survival_dof"] = len(cells) - 1
+    results["closed_form_attempts"] = _inverse(rates["kept"])
+    low, high = wilson_interval(summary.kept, n)
+    results["attempts_interval_95"] = [_inverse(high), _inverse(low)]
     records_path = None
     if want_records:
         records_path = out / "records.jsonl"

@@ -63,7 +63,7 @@ from .analytics import (
     ExplicitJoint,
     FailureModel,
     ModelError,
-    joint_all_fail_probability,
+    expected_histogram,
 )
 from .parts import _map_in_parts, _physical_memory, _usable_cpus
 
@@ -573,20 +573,31 @@ def run_simulation(config: SimConfig, workers: int = 1) -> SimSummary:
     )
 
 
+def expected(config: SimConfig) -> dict:
+    """The per-shot rate of each count ``SimSummary`` holds, keyed by its
+    field: the closed-form discard D, the kept fraction (1 - D) ``keep_prob``,
+    and the surviving-site law, ``analytics.expected_histogram``."""
+    law = expected_histogram(config.failure_model)
+    return {
+        "early_discards": law[0],
+        "kept": (1.0 - law[0]) * config.escape_model.keep_prob,
+        "site_survival_histogram": law,
+    }
+
+
 def expected_curve(config: SimConfig, thresholds) -> SweepCurve:
     """The curve that ``sweep(run_simulation(config).records, thresholds)``
     has in expectation, its counts as floats.
 
-    Each of the N shots is kept with P = (1 - D) ``keep_prob``, D the
-    closed-form discard. A kept output is correct with a gap >= G with
-    probability (1 - q) S_c(G), and erroneous with one with q S_e(G), S being
-    each class's ``GapDistribution.survival``. A pool's outputs are its
-    records drawn evenly, so its curve is the pool's own sweep times
-    N P / |pool|.
+    Each of the N shots is kept with P, ``expected(config)["kept"]``. A kept
+    output is correct with a gap >= G with probability (1 - q) S_c(G), and
+    erroneous with one with q S_e(G), S being each class's
+    ``GapDistribution.survival``. A pool's outputs are its records drawn
+    evenly, so its curve is the pool's own sweep times N P / |pool|.
     """
     from .curves import SweepCurve, sweep
     esc, n = config.escape_model, config.n_shots
-    kept = n * (1.0 - joint_all_fail_probability(config.failure_model)) * esc.keep_prob
+    kept = n * expected(config)["kept"]
     ts = np.asarray(thresholds, dtype=np.float64)
     if esc.pool is not None:
         pool = sweep(esc.pool, ts)

@@ -14,6 +14,7 @@ from patchmux.analytics import (
     attempt_reduction,
     attempts_interval,
     expected_attempts,
+    expected_histogram,
     fit_common_mode_weight,
     iid_multiplex_discard,
     joint_all_fail_probability,
@@ -130,6 +131,79 @@ def test_common_mode_all_fail_monotone_in_c():
         for c in np.linspace(0.0, 1.0, 21)
     ]
     assert all(b >= a - 1e-15 for a, b in zip(values, values[1:]))
+
+
+def enumerated_histogram(table) -> list[float]:
+    """A joint table's 2**k fail patterns folded by popcount: the sum of the
+    patterns with s surviving sites at s."""
+    k = len(table).bit_length() - 1
+    law = [0.0] * (k + 1)
+    for m, p in enumerate(table):
+        law[k - bin(m).count("1")] += p
+    return law
+
+
+HISTOGRAM_RATES = {
+    "distinct": (0.13, 0.62, 0.4903, 0.97),
+    "identical": (0.4903,) * 4,
+}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("kind", HISTOGRAM_RATES)
+def test_expected_histogram_is_the_enumerated_law(kind, k):
+    rates = HISTOGRAM_RATES[kind][:k]
+    independent = enumerated_histogram(product_joint_table(rates))
+    mean = math.fsum(rates) / k
+    shared = [mean] + [0.0] * (k - 1) + [1.0 - mean]
+    laws = {
+        "independent": (FailureModel(rates), independent),
+        "table": (FailureModel(rates, ExplicitJoint(product_joint_table(rates))), independent),
+        "c=0": (FailureModel(rates, CommonMode(0.0)), independent),
+        "c=1": (FailureModel(rates, CommonMode(1.0)), shared),
+        "c=0.37": (
+            FailureModel(rates, CommonMode(0.37)),
+            [0.37 * s + 0.63 * p for s, p in zip(shared, independent)],
+        ),
+    }
+    for name, (model, want) in laws.items():
+        got = expected_histogram(model)
+        assert len(got) == k + 1
+        assert got == pytest.approx(want, abs=1e-15), name
+        assert abs(math.fsum(got) - 1.0) <= 1e-12, name
+    assert expected_histogram(laws["c=1"][0]) == tuple(shared)
+
+
+@pytest.mark.parametrize("row", EARLY_STAGE_TABLE, ids=lambda row: f"d{row.d1}-p{row.p:g}")
+def test_all_fail_cell_is_the_old_expression_bit_for_bit(row):
+    # cell 0 of the law stays the product, the common-mode mixture and the
+    # table's last entry; d**k and exp(k log d) differ from the product in
+    # the last bit at some of these rates
+    rates, c = (row.discard_single,) * 4, 0.0181
+    product = math.prod(rates)
+    table = product_joint_table(rates)
+    assert expected_histogram(FailureModel(rates))[0] == product
+    mixed = FailureModel(rates, CommonMode(c))
+    assert expected_histogram(mixed)[0] == c * (math.fsum(rates) / 4) + (1.0 - c) * product
+    assert expected_histogram(FailureModel(rates, ExplicitJoint(table)))[0] == table[-1]
+    for model in (FailureModel(rates), mixed):
+        assert joint_all_fail_probability(model) == expected_histogram(model)[0]
+
+
+@pytest.mark.parametrize(
+    "rates,cell", [((0.0,) * 4, 4), ((1.0,) * 4, 0), ((1.0, 1.0, 1.0, 0.0), 1)]
+)
+def test_certain_sites_put_the_law_on_one_cell(rates, cell):
+    # identical rates of 0 or 1 take no log(d) or log1p(-d), which would raise
+    assert expected_histogram(FailureModel(rates)) == tuple(float(s == cell) for s in range(5))
+
+
+def test_large_identical_law_is_linear_in_k():
+    # 16,384 identical sites take the binomial path, in milliseconds; the
+    # site-by-site recursion would take seconds
+    law = expected_histogram(FailureModel.identical(0.4903, 16_384))
+    assert len(law) == 16_385 and abs(math.fsum(law) - 1.0) <= 1e-11
+    assert law[0] == math.prod((0.4903,) * 16_384)
 
 
 def test_explicit_joint_product_table_equals_independent():

@@ -245,6 +245,22 @@ def test_simulate_nothing_kept_warns_with_exit_code(tmp_path):
     assert results["kept_fraction_stderr"] == 0.0 and results["kept_fraction_z"] is None
     low, high = results["attempts_interval_95"]
     assert 1 < low < math.inf and high == "inf"
+    # the law has one live cell, which holds every shot
+    assert results["closed_form_site_survival_histogram"] == [1.0, 0.0, 0.0, 0.0, 0.0]
+    assert results["site_survival_chi2"] == 0 and results["site_survival_dof"] == 0
+
+
+def test_simulate_one_live_cell_has_no_chi_square_spread(tmp_path):
+    # three sites always fail and one never does: exactly one survives
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(
+        json.dumps({"n_shots": 500, "seed": 8, "failure": {"per_site_fail": [1, 1, 1, 0]}})
+    )
+    assert run_cli("simulate", "--config", str(cfg), "--out", str(tmp_path)) == EXIT_OK
+    results = read_json(tmp_path / "sim_summary.json")["results"]
+    assert results["site_survival_histogram"] == [0, 500, 0, 0, 0]
+    assert results["closed_form_site_survival_histogram"] == [0.0, 1.0, 0.0, 0.0, 0.0]
+    assert results["site_survival_chi2"] == 0 and results["site_survival_dof"] == 0
 
 
 def test_simulate_reports_z_against_its_closed_form(tmp_path):
@@ -276,6 +292,13 @@ def test_simulate_reports_z_against_its_closed_form(tmp_path):
         stderr = math.sqrt(rate * (1 - rate) / shots)
         assert results[f"{name}_stderr"] == float(fmt6(stderr))
         assert results[f"{name}_z"] == float(fmt6((count / shots - rate) / stderr))
+    # the binomial law of four sites and Pearson's statistic over its cells
+    law = [math.comb(4, s) * 0.5097**s * 0.4903 ** (4 - s) for s in range(5)]
+    assert results["closed_form_site_survival_histogram"] == pytest.approx(law, rel=1e-5)
+    observed = results["site_survival_histogram"]
+    chi2 = sum((c - shots * p) ** 2 / (shots * p) for c, p in zip(observed, law))
+    assert results["site_survival_chi2"] == pytest.approx(chi2, rel=1e-5)
+    assert results["site_survival_dof"] == 4
     # Wilson's interval on kept / shots, inverted, holds the observed attempts
     low, high = results["attempts_interval_95"]
     assert low < shots / kept < high

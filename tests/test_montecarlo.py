@@ -128,19 +128,6 @@ def test_common_mode_fully_correlated_sites_share_fate():
     assert abs(summary.empirical_discard - d_all) <= 4 * discard_sigma(d_all, 20_000)
 
 
-def test_candidate_size_histogram_is_binomial():
-    d = 0.49
-    n = 100_000
-    cfg = SimConfig(failure_model=FailureModel.identical(d, 4), n_shots=n, seed=35)
-    summary = run_simulation(cfg)
-    expected = np.array(
-        [stats.binom.pmf(s, 4, 1 - d) * n for s in range(5)]
-    )
-    observed = np.array(summary.site_survival_histogram, dtype=float)
-    statistic = float(((observed - expected) ** 2 / expected).sum())
-    assert statistic < stats.chi2.ppf(1 - 1e-3, df=4)
-
-
 COVERAGE_D1 = 0.4903
 COVERAGE_MODELS = {
     "independent": FailureModel.identical(COVERAGE_D1, 4),
@@ -158,29 +145,56 @@ def share_beyond_two_sigma(observed: np.ndarray, expected, n: int) -> float:
     return float(np.mean(np.abs(z) > 2))
 
 
-def two_sigma_limits(trials: int) -> tuple[float, float]:
-    """The 99.9% binomial limits on the share of ``trials`` normal z with |z| > 2."""
-    nominal = 2 * stats.norm.sf(2.0)
+def binomial_limits(trials: int, nominal: float = 2 * stats.norm.sf(2.0)) -> tuple:
+    """The 99.9% binomial limits on the share of ``trials`` events of rate
+    ``nominal``, by default a normal z with |z| > 2."""
     return tuple(bound / trials for bound in stats.binom.interval(0.999, trials, nominal))
+
+
+def share_rejected(histograms: np.ndarray, law, n: int) -> float:
+    """The share of runs whose histogram has a Pearson chi-square p < 0.05
+    against ``law``, over the cells whose rate is above 0."""
+    law = np.asarray(law)
+    live = law > 0
+    expected = n * law[live]
+    chi2 = ((histograms[:, live] - expected) ** 2 / expected).sum(axis=1)
+    return float(np.mean(stats.chi2.sf(chi2, live.sum() - 1) < 0.05))
+
+
+def site_one_off(model: FailureModel) -> FailureModel:
+    """``model`` with site 1's rate 5% high, a joint table rebuilt to match."""
+    rates = (1.05 * model.per_site_fail[0], *model.per_site_fail[1:])
+    corr = model.correlation
+    if isinstance(corr, ExplicitJoint):
+        corr = ExplicitJoint(product_joint_table(rates))
+    return FailureModel(rates, corr)
 
 
 @pytest.mark.parametrize("name", COVERAGE_MODELS)
 def test_seeded_runs_cover_the_closed_form(name):
     # each seed's discard and kept fraction are binomial rates, so |z| > 2
     # for 4.55% of seeds; the share over 200 seeds stays within binomial
-    # limits of that, and leaves them when the closed form is 5% off
+    # limits of that, and leaves them when the closed form is 5% off. Each
+    # seed's histogram is multinomial, so its chi-square has p < 0.05 for 5%
+    # of seeds, and for more when site 1's rate is 5% off
     model, seeds, n, keep_prob = COVERAGE_MODELS[name], 200, 20_000, 0.7
     escape = EscapeModel(q=0.05, keep_prob=keep_prob)
+    config = SimConfig(model, n, 0, escape_model=escape, collect_records=False)
     discard, kept = np.empty(seeds), np.empty(seeds)
+    histograms = np.empty((seeds, model.k + 1))
     for seed in range(seeds):
-        config = SimConfig(model, n, seed, escape_model=escape, collect_records=False)
-        summary = run_simulation(config)
+        summary = run_simulation(replace(config, seed=seed))
         discard[seed], kept[seed] = summary.empirical_discard, summary.kept / n
-    low, high = two_sigma_limits(seeds)
-    d_all = joint_all_fail_probability(model)
-    for observed, expected in ((discard, d_all), (kept, (1 - d_all) * keep_prob)):
+        histograms[seed] = summary.site_survival_histogram
+    low, high = binomial_limits(seeds)
+    rates = montecarlo.expected(config)
+    for observed, expected in ((discard, rates["early_discards"]), (kept, rates["kept"])):
         assert low <= share_beyond_two_sigma(observed, expected, n) <= high
         assert share_beyond_two_sigma(observed, 1.05 * expected, n) > high
+    low, high = binomial_limits(seeds, 0.05)
+    assert low <= share_rejected(histograms, rates["site_survival_histogram"], n) <= high
+    off = montecarlo.expected(replace(config, failure_model=site_one_off(model)))
+    assert share_rejected(histograms, off["site_survival_histogram"], n) > high
 
 
 CURVE_THRESHOLDS = [0.0, 2.5, 6.0, 12.0, 20.0]
@@ -236,7 +250,7 @@ def test_seeded_curves_cover_the_expected_curve(name):
     expected = curve_cells(montecarlo.expected_curve(config, CURVE_THRESHOLDS)) / n
     empty = expected == 0  # cells no gap reaches (constant gaps) stay empty
     assert not observed[:, empty].any()
-    low, high = two_sigma_limits(seeds * int((~empty).sum()))
+    low, high = binomial_limits(seeds * int((~empty).sum()))
     rates = observed[:, ~empty] / n
     assert low <= share_beyond_two_sigma(rates, expected[~empty], n) <= high
     if name in ("exponential", "discrete_exponential"):

@@ -56,11 +56,11 @@ def _gap_sweep(out: str, config: dict) -> None:
 
 PINNED = {
     "sim/records.jsonl": "52b63395989cc5458896394e436ff368f176b371b2cb2bd7191bc3152c732209",
-    "sim/sim_summary.json": "071416f9914ee8d712c80b9519413472cc9c3ed9e6041b99d9654ba1a375581e",
+    "sim/sim_summary.json": "9d610145d2a935a2cbdbd5586909c151387995b1a53263bc2afd03303b18e7c7",
     "tail/records_curve.csv": "c163042d0829cadee28fcb6a3aeb9372812d3939b09776408c03ce0d1dff5f34",
     "tail/gap_report.json": "9cabaf3a693cd6e85905af561e939f2beedea2d63e03678de6c1813572f932df",
     "simb/records.jsonl": "7932840fa3d14aa5069c159d717fa6715eadc66923e590a0a5401710c55826bf",
-    "simb/sim_summary.json": "6c0b35846c0e67c8ea9792b8fa7f0bf5d06a7c7d62484adcb97b1695c51441df",
+    "simb/sim_summary.json": "02449583014b50967649d93593a62028c01a26cdb4307e559628f4051bdf1cce",
     "pair/1_records_curve.csv": "27c988b3887091484c29a771a74fa020b5ae755828759af914fad4b3d0b4ae56",
     "pair/2_records_curve.csv": "cd4acf782ffbfcc432cbb5e0e8673a7fdfd463b457a41fd463fb0531156ed561",
     "pair/gap_report.json": "d9aa1b7dac8639d037494f30cd600f39fc598939b4702f4721bb6519af7c0842",
@@ -69,11 +69,11 @@ PINNED = {
 # the same files under draw layouts v2 and v1; v1 wrote no layout_version
 V2_PINNED = {
     "sim/records.jsonl": "61fba84d212ec3c06723cc3ae55dda75ca9b251be59809c5afca55e25644e2e3",
-    "sim/sim_summary.json": "4792e0aea919c181b8687298c053df619482c904097792584d4a08065e851681",
+    "sim/sim_summary.json": "56824273095841dd352a0afde0e757a98118b3c955ba055a152147f78230da9b",
     "tail/records_curve.csv": "65a6f37e81f0e918f14c39bfc9e134a3dcf666b10ee5fbaef31d9147c86f82d3",
     "tail/gap_report.json": "734888bfead41718813b59900510ab6c70280f401388caa0104f7738bf93117e",
     "simb/records.jsonl": "5e01093dc3eb48456a1125148be4d8dffadae028d8b9c866dcce9ea0f1711c8a",
-    "simb/sim_summary.json": "37e5871da41cae48d580c0d494b1d2abdf7f2542e6f91e36264d4afb237fec6e",
+    "simb/sim_summary.json": "be37e0f121e8ae1c7aa153e0e7b46374679243149c1cbc984485a6183af5c7f6",
     "pair/1_records_curve.csv": "e21782b8e4bb1b2ca91af2813597a847215e9c2c69d52272ca92f391f748d6c7",
     "pair/2_records_curve.csv": "d000bdb924fb7d5a170da58aeb7c611359ba1e106ea82c1fd97e8ca4756043fc",
     "pair/gap_report.json": "c95ea866f2b1ec2fc48b0ceef83623c327336225bc604ea2252bcbb9be7e3bd8",
@@ -81,11 +81,11 @@ V2_PINNED = {
 
 V1_PINNED = {
     "sim/records.jsonl": "dd6d06c56600fc692b7e21a81f9a74dc2114779ae079eec0541db8fd01d5f2e7",
-    "sim/sim_summary.json": "529d0596be3e1111022bd30a0fe20001c926dbca2460afe3df70d973323989f4",
+    "sim/sim_summary.json": "30b66f5b703b6490b1403ee03abda352b813f636b278d7fed5bf45eb7552336a",
     "tail/records_curve.csv": "3a8f4ea5b158bc0bd3ddd5bb058cf4ef38fe1615cf5c90b8eac604324e9152e4",
     "tail/gap_report.json": "2802b02d7cfd4df07595f2603eedf1a88e872f5eaf935a4726e85b3a434b6cb8",
     "simb/records.jsonl": "b83aa94fdf3b6e03dbbcf59a501dcc3bcd9d5284f04432e7afcefa09ed1f8f58",
-    "simb/sim_summary.json": "f9f10424ecb0405a6ae6fb5cd6a2772773fc80037d1ce0870df04ef64bab61d1",
+    "simb/sim_summary.json": "1b329b753a26e78a5304331e4f2fed2fb8727c4af608899c8cd83f970cd5993a",
     "pair/1_records_curve.csv": "07c93adfa4bdc288f540e1a5be8bc7df3abdd1b13a82d02f378d89a49a21454a",
     "pair/2_records_curve.csv": "1df19aee5930455390a7c9d4787f80c40efe3d7508886a96d74e98f153d3a7b9",
     "pair/gap_report.json": "e5854bac82c06a223fc1f2d17ca4c2881ef69bb4b5a08725640a9d32ed467e19",
@@ -150,9 +150,9 @@ def test_pair_reports_a_crossing(chain_outputs):
 # A records-off simulate of the sampler benchmark's model (k=4, D=0.4903,
 # Bernoulli q=0.05, continuous exponential gaps) on two workers: the path
 # that folds counts only, which the chain pins above do not reach.
-RECORDS_OFF_PIN = "4bb78ee33af1760010a45cce5dfec8764e9b131d510eef09ed2149fdf88538f7"
-V2_RECORDS_OFF_PIN = "f5e7fc52a5d3a595a716bfbfad3937101732650471954966819ed1d4d1c21482"
-V1_RECORDS_OFF_PIN = "5ca64198b61d40b7922e9e0b23ea1d3a57d579b246cf060d65df77734cf569fc"
+RECORDS_OFF_PIN = "90ff2f6f909ac7bff350eccd2534e8434ebdc610b7e379592a71d83d00984ce9"
+V2_RECORDS_OFF_PIN = "188cb647cff740c290a108bb5fe74738cde8c2fa07b99dd4ad62741e91ed344c"
+V1_RECORDS_OFF_PIN = "dec0ea0f4c150631be7fe6b4f64442cef142e6c37c0d1d21bbbd16587306863a"
 
 
 def _run_records_off() -> None:
@@ -273,11 +273,11 @@ ESCAPE_RUNS = {
 }
 ESCAPE_PINNED = {
     "keep/records.jsonl": "ec66fe888130ba80a7aa8e95d2e1aab78c739ec95890089bd81b2ce7b0dd69a6",
-    "keep/sim_summary.json": "99c4d79d991f66acc9b3569e632e95c51f6ce2d12d7a410ea6e2411573c16b6e",
+    "keep/sim_summary.json": "f1958b281160e6aa53462a53dd2f97fbf8da8f3e2d522b6240ae690262dedd30",
     "pool/records.jsonl": "def0df85a3a0f5d3c9d366ac36fef959bf45b09f7216dab699ace7d7f7c657cc",
-    "pool/sim_summary.json": "fa3accf92f783d9c57afdee2bc934f6514de5569af0441d096797132b8ca7ea9",
+    "pool/sim_summary.json": "ac018786a655340b3325c150b551017249b8e2cecd93c0e1b032dfc4456061b3",
     "noerr/records.jsonl": "1bf2f0ef6b5ec1f13e51c69b73e207b0a90dd3dd6af306dbd5af7b65a29c1ee6",
-    "noerr/sim_summary.json": "2e3eb7c0fcd53d91606a202eccb2ca06f0a8f10ff894e3c83d0c7095a0dc4bfa",
+    "noerr/sim_summary.json": "cbafeed1b4b5618ac3eda9ffee8f6016b9fd8e00b8a29cf851d653d5b1b7156c",
 }
 
 
